@@ -451,15 +451,18 @@ impl ServerState {
         self.started.elapsed().as_secs()
     }
 
-    /// Acked edges not yet covered by a durable snapshot (0 when
-    /// serving purely in memory).
+    /// Journal records not yet covered by a durable snapshot, counted
+    /// in WAL seqs on both sides (0 when serving purely in memory).
+    ///
+    /// Not the store's edge count: after recovery has quarantined
+    /// corrupt records that count runs behind the journal's seqs.
     #[must_use]
     pub fn journal_lag(&self) -> u64 {
-        if self.persist.is_none() {
+        let Some(persist) = self.persist_guard() else {
             return 0;
-        }
-        let edges = self.read_store().edges_processed();
-        edges.saturating_sub(self.last_snapshot_seq.load(Ordering::SeqCst))
+        };
+        let last_seq = persist.journal.next_seq().saturating_sub(1);
+        last_seq.saturating_sub(self.last_snapshot_seq.load(Ordering::SeqCst))
     }
 
     fn set_last_snapshot_seq(&self, seq: u64) {

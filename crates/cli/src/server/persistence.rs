@@ -158,7 +158,7 @@ pub fn checkpoint_now(state: &ServerState) -> io::Result<CheckpointReport> {
             .set(generations.len() as u64);
         let oldest_retained = generations.first().map_or(wal_seq, |(seq, _)| *seq);
         let segments_pruned = lock(persist).journal.prune_below(oldest_retained)?;
-        state.set_last_snapshot_seq(snapshot.edges_processed);
+        state.set_last_snapshot_seq(wal_seq);
         Ok(CheckpointReport {
             snapshot_seq: wal_seq,
             segments_pruned,
@@ -201,5 +201,77 @@ pub(super) fn checkpoint_loop(state: &ServerState) {
             // Non-fatal: the journal still holds everything acked.
             Err(e) => eprintln!("checkpoint failed (will retry): {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use graphstream::VertexId;
+    use streamlink_core::journal::JournalEntry;
+    use streamlink_core::SketchConfig;
+
+    /// Recovers `dir` into a durable server state; also returns the
+    /// snapshot seq recovery started from and the records it quarantined.
+    fn open_state(dir: &Path) -> (ServerState, u64, u64) {
+        let (persist, recovery) = open(
+            dir,
+            SketchConfig::with_slots(16).seed(5),
+            FsyncPolicy::Never,
+            WireFormat::TextV2,
+        )
+        .unwrap();
+        let snapshot_seq = recovery.snapshot_seq;
+        let state = ServerState::with_persistence(
+            recovery.store,
+            persist,
+            snapshot_seq,
+            ServerConfig::default(),
+        );
+        (state, snapshot_seq, recovery.journal.quarantined)
+    }
+
+    #[test]
+    fn journal_lag_counts_seqs_after_quarantine() {
+        let dir = std::env::temp_dir().join(format!("streamlink-lag-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        {
+            let mut journal = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
+            for seq in 1..=10 {
+                let (u, v) = (VertexId(seq), VertexId(100 + seq));
+                journal.append(JournalEntry { seq, u, v }).unwrap();
+            }
+        }
+        // Flip a digit of record 3's `u` field: its CRC no longer
+        // verifies, so replay quarantines it and applies the other nine.
+        let segment = dir.join("wal.1.log");
+        let text = fs::read_to_string(&segment).unwrap();
+        let offset: usize = text.lines().take(2).map(|l| l.len() + 1).sum::<usize>() + 4;
+        streamlink_core::chaos::flip_bit(&segment, offset as u64, 0).unwrap();
+
+        let (state, _, quarantined) = open_state(&dir);
+        assert_eq!(quarantined, 1);
+        assert_eq!(state.read_store().edges_processed(), 9);
+        assert_eq!(state.journal_lag(), 10, "seqs 1..=10 are uncovered");
+        let report = checkpoint_now(&state).unwrap();
+        assert_eq!(report.snapshot_seq, 10);
+        assert_eq!(state.journal_lag(), 0);
+        drop(state);
+
+        // Restart from the generation at seq 10, whose store holds nine
+        // edges, then ack three more: the edge count (12) and the
+        // snapshot seq (10) diverge, the lag must not.
+        let (state, snapshot_seq, _) = open_state(&dir);
+        assert_eq!(snapshot_seq, 10);
+        assert_eq!(state.journal_lag(), 0);
+        for w in 0..3 {
+            state.insert_edge(VertexId(1), VertexId(200 + w)).unwrap();
+        }
+        assert_eq!(state.read_store().edges_processed(), 12);
+        assert_eq!(state.journal_lag(), 3);
+        drop(state);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -87,8 +87,10 @@ pub const MODE_WAL_BATCH: u8 = 0x05;
 /// checksummed JSON document the text plane ships verbatim).
 pub const MODE_SNAPSHOT_FRAME: u8 = 0x06;
 
-/// Why a binary decode failed. Every variant is a fail-closed outcome:
-/// callers treat the input as corrupt and route it to quarantine.
+/// Why a binary decode failed — or, for [`CodecError::TooLarge`] and
+/// [`CodecError::Malformed`], why an encode refused its input. Every
+/// decode variant is a fail-closed outcome: callers treat the input as
+/// corrupt and route it to quarantine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The input ends before the envelope (or a field) is complete.
@@ -197,6 +199,18 @@ pub fn encode_envelope(mode: u8, body: &[u8]) -> Vec<u8> {
     let crc = crc32(&out[BINARY_MAGIC.len()..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// The writer's half of [`MAX_BODY_LEN`]: refuses a body the reader
+/// would reject, so nothing unreadable reaches disk.
+///
+/// # Errors
+/// [`CodecError::TooLarge`] when `len` exceeds [`MAX_BODY_LEN`].
+fn check_body_len(len: usize) -> Result<(), CodecError> {
+    if len as u64 > MAX_BODY_LEN {
+        return Err(CodecError::TooLarge("record body length"));
+    }
+    Ok(())
 }
 
 /// Decodes and verifies one envelope at the start of `bytes`.
@@ -947,6 +961,7 @@ impl Codec for BinaryV3 {
 
     fn encode_store_snapshot(&self, snap: &StoreSnapshot) -> io::Result<Vec<u8>> {
         let body = encode_store_snapshot_body(snap)?;
+        check_body_len(body.len())?;
         Ok(encode_envelope(MODE_STORE_SNAPSHOT, &body))
     }
 
@@ -957,6 +972,7 @@ impl Codec for BinaryV3 {
 
     fn encode_robust_snapshot(&self, snap: &RobustSnapshot) -> io::Result<Vec<u8>> {
         let body = encode_robust_snapshot_body(snap)?;
+        check_body_len(body.len())?;
         Ok(encode_envelope(MODE_ROBUST_SNAPSHOT, &body))
     }
 
@@ -1175,6 +1191,16 @@ mod tests {
         rec.extend_from_slice(&[0; 8]);
         assert_eq!(
             decode_envelope(&rec),
+            Err(CodecError::TooLarge("record body length"))
+        );
+    }
+
+    #[test]
+    fn writer_refuses_bodies_past_the_reader_limit() {
+        let limit = usize::try_from(MAX_BODY_LEN).unwrap();
+        assert_eq!(check_body_len(limit), Ok(()));
+        assert_eq!(
+            check_body_len(limit + 1),
             Err(CodecError::TooLarge("record body length"))
         );
     }

@@ -171,14 +171,13 @@ impl ConcurrentSketchStore {
         let mut out = SketchStore::new(self.config);
         let total = self.edges_processed.load(Ordering::Relaxed);
         {
-            let (sketches, degrees, edges) = out.parts_mut();
+            let (vertices, edges) = out.parts_mut();
             for (i, shard) in self.shards.iter().enumerate() {
                 let guard = shard.read();
-                let (shard_sketches, shard_degrees, _) = guard.parts();
-                for (&v, s) in shard_sketches {
+                let (shard_vertices, _) = guard.parts();
+                for (&v, x) in shard_vertices {
                     if self.shard_of(v) == i {
-                        sketches.insert(v, s.clone());
-                        degrees.insert(v, shard_degrees.get(&v).copied().unwrap_or(0));
+                        vertices.insert(v, x.clone());
                     }
                 }
             }

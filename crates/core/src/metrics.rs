@@ -385,11 +385,11 @@ pub struct Metrics {
     pub mem_total_bytes: Gauge,
     /// Sketch slot bytes (`vertices × k × slot size`).
     pub mem_sketch_slot_bytes: Gauge,
-    /// Sketch hash-map overhead (capacity-based model).
+    /// Vertex-map overhead less its degree words (capacity-based model).
     pub mem_sketch_map_bytes: Gauge,
-    /// Degree-counter map bytes (capacity-based model).
+    /// Degree words inside the vertex map (capacity-based model).
     pub mem_degree_map_bytes: Gauge,
-    /// Fixed store overhead: the struct itself plus per-edge scratch.
+    /// Fixed store overhead: the struct itself.
     pub mem_store_fixed_bytes: Gauge,
     /// Journal write-buffer capacity (0 without persistence).
     pub mem_journal_buffer_bytes: Gauge,

@@ -94,8 +94,10 @@ impl VertexSketch {
 
     /// Folds a neighbor into every slot. `hashes[i]` must be `h_i(neighbor)`.
     ///
-    /// This is the per-edge hot path: one branch and at most one 16-byte
-    /// write per slot.
+    /// One endpoint's half of an edge, from precomputed hashes: the
+    /// variant stores and tests use it. [`crate::SketchStore`] folds both
+    /// endpoints of an edge in one pass instead (`fold_edge`), which
+    /// gives bit-identical slots.
     ///
     /// # Panics
     /// Panics if `hashes.len() != self.len()`.
@@ -104,6 +106,41 @@ impl VertexSketch {
         assert_eq!(hashes.len(), self.slots.len(), "hash count != slot count");
         for (slot, &h) in self.slots.iter_mut().zip(hashes) {
             slot.fold(h, neighbor);
+        }
+    }
+
+    /// Folds the edge `{u, v}` into `u`'s sketch (`self`) and `v`'s
+    /// (`other`) in one pass over the slots: slot `i` of `self` takes
+    /// `h_i(v)` and slot `i` of `other` takes `h_i(u)`, where `hashes`
+    /// yields `(h_i(u), h_i(v))` in slot order.
+    ///
+    /// This is the per-edge hot path: both sketches stream through the
+    /// cache side by side, with one branch and at most one 16-byte write
+    /// per slot and sketch.
+    ///
+    /// # Panics
+    /// Panics if the sketches have different widths.
+    #[inline]
+    pub(crate) fn fold_edge(
+        &mut self,
+        u: VertexId,
+        other: &mut VertexSketch,
+        v: VertexId,
+        hashes: impl Iterator<Item = (u64, u64)>,
+    ) {
+        assert_eq!(
+            self.len(),
+            other.len(),
+            "cannot fold sketches of different width"
+        );
+        for ((su, sv), (hu, hv)) in self
+            .slots
+            .iter_mut()
+            .zip(other.slots.iter_mut())
+            .zip(hashes)
+        {
+            su.fold(hv, v);
+            sv.fold(hu, u);
         }
     }
 

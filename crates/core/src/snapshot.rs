@@ -48,7 +48,7 @@ use crate::config::SketchConfig;
 use crate::hll::HyperLogLog;
 use crate::robust::RobustStore;
 use crate::sketch::VertexSketch;
-use crate::store::SketchStore;
+use crate::store::{SketchStore, Vertex};
 
 /// The magic prefix of a v2 snapshot header line.
 pub const SNAPSHOT_MAGIC: &str = "STREAMLINK-SNAP";
@@ -193,13 +193,13 @@ impl StoreSnapshot {
     /// Captures a snapshot of `store`.
     #[must_use]
     pub fn capture(store: &SketchStore) -> Self {
-        let (sketches, degrees, edges_processed) = store.parts();
-        let mut vertices: Vec<VertexEntry> = sketches
+        let (map, edges_processed) = store.parts();
+        let mut vertices: Vec<VertexEntry> = map
             .iter()
-            .map(|(&vertex, sketch)| VertexEntry {
+            .map(|(&vertex, x)| VertexEntry {
                 vertex,
-                sketch: sketch.clone(),
-                degree: degrees.get(&vertex).copied().unwrap_or(0),
+                sketch: x.sketch.clone(),
+                degree: x.degree,
             })
             .collect();
         vertices.sort_by_key(|e| e.vertex);
@@ -215,10 +215,16 @@ impl StoreSnapshot {
     pub fn restore(&self) -> SketchStore {
         let mut store = SketchStore::new(self.config);
         {
-            let (sketches, degrees, edges) = store.parts_mut();
+            let (map, edges) = store.parts_mut();
+            map.reserve(self.vertices.len());
             for entry in &self.vertices {
-                sketches.insert(entry.vertex, entry.sketch.clone());
-                degrees.insert(entry.vertex, entry.degree);
+                map.insert(
+                    entry.vertex,
+                    Vertex {
+                        degree: entry.degree,
+                        sketch: entry.sketch.clone(),
+                    },
+                );
             }
             *edges = self.edges_processed;
         }

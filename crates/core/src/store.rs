@@ -8,6 +8,26 @@ use crate::config::{HasherBank, SketchConfig};
 use crate::estimators;
 use crate::sketch::VertexSketch;
 
+/// One observed vertex: its degree counter beside its sketch, so an edge
+/// reaches both with a single map probe per endpoint.
+#[derive(Debug, Clone)]
+pub(crate) struct Vertex {
+    /// Edges delivered with this vertex as an endpoint.
+    pub(crate) degree: u64,
+    /// The MinHash sketch of the vertex's neighborhood.
+    pub(crate) sketch: VertexSketch,
+}
+
+impl Vertex {
+    /// A vertex with no edges yet and an empty `k`-slot sketch.
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            degree: 0,
+            sketch: VertexSketch::new(k),
+        }
+    }
+}
+
 /// Component-wise resident-byte model of a [`SketchStore`].
 ///
 /// Produced by [`SketchStore::memory_breakdown`]; the sum of the fields
@@ -16,11 +36,12 @@ use crate::sketch::VertexSketch;
 pub struct StoreMemory {
     /// Slot arrays of every resident sketch (`vertices × k × 16`).
     pub sketch_slot_bytes: usize,
-    /// Sketch hash-map overhead (capacity × entry + control bytes).
+    /// Vertex hash-map overhead (capacity × entry + control bytes),
+    /// less the degree words counted in `degree_map_bytes`.
     pub sketch_map_bytes: usize,
-    /// Degree-counter hash-map overhead.
+    /// The degree words inside the vertex map (capacity × 8).
     pub degree_map_bytes: usize,
-    /// Fixed struct size plus the reused per-edge hash scratch buffers.
+    /// Fixed struct size.
     pub fixed_bytes: usize,
 }
 
@@ -32,12 +53,13 @@ impl StoreMemory {
     }
 }
 
-/// The streaming sketch index: one [`VertexSketch`] plus one degree
-/// counter per observed vertex.
+/// The streaming sketch index: one map from each observed vertex to its
+/// [`VertexSketch`] and degree counter.
 ///
-/// * **Constant time per edge** — [`SketchStore::insert_edge`] does `2k`
-///   hash evaluations and `2k` slot folds, nothing else; no allocation
-///   after the two touched sketches exist.
+/// * **Constant time per edge** — [`SketchStore::insert_edge`] looks up
+///   both endpoints once and makes one pass over the `k` slots, doing
+///   `2k` hash evaluations and `2k` slot folds; no allocation after the
+///   two touched vertices exist.
 /// * **Constant space per vertex** — `k` 16-byte slots plus one degree
 ///   word, independent of the vertex's degree or the stream length.
 ///
@@ -57,32 +79,25 @@ impl StoreMemory {
 pub struct SketchStore {
     config: SketchConfig,
     bank: HasherBank,
-    sketches: HashMap<VertexId, VertexSketch>,
-    degrees: HashMap<VertexId, u64>,
+    vertices: HashMap<VertexId, Vertex>,
     edges_processed: u64,
-    // Reused per-edge scratch: no allocation on the hot path.
-    scratch_u: Vec<u64>,
-    scratch_v: Vec<u64>,
 }
 
 impl SketchStore {
     /// An empty store with the given configuration.
     #[must_use]
     pub fn new(config: SketchConfig) -> Self {
-        let bank = config.build_bank();
-        let k = config.slots();
         Self {
+            bank: config.build_bank(),
             config,
-            bank,
-            sketches: HashMap::new(),
-            degrees: HashMap::new(),
+            vertices: HashMap::new(),
             edges_processed: 0,
-            scratch_u: vec![0; k],
-            scratch_v: vec![0; k],
         }
     }
 
-    /// Processes one stream edge.
+    /// Processes one stream edge: one lookup per endpoint, then a single
+    /// pass over the `k` hash functions that folds `h_i(v)` into `u`'s
+    /// slot `i` and `h_i(u)` into `v`'s slot `i`.
     ///
     /// Self-loops are counted as processed but otherwise ignored (they
     /// carry no neighborhood signal).
@@ -110,21 +125,32 @@ impl SketchStore {
         if u == v {
             return;
         }
-        let k = self.config.slots();
-        self.bank.hash_all_into(u.0, &mut self.scratch_u);
-        self.bank.hash_all_into(v.0, &mut self.scratch_v);
-
-        self.sketches
-            .entry(u)
-            .or_insert_with(|| VertexSketch::new(k))
-            .fold_neighbor(&self.scratch_v, v);
-        self.sketches
-            .entry(v)
-            .or_insert_with(|| VertexSketch::new(k))
-            .fold_neighbor(&self.scratch_u, u);
-
-        *self.degrees.entry(u).or_insert(0) += 1;
-        *self.degrees.entry(v).or_insert(0) += 1;
+        let [a, b] = match self.vertices.get_disjoint_mut([&u, &v]) {
+            [Some(a), Some(b)] => [a, b],
+            _ => {
+                // First sight of an endpoint: create it, then look both up
+                // again.
+                let k = self.config.slots();
+                self.vertices.entry(u).or_insert_with(|| Vertex::new(k));
+                self.vertices.entry(v).or_insert_with(|| Vertex::new(k));
+                self.vertices
+                    .get_disjoint_mut([&u, &v])
+                    .map(|x| x.expect("both endpoints were just inserted"))
+            }
+        };
+        a.degree += 1;
+        b.degree += 1;
+        // One match outside the loop: each backend gets its own
+        // monomorphic fold loop.
+        let (su, sv) = (&mut a.sketch, &mut b.sketch);
+        match &self.bank {
+            HasherBank::Mixer(f) => {
+                su.fold_edge(u, sv, v, f.iter().map(|h| (h.hash(u.0), h.hash(v.0))));
+            }
+            HasherBank::Tabulation(t) => {
+                su.fold_edge(u, sv, v, t.iter().map(|h| (h.hash(u.0), h.hash(v.0))));
+            }
+        }
     }
 
     /// Processes a whole stream (or stream prefix).
@@ -139,7 +165,7 @@ impl SketchStore {
     #[must_use]
     pub fn jaccard(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let _t = crate::trace::child("estimate.jaccard");
-        let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);
+        let (su, sv) = (self.sketch(u)?, self.sketch(v)?);
         Some(estimators::jaccard_from_matches(
             su.match_count(sv),
             self.config.slots(),
@@ -164,7 +190,7 @@ impl SketchStore {
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let _t = crate::trace::child("estimate.adamic_adar");
-        let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);
+        let (su, sv) = (self.sketch(u)?, self.sketch(v)?);
         let matches = su.match_count(sv);
         let j = estimators::jaccard_from_matches(matches, self.config.slots());
         let cn = estimators::cn_from_jaccard(j, self.degree(u), self.degree(v));
@@ -177,7 +203,7 @@ impl SketchStore {
     /// weight `1/d` instead of `1/ln d`.
     #[must_use]
     pub fn resource_allocation(&self, u: VertexId, v: VertexId) -> Option<f64> {
-        let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);
+        let (su, sv) = (self.sketch(u)?, self.sketch(v)?);
         let matches = su.match_count(sv);
         let j = estimators::jaccard_from_matches(matches, self.config.slots());
         let cn = estimators::cn_from_jaccard(j, self.degree(u), self.degree(v));
@@ -229,25 +255,25 @@ impl SketchStore {
     #[inline]
     #[must_use]
     pub fn degree(&self, v: VertexId) -> u64 {
-        self.degrees.get(&v).copied().unwrap_or(0)
+        self.vertices.get(&v).map_or(0, |x| x.degree)
     }
 
     /// Whether `v` has appeared in the stream.
     #[must_use]
     pub fn contains(&self, v: VertexId) -> bool {
-        self.sketches.contains_key(&v)
+        self.vertices.contains_key(&v)
     }
 
     /// The sketch of `v`, if seen.
     #[must_use]
     pub fn sketch(&self, v: VertexId) -> Option<&VertexSketch> {
-        self.sketches.get(&v)
+        self.vertices.get(&v).map(|x| &x.sketch)
     }
 
     /// Number of distinct vertices observed.
     #[must_use]
     pub fn vertex_count(&self) -> usize {
-        self.sketches.len()
+        self.vertices.len()
     }
 
     /// Total edges processed (including ignored self-loops).
@@ -258,7 +284,7 @@ impl SketchStore {
 
     /// Iterates over observed vertices.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.sketches.keys().copied()
+        self.vertices.keys().copied()
     }
 
     /// The configuration this store was built with.
@@ -289,48 +315,36 @@ impl SketchStore {
     pub fn memory_breakdown(&self) -> StoreMemory {
         use std::mem::size_of;
         let slot_bytes_per_sketch = self.config.slots() * size_of::<crate::sketch::Slot>();
+        let buckets = self.vertices.capacity();
+        // Each bucket: the entry (id, degree word, slot pointer) plus a
+        // control word.
+        let map_bytes = buckets * (size_of::<(VertexId, Vertex)>() + size_of::<u64>());
+        let degree_map_bytes = buckets * size_of::<u64>();
         StoreMemory {
-            sketch_slot_bytes: self.sketches.len() * slot_bytes_per_sketch,
-            sketch_map_bytes: self.sketches.capacity()
-                * (size_of::<(VertexId, VertexSketch)>() + size_of::<u64>()),
-            degree_map_bytes: self.degrees.capacity()
-                * (size_of::<(VertexId, u64)>() + size_of::<u64>()),
-            fixed_bytes: size_of::<Self>()
-                + (self.scratch_u.capacity() + self.scratch_v.capacity()) * size_of::<u64>(),
+            sketch_slot_bytes: self.vertices.len() * slot_bytes_per_sketch,
+            sketch_map_bytes: map_bytes - degree_map_bytes,
+            degree_map_bytes,
+            fixed_bytes: size_of::<Self>(),
         }
     }
 
-    /// Internal access for the merge module.
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (
-        &mut HashMap<VertexId, VertexSketch>,
-        &mut HashMap<VertexId, u64>,
-        &mut u64,
-    ) {
-        (
-            &mut self.sketches,
-            &mut self.degrees,
-            &mut self.edges_processed,
-        )
+    /// Internal access for the merge/snapshot/concurrent modules.
+    pub(crate) fn parts_mut(&mut self) -> (&mut HashMap<VertexId, Vertex>, &mut u64) {
+        (&mut self.vertices, &mut self.edges_processed)
     }
 
-    /// Internal read access for the merge/snapshot modules.
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        &HashMap<VertexId, VertexSketch>,
-        &HashMap<VertexId, u64>,
-        u64,
-    ) {
-        (&self.sketches, &self.degrees, self.edges_processed)
+    /// Internal read access for the merge/snapshot/concurrent modules.
+    pub(crate) fn parts(&self) -> (&HashMap<VertexId, Vertex>, u64) {
+        (&self.vertices, self.edges_processed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HasherBackend;
     use graphstream::{AdjacencyGraph, BarabasiAlbert, EdgeStream};
+    use proptest::prelude::*;
 
     fn store(k: usize) -> SketchStore {
         SketchStore::new(SketchConfig::with_slots(k).seed(42))
@@ -363,12 +377,89 @@ mod tests {
         assert!(
             s.memory_bytes() > sketch_sum,
             "store accounting ({}) must exceed the bare sketch sum ({sketch_sum}) \
-             by the map/scratch overhead",
+             by the map overhead",
             s.memory_bytes()
         );
         assert!(breakdown.sketch_map_bytes > 0);
         assert!(breakdown.degree_map_bytes > 0);
         assert!(breakdown.fixed_bytes >= std::mem::size_of::<SketchStore>());
+    }
+
+    /// The insert path as two separate steps per endpoint — hash it
+    /// into a buffer, fold the other endpoint's sketch from that buffer —
+    /// with degrees counted in a map of their own: the reference the
+    /// fused single-map pass must match bit for bit.
+    struct Reference {
+        k: usize,
+        bank: HasherBank,
+        sketches: HashMap<VertexId, VertexSketch>,
+        degrees: HashMap<VertexId, u64>,
+        edges_processed: u64,
+    }
+
+    impl Reference {
+        fn new(config: SketchConfig) -> Self {
+            Self {
+                k: config.slots(),
+                bank: config.build_bank(),
+                sketches: HashMap::new(),
+                degrees: HashMap::new(),
+                edges_processed: 0,
+            }
+        }
+
+        fn insert_edge(&mut self, u: VertexId, v: VertexId) {
+            self.edges_processed += 1;
+            if u == v {
+                return;
+            }
+            let (mut hu, mut hv) = (vec![0; self.k], vec![0; self.k]);
+            self.bank.hash_all_into(u.0, &mut hu);
+            self.bank.hash_all_into(v.0, &mut hv);
+            let k = self.k;
+            self.sketches
+                .entry(u)
+                .or_insert_with(|| VertexSketch::new(k))
+                .fold_neighbor(&hv, v);
+            self.sketches
+                .entry(v)
+                .or_insert_with(|| VertexSketch::new(k))
+                .fold_neighbor(&hu, u);
+            *self.degrees.entry(u).or_insert(0) += 1;
+            *self.degrees.entry(v).or_insert(0) += 1;
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_fused_insert_matches_reference(
+            k in 1usize..70,
+            seed in any::<u64>(),
+            tabulation in any::<bool>(),
+            // 24 ids: duplicate edges and self-loops are frequent.
+            edges in proptest::collection::vec((0u64..24, 0u64..24), 0..300),
+        ) {
+            let backend = if tabulation {
+                HasherBackend::Tabulation
+            } else {
+                HasherBackend::Mixer
+            };
+            let config = SketchConfig::with_slots(k).seed(seed).backend(backend);
+            let mut store = SketchStore::new(config);
+            let mut reference = Reference::new(config);
+            for &(u, v) in &edges {
+                store.insert_edge(VertexId(u), VertexId(v));
+                reference.insert_edge(VertexId(u), VertexId(v));
+            }
+            prop_assert_eq!(store.edges_processed(), reference.edges_processed);
+            prop_assert_eq!(store.vertex_count(), reference.sketches.len());
+            for (v, sketch) in &reference.sketches {
+                // Slot equality covers both the minimum and its argmin.
+                prop_assert_eq!(store.sketch(*v).map(VertexSketch::slots), Some(sketch.slots()));
+                prop_assert_eq!(store.degree(*v), reference.degrees[v]);
+            }
+            prop_assert_eq!(store.memory_breakdown().total(), store.memory_bytes());
+        }
     }
 
     #[test]
