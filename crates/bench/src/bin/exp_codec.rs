@@ -3,13 +3,16 @@
 //! **≥ 5× faster** and the on-disk artifacts **smaller** while the v2
 //! path stays fully readable.
 //!
-//! Per format, one simulated server lifetime: journal `n` edges
-//! (fsync-never, so timings measure encode/decode, not the disk), fire
-//! a mid-stream checkpoint (snapshot + rotation in the journal's
-//! format), leave the second half as a WAL tail, then time cold
-//! recovery — snapshot load plus tail replay — and audit that both
-//! formats recover the identical store. Durations are the best of
+//! Per format, one simulated server lifetime: `n` journaled edges, a
+//! mid-stream checkpoint, and the second half left as a WAL tail; then
+//! time cold recovery — snapshot load plus tail replay — and audit that
+//! both formats recover the identical store. Durations are the best of
 //! three runs to shed scheduler noise.
+//!
+//! The v3 lifetime runs the server's own journal (fsync-never) and
+//! checkpoint. No server writes v2 any more, so the v2 lifetime lays
+//! down the same files with the [`streamlink_core::codec::v2`] fixture
+//! encoders; both recover through the one sniffing read path.
 //!
 //! ```sh
 //! cargo run --release -p streamlink-bench --bin exp_codec -- \
@@ -21,7 +24,7 @@
 //! this as a regression gate.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -30,7 +33,7 @@ use serde::Serialize;
 use streamlink_bench::{flag_value, scale_from_args, ResultWriter, EXP_SEED};
 use streamlink_core::journal::{self, FsyncPolicy, Journal, JournalEntry};
 use streamlink_core::snapshot::StoreSnapshot;
-use streamlink_core::{durable, SketchConfig, SketchStore, WireFormat};
+use streamlink_core::{codec, durable, SketchConfig, SketchStore};
 
 const KEEP: usize = 2;
 const RUNS: usize = 3;
@@ -61,8 +64,6 @@ struct Row {
     edges: u64,
     wal_bytes: u64,
     snapshot_bytes: u64,
-    ingest_ms: f64,
-    checkpoint_ms: f64,
     snapshot_load_ms: f64,
     replay_ms: f64,
     recover_ms: f64,
@@ -87,44 +88,56 @@ fn dir_bytes(dir: &PathBuf, prefix: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// One full lifetime + cold recovery under `format`. Timings are the
-/// best of [`RUNS`] repetitions over freshly rebuilt directories.
-fn run_format(format: WireFormat, edges: u64) -> Row {
-    let config = SketchConfig::with_slots(64).seed(EXP_SEED);
+/// Lays down one lifetime in `dir`: the first half of `entries` folded
+/// into a checkpoint generation, the rest left as the WAL tail (v3
+/// through the journal and checkpoint, v2 with the fixture encoders).
+/// Returns the store the edges build.
+fn write_lifetime(v3: bool, dir: &Path, entries: &[JournalEntry]) -> SketchStore {
+    let (head, tail) = entries.split_at(entries.len() / 2);
+    let wal_seq = head.len() as u64;
+    let mut store = SketchStore::new(SketchConfig::with_slots(64).seed(EXP_SEED));
+    if v3 {
+        let mut journal = Journal::create(dir, 1, FsyncPolicy::Never).expect("create journal");
+        let ingest = |journal: &mut Journal, store: &mut SketchStore, es: &[JournalEntry]| {
+            for e in es {
+                journal.append(*e).expect("append");
+                store.insert_edge(e.u, e.v);
+            }
+        };
+        ingest(&mut journal, &mut store, head);
+        let snapshot = StoreSnapshot::capture(&store);
+        journal.rotate(wal_seq + 1).expect("rotate");
+        durable::checkpoint(&snapshot, wal_seq, dir, &mut journal, KEEP).expect("checkpoint");
+        ingest(&mut journal, &mut store, tail);
+    } else {
+        fs::create_dir_all(dir).expect("create dir");
+        head.iter().for_each(|e| store.insert_edge(e.u, e.v));
+        let snapshot = codec::v2::store_snapshot(&StoreSnapshot::capture(&store));
+        fs::write(durable::generation_path(dir, wal_seq), snapshot).expect("write generation");
+        let segment = journal::segment_path(dir, wal_seq + 1);
+        fs::write(segment, codec::v2::wal_segment(tail)).expect("write segment");
+        tail.iter().for_each(|e| store.insert_edge(e.u, e.v));
+    }
+    store
+}
+
+/// One full lifetime + cold recovery. Timings are the best of [`RUNS`]
+/// repetitions over freshly rebuilt directories.
+fn run_format(v3: bool, edges: u64) -> Row {
+    let name = if v3 { "v3" } else { "v2" };
+    let mut rng = Rng::new(EXP_SEED);
+    let entries: Vec<JournalEntry> = (1..=edges)
+        .map(|seq| JournalEntry {
+            seq,
+            u: VertexId(rng.below(10_000)),
+            v: VertexId(rng.below(10_000)),
+        })
+        .collect();
     let mut best: Option<Row> = None;
     for run in 0..RUNS {
-        let dir = temp_dir(&format!("{}-{run}", format.name()));
+        let dir = temp_dir(&format!("{name}-{run}"));
         let _ = fs::remove_dir_all(&dir);
-        let mut rng = Rng::new(EXP_SEED);
-        let mut journal = Journal::create_with_format(&dir, 1, FsyncPolicy::Never, format, None)
-            .expect("create journal");
-        let mut store = SketchStore::new(config);
-
-        // First half: journaled edges folded into the checkpoint.
-        let half = edges / 2;
-        let ingest_start = Instant::now();
-        for _ in 0..half {
-            let (u, v) = (VertexId(rng.below(10_000)), VertexId(rng.below(10_000)));
-            let seq = journal.next_seq();
-            journal.append(JournalEntry { seq, u, v }).expect("append");
-            store.insert_edge(u, v);
-        }
-        let checkpoint_start = Instant::now();
-        let snapshot = StoreSnapshot::capture(&store);
-        let wal_seq = journal.next_seq() - 1;
-        journal.rotate(wal_seq + 1).expect("rotate");
-        durable::checkpoint(&snapshot, wal_seq, &dir, &mut journal, KEEP).expect("checkpoint");
-        let checkpoint_ms = checkpoint_start.elapsed().as_secs_f64() * 1e3;
-
-        // Second half: the WAL tail recovery must replay.
-        for _ in half..edges {
-            let (u, v) = (VertexId(rng.below(10_000)), VertexId(rng.below(10_000)));
-            let seq = journal.next_seq();
-            journal.append(JournalEntry { seq, u, v }).expect("append");
-            store.insert_edge(u, v);
-        }
-        let ingest_ms = ingest_start.elapsed().as_secs_f64() * 1e3 - checkpoint_ms;
-        drop(journal);
+        let store = write_lifetime(v3, &dir, &entries);
 
         let wal_bytes = dir_bytes(&dir, "wal.");
         let snapshot_bytes = dir_bytes(&dir, "snapshot.");
@@ -150,17 +163,14 @@ fn run_format(format: WireFormat, edges: u64) -> Row {
         assert_eq!(
             recovered.edges_processed(),
             store.edges_processed(),
-            "{} recovery dropped edges",
-            format.name()
+            "{name} recovery dropped edges"
         );
 
         let row = Row {
-            format: format.name().to_string(),
+            format: name.to_string(),
             edges,
             wal_bytes,
             snapshot_bytes,
-            ingest_ms,
-            checkpoint_ms,
             snapshot_load_ms,
             replay_ms,
             recover_ms: snapshot_load_ms + replay_ms,
@@ -192,9 +202,9 @@ fn main() -> ExitCode {
         "{:>6} {:>9} {:>11} {:>11} {:>10} {:>10} {:>10}",
         "format", "edges", "wal_bytes", "snap_bytes", "load_ms", "replay_ms", "recover_ms"
     );
-    let rows: Vec<Row> = [WireFormat::TextV2, WireFormat::BinaryV3]
+    let rows: Vec<Row> = [false, true]
         .into_iter()
-        .map(|f| run_format(f, edges))
+        .map(|v3| run_format(v3, edges))
         .collect();
     for row in &rows {
         println!(

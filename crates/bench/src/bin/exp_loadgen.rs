@@ -41,7 +41,7 @@ use streamlink_bench::{
 use streamlink_cli::server::{http, persistence, protocol, ServerConfig, ServerState};
 use streamlink_core::journal::FsyncPolicy;
 use streamlink_core::loadgen::LoadReport;
-use streamlink_core::{trace, SketchConfig, SketchStore, WireFormat};
+use streamlink_core::{trace, SketchConfig, SketchStore};
 
 /// Serve-path repetitions per mode; best-of-N is reported.
 const REPS: usize = 5;
@@ -233,13 +233,9 @@ fn slo_leg(scale: Scale, slo_override: Option<u64>, out: &mut ResultWriter) -> b
     let dir = std::env::temp_dir().join(format!("streamlink-e27-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let sketch_config = SketchConfig::with_slots(256).seed(EXP_SEED);
-    let (persist, recovery) = persistence::open(
-        &dir,
-        sketch_config,
-        FsyncPolicy::OnRotate,
-        WireFormat::TextV2,
-    )
-    .expect("open data dir");
+    let (persist, recovery) =
+        persistence::open_with_faults(&dir, sketch_config, FsyncPolicy::OnRotate, None)
+            .expect("open data dir");
     // Aggressive audit + checkpoint cadence: the SLO must hold while
     // the server is also journaling, snapshotting, and auditing.
     let config = ServerConfig {

@@ -1,5 +1,6 @@
 //! `streamlink ingest` — build a sketch store from a stream file and
-//! persist a snapshot.
+//! persist a snapshot (a checksummed binary v3 file, the format
+//! `serve --snapshot`, `query`, `top` and `recommend` load).
 //!
 //! `--metrics-out PATH` additionally dumps the global metrics registry
 //! (ingest counters, insert-latency percentiles) as JSON, and
@@ -28,9 +29,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     store.insert_stream(stream.as_slice().iter().copied());
     let elapsed = start.elapsed();
 
-    let snap = StoreSnapshot::capture(&store);
-    let json = serde_json::to_string(&snap).map_err(|e| format!("serialize: {e}"))?;
-    std::fs::write(snapshot_path, json)
+    StoreSnapshot::capture(&store)
+        .write_atomic(std::path::Path::new(snapshot_path))
         .map_err(|e| format!("cannot write {snapshot_path}: {e}"))?;
 
     let eps = store.edges_processed() as f64 / elapsed.as_secs_f64().max(1e-9);

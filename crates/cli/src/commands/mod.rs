@@ -42,6 +42,15 @@ pub fn write_trace_out(flags: &Flags) -> Result<(), String> {
     std::fs::write(path, json).map_err(|e| format!("cannot write trace to {path}: {e}"))
 }
 
+/// Loads the store a `--snapshot` file holds, in any snapshot format
+/// (a `serve --data-dir` generation, an `ingest` output, or a legacy v1
+/// or v2 text file), verifying its checksum where the format has one.
+pub fn load_snapshot(path: &str) -> Result<streamlink_core::SketchStore, String> {
+    streamlink_core::snapshot::StoreSnapshot::read_from(std::path::Path::new(path))
+        .map(|snap| snap.restore())
+        .map_err(|e| format!("cannot load snapshot {path}: {e}"))
+}
+
 /// Parses `--scale` values.
 pub fn parse_scale(raw: Option<&str>) -> Result<Scale, String> {
     match raw.unwrap_or("small") {

@@ -2,7 +2,6 @@
 
 use graphstream::VertexId;
 use linkpred::Measure;
-use streamlink_core::snapshot::StoreSnapshot;
 
 use crate::args::Flags;
 use crate::commands::{write_metrics_out, write_trace_out};
@@ -17,11 +16,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         return Err("at least one --pair U:V is required".into());
     }
 
-    let json = std::fs::read_to_string(snapshot_path)
-        .map_err(|e| format!("cannot read {snapshot_path}: {e}"))?;
-    let snap: StoreSnapshot =
-        serde_json::from_str(&json).map_err(|e| format!("bad snapshot: {e}"))?;
-    let store = snap.restore();
+    let store = super::load_snapshot(snapshot_path)?;
 
     for raw in pairs {
         let (u, v) = parse_pair(raw)?;

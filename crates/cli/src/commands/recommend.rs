@@ -4,7 +4,6 @@
 use graphstream::VertexId;
 use linkpred::recommend::{recommend, LshCandidates};
 use linkpred::{Measure, SketchScorer};
-use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::LshIndex;
 
 use crate::args::Flags;
@@ -22,11 +21,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let measure = Measure::parse(flags.get("measure").unwrap_or("aa"))
         .ok_or_else(|| "unknown measure (jaccard|cn|aa|ra|pa|cosine|overlap)".to_string())?;
 
-    let json = std::fs::read_to_string(snapshot_path)
-        .map_err(|e| format!("cannot read {snapshot_path}: {e}"))?;
-    let snap: StoreSnapshot =
-        serde_json::from_str(&json).map_err(|e| format!("bad snapshot: {e}"))?;
-    let store = snap.restore();
+    let store = super::load_snapshot(snapshot_path)?;
     if !store.contains(vertex) {
         return Err(format!("{vertex} never appeared in the ingested stream"));
     }

@@ -248,7 +248,7 @@ fn scrub(dir: &Path, repair: bool) -> io::Result<ScrubReport> {
             match &line.entry {
                 Some(entry) => {
                     file_ok += 1;
-                    file_legacy += u64::from(line.kind == RecordKind::TextV1);
+                    file_legacy += u64::from(line.kind == RecordKind::LegacyLine);
                     file_binary += u64::from(line.kind == RecordKind::Binary);
                     first_seq = Some(first_seq.map_or(entry.seq, |s| s.min(entry.seq)));
                     prev_seq = entry.seq;

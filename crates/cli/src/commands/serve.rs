@@ -20,11 +20,6 @@
 //!                             (mutually exclusive with --data-dir)
 //! --slots N --seed S          sketch shape for a fresh store  (256, 0)
 //! --fsync always|interval|never   journal durability      (interval)
-//! --format v2|v3              storage & wire format for NEW records:
-//!                             v2 text, v3 checksummed binary; both
-//!                             formats are always readable on recovery;
-//!                             v3 replicas negotiate binary WAL
-//!                             shipping                          (v2)
 //! --max-conns N               connection cap, shed `ERR busy`  (1024)
 //! --idle-timeout-ms MS        disconnect quiet clients        (30000)
 //! --drain-secs S              shutdown drain deadline             (5)
@@ -86,6 +81,10 @@
 //! snapshot (durable mode), and exits 0. The first stdout line is
 //! `LISTENING <addr>` so scripts and tests can discover the bound port;
 //! with `--http-addr` a second line `HTTP LISTENING <addr>` follows.
+//!
+//! Everything the server writes to disk or ships to replicas is binary
+//! v3. A data directory left in the text formats by an older version
+//! recovers as it is and turns binary at its next checkpoint.
 
 use std::io::Write;
 use std::net::TcpListener;
@@ -95,7 +94,7 @@ use std::time::Duration;
 
 use streamlink_core::journal::FsyncPolicy;
 use streamlink_core::snapshot::StoreSnapshot;
-use streamlink_core::{SketchConfig, SketchStore, WireFormat};
+use streamlink_core::{SketchConfig, SketchStore};
 
 use crate::args::Flags;
 use crate::server::{self, persistence, signals, ServerConfig, ServerState};
@@ -187,12 +186,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         Some(raw) => FsyncPolicy::parse(raw)
             .ok_or_else(|| format!("bad --fsync {raw:?}, expected always|interval|never"))?,
     };
-    let format = match flags.get("format") {
-        None => WireFormat::TextV2,
-        Some(raw) => {
-            WireFormat::parse(raw).ok_or_else(|| format!("bad --format {raw:?}, expected v2|v3"))?
-        }
-    };
 
     // Replica flags parse (and validate) regardless of role so typos
     // fail fast; the runtime only exists with --replicate-from.
@@ -202,7 +195,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         anti_entropy_every: Duration::from_secs(
             flags.get_parsed_or("repl-anti-entropy-secs", 30u64)?,
         ),
-        wire: format,
         ..server::replication::ReplicaTuning::default()
     };
     if repl_tuning.pull_batch == 0 {
@@ -282,7 +274,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         match flags.get("data-dir") {
             Some(dir) => {
                 let (persist, recovery) =
-                    persistence::open(Path::new(dir), sketch_config, fsync, format)
+                    persistence::open_with_faults(Path::new(dir), sketch_config, fsync, None)
                         .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
                 let local_seq = recovery.next_seq().saturating_sub(1);
                 runtime.seed_applied(local_seq);
@@ -340,7 +332,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             // re-pulling the world from the primary.
             Some(dir) => {
                 let (persist, recovery) =
-                    persistence::open(Path::new(dir), sketch_config, fsync, format)
+                    persistence::open_with_faults(Path::new(dir), sketch_config, fsync, None)
                         .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
                 let local_seq = recovery.next_seq().saturating_sub(1);
                 runtime.seed_applied(local_seq);
@@ -372,7 +364,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             }
             (Some(dir), None) => {
                 let (persist, recovery) =
-                    persistence::open(Path::new(dir), sketch_config, fsync, format)
+                    persistence::open_with_faults(Path::new(dir), sketch_config, fsync, None)
                         .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
                 eprintln!(
                     "recovered {} edges from {dir} (snapshot seq {}, {} journal entr{} replayed{})",
@@ -664,7 +656,6 @@ mod tests {
         assert!(run(&argv(&["--audit-pairs", "0"])).is_err());
         assert!(run(&argv(&["--repl-pull-batch", "0"])).is_err());
         assert!(run(&argv(&["--repl-pull-batch", "65537"])).is_err());
-        assert!(run(&argv(&["--format", "v9"])).is_err());
         assert!(run(&argv(&["--repl-poll-ms", "soon"])).is_err());
         assert!(run(&argv(&["--repl-lag-slo", "0"])).is_err());
         assert!(run(&argv(&["--repl-buffer", "many"])).is_err());

@@ -1,7 +1,6 @@
 //! `streamlink top` — top-k most similar vertices via the LSH index.
 
 use graphstream::VertexId;
-use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::LshIndex;
 
 use crate::args::Flags;
@@ -17,11 +16,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let bands = flags.get_parsed_or("bands", 16usize)?;
     let rows = flags.get_parsed_or("rows", 4usize)?;
 
-    let json = std::fs::read_to_string(snapshot_path)
-        .map_err(|e| format!("cannot read {snapshot_path}: {e}"))?;
-    let snap: StoreSnapshot =
-        serde_json::from_str(&json).map_err(|e| format!("bad snapshot: {e}"))?;
-    let store = snap.restore();
+    let store = super::load_snapshot(snapshot_path)?;
 
     let index = LshIndex::build(&store, bands, rows).map_err(|e| e.to_string())?;
     println!(

@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 use streamlink_core::events::{self, ClusterEvent, EventKind};
 use streamlink_core::failover::{ExchangeOutcome, FailoverNode, Role, Timeline};
 use streamlink_core::journal::{self, JournalEntry, LineCheck};
-use streamlink_core::{metrics, trace, PullOutcome, WireFormat};
+use streamlink_core::{metrics, trace, PullOutcome};
 
 use super::protocol::parse_bounded;
 use super::replication::{
@@ -957,7 +957,7 @@ fn replica_session(
     runtime: &ReplicaRuntime,
     target: &str,
 ) -> io::Result<SessionEnd> {
-    let mut link = PrimaryLink::connect(target, runtime.tuning.wire)?;
+    let mut link = PrimaryLink::connect(target)?;
     // One correlation id per session: every LEASE/PULL/HANDOFF this
     // session sends carries it, so both ends' spans and events thread
     // into one cross-node story.
@@ -1275,7 +1275,7 @@ fn request_vote(
     corr: u64,
 ) -> VoteReply {
     let ask = || -> io::Result<String> {
-        let mut link = PrimaryLink::connect(peer, WireFormat::TextV2)?;
+        let mut link = PrimaryLink::connect(peer)?;
         link.send(&format!(
             "REPL VOTE {candidate} {target} {data_epoch} {seq} corr={corr}"
         ))?;
@@ -1297,7 +1297,7 @@ fn fenced_probe(state: &ServerState, cluster: &ClusterRuntime) {
     }
     let corr = new_corr_id(&cluster.advertise, cluster.now_ms());
     let probe = || -> io::Result<String> {
-        let mut link = PrimaryLink::connect(&target, WireFormat::TextV2)?;
+        let mut link = PrimaryLink::connect(&target)?;
         link.send(&format!(
             "REPL LEASE {} {} {} corr={corr}",
             cluster.advertise,
@@ -1496,7 +1496,7 @@ fn json_str(s: &str) -> String {
 /// fan-out corr id rides along so the probe shows up correlated in the
 /// remote's trace ring.
 fn probe_cluster_info(addr: &str, corr: u64) -> Option<String> {
-    let mut link = PrimaryLink::connect(addr, WireFormat::TextV2).ok()?;
+    let mut link = PrimaryLink::connect(addr).ok()?;
     link.send(&format!("CLUSTER INFO corr={corr}")).ok()?;
     link.recv().ok()
 }

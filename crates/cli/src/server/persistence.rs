@@ -43,41 +43,29 @@ pub struct Persist {
 /// Recovers the store from `dir` (moving it out via
 /// [`Recovery::store`]) and opens a journal segment for the edges this
 /// process will ack. New records — journal appends and checkpoint
-/// snapshots — are written in `format`; recovery reads whatever formats
-/// the directory already holds, so switching formats needs no
-/// migration step. Returns the recovery report so the caller can log
-/// what was rebuilt (fallbacks taken, records quarantined).
+/// snapshots — are binary v3; recovery reads whatever formats the
+/// directory already holds, so a directory written by an older version
+/// needs no migration step. Returns the recovery report so the caller
+/// can log what was rebuilt (fallbacks taken, records quarantined).
+///
+/// `faults` installs a scripted [`FaultPlan`] on the journal, so tests
+/// can make exact appends/fsyncs/snapshot-writes of a *live* server
+/// fail; production callers pass `None`.
 ///
 /// # Errors
 /// Fails on environmental IO errors (unreadable directory, journal
 /// creation). Corruption is not fatal: recovery falls back and
 /// quarantines (see [`streamlink_core::recover`]). A missing/empty
 /// directory is not an error (fresh start).
-pub fn open(
-    dir: &Path,
-    config: streamlink_core::SketchConfig,
-    fsync: FsyncPolicy,
-    format: WireFormat,
-) -> io::Result<(Persist, Recovery)> {
-    open_with_faults(dir, config, fsync, format, None)
-}
-
-/// Like [`open`], but installs a scripted [`FaultPlan`] on the journal,
-/// so tests can make exact appends/fsyncs/snapshot-writes of a *live*
-/// server fail. Production callers use [`open`].
-///
-/// # Errors
-/// As [`open`].
 pub fn open_with_faults(
     dir: &Path,
     config: streamlink_core::SketchConfig,
     fsync: FsyncPolicy,
-    format: WireFormat,
     faults: Option<Arc<FaultPlan>>,
 ) -> io::Result<(Persist, Recovery)> {
     fs::create_dir_all(dir)?;
     let recovery = durable::recover(dir, config)?;
-    let journal = Journal::create_with_format(dir, recovery.next_seq(), fsync, format, faults)?;
+    let journal = Journal::create_with_faults(dir, recovery.next_seq(), fsync, faults)?;
     Ok((
         Persist {
             dir: dir.to_path_buf(),
@@ -85,6 +73,20 @@ pub fn open_with_faults(
         },
         recovery,
     ))
+}
+
+/// [`open_with_faults`] without faults, under the signature the
+/// `perfbench` harness calls; `WireFormat` has one value.
+///
+/// # Errors
+/// As [`open_with_faults`].
+pub fn open(
+    dir: &Path,
+    config: streamlink_core::SketchConfig,
+    fsync: FsyncPolicy,
+    _format: WireFormat,
+) -> io::Result<(Persist, Recovery)> {
+    open_with_faults(dir, config, fsync, None)
 }
 
 /// What one checkpoint accomplished.
@@ -97,7 +99,8 @@ pub struct CheckpointReport {
 }
 
 /// Takes one checkpoint: capture + journal rotation under the locks
-/// (brief), then — without the store lock — atomic generation write,
+/// (brief), then — without the store lock — the shared
+/// [`durable::commit_generation`] tail: atomic generation write,
 /// retention trim to `snapshot_keep`, and a journal prune back to the
 /// oldest retained generation (so every retained generation can still
 /// replay forward; see [`streamlink_core::checkpoint`] for the ordering
@@ -121,10 +124,8 @@ pub fn checkpoint_now(state: &ServerState) -> io::Result<CheckpointReport> {
         p.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    let metrics = streamlink_core::metrics::global();
-    let start = std::time::Instant::now();
-    let run = || -> io::Result<CheckpointReport> {
-        let (snapshot, wal_seq, dir, format, faults) = {
+    durable::observe_checkpoint(|| {
+        let (snapshot, wal_seq, dir, faults) = {
             let store = state.read_store();
             let mut persist = lock(persist);
             let snapshot = StoreSnapshot::capture(&store);
@@ -134,47 +135,23 @@ pub fn checkpoint_now(state: &ServerState) -> io::Result<CheckpointReport> {
                 snapshot,
                 wal_seq,
                 persist.dir.clone(),
-                persist.journal.format(),
                 persist.journal.faults().cloned(),
             )
         };
-        if let Some(plan) = &faults {
-            plan.next_snapshot()?;
-        }
-        snapshot.write_atomic_as(&durable::generation_path(&dir, wal_seq), format)?;
-        match fs::remove_file(durable::snapshot_path(&dir)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let mut generations = durable::list_generations(&dir)?;
-        let keep = state.config().snapshot_keep.max(1);
-        while generations.len() > keep {
-            let (_, path) = generations.remove(0);
-            fs::remove_file(&path)?;
-        }
-        metrics
-            .snapshot_generations_kept
-            .set(generations.len() as u64);
-        let oldest_retained = generations.first().map_or(wal_seq, |(seq, _)| *seq);
-        let segments_pruned = lock(persist).journal.prune_below(oldest_retained)?;
+        let segments_pruned = durable::commit_generation(
+            &snapshot,
+            wal_seq,
+            &dir,
+            state.config().snapshot_keep,
+            faults.as_deref(),
+            |oldest| lock(persist).journal.prune_below(oldest),
+        )?;
         state.set_last_snapshot_seq(wal_seq);
         Ok(CheckpointReport {
             snapshot_seq: wal_seq,
             segments_pruned,
         })
-    };
-    let result = run();
-    match &result {
-        Ok(_) => {
-            metrics.checkpoints.incr();
-            metrics.checkpoint_latency.observe(start);
-        }
-        Err(_) => {
-            metrics.checkpoint_failures.incr();
-        }
-    }
-    result
+    })
 }
 
 /// The checkpointer thread body: poll until shutdown, checkpointing
@@ -209,17 +186,17 @@ mod tests {
     use super::*;
     use crate::server::ServerConfig;
     use graphstream::VertexId;
-    use streamlink_core::journal::JournalEntry;
-    use streamlink_core::SketchConfig;
+    use streamlink_core::journal::{self, JournalEntry};
+    use streamlink_core::{codec, SketchConfig};
 
     /// Recovers `dir` into a durable server state; also returns the
     /// snapshot seq recovery started from and the records it quarantined.
     fn open_state(dir: &Path) -> (ServerState, u64, u64) {
-        let (persist, recovery) = open(
+        let (persist, recovery) = open_with_faults(
             dir,
             SketchConfig::with_slots(16).seed(5),
             FsyncPolicy::Never,
-            WireFormat::TextV2,
+            None,
         )
         .unwrap();
         let snapshot_seq = recovery.snapshot_seq;
@@ -237,18 +214,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("streamlink-lag-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        {
-            let mut journal = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-            for seq in 1..=10 {
-                let (u, v) = (VertexId(seq), VertexId(100 + seq));
-                journal.append(JournalEntry { seq, u, v }).unwrap();
-            }
-        }
+        // A v2 text segment, as a pre-v3 server left it.
+        let entries: Vec<JournalEntry> = (1..=10)
+            .map(|seq| JournalEntry {
+                seq,
+                u: VertexId(seq),
+                v: VertexId(100 + seq),
+            })
+            .collect();
+        let text = codec::v2::wal_segment(&entries);
+        let segment = journal::segment_path(&dir, 1);
+        fs::write(&segment, &text).unwrap();
         // Flip a digit of record 3's `u` field: its CRC no longer
         // verifies, so replay quarantines it and applies the other nine.
-        let segment = dir.join("wal.1.log");
-        let text = fs::read_to_string(&segment).unwrap();
-        let offset: usize = text.lines().take(2).map(|l| l.len() + 1).sum::<usize>() + 4;
+        let offset = codec::v2::wal_segment(&entries[..2]).len() + 4;
         streamlink_core::chaos::flip_bit(&segment, offset as u64, 0).unwrap();
 
         let (state, _, quarantined) = open_state(&dir);

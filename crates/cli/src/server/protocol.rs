@@ -40,12 +40,13 @@
 //! REPL HELLO <id>          -> OK repl hello primary_seq=<s> slots=<k>
 //!                                seed=<s> backend=<b>   (handshake)
 //! REPL PULL <id> <after> <n>
-//!                          -> up to n WAL v2 lines (`F <seq> <u> <v>
-//!                             <crc>`) with seq > after, terminated by
-//!                             `OK <n> entries primary_seq=<s>`; or
-//!                             `ERR resync` when the range was shed
-//! REPL SNAPSHOT            -> `OK snapshot seq=<s> len=<n> crc32=<hex>`
-//!                             + one line of StoreSnapshot JSON
+//!                          -> (framed connections only) one `WAL_BATCH`
+//!                             envelope of up to n entries with
+//!                             seq > after; or `ERR resync` when the
+//!                             range was shed
+//! REPL SNAPSHOT            -> (framed connections only) one
+//!                             `SNAPSHOT_FRAME` envelope: seq + the v3
+//!                             store-snapshot body
 //! REPL STATUS              -> one-line role/lag summary (either role)
 //! REPL LEASE <id> <epoch> <applied_seq>
 //!                          -> OK lease epoch=<e> primary_seq=<s>
@@ -87,12 +88,13 @@
 //! [`streamlink_core::codec`] envelope: a `TEXT_FRAME` carrying the
 //! usual response text, except `REPL PULL`, whose batch ships as a
 //! single `WAL_BATCH` record (CRC-covered, seqs delta-encoded), and
-//! `REPL SNAPSHOT`, whose body ships as one compressed
-//! `SNAPSHOT_FRAME` record. Because
-//! frames are length-prefixed, clients can pipeline requests freely —
-//! multi-line responses like `METRICS` arrive as one frame instead of a
-//! parse-until-`OK` stream. The switch is per-connection and one-way;
-//! `HELLO` inside binary mode just re-reports `OK fmt=v3`.
+//! `REPL SNAPSHOT`, which ships as one `SNAPSHOT_FRAME` record. Those
+//! two have no text rendering and answer `ERR` on an unframed
+//! connection. Because frames are length-prefixed, clients can pipeline
+//! requests freely — multi-line responses like `METRICS` arrive as one
+//! frame instead of a parse-until-`OK` stream. The switch is
+//! per-connection and one-way; `HELLO` inside binary mode just
+//! re-reports `OK fmt=v3`.
 //!
 //! ## Numeric argument hardening
 //!
@@ -499,11 +501,11 @@ fn execute(state: &ServerState, line: &str, t: &trace::OpGuard) -> String {
 
 /// Executes one command in binary (v3) response mode: the reply is one
 /// self-delimiting codec envelope — a `WAL_BATCH` record for
-/// `REPL PULL`, a compressed `SNAPSHOT_FRAME` for `REPL SNAPSHOT`, a
-/// `TEXT_FRAME` carrying the usual response text for
-/// everything else. Returns the frame bytes plus whether the connection
-/// should close (`QUIT`). Shares [`handle_command`]'s instrumentation,
-/// so `METRICS` counts traffic identically in both modes.
+/// `REPL PULL`, a `SNAPSHOT_FRAME` for `REPL SNAPSHOT`, a `TEXT_FRAME`
+/// carrying the usual response text for everything else. Returns the
+/// frame bytes plus whether the connection should close (`QUIT`).
+/// Shares [`handle_command`]'s instrumentation, so `METRICS` counts
+/// traffic identically in both modes.
 pub(super) fn handle_command_framed(state: &ServerState, line: &str) -> (Vec<u8>, bool) {
     let mut words = line.split_whitespace();
     let first = words.next().unwrap_or("");
@@ -702,7 +704,6 @@ mod tests {
             &dir,
             SketchConfig::with_slots(16).seed(3),
             FsyncPolicy::Never,
-            streamlink_core::WireFormat::TextV2,
             Some(plan),
         )
         .unwrap();
@@ -1160,6 +1161,23 @@ mod tests {
         }
     }
 
+    /// A framed `REPL PULL`/`SNAPSHOT` reply: `Ok((entries,
+    /// primary_seq))` for a `WAL_BATCH`, `Err(text)` for a `TEXT_FRAME`.
+    fn framed_pull(s: &ServerState, line: &str) -> Result<(usize, u64), String> {
+        use streamlink_core::codec;
+        let (frame, closing) = handle_command_framed(s, line);
+        assert!(!closing);
+        let env = codec::decode_envelope(&frame).unwrap();
+        match env.mode {
+            codec::MODE_WAL_BATCH => {
+                let (entries, primary_seq) = codec::decode_wal_batch_body(env.body).unwrap();
+                Ok((entries.len(), primary_seq))
+            }
+            codec::MODE_TEXT_FRAME => Err(String::from_utf8(env.body.to_vec()).unwrap()),
+            mode => panic!("unexpected frame mode {mode:#04x}"),
+        }
+    }
+
     fn replica() -> ServerState {
         use crate::server::replication::{ReplicaRuntime, ReplicaTuning};
         use std::sync::Arc;
@@ -1181,10 +1199,13 @@ mod tests {
         assert!(handle_command(&s, "  Repl Hello r1  \r").starts_with("OK repl hello"));
         // The fixture store carries 40 pre-server edges, so the ring
         // starts at seq 40 and the INSERT above is seq 41.
-        assert!(
-            handle_command(&s, "\tREPL pull r1 40 10\r").ends_with("OK 1 entries primary_seq=41")
-        );
-        assert!(handle_command(&s, "repl snapshot\r").starts_with("OK snapshot seq="));
+        assert_eq!(framed_pull(&s, "\tREPL pull r1 40 10\r"), Ok((1, 41)));
+        let (frame, _) = handle_command_framed(&s, "repl snapshot\r");
+        let env = streamlink_core::codec::decode_envelope(&frame).unwrap();
+        assert_eq!(env.mode, streamlink_core::codec::MODE_SNAPSHOT_FRAME);
+        // Unframed, both answer ERR whatever the spelling.
+        assert!(handle_command(&s, "\tREPL pull r1 40 10\r").starts_with("ERR REPL PULL"));
+        assert!(handle_command(&s, "repl snapshot\r").starts_with("ERR REPL SNAPSHOT"));
     }
 
     #[test]
@@ -1192,10 +1213,15 @@ mod tests {
         let s = state();
         assert!(handle_command(&s, "REPL").starts_with("ERR"));
         assert!(handle_command(&s, "REPL HELLO").starts_with("ERR"));
-        assert!(handle_command(&s, "REPL PULL r1").starts_with("ERR"));
-        assert!(handle_command(&s, "REPL PULL r1 x 10").starts_with("ERR"));
-        assert!(handle_command(&s, "REPL PULL r1 0 0").starts_with("ERR"));
-        assert!(handle_command(&s, "REPL SNAPSHOT now").starts_with("ERR"));
+        for line in ["REPL PULL r1", "REPL PULL r1 x 10", "REPL PULL r1 0 0"] {
+            assert!(
+                framed_pull(&s, line).unwrap_err().starts_with("ERR"),
+                "{line}"
+            );
+        }
+        assert!(framed_pull(&s, "REPL SNAPSHOT now")
+            .unwrap_err()
+            .starts_with("ERR"));
         assert!(handle_command(&s, "REPL FROBNICATE").starts_with("ERR unknown REPL"));
     }
 
@@ -1278,9 +1304,13 @@ mod tests {
         // arity check rejects it loudly.
         let s = state();
         let _ = handle_command(&s, "INSERT 50 51");
-        assert!(handle_command(&s, "\tREPL pull r1 40 10 corr=9000001\r")
-            .ends_with("OK 1 entries primary_seq=41"));
-        assert!(handle_command(&s, "REPL PULL r1 40 10 corr=xyz").starts_with("ERR REPL PULL"));
+        assert_eq!(
+            framed_pull(&s, "\tREPL pull r1 40 10 corr=9000001\r"),
+            Ok((1, 41))
+        );
+        assert!(framed_pull(&s, "REPL PULL r1 40 10 corr=xyz")
+            .unwrap_err()
+            .starts_with("ERR REPL PULL"));
         // Cluster-only verbs still answer not-clustered with a corr.
         assert!(
             handle_command(&s, "repl lease n2 1 0 corr=9000002\r").starts_with("ERR not clustered")
@@ -1297,9 +1327,11 @@ mod tests {
         // starts at seq 40, so alpha's ask-from-5 earns a resync nack —
         // but its ack mark (and so its lag) is recorded regardless.
         assert!(handle_command(&s, "REPL HELLO alpha").starts_with("OK repl hello"));
-        assert!(handle_command(&s, "REPL PULL alpha 5 5").starts_with("ERR resync"));
+        assert!(framed_pull(&s, "REPL PULL alpha 5 5")
+            .unwrap_err()
+            .starts_with("ERR resync"));
         assert!(handle_command(&s, "REPL HELLO beta").starts_with("OK repl hello"));
-        assert!(handle_command(&s, "REPL PULL beta 40 5").ends_with("primary_seq=40"));
+        assert_eq!(framed_pull(&s, "REPL PULL beta 40 5"), Ok((0, 40)));
         let response = handle_command(&s, "METRICS");
         let lines: Vec<&str> = response.lines().collect();
         let last = lines.last().unwrap();
@@ -1328,17 +1360,17 @@ mod tests {
     }
 
     #[test]
-    fn framed_repl_snapshot_ships_a_compressed_frame() {
+    fn framed_repl_snapshot_ships_a_snapshot_frame() {
         use streamlink_core::codec;
         let s = state();
         let (frame, closing) = handle_command_framed(&s, "REPL SNAPSHOT");
         assert!(!closing);
         let env = codec::decode_envelope(&frame).unwrap();
         assert_eq!(env.mode, codec::MODE_SNAPSHOT_FRAME);
-        let (seq, body) = codec::decode_snapshot_frame_body(env.body).unwrap();
+        let (seq, snap) = codec::decode_snapshot_frame_body(env.body).unwrap();
         assert_eq!(seq, 40, "fixture pre-seeds 40 edges");
-        let json = String::from_utf8(body).unwrap();
-        assert!(json.contains("\"slots\""), "snapshot JSON: {json:.40}");
+        assert_eq!(snap.edges_processed, 40);
+        assert_eq!(snap.config, *s.read_store().config());
         // Arguments are still refused, as a text frame.
         let (frame, _) = handle_command_framed(&s, "REPL SNAPSHOT now");
         let env = codec::decode_envelope(&frame).unwrap();

@@ -3,17 +3,16 @@
 //!
 //! ## Topology
 //!
-//! One primary accepts writes; N read replicas pull its CRC-framed WAL
-//! entries (`F <seq> <u> <v> <crc>`) over the same TCP protocol port via
-//! the `REPL` command family ([`repl_command`]):
+//! One primary accepts writes; N read replicas pull its WAL over the
+//! same TCP protocol port via the `REPL` command family
+//! ([`repl_command`]):
 //!
 //! ```text
 //! REPL HELLO <id>            handshake: primary seq + sketch shape
-//! REPL PULL <id> <after> <n> up to n WAL lines with seq > after, then
-//!            [corr=<id>]     `OK <n> entries primary_seq=<s>`; or
-//!                            `ERR resync` when the range was shed
-//! REPL SNAPSHOT              `OK snapshot seq=<s> len=<n> crc32=<hex>`
-//!                            + one line of StoreSnapshot JSON
+//! REPL PULL <id> <after> <n> up to n WAL entries with seq > after, as
+//!            [corr=<id>]     one `WAL_BATCH` frame; or `ERR resync`
+//!                            when the range was shed
+//! REPL SNAPSHOT              the store as one `SNAPSHOT_FRAME`
 //! REPL STATUS                one-line role/lag summary (any node)
 //! ```
 //!
@@ -23,16 +22,16 @@
 //! automatic promotion, and handoff re-acks a dead timeline's tail on
 //! the new primary.
 //!
-//! ## Binary WAL shipping (wire format v3)
+//! ## The link is always binary v3
 //!
-//! A replica launched with `--format v3` offers `HELLO v3` right after
-//! connecting; a primary that understands it answers `OK fmt=v3` and
-//! ships every `REPL PULL` batch as one CRC-covered
-//! [`streamlink_core::codec`] `WAL_BATCH` envelope (seqs
-//! delta-encoded) instead of per-line text frames — one checksum per
-//! batch, no per-line re-parse. An old primary answers
-//! `ERR unknown command` and the link transparently stays on text
-//! lines, so mixed-version pairs keep replicating.
+//! Every link to a primary — classic replica or cluster peer — opens
+//! with `HELLO v3`, and from then on each response is one
+//! [`streamlink_core::codec`] envelope. A `REPL PULL` batch ships as one
+//! CRC-covered `WAL_BATCH` record (seqs delta-encoded); a snapshot ships
+//! as one `SNAPSHOT_FRAME` whose body is the seq followed by the same v3
+//! store-snapshot body a checkpoint writes. `PULL` and `SNAPSHOT` have
+//! no text rendering: on an unframed connection they answer `ERR`. A
+//! primary that does not answer `OK fmt=v3` fails the handshake.
 //!
 //! ## Why the primary can never stall
 //!
@@ -61,7 +60,7 @@
 //! it already applied. A primary that restarted into a lower seq space
 //! is detected at handshake and answered with a full local reset.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -69,12 +68,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use streamlink_core::journal::{self, JournalEntry, LineCheck};
+use streamlink_core::journal::{self, JournalEntry};
 use streamlink_core::merge::merge_join;
 use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{
     codec, metrics, trace, ApplyOutcome, HasherBackend, PullOutcome, ReplLog, ReplicaApplier,
-    SketchConfig, SketchStore, WireFormat,
+    SketchConfig, SketchStore,
 };
 
 use super::protocol::parse_bounded;
@@ -92,7 +91,7 @@ pub const PEER_LIVENESS: Duration = Duration::from_secs(10);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Per-socket read/write timeout on the replication link. `REPL PULL`
-/// always answers promptly (an empty batch is still an `OK` line), so a
+/// always answers promptly (an empty batch is still a frame), so a
 /// healthy link never comes close to this.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -126,10 +125,6 @@ pub struct ReplicaTuning {
     /// Entries requested per `REPL PULL` (capped at
     /// [`MAX_PULL_BATCH`]).
     pub pull_batch: usize,
-    /// Wire format offered to the primary at connect time
-    /// (`--format`): `BinaryV3` negotiates framed `WAL_BATCH`
-    /// shipping, falling back to text when the primary is older.
-    pub wire: WireFormat,
     /// Sleep between pulls once caught up.
     pub poll_interval: Duration,
     /// Period between anti-entropy snapshot joins (zero disables the
@@ -145,7 +140,6 @@ impl Default for ReplicaTuning {
     fn default() -> Self {
         ReplicaTuning {
             pull_batch: 4096,
-            wire: WireFormat::TextV2,
             poll_interval: Duration::from_millis(100),
             anti_entropy_every: Duration::from_secs(30),
             backoff_base: Duration::from_millis(100),
@@ -462,38 +456,10 @@ pub fn repl_command(state: &ServerState, args: &[&str]) -> String {
                 _ => "ERR REPL HELLO takes exactly one replica id".into(),
             }
         }
-        "PULL" => match pull_entries(state, args) {
-            Ok((entries, last_seq)) => render_pull(&entries, last_seq),
-            Err(line) => line,
-        },
-        "SNAPSHOT" => {
-            let Some(repl) = serving_repl(state) else {
-                return repl_unavailable(state);
-            };
-            if args.len() != 1 {
-                return "ERR REPL SNAPSHOT takes no arguments".into();
-            }
-            // Holding the store read lock blocks inserts, and inserts
-            // record into the ring under the write lock — so the ring's
-            // last_seq read here is exactly the snapshot's high-water
-            // mark.
-            let (snap, seq) = {
-                let store = state.read_store();
-                let seq = repl.log().last_seq();
-                (StoreSnapshot::capture(&store), seq)
-            };
-            match serde_json::to_string(&snap) {
-                Ok(json) => {
-                    metrics::global().repl_snapshots_shipped.incr();
-                    format!(
-                        "OK snapshot seq={seq} len={} crc32={:08x}\n{json}",
-                        json.len(),
-                        hashkit::crc32(json.as_bytes()),
-                    )
-                }
-                Err(e) => format!("ERR cannot serialize snapshot: {e}"),
-            }
-        }
+        "PULL" | "SNAPSHOT" => format!(
+            "ERR REPL {sub} ships binary frames; send HELLO v3 first",
+            sub = sub.to_ascii_uppercase()
+        ),
         other => format!(
             "ERR unknown REPL subcommand {other:?} \
              (HELLO, PULL, SNAPSHOT, STATUS, LEASE, VOTE, HANDOFF)"
@@ -501,9 +467,8 @@ pub fn repl_command(state: &ServerState, args: &[&str]) -> String {
     }
 }
 
-/// The shared body of `REPL PULL`, used by both response framings.
-/// `Ok` carries the batch and the ring's high-water seq; `Err` carries
-/// a complete `ERR ...` line.
+/// The body of `REPL PULL`. `Ok` carries the batch and the ring's
+/// high-water seq; `Err` carries a complete `ERR ...` line.
 fn pull_entries(state: &ServerState, args: &[&str]) -> Result<(Vec<JournalEntry>, u64), String> {
     let Some(repl) = serving_repl(state) else {
         return Err(repl_unavailable(state));
@@ -547,9 +512,9 @@ fn pull_entries(state: &ServerState, args: &[&str]) -> Result<(Vec<JournalEntry>
     }
 }
 
-/// Binary-mode `REPL PULL`: the whole batch as one `WAL_BATCH`
-/// envelope; errors ship as a `TEXT_FRAME` carrying the usual `ERR`
-/// line. Returns `(frame bytes, is_err)`.
+/// Framed `REPL PULL`: the whole batch as one `WAL_BATCH` envelope;
+/// errors ship as a `TEXT_FRAME` carrying the usual `ERR` line. Returns
+/// `(frame bytes, is_err)`.
 pub(super) fn repl_pull_frame(state: &ServerState, args: &[&str]) -> (Vec<u8>, bool) {
     match pull_entries(state, args) {
         Ok((entries, last_seq)) => (codec::encode_wal_batch(&entries, last_seq), false),
@@ -557,26 +522,36 @@ pub(super) fn repl_pull_frame(state: &ServerState, args: &[&str]) -> (Vec<u8>, b
     }
 }
 
-/// Binary-mode `REPL SNAPSHOT`: the whole payload as one compressed
-/// `SNAPSHOT_FRAME` envelope (the envelope CRC covers the body, so no
-/// separate len/crc header is needed); errors ship as a `TEXT_FRAME`
-/// carrying the usual `ERR` line. Returns `(frame bytes, is_err)`.
+/// Framed `REPL SNAPSHOT`: the store as one `SNAPSHOT_FRAME` envelope
+/// (its CRC covers the seq and the body); errors ship as a `TEXT_FRAME`
+/// carrying an `ERR` line. Returns `(frame bytes, is_err)`.
 pub(super) fn repl_snapshot_frame(state: &ServerState) -> (Vec<u8>, bool) {
     let Some(repl) = serving_repl(state) else {
         return (codec::encode_text_frame(&repl_unavailable(state)), true);
     };
+    // Holding the store read lock blocks inserts, and inserts record
+    // into the ring under the write lock — so the ring's last_seq read
+    // here is exactly the snapshot's high-water mark.
     let (snap, seq) = {
         let store = state.read_store();
         let seq = repl.log().last_seq();
         (StoreSnapshot::capture(&store), seq)
     };
-    match serde_json::to_string(&snap) {
-        Ok(json) => {
+    snapshot_reply(codec::encode_snapshot_frame(seq, &snap))
+}
+
+/// Maps an encoded snapshot transfer to the frame the primary sends:
+/// the `SNAPSHOT_FRAME` itself, or an `ERR` text frame when the store is
+/// past the codec's body limit (a frame the replica could not decode is
+/// never shipped).
+fn snapshot_reply(encoded: Result<Vec<u8>, codec::CodecError>) -> (Vec<u8>, bool) {
+    match encoded {
+        Ok(frame) => {
             metrics::global().repl_snapshots_shipped.incr();
-            (codec::encode_snapshot_frame(seq, json.as_bytes()), false)
+            (frame, false)
         }
         Err(e) => (
-            codec::encode_text_frame(&format!("ERR cannot serialize snapshot: {e}")),
+            codec::encode_text_frame(&format!("ERR cannot ship snapshot: {e}")),
             true,
         ),
     }
@@ -614,19 +589,6 @@ fn repl_unavailable(state: &ServerState) -> String {
     } else {
         "ERR replication disabled (--repl-buffer 0)".into()
     }
-}
-
-fn render_pull(entries: &[JournalEntry], last_seq: u64) -> String {
-    let mut out = String::with_capacity(entries.len() * 24 + 40);
-    for e in entries {
-        out.push_str(&e.to_string());
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "OK {} entries primary_seq={last_seq}",
-        entries.len()
-    ));
-    out
 }
 
 /// The `REPL STATUS` line for either role. Cluster nodes append their
@@ -753,7 +715,7 @@ fn run_session(
     runtime: &ReplicaRuntime,
     backoff: &mut Duration,
 ) -> io::Result<()> {
-    let mut link = PrimaryLink::connect(&runtime.primary_addr, runtime.tuning.wire)?;
+    let mut link = PrimaryLink::connect(&runtime.primary_addr)?;
     handshake(state, runtime, &mut link)?;
     // A completed handshake proves the primary is healthy: reset the
     // reconnect backoff so the next outage starts from the base delay.
@@ -884,6 +846,10 @@ fn parse_hello(line: &str) -> Option<Hello> {
 
 /// One `REPL PULL` round. Returns whether the round made progress (so
 /// the caller knows to skip the idle sleep).
+///
+/// The response is one `WAL_BATCH` envelope, or a `TEXT_FRAME` carrying
+/// an `ERR` line. The envelope CRC covers the whole batch, so there is
+/// no per-entry re-verification.
 pub(super) fn pull_once(
     state: &ServerState,
     runtime: &ReplicaRuntime,
@@ -898,51 +864,6 @@ pub(super) fn pull_once(
         "REPL PULL {} {after} {batch}{corr_part}",
         runtime.id
     ))?;
-    if link.binary {
-        return pull_once_binary(state, runtime, link);
-    }
-    let mut applied_any = false;
-    loop {
-        let line = link.recv()?;
-        if let Some(rest) = line.strip_prefix("OK ") {
-            if let Some(seq) = rest
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("primary_seq="))
-                .and_then(|v| v.parse::<u64>().ok())
-            {
-                runtime.note_primary_seq(seq);
-            }
-            return Ok(applied_any);
-        }
-        if line.starts_with("ERR resync") {
-            snapshot_round(state, runtime, link)?;
-            return Ok(true);
-        }
-        if line.starts_with("ERR") {
-            return Err(bad_data(format!("primary rejected pull: {line}")));
-        }
-        // A WAL v2 frame: CRC-verify before applying. A corrupt frame
-        // means the link (or primary) is lying — drop the session and
-        // resync rather than apply garbage.
-        let entry = match JournalEntry::check_line(&line) {
-            LineCheck::Verified(entry) | LineCheck::Legacy(entry) => entry,
-            LineCheck::Malformed | LineCheck::BadCrc => {
-                return Err(bad_data(format!("corrupt replication frame: {line:?}")));
-            }
-        };
-        apply_entry(state, runtime, entry);
-        applied_any = true;
-    }
-}
-
-/// The framed-mode pull response: one `WAL_BATCH` envelope, or a
-/// `TEXT_FRAME` carrying an `ERR` line. The envelope CRC covers the
-/// whole batch, so there is no per-entry re-verification.
-fn pull_once_binary(
-    state: &ServerState,
-    runtime: &ReplicaRuntime,
-    link: &mut PrimaryLink,
-) -> io::Result<bool> {
     match link.recv_frame()? {
         (codec::MODE_WAL_BATCH, body) => {
             let (entries, primary_seq) =
@@ -955,7 +876,7 @@ fn pull_once_binary(
             Ok(applied_any)
         }
         (codec::MODE_TEXT_FRAME, body) => {
-            let line = String::from_utf8(body).map_err(|_| bad_data("text frame not UTF-8"))?;
+            let line = text_frame(body)?;
             if line.starts_with("ERR resync") {
                 snapshot_round(state, runtime, link)?;
                 Ok(true)
@@ -1030,9 +951,21 @@ pub(super) fn snapshot_round_with(
     force_replace: bool,
 ) -> io::Result<()> {
     link.send("REPL SNAPSHOT")?;
-    let (seq, json) = recv_snapshot(link)?;
-    let snap: StoreSnapshot =
-        serde_json::from_str(&json).map_err(|e| bad_data(format!("bad snapshot JSON: {e}")))?;
+    let (seq, snap) = match link.recv_frame()? {
+        (codec::MODE_SNAPSHOT_FRAME, body) => {
+            codec::decode_snapshot_frame_body(&body).map_err(io::Error::from)?
+        }
+        (codec::MODE_TEXT_FRAME, body) => {
+            let line = text_frame(body)?;
+            return Err(bad_data(format!("primary refused snapshot: {line}")));
+        }
+        (codec::MODE_LZ_SNAPSHOT_FRAME, _) => {
+            return Err(bad_data(
+                "primary sent a pre-v3 snapshot frame; upgrade it to this version",
+            ))
+        }
+        (mode, _) => return Err(bad_data(format!("unexpected frame mode {mode:#04x}"))),
+    };
     let incoming = snap.restore();
     {
         let mut store = state.write_store();
@@ -1063,60 +996,6 @@ pub(super) fn snapshot_round_with(
     runtime.note_primary_seq(seq);
     realign_durable(state, runtime, seq);
     Ok(())
-}
-
-/// Receives one snapshot payload. On a v3 link the primary ships a
-/// single compressed `SNAPSHOT_FRAME` envelope (its CRC covers the
-/// body, so there is no separate len/crc line); text links — and v3
-/// links talking to an older primary — use the
-/// `OK snapshot seq= len= crc32=` header plus one JSON line.
-fn recv_snapshot(link: &mut PrimaryLink) -> io::Result<(u64, String)> {
-    if link.binary && link.pending.is_empty() {
-        match link.recv_frame()? {
-            (codec::MODE_SNAPSHOT_FRAME, body) => {
-                let (seq, bytes) =
-                    codec::decode_snapshot_frame_body(&body).map_err(io::Error::from)?;
-                let json =
-                    String::from_utf8(bytes).map_err(|_| bad_data("snapshot frame not UTF-8"))?;
-                return Ok((seq, json));
-            }
-            (codec::MODE_TEXT_FRAME, body) => {
-                // An older primary wraps the text response in a frame;
-                // queue its lines and fall through to the text parser.
-                let text = String::from_utf8(body).map_err(|_| bad_data("text frame not UTF-8"))?;
-                link.pending.extend(text.split('\n').map(str::to_string));
-            }
-            (mode, _) => {
-                return Err(bad_data(format!("unexpected frame mode {mode:#04x}")));
-            }
-        }
-    }
-    let header = link.recv()?;
-    let rest = header
-        .strip_prefix("OK snapshot ")
-        .ok_or_else(|| bad_data(format!("bad REPL SNAPSHOT response: {header:?}")))?;
-    let field = |key: &str| {
-        rest.split_whitespace()
-            .find_map(|kv| kv.strip_prefix(key))
-            .map(str::to_string)
-    };
-    let seq: u64 = field("seq=")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad_data("snapshot header missing seq"))?;
-    let len: usize = field("len=")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad_data("snapshot header missing len"))?;
-    let crc: u32 = field("crc32=")
-        .and_then(|v| u32::from_str_radix(&v, 16).ok())
-        .ok_or_else(|| bad_data("snapshot header missing crc32"))?;
-    let json = link.recv()?;
-    if json.len() != len || hashkit::crc32(json.as_bytes()) != crc {
-        return Err(bad_data(format!(
-            "snapshot integrity check failed (len {} vs {len}, crc mismatch)",
-            json.len()
-        )));
-    }
-    Ok((seq, json))
 }
 
 /// After a snapshot install moved the applied mark without journal
@@ -1155,22 +1034,21 @@ fn realign_durable(state: &ServerState, runtime: &ReplicaRuntime, seq: u64) {
     }
 }
 
-/// The replica's client connection to the primary. Requests are always
-/// text lines; responses are text lines too until `HELLO v3` upgrades
-/// the link, after which they arrive as codec envelopes.
+/// The replica's client connection to the primary. Requests are text
+/// lines; responses are v3 envelopes, negotiated by `HELLO v3` at
+/// connect time.
 pub(super) struct PrimaryLink {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Whether the primary agreed to v3 framed responses.
-    binary: bool,
-    /// Lines split out of the last `TEXT_FRAME`, oldest first, so the
-    /// line-oriented handshake/snapshot code works unchanged in binary
-    /// mode.
-    pending: VecDeque<String>,
 }
 
 impl PrimaryLink {
-    pub(super) fn connect(addr: &str, wire: WireFormat) -> io::Result<Self> {
+    /// Connects and switches the link to framed responses.
+    ///
+    /// # Errors
+    /// Fails on connect/IO errors, and when the remote does not answer
+    /// `HELLO v3` with `OK fmt=v3` (there is no text fallback).
+    pub(super) fn connect(addr: &str) -> io::Result<Self> {
         let target = addr
             .to_socket_addrs()?
             .next()
@@ -1182,17 +1060,21 @@ impl PrimaryLink {
         let mut link = PrimaryLink {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
-            binary: false,
-            pending: VecDeque::new(),
         };
-        if wire == WireFormat::BinaryV3 {
-            // Offer framed responses. The negotiation reply is always a
-            // plain text line; an old primary answers `ERR unknown
-            // command` and the link stays on text.
-            link.send("HELLO v3")?;
-            if link.recv_text_line()? == "OK fmt=v3" {
-                link.binary = true;
-            }
+        // The negotiation reply is the one plain text line on the link.
+        link.send("HELLO v3")?;
+        let mut line = String::new();
+        if link.reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "primary closed the replication link",
+            ));
+        }
+        let reply = line.trim_end();
+        if reply != "OK fmt=v3" {
+            return Err(bad_data(format!(
+                "{addr} did not accept HELLO v3: {reply:?}"
+            )));
         }
         Ok(link)
     }
@@ -1202,43 +1084,24 @@ impl PrimaryLink {
         self.writer.write_all(b"\n")
     }
 
+    /// Receives one response that must be a `TEXT_FRAME`, as its text.
     pub(super) fn recv(&mut self) -> io::Result<String> {
-        if !self.binary {
-            return self.recv_text_line();
-        }
-        if let Some(line) = self.pending.pop_front() {
-            return Ok(line);
-        }
-        let (mode, body) = self.recv_frame()?;
-        if mode != codec::MODE_TEXT_FRAME {
-            return Err(bad_data(format!(
+        match self.recv_frame()? {
+            (codec::MODE_TEXT_FRAME, body) => text_frame(body),
+            (mode, _) => Err(bad_data(format!(
                 "expected a text frame, got mode {mode:#04x}"
-            )));
+            ))),
         }
-        let text = String::from_utf8(body).map_err(|_| bad_data("text frame not UTF-8"))?;
-        self.pending.extend(text.split('\n').map(str::to_string));
-        self.pending
-            .pop_front()
-            .ok_or_else(|| bad_data("empty text frame"))
     }
 
     fn recv_frame(&mut self) -> io::Result<(u8, Vec<u8>)> {
         codec::read_envelope_blocking(&mut self.reader)
     }
+}
 
-    fn recv_text_line(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "primary closed the replication link",
-            ));
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
-    }
+/// A `TEXT_FRAME` body as a string.
+fn text_frame(body: Vec<u8>) -> io::Result<String> {
+    String::from_utf8(body).map_err(|_| bad_data("text frame not UTF-8"))
 }
 
 pub(super) fn bad_data(msg: impl ToString) -> io::Error {
@@ -1295,6 +1158,29 @@ mod tests {
         ServerState::in_memory(store, ServerConfig::default())
     }
 
+    /// A framed `REPL PULL`: `(entries, primary_seq)` from a `WAL_BATCH`
+    /// frame, or the `ERR` line of a `TEXT_FRAME`.
+    fn pull(state: &ServerState, args: &[&str]) -> Result<(Vec<JournalEntry>, u64), String> {
+        let (frame, is_err) = repl_pull_frame(state, args);
+        let env = codec::decode_envelope(&frame).expect("valid envelope");
+        assert_eq!(env.consumed, frame.len());
+        match env.mode {
+            codec::MODE_WAL_BATCH => {
+                assert!(!is_err);
+                Ok(codec::decode_wal_batch_body(env.body).unwrap())
+            }
+            codec::MODE_TEXT_FRAME => {
+                assert!(is_err);
+                Err(String::from_utf8(env.body.to_vec()).unwrap())
+            }
+            mode => panic!("unexpected frame mode {mode:#04x}"),
+        }
+    }
+
+    fn seqs(entries: &[JournalEntry]) -> Vec<u64> {
+        entries.iter().map(|e| e.seq).collect()
+    }
+
     fn replica_state() -> (ServerState, Arc<ReplicaRuntime>) {
         let runtime = Arc::new(ReplicaRuntime::new(
             "127.0.0.1:1".into(),
@@ -1324,24 +1210,19 @@ mod tests {
     }
 
     #[test]
-    fn pull_ships_crc_framed_lines_with_ok_terminator() {
+    fn unframed_pull_and_snapshot_answer_err() {
         let state = primary_state();
-        for i in 1..=5u64 {
-            state.insert_edge(VertexId(i), VertexId(i + 100)).unwrap();
-        }
-        let reply = repl_command(&state, &["PULL", "r1", "2", "10"]);
-        let lines: Vec<&str> = reply.lines().collect();
-        assert_eq!(lines.len(), 4, "{reply}");
-        assert_eq!(*lines.last().unwrap(), "OK 3 entries primary_seq=5");
-        for line in &lines[..3] {
-            match JournalEntry::check_line(line) {
-                LineCheck::Verified(_) => {}
-                other => panic!("expected CRC-verified frame, got {other:?}: {line}"),
-            }
-        }
-        // Caught-up pull: empty body, still OK.
-        let reply = repl_command(&state, &["PULL", "r1", "5", "10"]);
-        assert_eq!(reply, "OK 0 entries primary_seq=5");
+        state.insert_edge(VertexId(1), VertexId(2)).unwrap();
+        let reply = repl_command(&state, &["PULL", "r1", "0", "10"]);
+        assert_eq!(
+            reply,
+            "ERR REPL PULL ships binary frames; send HELLO v3 first"
+        );
+        let reply = repl_command(&state, &["snapshot"]);
+        assert_eq!(
+            reply,
+            "ERR REPL SNAPSHOT ships binary frames; send HELLO v3 first"
+        );
     }
 
     #[test]
@@ -1387,14 +1268,14 @@ mod tests {
         let state = primary_state();
         state.insert_edge(VertexId(1), VertexId(2)).unwrap();
         let over = (MAX_PULL_BATCH + 1).to_string();
-        let reply = repl_command(&state, &["PULL", "r1", "0", &over]);
-        assert!(reply.starts_with("ERR bad-arg batch"), "{reply}");
-        let reply = repl_command(&state, &["PULL", "r1", "0", "0"]);
-        assert!(reply.starts_with("ERR bad-arg batch"), "{reply}");
+        let err = pull(&state, &["PULL", "r1", "0", &over]).unwrap_err();
+        assert!(err.starts_with("ERR bad-arg batch"), "{err}");
+        let err = pull(&state, &["PULL", "r1", "0", "0"]).unwrap_err();
+        assert!(err.starts_with("ERR bad-arg batch"), "{err}");
         // The cap itself is fine.
         let at_cap = MAX_PULL_BATCH.to_string();
-        let reply = repl_command(&state, &["PULL", "r1", "0", &at_cap]);
-        assert!(reply.ends_with("OK 1 entries primary_seq=1"), "{reply}");
+        let (entries, primary_seq) = pull(&state, &["PULL", "r1", "0", &at_cap]).unwrap();
+        assert_eq!((seqs(&entries), primary_seq), (vec![1], 1));
     }
 
     #[test]
@@ -1410,11 +1291,11 @@ mod tests {
         for i in 1..=10u64 {
             state.insert_edge(VertexId(i), VertexId(i + 50)).unwrap();
         }
-        let reply = repl_command(&state, &["PULL", "r1", "0", "100"]);
-        assert!(reply.starts_with("ERR resync"), "{reply}");
+        let err = pull(&state, &["PULL", "r1", "0", "100"]).unwrap_err();
+        assert!(err.starts_with("ERR resync"), "{err}");
         // The tail that is still buffered serves fine.
-        let reply = repl_command(&state, &["PULL", "r1", "6", "100"]);
-        assert!(reply.ends_with("OK 4 entries primary_seq=10"), "{reply}");
+        let (entries, primary_seq) = pull(&state, &["PULL", "r1", "6", "100"]).unwrap();
+        assert_eq!((seqs(&entries), primary_seq), (vec![7, 8, 9, 10], 10));
     }
 
     #[test]
@@ -1425,23 +1306,57 @@ mod tests {
                 .insert_edge(VertexId(i), VertexId(i % 3 + 200))
                 .unwrap();
         }
-        let reply = repl_command(&state, &["SNAPSHOT"]);
-        let (header, json) = reply.split_once('\n').expect("header + JSON");
-        let rest = header.strip_prefix("OK snapshot ").expect("OK header");
-        let field = |key: &str| {
-            rest.split_whitespace()
-                .find_map(|kv| kv.strip_prefix(key))
-                .map(str::to_string)
-                .unwrap()
-        };
-        assert_eq!(field("seq="), "7");
-        assert_eq!(field("len="), json.len().to_string());
+        let (frame, is_err) = repl_snapshot_frame(&state);
+        assert!(!is_err);
+        let env = codec::decode_envelope(&frame).expect("CRC-verified frame");
+        assert_eq!(env.mode, codec::MODE_SNAPSHOT_FRAME);
+        assert_eq!(env.consumed, frame.len());
+        // After the seq varint the body is byte-identical to the body of
+        // the v3 snapshot file a checkpoint writes for the same store.
+        let mut pos = 0;
+        assert_eq!(codec::read_varint(env.body, &mut pos), Ok(7));
+        let file =
+            codec::encode_store_snapshot(&StoreSnapshot::capture(&state.read_store())).unwrap();
         assert_eq!(
-            u32::from_str_radix(&field("crc32="), 16).unwrap(),
-            hashkit::crc32(json.as_bytes())
+            &env.body[pos..],
+            codec::decode_envelope(&file).unwrap().body
         );
-        let snap: StoreSnapshot = serde_json::from_str(json).expect("valid snapshot JSON");
-        assert_eq!(snap.restore().edges_processed(), 7);
+        // A flipped bit anywhere fails the envelope CRC.
+        let mut rotten = frame.clone();
+        rotten[frame.len() / 2] ^= 0x10;
+        assert!(codec::decode_envelope(&rotten).is_err());
+
+        // A replica installs it over a framed link.
+        let (replica, runtime) = replica_state();
+        let (addr, primary) = scripted(b"OK fmt=v3\n", vec![frame]);
+        let mut link = PrimaryLink::connect(&addr).unwrap();
+        snapshot_round(&replica, &runtime, &mut link).unwrap();
+        primary.join().unwrap();
+        assert_eq!(runtime.applied_seq(), 7);
+        let (got, want) = (replica.read_store(), state.read_store());
+        assert_eq!(got.edges_processed(), 7);
+        for v in want.vertices() {
+            assert_eq!(got.sketch(v), want.sketch(v), "sketch at {v}");
+            assert_eq!(got.degree(v), want.degree(v));
+        }
+    }
+
+    #[test]
+    fn primary_refuses_snapshots_past_the_frame_limit() {
+        // A store too large for one frame is an `ERR` text frame, never a
+        // SNAPSHOT_FRAME the replica would refuse. Checked at the limit
+        // without building a body.
+        let err = codec::CodecError::TooLarge("record body length");
+        let (frame, is_err) = snapshot_reply(Err(err));
+        assert!(is_err);
+        let env = codec::decode_envelope(&frame).unwrap();
+        assert_eq!(env.mode, codec::MODE_TEXT_FRAME);
+        assert_eq!(
+            env.body,
+            b"ERR cannot ship snapshot: record body length exceeds hard limit"
+        );
+        let (ok, is_err) = snapshot_reply(Ok(vec![1, 2, 3]));
+        assert_eq!((ok, is_err), (vec![1, 2, 3], false));
     }
 
     #[test]
@@ -1450,8 +1365,8 @@ mod tests {
         for i in 1..=20u64 {
             state.insert_edge(VertexId(i), VertexId(i + 70)).unwrap();
         }
-        let _ = repl_command(&state, &["PULL", "a", "20", "10"]);
-        let _ = repl_command(&state, &["PULL", "b", "5", "10"]);
+        pull(&state, &["PULL", "a", "20", "10"]).unwrap();
+        pull(&state, &["PULL", "b", "5", "10"]).unwrap();
         let repl = state.primary_repl().expect("primary has a ship ring");
         let (connected, max_lag) = repl.lag_overview();
         assert_eq!(connected, 2);
@@ -1469,9 +1384,9 @@ mod tests {
         for i in 1..=10u64 {
             state.insert_edge(VertexId(i), VertexId(i + 70)).unwrap();
         }
-        let reply = repl_command(&state, &["PULL", "a", "10", "10", "corr=123"]);
-        assert_eq!(reply, "OK 0 entries primary_seq=10");
-        let _ = repl_command(&state, &["PULL", "b", "4", "10"]);
+        let reply = pull(&state, &["PULL", "a", "10", "10", "corr=123"]);
+        assert_eq!(reply, Ok((Vec::new(), 10)));
+        pull(&state, &["PULL", "b", "4", "10"]).unwrap();
         let repl = state.primary_repl().expect("primary has a ship ring");
         let rows = repl.peer_overview();
         assert_eq!(rows.len(), 2);
@@ -1481,8 +1396,8 @@ mod tests {
         assert_eq!(rows[1].id, "b");
         assert_eq!(rows[1].lag_seq, 6);
         // A malformed corr value fails the arity check loudly.
-        let reply = repl_command(&state, &["PULL", "a", "0", "5", "corr=zap"]);
-        assert!(reply.starts_with("ERR REPL PULL takes"), "{reply}");
+        let err = pull(&state, &["PULL", "a", "0", "5", "corr=zap"]).unwrap_err();
+        assert!(err.starts_with("ERR REPL PULL takes"), "{err}");
     }
 
     #[test]
@@ -1501,11 +1416,17 @@ mod tests {
         assert!(repl_command(&state, &[]).starts_with("ERR"));
         assert!(repl_command(&state, &["HELLO"]).starts_with("ERR"));
         assert!(repl_command(&state, &["HELLO", "a", "b"]).starts_with("ERR"));
-        assert!(repl_command(&state, &["PULL", "r1", "x", "5"]).starts_with("ERR"));
-        assert!(repl_command(&state, &["PULL", "r1", "0", "zero"]).starts_with("ERR"));
-        assert!(repl_command(&state, &["PULL", "r1", "0", "0"]).starts_with("ERR"));
-        assert!(repl_command(&state, &["PULL", "r1"]).starts_with("ERR"));
-        assert!(repl_command(&state, &["SNAPSHOT", "now"]).starts_with("ERR"));
+        for args in [
+            &["PULL", "r1", "x", "5"][..],
+            &["PULL", "r1", "0", "zero"],
+            &["PULL", "r1", "0", "0"],
+            &["PULL", "r1"],
+        ] {
+            assert!(
+                pull(&state, args).unwrap_err().starts_with("ERR"),
+                "{args:?}"
+            );
+        }
         assert!(repl_command(&state, &["FROB"]).starts_with("ERR unknown REPL"));
     }
 
@@ -1513,7 +1434,15 @@ mod tests {
     fn replica_rejects_repl_serving_but_answers_status() {
         let (state, runtime) = replica_state();
         assert!(repl_command(&state, &["HELLO", "x"]).starts_with("ERR readonly"));
-        assert!(repl_command(&state, &["PULL", "x", "0", "1"]).starts_with("ERR readonly"));
+        assert!(pull(&state, &["PULL", "x", "0", "1"])
+            .unwrap_err()
+            .starts_with("ERR readonly"));
+        let (frame, is_err) = repl_snapshot_frame(&state);
+        assert!(is_err);
+        assert!(codec::decode_envelope(&frame)
+            .unwrap()
+            .body
+            .starts_with(b"ERR readonly"));
         runtime.note_primary_seq(42);
         let status = repl_command(&state, &["STATUS"]);
         assert!(
@@ -1604,8 +1533,6 @@ mod tests {
 
     #[test]
     fn handshake_resets_a_replica_whose_timeline_died() {
-        use std::net::TcpListener;
-
         let (state, runtime) = replica_state();
         // The replica has applied up to seq 5 on the old timeline.
         for seq in 1..=5u64 {
@@ -1623,28 +1550,48 @@ mod tests {
         assert_eq!(state.read_store().edges_processed(), 5);
 
         // A scripted primary that restarted into a lower seq space.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let fake = thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.starts_with("REPL HELLO"), "{line}");
-            let mut writer = stream;
-            writer
-                .write_all(b"OK repl hello primary_seq=1 slots=32 seed=5 backend=mixer\n")
-                .unwrap();
-        });
-        let mut link = PrimaryLink::connect(&addr, WireFormat::TextV2).unwrap();
+        let hello = "OK repl hello primary_seq=1 slots=32 seed=5 backend=mixer";
+        let (addr, primary) = scripted(b"OK fmt=v3\n", vec![codec::encode_text_frame(hello)]);
+        let mut link = PrimaryLink::connect(&addr).unwrap();
         handshake(&state, &runtime, &mut link).unwrap();
-        fake.join().unwrap();
+        primary.join().unwrap();
 
         // Everything local was wiped: the dead timeline's seqs mean
         // nothing, so the replica starts over from 0.
         assert_eq!(runtime.applied_seq(), 0);
         assert_eq!(state.read_store().edges_processed(), 0);
         assert_eq!(runtime.primary_seq(), 1);
+    }
+
+    /// A one-shot scripted primary: it answers the link's `HELLO v3`
+    /// line with `hello`, then each request line with the next frame.
+    fn scripted(hello: &'static [u8], frames: Vec<Vec<u8>>) -> (String, thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let primary = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line, "HELLO v3\n");
+            writer.write_all(hello).unwrap();
+            for frame in frames {
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                writer.write_all(&frame).unwrap();
+            }
+        });
+        (addr, primary)
+    }
+
+    #[test]
+    fn link_without_v3_is_refused() {
+        let (addr, primary) = scripted(b"ERR unknown command \"HELLO\"\n", Vec::new());
+        let err = PrimaryLink::connect(&addr).err().expect("no text fallback");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("did not accept HELLO v3"), "{err}");
+        primary.join().unwrap();
     }
 
     #[test]

@@ -1,7 +1,17 @@
 //! End-to-end CLI pipeline tests: generate → stats → ingest → query →
-//! top, driven through the library entry point against a temp directory.
+//! top, driven through the library entry point against a temp directory,
+//! plus `query` on the snapshot files a server writes.
 
+use std::path::Path;
+use std::process::Command;
+
+use graphstream::VertexId;
 use streamlink_cli::run;
+use streamlink_cli::server::{persistence, ServerConfig, ServerState};
+use streamlink_core::codec::{self, v2};
+use streamlink_core::journal::FsyncPolicy;
+use streamlink_core::snapshot::StoreSnapshot;
+use streamlink_core::{durable, SketchConfig, SketchStore};
 
 fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(ToString::to_string).collect()
@@ -56,8 +66,10 @@ fn full_pipeline_csv() {
         &snap,
     ]))
     .expect("ingest");
-    let snapshot = std::fs::read_to_string(&snap).unwrap();
-    assert!(snapshot.contains("\"config\""), "snapshot missing config");
+    // A checksummed v3 file, readable through the verifying path.
+    assert!(codec::is_binary(&std::fs::read(&snap).unwrap()));
+    let snapshot = StoreSnapshot::read_from(Path::new(&snap)).unwrap();
+    assert_eq!(snapshot.config.slots(), 64);
 
     run(&argv(&[
         "query",
@@ -313,4 +325,62 @@ fn recommend_produces_ranked_output() {
     ]))
     .unwrap_err();
     assert!(err.contains("never appeared"), "{err}");
+}
+
+/// Runs the `streamlink query` binary and returns its stdout lines.
+fn query_lines(snapshot: &str, pairs: &[(u64, u64)]) -> Vec<String> {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_streamlink"));
+    cmd.args(["query", "--snapshot", snapshot, "--measure", "jaccard"]);
+    for (u, v) in pairs {
+        cmd.args(["--pair", &format!("{u}:{v}")]);
+    }
+    let out = cmd.output().expect("run streamlink query");
+    assert!(out.status.success(), "query {snapshot}: {out:?}");
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn query_reads_server_generations_and_legacy_json() {
+    let dir = TempDir::new("servesnap");
+    let data_dir = dir.path("data");
+    let config = SketchConfig::with_slots(32).seed(7);
+    let edges: Vec<(u64, u64)> = (0..120u64).map(|i| (i % 9, 50 + i % 23)).collect();
+
+    // The durable server state `serve --data-dir` runs, checkpointed the
+    // way its shutdown path does.
+    let (persist, recovery) =
+        persistence::open_with_faults(Path::new(&data_dir), config, FsyncPolicy::Never, None)
+            .unwrap();
+    let state = ServerState::with_persistence(recovery.store, persist, 0, ServerConfig::default());
+    let mut store = SketchStore::new(config);
+    for &(u, v) in &edges {
+        state.insert_edge(VertexId(u), VertexId(v)).unwrap();
+        store.insert_edge(VertexId(u), VertexId(v));
+    }
+    persistence::checkpoint_now(&state).unwrap();
+    let generations = durable::list_generations(Path::new(&data_dir)).unwrap();
+    let (_, newest) = generations.last().expect("generation written");
+
+    // The same edges applied in memory, also saved as a v1 bare-JSON file.
+    let legacy = dir.path("legacy.json");
+    std::fs::write(
+        &legacy,
+        v2::legacy_store_snapshot(&StoreSnapshot::capture(&store)),
+    )
+    .unwrap();
+
+    let pairs = [(0, 1), (2, 5), (50, 51), (3, 999)];
+    let expected: Vec<String> = pairs
+        .iter()
+        .map(|&(u, v)| match store.jaccard(VertexId(u), VertexId(v)) {
+            Some(j) => format!("jaccard {u}:{v} {j:.6}"),
+            None => format!("jaccard {u}:{v} unseen"),
+        })
+        .collect();
+    assert_eq!(query_lines(&newest.to_string_lossy(), &pairs), expected);
+    assert_eq!(query_lines(&legacy, &pairs), expected, "legacy v1 file");
 }

@@ -1,8 +1,8 @@
-//! Wire/storage format v3 end-to-end: a v2 data directory migrates to
-//! v3 in place (recovery reads both formats, new records are written
-//! v3, scrub exits 0 on the mixed directory), the line protocol
-//! upgrades to framed binary responses after `HELLO v3`, and a
-//! `--format v3` replica converges over binary WAL shipping.
+//! Wire/storage format v3 end-to-end: a data directory left in the v1/v2
+//! text formats migrates to v3 by a restart (recovery reads every
+//! format, new records are written v3, scrub exits 0 on the mixed
+//! directory), the line protocol upgrades to framed binary responses
+//! after `HELLO v3`, and a replica converges over binary WAL shipping.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -12,7 +12,11 @@ use std::process::{Child, Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use streamlink_core::codec;
+use graphstream::VertexId;
+use streamlink_core::codec::{self, v2};
+use streamlink_core::journal::{self, JournalEntry};
+use streamlink_core::snapshot::StoreSnapshot;
+use streamlink_core::{durable, SketchConfig, SketchStore};
 
 const SLOTS: &str = "64";
 const SEED: &str = "42";
@@ -66,16 +70,9 @@ impl Server {
         Server { child, addr }
     }
 
-    fn durable(dir: &Path, format: &str) -> Server {
+    fn durable(dir: &Path) -> Server {
         Server::start(
-            &[
-                "--data-dir",
-                dir.to_str().unwrap(),
-                "--fsync",
-                "always",
-                "--format",
-                format,
-            ],
+            &["--data-dir", dir.to_str().unwrap(), "--fsync", "always"],
             false,
         )
     }
@@ -161,32 +158,63 @@ fn scrub(dir: &Path) -> Output {
         .expect("run streamlink scrub")
 }
 
-/// The migration path: a directory written by a v2 server keeps
-/// serving under `--format v3` (both formats recover), new journal
-/// entries and checkpoints come out binary, a crash replays the v3
-/// WAL, and scrub audits the mixed directory clean.
+/// Lays down what a pre-v3 server left behind for the edges `1 100..140`:
+/// a v2 generation covering seqs 1..=20, v1 `E` lines for 21..=30 and
+/// v2 `F` lines for 31..=40. Returns the same edges applied in memory.
+fn write_text_directory(dir: &Path) -> SketchStore {
+    let config = SketchConfig::with_slots(SLOTS.parse().unwrap()).seed(SEED.parse().unwrap());
+    let mut store = SketchStore::new(config);
+    let entries: Vec<JournalEntry> = (1..=40u64)
+        .map(|seq| JournalEntry {
+            seq,
+            u: VertexId(1),
+            v: VertexId(99 + seq),
+        })
+        .collect();
+    for e in &entries[..20] {
+        store.insert_edge(e.u, e.v);
+    }
+    fs::write(
+        durable::generation_path(dir, 20),
+        v2::store_snapshot(&StoreSnapshot::capture(&store)),
+    )
+    .unwrap();
+    let v1: String = entries[20..30]
+        .iter()
+        .map(|e| format!("E {} {} {}\n", e.seq, e.u.0, e.v.0))
+        .collect();
+    fs::write(journal::segment_path(dir, 21), v1).unwrap();
+    fs::write(
+        journal::segment_path(dir, 31),
+        v2::wal_segment(&entries[30..]),
+    )
+    .unwrap();
+    for e in &entries[20..] {
+        store.insert_edge(e.u, e.v);
+    }
+    store
+}
+
+/// The migration path: a directory in the v1/v2 text formats recovers
+/// as it is on a v3 server, new journal entries and checkpoints come
+/// out binary, a crash replays the v3 WAL, and scrub audits the mixed
+/// directory clean.
 #[test]
 fn v2_directory_migrates_to_v3_in_place() {
     let dir = temp_dir("migrate");
+    let mut expected = write_text_directory(&dir);
+    let out = scrub(&dir);
+    assert_eq!(out.status.code(), Some(0), "scrub of the text dir: {out:?}");
 
-    // Lifetime 1: plain v2. Graceful exit writes a v2 snapshot.
-    let mut server = Server::durable(&dir, "v2");
-    let mut c = server.connect();
-    for i in 0..40u64 {
-        assert_eq!(c.ask(&format!("INSERT 1 {}", 100 + i)), "OK inserted");
-    }
-    assert_eq!(c.ask("DEGREE 1"), "OK 40");
-    drop(c);
-    server.terminate();
-
-    // Lifetime 2: same directory, --format v3. Old state recovers;
-    // new appends are binary envelopes. SIGKILL forces the next boot
-    // to replay them from the WAL.
-    let mut server = Server::durable(&dir, "v3");
+    // Lifetime 1: the text state recovers; new appends are binary
+    // envelopes. SIGKILL forces the next boot to replay them from the
+    // WAL.
+    let mut server = Server::durable(&dir);
     let mut c = server.connect();
     assert_eq!(c.ask("DEGREE 1"), "OK 40");
     for i in 0..40u64 {
         assert_eq!(c.ask(&format!("INSERT 2 {}", 200 + i)), "OK inserted");
+        expected.insert_edge(VertexId(2), VertexId(200 + i));
     }
     drop(c);
     server.kill();
@@ -201,14 +229,22 @@ fn v2_directory_migrates_to_v3_in_place() {
                 .map(|b| b.starts_with(&codec::BINARY_MAGIC))
                 .unwrap_or(false)
         });
-    assert!(has_binary_wal, "no binary WAL segment written under v3");
+    assert!(has_binary_wal, "no binary WAL segment written");
 
-    // Lifetime 3: everything acked survives the mixed directory, and a
-    // graceful exit checkpoints a binary snapshot.
-    let mut server = Server::durable(&dir, "v3");
+    // Lifetime 2: everything acked survives the mixed directory, with
+    // estimates bit-identical to the same edges applied in memory, and
+    // a graceful exit checkpoints a binary snapshot.
+    let mut server = Server::durable(&dir);
     let mut c = server.connect();
     assert_eq!(c.ask("DEGREE 1"), "OK 40");
     assert_eq!(c.ask("DEGREE 2"), "OK 40");
+    for (u, v) in [(1, 2), (100, 101), (1, 139), (200, 239)] {
+        let want = match expected.jaccard(VertexId(u), VertexId(v)) {
+            Some(j) => format!("OK {j:.6}"),
+            None => "OK unseen".into(),
+        };
+        assert_eq!(c.ask(&format!("JACCARD {u} {v}")), want);
+    }
     drop(c);
     server.terminate();
 
@@ -224,7 +260,7 @@ fn v2_directory_migrates_to_v3_in_place() {
                 .map(|b| b.starts_with(&codec::BINARY_MAGIC))
                 .unwrap_or(false)
         });
-    assert!(snapshot_binary, "graceful v3 exit left no binary snapshot");
+    assert!(snapshot_binary, "graceful exit left no binary snapshot");
 
     // The mixed directory audits clean.
     let out = scrub(&dir);
@@ -277,8 +313,8 @@ fn hello_v3_upgrades_responses_to_envelopes() {
     assert_eq!(c.reader.read_to_end(&mut rest).unwrap(), 0, "clean close");
 }
 
-/// A `--format v3` replica negotiates binary WAL shipping with the
-/// primary and converges to its exact state.
+/// A replica negotiates binary WAL shipping with the primary (and
+/// anti-entropy snapshot frames) and converges to its exact state.
 #[test]
 fn v3_replica_converges_over_binary_shipping() {
     let primary = Server::start(&[], false);
@@ -295,8 +331,8 @@ fn v3_replica_converges_over_binary_shipping() {
             "r-v3",
             "--repl-poll-ms",
             "20",
-            "--format",
-            "v3",
+            "--repl-anti-entropy-secs",
+            "1",
         ],
         true,
     );

@@ -252,20 +252,20 @@ fn sigterm_drains_writes_final_snapshot_and_exits_zero() {
     assert!(status.success(), "expected exit 0, got {status:?}");
 
     // The final snapshot generation covers everything: recovery needs
-    // no replay. Generations are v2-framed (`STREAMLINK-SNAP` header);
-    // read through the verifying path, exactly as recovery does.
+    // no replay. Generations are checksummed v3 envelopes; read through
+    // the verifying path, exactly as recovery does.
     let generations = streamlink_core::durable::list_generations(&dir).unwrap();
     let (_, newest) = generations.last().expect("no final snapshot written");
-    let (payload, integrity) = streamlink_core::snapshot::read_verified(newest).unwrap();
+    assert!(streamlink_core::codec::is_binary(
+        &fs::read(newest).unwrap()
+    ));
+    let (snap, integrity) =
+        streamlink_core::snapshot::StoreSnapshot::read_with_integrity(newest).unwrap();
     assert_eq!(
         integrity,
         streamlink_core::snapshot::SnapshotIntegrity::Verified
     );
-    let json: serde_json::Value = serde_json::from_str(&payload).unwrap();
-    assert_eq!(
-        json.get("edges_processed").and_then(|v| v.as_u64()),
-        Some(stream.len() as u64)
-    );
+    assert_eq!(snap.edges_processed, stream.len() as u64);
 
     // And a restarted server agrees with the uninterrupted run.
     let server = Server::start(&["--data-dir", dir.to_str().unwrap()]);
@@ -463,14 +463,15 @@ fn bit_flip_mid_journal_is_quarantined_not_fatal() {
     }
     server.kill();
 
-    // Flip one bit in a digit of a mid-file record (not the tail), so
+    // Flip one bit in the body of a mid-file record (not the tail), so
     // restart sees a CRC mismatch with valid records after it.
     let segment = newest_wal_segment(&dir);
-    let content = fs::read_to_string(&segment).unwrap();
-    let lines: Vec<&str> = content.lines().collect();
-    assert!(lines.len() > 4, "expected a populated segment");
-    let offset: usize = lines[..2].iter().map(|l| l.len() + 1).sum::<usize>() + 2;
-    streamlink_core::chaos::flip_bit(&segment, offset as u64, 0).unwrap();
+    let bytes = fs::read(&segment).unwrap();
+    let records = streamlink_core::journal::scan_segment(&bytes);
+    assert!(records.len() > 4, "expected a populated segment");
+    let third = records[2].raw.as_ptr() as usize - bytes.as_ptr() as usize;
+    // Magic (4), version, mode and a one-byte length precede the body.
+    streamlink_core::chaos::flip_bit(&segment, third as u64 + 7, 0).unwrap();
 
     let mut server = Server::start(&["--data-dir", dir.to_str().unwrap(), "--fsync", "always"]);
     let mut client = server.connect();

@@ -301,7 +301,6 @@ fn healthz_flips_to_503_while_storage_is_degraded() {
         &dir,
         SketchConfig::with_slots(16).seed(11),
         FsyncPolicy::Never,
-        streamlink_core::WireFormat::TextV2,
         Some(plan),
     )
     .unwrap();

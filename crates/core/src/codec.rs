@@ -1,17 +1,17 @@
-//! Storage & wire codecs: the text v2 formats and the binary v3 format
-//! behind one [`Codec`] trait.
+//! Storage & wire codec: the checksummed binary v3 format.
 //!
 //! Everything durable or shipped — snapshot generations, WAL records,
-//! replication batches, protocol frames — is encoded through a codec so
-//! the serving and recovery layers are format-agnostic:
+//! replication batches, anti-entropy snapshots, protocol frames — is
+//! written as a v3 envelope: LEB128 varints and delta-encoded sorted
+//! columns behind one CRC. Snapshots are several-fold smaller than the
+//! retired text formats and decode without a JSON parser; recovery
+//! replay is correspondingly faster (experiment E24 gates the ratio).
 //!
-//! * [`TextV2`] — today's human-readable formats, unchanged on disk:
-//!   `STREAMLINK-SNAP v2` framed JSON snapshots and `F <seq> <u> <v>
-//!   <crc32>` WAL lines. Kept both for rollback and for `grep`-ability.
-//! * [`BinaryV3`] — a checksummed binary envelope with LEB128 varints
-//!   and delta-encoded sorted columns. Snapshots shrink several-fold and
-//!   decode without a JSON parser; recovery replay gets correspondingly
-//!   faster (experiment E24 gates the ratio).
+//! Read paths still sniff ([`is_binary`]): v1 bare-JSON and v2
+//! `STREAMLINK-SNAP v2` snapshots and `E`/`F` text WAL lines stay
+//! readable (see [`crate::snapshot`] and [`crate::journal`]), so an old
+//! data directory recovers as it is and turns binary at its next
+//! checkpoint. Only the [`v2`] fixture helpers can still produce text.
 //!
 //! ## The v3 envelope
 //!
@@ -45,7 +45,7 @@
 //! flag, low groups first, at most 10 bytes for a `u64`.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 
 use graphstream::VertexId;
 use hashkit::crc32;
@@ -54,7 +54,7 @@ use crate::config::{HasherBackend, SketchConfig};
 use crate::hll::HyperLogLog;
 use crate::journal::JournalEntry;
 use crate::sketch::{Slot, VertexSketch};
-use crate::snapshot::{self, RobustSnapshot, RobustVertexEntry, StoreSnapshot, VertexEntry};
+use crate::snapshot::{RobustSnapshot, RobustVertexEntry, StoreSnapshot, VertexEntry};
 
 /// The 4-byte magic opening every binary v3 envelope.
 pub const BINARY_MAGIC: [u8; 4] = *b"SLB3";
@@ -62,10 +62,14 @@ pub const BINARY_MAGIC: [u8; 4] = *b"SLB3";
 /// The format version byte carried after the magic.
 pub const BINARY_VERSION: u8 = 3;
 
-/// Hard upper bound on one envelope's body length. A corrupt length
-/// field beyond this fails decoding immediately instead of driving a
-/// huge read or allocation.
-pub const MAX_BODY_LEN: u64 = 1 << 28;
+/// Hard upper bound on one envelope's body length (16 GiB), far above
+/// any store this program holds: a k=256 store of 100k vertices is a
+/// ~315 MB snapshot body. A length field beyond it fails decoding
+/// immediately. Below it, readers still never allocate from the length
+/// field alone: a decode from bytes in memory is bounded by those bytes,
+/// and [`read_envelope_blocking`] buffers only what arrives, so a
+/// corrupt length fails as truncation, not as a huge allocation.
+pub const MAX_BODY_LEN: u64 = 1 << 34;
 
 /// Hard upper bound on the slot count of a decoded sketch (far above
 /// any configurable width).
@@ -82,10 +86,14 @@ pub const MODE_ROBUST_SNAPSHOT: u8 = 0x03;
 pub const MODE_TEXT_FRAME: u8 = 0x04;
 /// Envelope mode byte: a replication batch of WAL entries.
 pub const MODE_WAL_BATCH: u8 = 0x05;
-/// Envelope mode byte: an anti-entropy snapshot transfer whose body is
-/// `varint seq · varint raw_len · LZ-compressed snapshot bytes` (the
-/// checksummed JSON document the text plane ships verbatim).
-pub const MODE_SNAPSHOT_FRAME: u8 = 0x06;
+/// Retired envelope mode byte: the pre-v3 snapshot transfer (seq, raw
+/// length, LZ-compressed JSON). Never reused, so a peer on that version
+/// fails on the mode byte instead of mis-decoding the body.
+pub const MODE_LZ_SNAPSHOT_FRAME: u8 = 0x06;
+/// Envelope mode byte: an anti-entropy or resync snapshot transfer whose
+/// body is `varint seq` followed by the same v3 store-snapshot body a
+/// checkpoint writes.
+pub const MODE_SNAPSHOT_FRAME: u8 = 0x07;
 
 /// Why a binary decode failed — or, for [`CodecError::TooLarge`] and
 /// [`CodecError::Malformed`], why an encode refused its input. Every
@@ -389,8 +397,8 @@ pub fn encode_text_frame(text: &str) -> Vec<u8> {
 ///
 /// # Errors
 /// `UnexpectedEof` when the peer closes mid-frame; `InvalidData` (via
-/// [`CodecError`]) for any framing defect, including an oversized
-/// length field — rejected before any allocation happens.
+/// [`CodecError`]) for any framing defect, including a length field
+/// past [`MAX_BODY_LEN`] — rejected before anything is read.
 pub fn read_envelope_blocking(reader: &mut impl io::Read) -> io::Result<(u8, Vec<u8>)> {
     // Magic + version + mode.
     let mut buf = vec![0u8; BINARY_MAGIC.len() + 2];
@@ -420,163 +428,14 @@ pub fn read_envelope_blocking(reader: &mut impl io::Read) -> io::Result<(u8, Vec
     if body_len > MAX_BODY_LEN {
         return Err(CodecError::TooLarge("record body length").into());
     }
-    // Body + CRC trailer, then verify through the one decoder.
-    let rest = body_len as usize + 4;
-    let start = buf.len();
-    buf.resize(start + rest, 0);
-    reader.read_exact(&mut buf[start..])?;
+    // Body + CRC trailer, buffered as it arrives rather than sized from
+    // the length field, then verified through the one decoder.
+    let rest = body_len + 4;
+    if (reader.by_ref().take(rest).read_to_end(&mut buf)? as u64) < rest {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     let env = decode_envelope(&buf)?;
     Ok((env.mode, env.body.to_vec()))
-}
-
-// ---------------------------------------------------------------------
-// LZ compression (anti-entropy snapshot bodies)
-// ---------------------------------------------------------------------
-
-/// Shortest backreference worth emitting.
-const LZ_MIN_MATCH: usize = 4;
-/// Longest backreference one token can carry (`0x80..=0xff` → 4..=131).
-const LZ_MAX_MATCH: usize = LZ_MIN_MATCH + 0x7e;
-/// Match window: backreference distances fit comfortably in a varint
-/// and the matcher's table stays cache-friendly.
-const LZ_WINDOW: usize = 1 << 16;
-/// Longest literal run one token can carry (`0x00..=0x7f` → 1..=128).
-const LZ_MAX_LITERALS: usize = 0x80;
-
-/// Compresses `input` with a small greedy LZ77 (hash-table matcher,
-/// 64 KiB window). The token stream is byte-oriented: a control byte
-/// `< 0x80` copies `control + 1` literal bytes that follow; a control
-/// byte `>= 0x80` is a backreference of length `control - 0x80 + 4`
-/// whose distance follows as a varint. No entropy stage — the point is
-/// shrinking highly repetitive snapshot JSON several-fold with zero
-/// dependencies, not competing with zstd.
-#[must_use]
-pub fn lz_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    // One slot per 3-byte-prefix hash: position of its last occurrence.
-    let mut table = vec![usize::MAX; 1 << 15];
-    let hash = |window: &[u8]| -> usize {
-        let h = (u32::from(window[0]) << 16) | (u32::from(window[1]) << 8) | u32::from(window[2]);
-        (h.wrapping_mul(0x9e37_79b1) >> 17) as usize
-    };
-    let mut literals_from = 0usize;
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
-        let mut start = from;
-        while start < to {
-            let run = (to - start).min(LZ_MAX_LITERALS);
-            out.push((run - 1) as u8);
-            out.extend_from_slice(&input[start..start + run]);
-            start += run;
-        }
-    };
-    let mut i = 0usize;
-    while i + LZ_MIN_MATCH <= input.len() {
-        let slot = hash(&input[i..]);
-        let candidate = table[slot];
-        table[slot] = i;
-        let mut matched = 0usize;
-        if candidate != usize::MAX && i - candidate <= LZ_WINDOW {
-            let limit = (input.len() - i).min(LZ_MAX_MATCH);
-            while matched < limit && input[candidate + matched] == input[i + matched] {
-                matched += 1;
-            }
-        }
-        if matched >= LZ_MIN_MATCH {
-            flush_literals(&mut out, literals_from, i);
-            out.push(0x80 + (matched - LZ_MIN_MATCH) as u8);
-            write_varint(&mut out, (i - candidate) as u64);
-            // Seed the table across the matched span (sparsely — every
-            // position would be slower for little extra ratio).
-            let mut j = i + 1;
-            while j + LZ_MIN_MATCH <= input.len() && j < i + matched {
-                table[hash(&input[j..])] = j;
-                j += 2;
-            }
-            i += matched;
-            literals_from = i;
-        } else {
-            i += 1;
-        }
-    }
-    flush_literals(&mut out, literals_from, input.len());
-    out
-}
-
-/// Decompresses [`lz_compress`] output. `max_len` bounds the result so
-/// corrupt or hostile token streams cannot drive an unbounded
-/// allocation.
-///
-/// # Errors
-/// [`CodecError::Truncated`] on a short token stream,
-/// [`CodecError::Malformed`] on an invalid backreference, and
-/// [`CodecError::TooLarge`] past `max_len`.
-pub fn lz_decompress(input: &[u8], max_len: u64) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < input.len() {
-        let control = input[pos];
-        pos += 1;
-        if control < 0x80 {
-            let run = control as usize + 1;
-            if pos + run > input.len() {
-                return Err(CodecError::Truncated);
-            }
-            if out.len() + run > max_len as usize {
-                return Err(CodecError::TooLarge("decompressed length"));
-            }
-            out.extend_from_slice(&input[pos..pos + run]);
-            pos += run;
-        } else {
-            let len = control as usize - 0x80 + LZ_MIN_MATCH;
-            let distance = read_varint(input, &mut pos)? as usize;
-            if distance == 0 || distance > out.len() {
-                return Err(CodecError::Malformed("backreference outside window"));
-            }
-            if out.len() + len > max_len as usize {
-                return Err(CodecError::TooLarge("decompressed length"));
-            }
-            let start = out.len() - distance;
-            // Overlapping copies are legal (distance < len repeats).
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Encodes an anti-entropy snapshot transfer as one
-/// [`MODE_SNAPSHOT_FRAME`] envelope: the WAL seq the snapshot covers,
-/// the raw byte length, and the LZ-compressed snapshot document.
-#[must_use]
-pub fn encode_snapshot_frame(seq: u64, raw: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(raw.len() / 2 + 16);
-    write_varint(&mut body, seq);
-    write_varint(&mut body, raw.len() as u64);
-    body.extend_from_slice(&lz_compress(raw));
-    encode_envelope(MODE_SNAPSHOT_FRAME, &body)
-}
-
-/// Decodes the body of a [`MODE_SNAPSHOT_FRAME`] envelope back into
-/// `(seq, raw snapshot bytes)`.
-///
-/// # Errors
-/// Any [`CodecError`] on malformed framing, a raw length past
-/// [`MAX_BODY_LEN`], or a decompressed size that disagrees with the
-/// declared one.
-pub fn decode_snapshot_frame_body(body: &[u8]) -> Result<(u64, Vec<u8>), CodecError> {
-    let mut pos = 0usize;
-    let seq = read_varint(body, &mut pos)?;
-    let raw_len = read_varint(body, &mut pos)?;
-    if raw_len > MAX_BODY_LEN {
-        return Err(CodecError::TooLarge("snapshot raw length"));
-    }
-    let raw = lz_decompress(&body[pos..], raw_len)?;
-    if raw.len() as u64 != raw_len {
-        return Err(CodecError::Malformed("decompressed length mismatch"));
-    }
-    Ok((seq, raw))
 }
 
 // ---------------------------------------------------------------------
@@ -730,11 +589,12 @@ fn read_vertex_count(body: &[u8], pos: &mut usize) -> Result<usize, CodecError> 
     usize::try_from(count).map_err(|_| CodecError::TooLarge("vertex count"))
 }
 
-fn encode_store_snapshot_body(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
-    let mut body = Vec::with_capacity(32 + snap.vertices.len() * 16);
-    encode_config(&mut body, &snap.config)?;
-    write_varint(&mut body, snap.edges_processed);
-    write_varint(&mut body, snap.vertices.len() as u64);
+/// Appends the v3 store-snapshot body (the payload of both a
+/// [`MODE_STORE_SNAPSHOT`] file and a [`MODE_SNAPSHOT_FRAME`] transfer).
+fn encode_store_snapshot_body(body: &mut Vec<u8>, snap: &StoreSnapshot) -> Result<(), CodecError> {
+    encode_config(body, &snap.config)?;
+    write_varint(body, snap.edges_processed);
+    write_varint(body, snap.vertices.len() as u64);
     let mut prev = 0u64;
     for (i, entry) in snap.vertices.iter().enumerate() {
         let delta = if i == 0 {
@@ -742,16 +602,16 @@ fn encode_store_snapshot_body(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecErro
         } else {
             entry.vertex.0.wrapping_sub(prev)
         };
-        write_varint(&mut body, delta);
+        write_varint(body, delta);
         prev = entry.vertex.0;
     }
     for entry in &snap.vertices {
-        write_varint(&mut body, entry.degree);
+        write_varint(body, entry.degree);
     }
     for entry in &snap.vertices {
-        encode_sketch(&mut body, &entry.sketch);
+        encode_sketch(body, &entry.sketch);
     }
-    Ok(body)
+    Ok(())
 }
 
 fn decode_store_snapshot_body(body: &[u8]) -> Result<StoreSnapshot, CodecError> {
@@ -851,181 +711,149 @@ fn decode_robust_snapshot_body(body: &[u8]) -> Result<RobustSnapshot, CodecError
 }
 
 // ---------------------------------------------------------------------
-// The Codec trait and its two implementations
+// Snapshot files and snapshot transfers
 // ---------------------------------------------------------------------
 
-/// One storage/wire format: how snapshots and WAL records are rendered
-/// to bytes and verified back.
-///
-/// Read paths do not pick a codec — they sniff ([`is_binary`]) and
-/// dispatch, so any directory mixing formats (e.g. mid-migration)
-/// remains readable. Write paths pick one via [`WireFormat`].
-pub trait Codec {
-    /// The CLI spelling of this format (`v2` / `v3`).
-    fn name(&self) -> &'static str;
-
-    /// Encodes a full store snapshot file.
-    ///
-    /// # Errors
-    /// Fails if the snapshot cannot be rendered (oversized or, for the
-    /// text codec, unserializable).
-    fn encode_store_snapshot(&self, snap: &StoreSnapshot) -> io::Result<Vec<u8>>;
-
-    /// Decodes and verifies a full store snapshot file.
-    ///
-    /// # Errors
-    /// Fails closed on any framing or body defect.
-    fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot>;
-
-    /// Encodes a full robust-store snapshot file.
-    ///
-    /// # Errors
-    /// Fails if the snapshot cannot be rendered.
-    fn encode_robust_snapshot(&self, snap: &RobustSnapshot) -> io::Result<Vec<u8>>;
-
-    /// Decodes and verifies a full robust-store snapshot file.
-    ///
-    /// # Errors
-    /// Fails closed on any framing or body defect.
-    fn decode_robust_snapshot(&self, bytes: &[u8]) -> io::Result<RobustSnapshot>;
-
-    /// Encodes one WAL record ready to append to a segment (the text
-    /// codec's record includes its newline terminator).
-    fn encode_wal_record(&self, entry: &JournalEntry) -> Vec<u8>;
+/// Verifies that `bytes` is exactly one envelope of `mode` and returns
+/// its body.
+fn decode_expecting(bytes: &[u8], mode: u8) -> Result<&[u8], CodecError> {
+    let env = decode_envelope(bytes)?;
+    if env.mode != mode {
+        return Err(CodecError::BadMode(env.mode));
+    }
+    if env.consumed != bytes.len() {
+        return Err(CodecError::Malformed("trailing bytes after record"));
+    }
+    Ok(env.body)
 }
 
-/// The human-readable v2 formats: framed JSON snapshots and CRC'd text
-/// WAL lines. See [`crate::snapshot`] and [`crate::journal`] for the
-/// on-disk grammar.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TextV2;
+/// Encodes a full store snapshot file.
+///
+/// # Errors
+/// [`CodecError::TooLarge`] for a body past [`MAX_BODY_LEN`] (the reader
+/// would refuse it) or an oversized sketch width.
+pub fn encode_store_snapshot(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
+    let mut body = Vec::with_capacity(32 + snap.vertices.len() * 16);
+    encode_store_snapshot_body(&mut body, snap)?;
+    check_body_len(body.len())?;
+    Ok(encode_envelope(MODE_STORE_SNAPSHOT, &body))
+}
 
-impl Codec for TextV2 {
-    fn name(&self) -> &'static str {
-        "v2"
+/// Decodes and verifies a full store snapshot file.
+///
+/// # Errors
+/// Fails closed on any framing or body defect.
+pub fn decode_store_snapshot(bytes: &[u8]) -> Result<StoreSnapshot, CodecError> {
+    decode_store_snapshot_body(decode_expecting(bytes, MODE_STORE_SNAPSHOT)?)
+}
+
+/// Encodes a full robust-store snapshot file.
+///
+/// # Errors
+/// As [`encode_store_snapshot`], plus [`CodecError::Malformed`] for an
+/// HLL precision outside `4..=16`.
+pub fn encode_robust_snapshot(snap: &RobustSnapshot) -> Result<Vec<u8>, CodecError> {
+    let body = encode_robust_snapshot_body(snap)?;
+    check_body_len(body.len())?;
+    Ok(encode_envelope(MODE_ROBUST_SNAPSHOT, &body))
+}
+
+/// Decodes and verifies a full robust-store snapshot file.
+///
+/// # Errors
+/// Fails closed on any framing or body defect.
+pub fn decode_robust_snapshot(bytes: &[u8]) -> Result<RobustSnapshot, CodecError> {
+    decode_robust_snapshot_body(decode_expecting(bytes, MODE_ROBUST_SNAPSHOT)?)
+}
+
+/// Encodes an anti-entropy or resync snapshot transfer as one
+/// [`MODE_SNAPSHOT_FRAME`] envelope: the WAL seq the snapshot covers,
+/// then the store-snapshot body exactly as [`encode_store_snapshot`]
+/// frames it on disk.
+///
+/// # Errors
+/// [`CodecError::TooLarge`] when the body would exceed [`MAX_BODY_LEN`],
+/// so the sender refuses what no receiver could decode.
+pub fn encode_snapshot_frame(seq: u64, snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
+    let mut body = Vec::with_capacity(42 + snap.vertices.len() * 16);
+    write_varint(&mut body, seq);
+    encode_store_snapshot_body(&mut body, snap)?;
+    check_body_len(body.len())?;
+    Ok(encode_envelope(MODE_SNAPSHOT_FRAME, &body))
+}
+
+/// Decodes the body of a [`MODE_SNAPSHOT_FRAME`] envelope into
+/// `(seq, snapshot)`.
+///
+/// # Errors
+/// Any [`CodecError`] on a truncated seq or a malformed snapshot body.
+pub fn decode_snapshot_frame_body(body: &[u8]) -> Result<(u64, StoreSnapshot), CodecError> {
+    let mut pos = 0usize;
+    let seq = read_varint(body, &mut pos)?;
+    Ok((seq, decode_store_snapshot_body(&body[pos..])?))
+}
+
+/// The format selector of the write-path signatures that predate v3
+/// being the only format. It has one value; nothing reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum WireFormat {
+    /// Checksummed binary v3.
+    #[default]
+    BinaryV3,
+}
+
+/// Encoders for the retired text v2 formats (`STREAMLINK-SNAP v2`
+/// framed JSON snapshots and `F <seq> <u> <v> <crc32>` WAL lines).
+///
+/// These exist only to build read-compatibility fixtures — tests of
+/// v1/v2 replay, scrub and migration, and experiment E24's baseline.
+/// Nothing on the serving or CLI path writes text.
+pub mod v2 {
+    use crate::journal::JournalEntry;
+    use crate::snapshot::{RobustSnapshot, StoreSnapshot, SNAPSHOT_MAGIC};
+    use hashkit::crc32;
+    use serde::Serialize;
+
+    fn framed(value: &impl Serialize) -> Vec<u8> {
+        let json = serde_json::to_string(value).expect("snapshots serialize to JSON");
+        format!(
+            "{SNAPSHOT_MAGIC} v2 len={} crc32={:08x}\n{json}",
+            json.len(),
+            crc32(json.as_bytes())
+        )
+        .into_bytes()
     }
 
-    fn encode_store_snapshot(&self, snap: &StoreSnapshot) -> io::Result<Vec<u8>> {
-        let json = serde_json::to_string(snap)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(snapshot::frame_v2(&json).into_bytes())
+    /// A v2 store snapshot file: header line, then the JSON payload.
+    #[must_use]
+    pub fn store_snapshot(snap: &StoreSnapshot) -> Vec<u8> {
+        framed(snap)
     }
 
-    fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot> {
-        let (payload, _) = snapshot::verify_text(bytes)?;
-        serde_json::from_str(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    /// A v2 robust-store snapshot file.
+    #[must_use]
+    pub fn robust_snapshot(snap: &RobustSnapshot) -> Vec<u8> {
+        framed(snap)
     }
 
-    fn encode_robust_snapshot(&self, snap: &RobustSnapshot) -> io::Result<Vec<u8>> {
-        let json = serde_json::to_string(snap)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(snapshot::frame_v2(&json).into_bytes())
+    /// A v1 store snapshot file: the bare JSON document, no header.
+    #[must_use]
+    pub fn legacy_store_snapshot(snap: &StoreSnapshot) -> Vec<u8> {
+        serde_json::to_vec(snap).expect("snapshots serialize to JSON")
     }
 
-    fn decode_robust_snapshot(&self, bytes: &[u8]) -> io::Result<RobustSnapshot> {
-        let (payload, _) = snapshot::verify_text(bytes)?;
-        serde_json::from_str(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    fn encode_wal_record(&self, entry: &JournalEntry) -> Vec<u8> {
+    /// One v2 WAL line with its newline terminator.
+    #[must_use]
+    pub fn wal_record(entry: &JournalEntry) -> Vec<u8> {
         let mut line = entry.to_string().into_bytes();
         line.push(b'\n');
         line
     }
-}
 
-/// The checksummed binary v3 format (see the module docs for the
-/// envelope and column layouts).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinaryV3;
-
-impl BinaryV3 {
-    fn decode_expecting(bytes: &[u8], mode: u8) -> Result<&[u8], CodecError> {
-        let env = decode_envelope(bytes)?;
-        if env.mode != mode {
-            return Err(CodecError::BadMode(env.mode));
-        }
-        if env.consumed != bytes.len() {
-            return Err(CodecError::Malformed("trailing bytes after record"));
-        }
-        Ok(env.body)
-    }
-}
-
-impl Codec for BinaryV3 {
-    fn name(&self) -> &'static str {
-        "v3"
-    }
-
-    fn encode_store_snapshot(&self, snap: &StoreSnapshot) -> io::Result<Vec<u8>> {
-        let body = encode_store_snapshot_body(snap)?;
-        check_body_len(body.len())?;
-        Ok(encode_envelope(MODE_STORE_SNAPSHOT, &body))
-    }
-
-    fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot> {
-        let body = Self::decode_expecting(bytes, MODE_STORE_SNAPSHOT)?;
-        Ok(decode_store_snapshot_body(body)?)
-    }
-
-    fn encode_robust_snapshot(&self, snap: &RobustSnapshot) -> io::Result<Vec<u8>> {
-        let body = encode_robust_snapshot_body(snap)?;
-        check_body_len(body.len())?;
-        Ok(encode_envelope(MODE_ROBUST_SNAPSHOT, &body))
-    }
-
-    fn decode_robust_snapshot(&self, bytes: &[u8]) -> io::Result<RobustSnapshot> {
-        let body = Self::decode_expecting(bytes, MODE_ROBUST_SNAPSHOT)?;
-        Ok(decode_robust_snapshot_body(body)?)
-    }
-
-    fn encode_wal_record(&self, entry: &JournalEntry) -> Vec<u8> {
-        encode_wal_entry(entry)
-    }
-}
-
-/// The format selector carried by CLI flags and write paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// Human-readable text formats (today's default).
-    #[default]
-    TextV2,
-    /// Checksummed binary v3.
-    BinaryV3,
-}
-
-impl WireFormat {
-    /// Parses the CLI spelling (`v2` | `v3`).
+    /// A whole v2 WAL segment holding `entries` in order.
     #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "v2" => Some(WireFormat::TextV2),
-            "v3" => Some(WireFormat::BinaryV3),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        self.codec().name()
-    }
-
-    /// The codec implementing this format.
-    #[must_use]
-    pub fn codec(self) -> &'static dyn Codec {
-        match self {
-            WireFormat::TextV2 => &TextV2,
-            WireFormat::BinaryV3 => &BinaryV3,
-        }
-    }
-}
-
-impl fmt::Display for WireFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+    pub fn wal_segment(entries: &[JournalEntry]) -> Vec<u8> {
+        entries.iter().flat_map(wal_record).collect()
     }
 }
 
@@ -1052,74 +880,23 @@ mod tests {
     }
 
     #[test]
-    fn lz_round_trips_and_shrinks_snapshot_json() {
-        let json = serde_json::to_string(&populated_snapshot()).unwrap();
-        let raw = json.as_bytes();
-        let packed = lz_compress(raw);
-        assert_eq!(
-            lz_decompress(&packed, raw.len() as u64).unwrap(),
-            raw,
-            "round trip"
-        );
-        // The satellite's size assertion: the anti-entropy transfer of a
-        // real snapshot document must genuinely shrink on the wire, even
-        // with the whole-envelope overhead included.
-        let frame = encode_snapshot_frame(181, raw);
-        assert!(
-            frame.len() < raw.len(),
-            "compressed frame {} >= raw {}",
-            frame.len(),
-            raw.len()
-        );
+    fn snapshot_frame_carries_the_checkpoint_body() {
+        let snap = populated_snapshot();
+        let frame = encode_snapshot_frame(181, &snap).unwrap();
         let env = decode_envelope(&frame).unwrap();
         assert_eq!(env.mode, MODE_SNAPSHOT_FRAME);
-        let (seq, got) = decode_snapshot_frame_body(env.body).unwrap();
+        assert_eq!(env.consumed, frame.len());
+        // After the seq varint, the body is the snapshot file's body.
+        let file = encode_store_snapshot(&snap).unwrap();
+        let file_body = decode_envelope(&file).unwrap().body;
+        let mut pos = 0;
+        assert_eq!(read_varint(env.body, &mut pos), Ok(181));
+        assert_eq!(&env.body[pos..], file_body);
+        let (seq, back) = decode_snapshot_frame_body(env.body).unwrap();
         assert_eq!(seq, 181);
-        assert_eq!(got, raw);
-    }
-
-    #[test]
-    fn lz_handles_edge_inputs() {
-        for input in [
-            b"".to_vec(),
-            b"a".to_vec(),
-            b"abc".to_vec(),
-            vec![0u8; 5000],                         // long overlap run
-            (0u8..=255).cycle().take(700).collect(), // periodic
-        ] {
-            let packed = lz_compress(&input);
-            assert_eq!(lz_decompress(&packed, input.len() as u64).unwrap(), input);
-        }
-    }
-
-    #[test]
-    fn lz_decompress_fails_closed() {
-        // Backreference before the start of output.
-        let mut bogus = vec![0x00, b'x', 0x80];
-        write_varint(&mut bogus, 9);
-        assert!(matches!(
-            lz_decompress(&bogus, 1 << 20),
-            Err(CodecError::Malformed(_))
-        ));
-        // Truncated literal run.
-        assert_eq!(
-            lz_decompress(&[0x05, b'a'], 1 << 20),
-            Err(CodecError::Truncated)
-        );
-        // Output bound enforced.
-        let packed = lz_compress(&vec![7u8; 4096]);
-        assert!(matches!(
-            lz_decompress(&packed, 100),
-            Err(CodecError::TooLarge(_))
-        ));
-    }
-
-    proptest! {
-        #[test]
-        fn lz_round_trips_arbitrary_bytes(input in proptest::collection::vec(any::<u8>(), 0..4096)) {
-            let packed = lz_compress(&input);
-            prop_assert_eq!(lz_decompress(&packed, input.len() as u64).unwrap(), input);
-        }
+        assert_eq!(back, snap);
+        assert!(decode_snapshot_frame_body(&env.body[..env.body.len() - 1]).is_err());
+        assert_eq!(decode_snapshot_frame_body(&[]), Err(CodecError::Truncated));
     }
 
     #[test]
@@ -1198,6 +975,8 @@ mod tests {
     #[test]
     fn writer_refuses_bodies_past_the_reader_limit() {
         let limit = usize::try_from(MAX_BODY_LEN).unwrap();
+        // A k=256 store of 100k vertices (~315 MB of body) fits.
+        assert_eq!(check_body_len(315_000_000), Ok(()));
         assert_eq!(check_body_len(limit), Ok(()));
         assert_eq!(
             check_body_len(limit + 1),
@@ -1237,7 +1016,14 @@ mod tests {
         huge.push(BINARY_VERSION);
         huge.push(MODE_TEXT_FRAME);
         write_varint(&mut huge, MAX_BODY_LEN + 1);
-        assert!(read_envelope_blocking(&mut io::Cursor::new(huge)).is_err());
+        assert!(read_envelope_blocking(&mut io::Cursor::new(&huge)).is_err());
+        // A length at the limit with a few bytes behind it is a short
+        // read, not a 16 GiB buffer.
+        let mut cut = huge[..6].to_vec();
+        write_varint(&mut cut, MAX_BODY_LEN);
+        cut.extend_from_slice(b"abc");
+        let err = read_envelope_blocking(&mut io::Cursor::new(cut)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -1277,12 +1063,10 @@ mod tests {
                 "truncation at {cut} decoded"
             );
         }
-        let snap = BinaryV3
-            .encode_store_snapshot(&populated_snapshot())
-            .unwrap();
+        let snap = encode_store_snapshot(&populated_snapshot()).unwrap();
         for cut in (0..snap.len()).step_by(7) {
             assert!(
-                BinaryV3.decode_store_snapshot(&snap[..cut]).is_err(),
+                decode_store_snapshot(&snap[..cut]).is_err(),
                 "snapshot truncation at {cut} decoded"
             );
         }
@@ -1310,15 +1094,15 @@ mod tests {
     #[test]
     fn store_snapshot_binary_roundtrip_equals_text() {
         let snap = populated_snapshot();
-        let v3 = BinaryV3.encode_store_snapshot(&snap).unwrap();
-        let v2 = TextV2.encode_store_snapshot(&snap).unwrap();
-        assert_eq!(BinaryV3.decode_store_snapshot(&v3).unwrap(), snap);
-        assert_eq!(TextV2.decode_store_snapshot(&v2).unwrap(), snap);
+        let v3 = encode_store_snapshot(&snap).unwrap();
+        let text = v2::store_snapshot(&snap);
+        assert_eq!(decode_store_snapshot(&v3).unwrap(), snap);
+        assert_eq!(StoreSnapshot::decode(&text).unwrap().0, snap);
         assert!(
-            v3.len() * 2 < v2.len(),
+            v3.len() * 2 < text.len(),
             "binary snapshot should be far smaller: {} vs {}",
             v3.len(),
-            v2.len()
+            text.len()
         );
     }
 
@@ -1327,37 +1111,42 @@ mod tests {
         let mut s = RobustStore::new(SketchConfig::with_slots(16).seed(3), 8);
         s.insert_stream(BarabasiAlbert::new(80, 2, 4).edges());
         let snap = RobustSnapshot::capture(&s);
-        let v3 = BinaryV3.encode_robust_snapshot(&snap).unwrap();
-        assert_eq!(BinaryV3.decode_robust_snapshot(&v3).unwrap(), snap);
-        assert_eq!(
-            TextV2
-                .decode_robust_snapshot(&TextV2.encode_robust_snapshot(&snap).unwrap())
-                .unwrap(),
-            snap
-        );
+        let v3 = encode_robust_snapshot(&snap).unwrap();
+        assert_eq!(decode_robust_snapshot(&v3).unwrap(), snap);
     }
 
     #[test]
     fn empty_snapshot_roundtrips() {
         let snap = StoreSnapshot::capture(&SketchStore::new(SketchConfig::with_slots(8)));
-        let v3 = BinaryV3.encode_store_snapshot(&snap).unwrap();
-        assert_eq!(BinaryV3.decode_store_snapshot(&v3).unwrap(), snap);
+        let v3 = encode_store_snapshot(&snap).unwrap();
+        assert_eq!(decode_store_snapshot(&v3).unwrap(), snap);
     }
 
     #[test]
     fn snapshot_decode_rejects_wrong_mode() {
         let snap = populated_snapshot();
-        let v3 = BinaryV3.encode_store_snapshot(&snap).unwrap();
-        assert!(BinaryV3.decode_robust_snapshot(&v3).is_err());
+        let v3 = encode_store_snapshot(&snap).unwrap();
+        assert!(decode_robust_snapshot(&v3).is_err());
+        let frame = encode_snapshot_frame(3, &snap).unwrap();
+        assert_eq!(
+            decode_store_snapshot(&frame),
+            Err(CodecError::BadMode(MODE_SNAPSHOT_FRAME))
+        );
     }
 
     #[test]
-    fn wire_format_parses_cli_spellings() {
-        assert_eq!(WireFormat::parse("v2"), Some(WireFormat::TextV2));
-        assert_eq!(WireFormat::parse("v3"), Some(WireFormat::BinaryV3));
-        assert_eq!(WireFormat::parse("v1"), None);
-        assert_eq!(WireFormat::TextV2.name(), "v2");
-        assert_eq!(WireFormat::BinaryV3.name(), "v3");
+    fn v2_fixture_records_read_back_through_the_text_readers() {
+        let line = v2::wal_record(&entry(9));
+        assert_eq!(line.last(), Some(&b'\n'));
+        let text = std::str::from_utf8(&line[..line.len() - 1]).unwrap();
+        assert_eq!(JournalEntry::parse(text), Some(entry(9)));
+        assert_eq!(v2::wal_segment(&[entry(1), entry(2)]).len(), {
+            v2::wal_record(&entry(1)).len() + v2::wal_record(&entry(2)).len()
+        });
+        let snap = populated_snapshot();
+        let (back, integrity) = StoreSnapshot::decode(&v2::legacy_store_snapshot(&snap)).unwrap();
+        assert_eq!(back, snap);
+        assert_eq!(integrity, crate::snapshot::SnapshotIntegrity::Legacy);
     }
 
     proptest! {
@@ -1397,12 +1186,8 @@ mod tests {
             let mut s = SketchStore::new(SketchConfig::with_slots(16).seed(seed));
             s.insert_stream(BarabasiAlbert::new(n, 2, seed).edges());
             let snap = StoreSnapshot::capture(&s);
-            let via_v3 = BinaryV3
-                .decode_store_snapshot(&BinaryV3.encode_store_snapshot(&snap).unwrap())
-                .unwrap();
-            let via_v2 = TextV2
-                .decode_store_snapshot(&TextV2.encode_store_snapshot(&snap).unwrap())
-                .unwrap();
+            let via_v3 = decode_store_snapshot(&encode_store_snapshot(&snap).unwrap()).unwrap();
+            let via_v2 = StoreSnapshot::decode(&v2::store_snapshot(&snap)).unwrap().0;
             prop_assert_eq!(&via_v3, &via_v2);
             prop_assert_eq!(via_v3, snap);
         }
@@ -1411,13 +1196,11 @@ mod tests {
         fn prop_snapshot_bit_flip_fails_closed(seed in 0u64..30, flip in any::<u64>()) {
             let mut s = SketchStore::new(SketchConfig::with_slots(8).seed(seed));
             s.insert_stream(BarabasiAlbert::new(40, 2, seed).edges());
-            let rec = BinaryV3
-                .encode_store_snapshot(&StoreSnapshot::capture(&s))
-                .unwrap();
+            let rec = encode_store_snapshot(&StoreSnapshot::capture(&s)).unwrap();
             let mut bytes = rec.clone();
             let bit = (flip % (bytes.len() as u64 * 8)) as usize;
             bytes[bit / 8] ^= 1 << (bit % 8);
-            prop_assert!(BinaryV3.decode_store_snapshot(&bytes).is_err());
+            prop_assert!(decode_store_snapshot(&bytes).is_err());
         }
 
         #[test]
@@ -1425,7 +1208,7 @@ mod tests {
             // Random bytes must fail closed (the odds of a valid CRC on
             // random framing are ~2^-32; the deterministic structure
             // checks reject far earlier).
-            prop_assert!(BinaryV3.decode_store_snapshot(&bytes).is_err());
+            prop_assert!(decode_store_snapshot(&bytes).is_err());
         }
     }
 }

@@ -3,10 +3,11 @@
 //! A data directory persists a serving store as two artifacts:
 //!
 //! * `snapshot.<seq>.json` — checksummed [`StoreSnapshot`] **generations**
-//!   (see [`StoreSnapshot::write_atomic`] and the v2 framing in
-//!   [`crate::snapshot`]), one per checkpoint, newest-K retained. `<seq>`
-//!   is the WAL sequence number the snapshot covers, so recovery knows
-//!   where replay must resume *per generation*. A bare `snapshot.json`
+//!   (binary v3, see [`StoreSnapshot::write_atomic`]; generations written
+//!   by older versions in the text formats still load), one per
+//!   checkpoint, newest-K retained. `<seq>` is the WAL sequence number
+//!   the snapshot covers, so recovery knows where replay must resume
+//!   *per generation*. A bare `snapshot.json`
 //!   from the pre-chain format is still honored as the oldest fallback.
 //! * `wal.<seq>.log` — journal segments holding every acked edge (see
 //!   [`crate::journal`]), retained back to the **oldest** generation so
@@ -34,6 +35,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::chaos::FaultPlan;
 use crate::config::SketchConfig;
 use crate::journal::{self, Journal, ReplayReport};
 use crate::snapshot::StoreSnapshot;
@@ -201,10 +203,7 @@ pub fn recover(dir: &Path, config: SketchConfig) -> io::Result<Recovery> {
 /// Order matters: the snapshot must be durable before any journal entry
 /// covering the same edges is deleted. Callers capture `snapshot` and
 /// rotate `journal` to `wal_seq + 1` under the store lock, then call this
-/// without it. The legacy `snapshot.json`, if present, is removed once a
-/// generation exists — it is strictly older than the generation just
-/// written, and leaving it would let a future fallback resurrect
-/// pre-pruning state as if it were current.
+/// without it (see [`commit_generation`] for the steps).
 ///
 /// # Errors
 /// Fails on IO errors — real or injected via the journal's
@@ -218,10 +217,25 @@ pub fn checkpoint(
     journal: &mut Journal,
     keep: usize,
 ) -> io::Result<usize> {
+    let faults = journal.faults().cloned();
+    observe_checkpoint(|| {
+        commit_generation(snapshot, wal_seq, dir, keep, faults.as_deref(), |oldest| {
+            journal.prune_below(oldest)
+        })
+    })
+}
+
+/// Runs one checkpoint attempt under the `checkpoint` trace op and
+/// counts it: `checkpoint.count` plus the latency histogram on success,
+/// `checkpoint.failures` otherwise.
+///
+/// # Errors
+/// Whatever `run` returns.
+pub fn observe_checkpoint<T>(run: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
     let metrics = crate::metrics::global();
     let _t = crate::trace::op("checkpoint");
     let start = std::time::Instant::now();
-    let result = checkpoint_inner(snapshot, wal_seq, dir, journal, keep);
+    let result = run();
     match &result {
         Ok(_) => {
             metrics.checkpoints.incr();
@@ -234,19 +248,33 @@ pub fn checkpoint(
     result
 }
 
-fn checkpoint_inner(
+/// The tail every checkpoint shares once its snapshot is captured and
+/// the journal rotated past `wal_seq`: write the generation atomically
+/// (binary v3, after consulting `faults`), remove the legacy
+/// `snapshot.json`, trim to the newest `keep` generations, publish the
+/// `snapshot.generations_kept` gauge, and finally hand the oldest
+/// retained seq to `prune_below`. Returns what `prune_below` returns.
+///
+/// The legacy `snapshot.json` is strictly older than the generation just
+/// written; leaving it would let a future fallback resurrect
+/// pre-pruning state as if it were current. No lock is needed here:
+/// callers pass a `prune_below` that takes whatever lock guards their
+/// journal.
+///
+/// # Errors
+/// Fails on IO errors, real or injected.
+pub fn commit_generation(
     snapshot: &StoreSnapshot,
     wal_seq: u64,
     dir: &Path,
-    journal: &mut Journal,
     keep: usize,
+    faults: Option<&FaultPlan>,
+    prune_below: impl FnOnce(u64) -> io::Result<usize>,
 ) -> io::Result<usize> {
-    if let Some(plan) = journal.faults() {
+    if let Some(plan) = faults {
         plan.next_snapshot()?;
     }
-    // Snapshots follow the journal's format choice, so one `--format`
-    // flag governs the whole data directory.
-    snapshot.write_atomic_as(&generation_path(dir, wal_seq), journal.format())?;
+    snapshot.write_atomic(&generation_path(dir, wal_seq))?;
     match fs::remove_file(snapshot_path(dir)) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -262,7 +290,7 @@ fn checkpoint_inner(
         .snapshot_generations_kept
         .set(generations.len() as u64);
     let oldest_retained = generations.first().map_or(wal_seq, |(seq, _)| *seq);
-    journal.prune_below(oldest_retained)
+    prune_below(oldest_retained)
 }
 
 #[cfg(test)]
@@ -350,51 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_v3_chain_checkpoints_and_recovers() {
-        // The full v3 recovery chain: binary WAL, binary snapshot
-        // generation (the checkpoint follows the journal's format), and
-        // a crash with a journal tail to replay.
-        let dir = temp_dir("v3chain");
-        let edges: Vec<_> = BarabasiAlbert::new(120, 2, 4).edges().collect();
-        let cut = edges.len() / 2;
-
-        let mut store = SketchStore::new(cfg());
-        let mut journal = Journal::create_with_format(
-            &dir,
-            1,
-            FsyncPolicy::OnRotate,
-            crate::codec::WireFormat::BinaryV3,
-            None,
-        )
-        .unwrap();
-        for e in &edges[..cut] {
-            ingest(&mut store, &mut journal, e.src.0, e.dst.0);
-        }
-        run_checkpoint(&store, &dir, &mut journal, DEFAULT_SNAPSHOT_KEEP);
-        for e in &edges[cut..] {
-            ingest(&mut store, &mut journal, e.src.0, e.dst.0);
-        }
-        drop(journal); // crash
-
-        let generations = list_generations(&dir).unwrap();
-        let (_, gen_path) = generations.last().unwrap();
-        assert!(
-            crate::codec::is_binary(&fs::read(gen_path).unwrap()),
-            "the generation file must be a binary envelope"
-        );
-
-        let rec = recover(&dir, cfg()).unwrap();
-        assert!(rec.snapshot_loaded);
-        assert_eq!(rec.journal.replayed, (edges.len() - cut) as u64);
-        assert_eq!(rec.store.edges_processed(), store.edges_processed());
-        for v in store.vertices() {
-            assert_eq!(rec.store.sketch(v), store.sketch(v), "sketch at {v}");
-            assert_eq!(rec.store.degree(v), store.degree(v));
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn snapshot_plus_tail_recovery() {
         let dir = temp_dir("snaptail");
         let edges: Vec<_> = BarabasiAlbert::new(120, 2, 4).edges().collect();
@@ -411,6 +394,8 @@ mod tests {
         }
         drop(journal); // crash after more ingestion
 
+        let (_, generation) = list_generations(&dir).unwrap().pop().unwrap();
+        assert!(crate::codec::is_binary(&fs::read(generation).unwrap()));
         let rec = recover(&dir, cfg()).unwrap();
         assert!(rec.snapshot_loaded);
         assert_eq!(rec.snapshot_seq, cut as u64);
@@ -543,7 +528,11 @@ mod tests {
             store.insert_edge(VertexId(i), VertexId(i + 10));
         }
         let snap = StoreSnapshot::capture(&store);
-        fs::write(snapshot_path(&dir), serde_json::to_string(&snap).unwrap()).unwrap();
+        fs::write(
+            snapshot_path(&dir),
+            crate::codec::v2::legacy_store_snapshot(&snap),
+        )
+        .unwrap();
         fs::write(dir.join("wal.6.log"), "E 6 5 15\nE 7 6 16\n").unwrap();
 
         let rec = recover(&dir, cfg()).unwrap();
@@ -634,17 +623,22 @@ mod tests {
         // After a mid-file record is lost, edges_processed < wal seq; the
         // next seq must come from the WAL watermark, never the count —
         // otherwise new appends collide with existing seqs and replay
-        // skipping silently drops them.
+        // skipping silently drops them. (A v2 text segment, as a pre-v3
+        // server left it.)
         let dir = temp_dir("seqgap");
-        let mut store = SketchStore::new(cfg());
-        let mut journal = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        for i in 0..5 {
-            ingest(&mut store, &mut journal, i, i + 100);
-        }
-        drop(journal);
-        let (_, path) = &journal::list_segments(&dir).unwrap()[0];
-        let content = fs::read_to_string(path).unwrap();
-        fs::write(path, content.replacen("F 3", "F 9", 1)).unwrap();
+        let entries: Vec<JournalEntry> = (1..=5u64)
+            .map(|seq| JournalEntry {
+                seq,
+                u: VertexId(seq),
+                v: VertexId(seq + 100),
+            })
+            .collect();
+        let text = String::from_utf8(crate::codec::v2::wal_segment(&entries)).unwrap();
+        fs::write(
+            journal::segment_path(&dir, 1),
+            text.replacen("F 3", "F 9", 1),
+        )
+        .unwrap();
 
         let rec = recover(&dir, cfg()).unwrap();
         assert_eq!(rec.journal.quarantined, 1);

@@ -9,23 +9,22 @@
 //!
 //! A journal is a directory of segment files named `wal.<first_seq>.log`,
 //! where `first_seq` is the sequence number of the first entry the
-//! segment may contain. Entries are text lines. The current (v2) framing
-//! carries a per-record CRC-32 ([`hashkit::crc32()`]) over the payload:
+//! segment may contain. Each appended entry is one binary v3 envelope
+//! record (see [`crate::codec`]) carrying its own CRC-32
+//! ([`hashkit::crc32()`]).
+//!
+//! Segments written before v3 hold text lines, which replay still reads.
+//! The v2 framing carries a per-record CRC over the payload:
 //!
 //! ```text
 //! F <seq> <u> <v> <crc32-lower-hex-8>\n
 //! ```
 //!
-//! Pre-CRC (v1) records — `E <seq> <u> <v>\n` — are still read and
-//! replayed, so data directories written before the framing change load
-//! unmodified; they simply cannot be *verified*, only parsed.
-//!
-//! A journal opened with [`crate::codec::WireFormat::BinaryV3`] appends
-//! binary envelope records instead (see [`crate::codec`]): same
-//! per-record CRC guarantee, a fraction of the bytes, no text parsing on
-//! replay. [`scan_segment`] sniffs each record's framing from its first
-//! bytes, so segments of any format — even interleaved in one directory
-//! across a migration — replay through the same classification logic.
+//! Pre-CRC (v1) records — `E <seq> <u> <v>\n` — are parsed but cannot be
+//! *verified*. [`scan_segment`] sniffs each record's framing from its
+//! first bytes, so segments of any format — even interleaved in one
+//! directory across a migration — replay through the same
+//! classification logic.
 //!
 //! `seq` is a monotone log sequence number. In an uncorrupted directory
 //! it equals the store's `edges_processed` after applying the edge; after
@@ -231,15 +230,15 @@ pub struct Journal {
     last_seq: Option<u64>,
     /// Scripted storage faults (tests only; `None` in production).
     faults: Option<Arc<FaultPlan>>,
-    /// The record framing new appends use (reads always sniff).
-    format: WireFormat,
     /// A failed append may have left partial bytes at the tail; the next
     /// write must seal them off with a guard newline so an acked record
     /// can never merge into un-acked debris.
     tainted: bool,
 }
 
-fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
+/// The segment file holding entries from `first_seq` on.
+#[must_use]
+pub fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
     dir.join(format!("wal.{first_seq}.log"))
 }
 
@@ -315,23 +314,6 @@ impl Journal {
         policy: FsyncPolicy,
         faults: Option<Arc<FaultPlan>>,
     ) -> io::Result<Self> {
-        Self::create_with_format(dir, next_seq, policy, WireFormat::TextV2, faults)
-    }
-
-    /// Like [`Journal::create_with_faults`], also choosing the record
-    /// framing for new appends ([`WireFormat::TextV2`] text lines or
-    /// [`WireFormat::BinaryV3`] envelopes). Replay sniffs per record, so
-    /// a directory may freely mix segment formats across restarts.
-    ///
-    /// # Errors
-    /// Fails on directory-creation or file-open errors.
-    pub fn create_with_format(
-        dir: &Path,
-        next_seq: u64,
-        policy: FsyncPolicy,
-        format: WireFormat,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let path = segment_path(dir, next_seq);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -342,15 +324,23 @@ impl Journal {
             segment_first_seq: next_seq,
             last_seq: None,
             faults,
-            format,
             tainted: false,
         })
     }
 
-    /// The record framing new appends use.
-    #[must_use]
-    pub fn format(&self) -> WireFormat {
-        self.format
+    /// [`Journal::create_with_faults`] under the signature the
+    /// `perfbench` harness calls; `WireFormat` has a single value.
+    ///
+    /// # Errors
+    /// As [`Journal::create_with_faults`].
+    pub fn create_with_format(
+        dir: &Path,
+        next_seq: u64,
+        policy: FsyncPolicy,
+        _format: WireFormat,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> io::Result<Self> {
+        Self::create_with_faults(dir, next_seq, policy, faults)
     }
 
     /// The installed fault plan, if any (threaded to the checkpoint path
@@ -384,7 +374,7 @@ impl Journal {
         let metrics = crate::metrics::global();
         let _t = crate::trace::child("journal.append");
         let start = std::time::Instant::now();
-        let line = self.format.codec().encode_wal_record(&entry);
+        let line = codec::encode_wal_entry(&entry);
         if self.tainted {
             // Seal off the previous failure's partial bytes as their own
             // (un-acked, torn) line before this record touches the file.
@@ -560,9 +550,9 @@ impl ReplayReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
     /// Checksummed text v2 line, verified.
-    TextV2,
+    VerifiedLine,
     /// Legacy text v1 line — parseable, no checksum.
-    TextV1,
+    LegacyLine,
     /// Binary v3 envelope, verified.
     Binary,
     /// Unverifiable bytes: corrupt, truncated, unterminated, or a
@@ -589,32 +579,22 @@ fn classify_text_record(raw: &[u8]) -> (Option<JournalEntry>, RecordKind) {
         return (None, RecordKind::Invalid);
     };
     match JournalEntry::check_line(line) {
-        LineCheck::Verified(e) => (Some(e), RecordKind::TextV2),
-        LineCheck::Legacy(e) => (Some(e), RecordKind::TextV1),
+        LineCheck::Verified(e) => (Some(e), RecordKind::VerifiedLine),
+        LineCheck::Legacy(e) => (Some(e), RecordKind::LegacyLine),
         LineCheck::Malformed | LineCheck::BadCrc => (None, RecordKind::Invalid),
     }
 }
 
-/// Where scanning restarts after a failed binary decode at `from - 1`:
-/// the next binary magic or the byte after the next newline, whichever
-/// comes first — the only two places a later record can begin.
-fn resync(bytes: &[u8], from: usize) -> usize {
-    let magic = (from..bytes.len()).find(|&i| bytes[i..].starts_with(&codec::BINARY_MAGIC));
-    let newline = bytes[from.min(bytes.len())..]
-        .iter()
-        .position(|&b| b == b'\n')
-        .map(|i| from + i + 1);
-    match (magic, newline) {
-        (Some(m), Some(n)) => m.min(n),
-        (Some(m), None) => m,
-        (None, Some(n)) => n,
-        (None, None) => bytes.len(),
-    }
+/// The first binary magic in `bytes[from..to]` — where an envelope may
+/// begin.
+fn next_magic(bytes: &[u8], from: usize, to: usize) -> Option<usize> {
+    (from..to).find(|&i| bytes[i..].starts_with(&codec::BINARY_MAGIC))
 }
 
 /// Splits one segment's bytes into records, sniffing each record's
 /// framing from its first bytes: a binary magic starts an envelope,
-/// anything else is a text line running to the next newline.
+/// anything else is a text line running to the next newline (or to the
+/// next binary magic, which ends it as an invalid chunk).
 ///
 /// Purely structural — no quarantining, no position-dependent torn-tail
 /// judgment; [`replay`] and `scrub` layer those on top. An unterminated
@@ -645,7 +625,11 @@ pub fn scan_segment(bytes: &[u8]) -> Vec<ScannedRecord<'_>> {
                     pos += env.consumed;
                 }
                 Err(_) => {
-                    let end = resync(bytes, pos + 1);
+                    // Only envelopes follow an envelope (a segment is
+                    // never appended in text after binary), so the
+                    // damage runs to the next magic whatever bytes it
+                    // holds, newlines included.
+                    let end = next_magic(bytes, pos + 1, bytes.len()).unwrap_or(bytes.len());
                     records.push(ScannedRecord {
                         raw: &bytes[pos..end],
                         entry: None,
@@ -655,23 +639,34 @@ pub fn scan_segment(bytes: &[u8]) -> Vec<ScannedRecord<'_>> {
                 }
             }
         } else {
-            match bytes[pos..].iter().position(|&b| b == b'\n') {
-                Some(rel) => {
-                    let raw = &bytes[pos..pos + rel];
-                    let (entry, kind) = classify_text_record(raw);
-                    records.push(ScannedRecord { raw, entry, kind });
-                    pos += rel + 1;
-                }
-                None => {
-                    // Unterminated final line: a write cut exactly at the
-                    // line boundary was never flushed-and-acked whole.
-                    records.push(ScannedRecord {
-                        raw: &bytes[pos..],
-                        entry: None,
-                        kind: RecordKind::Invalid,
-                    });
-                    pos = bytes.len();
-                }
+            let line_end = bytes[pos..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |rel| pos + rel);
+            // A binary magic inside the line means an envelope starts
+            // there; the bytes before it are debris (say, an envelope
+            // whose own magic rotted), never a text record.
+            if let Some(start) = next_magic(bytes, pos + 1, line_end) {
+                records.push(ScannedRecord {
+                    raw: &bytes[pos..start],
+                    entry: None,
+                    kind: RecordKind::Invalid,
+                });
+                pos = start;
+            } else if line_end < bytes.len() {
+                let raw = &bytes[pos..line_end];
+                let (entry, kind) = classify_text_record(raw);
+                records.push(ScannedRecord { raw, entry, kind });
+                pos = line_end + 1;
+            } else {
+                // Unterminated final line: a write cut exactly at the
+                // line boundary was never flushed-and-acked whole.
+                records.push(ScannedRecord {
+                    raw: &bytes[pos..],
+                    entry: None,
+                    kind: RecordKind::Invalid,
+                });
+                pos = bytes.len();
             }
         }
     }
@@ -838,6 +833,14 @@ mod tests {
         }
     }
 
+    /// Writes a v2 text segment holding `seqs`, as a pre-v3 server did.
+    fn write_v2_segment(dir: &Path, seqs: std::ops::RangeInclusive<u64>) -> PathBuf {
+        let entries: Vec<JournalEntry> = seqs.clone().map(entry).collect();
+        let path = segment_path(dir, *seqs.start());
+        fs::write(&path, codec::v2::wal_segment(&entries)).unwrap();
+        path
+    }
+
     #[test]
     fn entry_line_roundtrip_v2() {
         let e = JournalEntry {
@@ -927,42 +930,29 @@ mod tests {
         }
         assert_eq!(j.last_seq(), Some(5));
         assert_eq!(j.next_seq(), 6);
+        drop(j);
+        let (_, path) = &list_segments(&dir).unwrap()[0];
+        assert!(codec::is_binary(&fs::read(path).unwrap()), "v3 segment");
 
         let mut seen = Vec::new();
         let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
         assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(report.replayed, 5);
-        assert_eq!(report.skipped, 0);
+        assert_eq!((report.replayed, report.skipped), (5, 0));
         assert!(!report.corruption_seen());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn replay_skips_entries_covered_by_snapshot() {
-        let dir = temp_dir("skip");
-        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        for seq in 1..=10 {
-            j.append(entry(seq)).unwrap();
-        }
-        let mut seen = Vec::new();
-        let report = replay(&dir, 7, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![8, 9, 10]);
-        assert_eq!(report.skipped, 7);
-        assert_eq!(report.last_seq, Some(10));
+        // Entries a snapshot covers are skipped.
+        seen.clear();
+        let report = replay(&dir, 2, |e| seen.push(e.seq)).unwrap();
+        assert_eq!(seen, vec![3, 4, 5]);
+        assert_eq!(report.skipped, 2);
+        assert_eq!(report.last_seq, Some(5));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
         let dir = temp_dir("torn");
-        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        for seq in 1..=3 {
-            j.append(entry(seq)).unwrap();
-        }
-        drop(j);
+        let path = write_v2_segment(&dir, 1..=3);
         // Simulate a crash mid-append: a partial line with no newline.
-        let (first, path) = &list_segments(&dir).unwrap()[0];
-        assert_eq!(*first, 1);
         let mut f = OpenOptions::new().append(true).open(path).unwrap();
         write!(f, "F 4 8").unwrap();
         drop(f);
@@ -994,17 +984,12 @@ mod tests {
     #[test]
     fn mid_file_corruption_is_quarantined_and_replay_continues() {
         let dir = temp_dir("midfile");
-        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        for seq in 1..=5 {
-            j.append(entry(seq)).unwrap();
-        }
-        drop(j);
+        let path = write_v2_segment(&dir, 1..=5);
         // Rot record 3 in place: flip a payload bit.
-        let (_, path) = &list_segments(&dir).unwrap()[0];
-        let content = fs::read_to_string(path).unwrap();
+        let content = fs::read_to_string(&path).unwrap();
         let rotted = content.replacen("F 3", "F 7", 1);
         assert_ne!(content, rotted);
-        fs::write(path, rotted).unwrap();
+        fs::write(&path, rotted).unwrap();
 
         let mut seen = Vec::new();
         let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
@@ -1026,23 +1011,30 @@ mod tests {
     fn corruption_in_a_sealed_segment_is_mid_file_not_torn() {
         // A bad record at the end of a *sealed* segment is followed by
         // the next segment's valid records — bit rot, not a torn write.
-        let dir = temp_dir("sealedrot");
-        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        for seq in 1..=3 {
-            j.append(entry(seq)).unwrap();
-        }
-        j.rotate(4).unwrap();
-        j.append(entry(4)).unwrap();
-        drop(j);
-        let (_, sealed) = &list_segments(&dir).unwrap()[0];
-        crate::chaos::flip_bit(sealed, 2, 1).unwrap();
+        // Checked on a journal-written (v3) chain and a v2 text chain.
+        for v2 in [false, true] {
+            let dir = temp_dir("sealedrot");
+            if v2 {
+                write_v2_segment(&dir, 1..=3);
+                write_v2_segment(&dir, 4..=4);
+            } else {
+                let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
+                for seq in 1..=3 {
+                    j.append(entry(seq)).unwrap();
+                }
+                j.rotate(4).unwrap();
+                j.append(entry(4)).unwrap();
+            }
+            let (_, sealed) = &list_segments(&dir).unwrap()[0];
+            crate::chaos::flip_bit(sealed, 2, 1).unwrap();
 
-        let mut seen = Vec::new();
-        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![2, 3, 4]);
-        assert_eq!(report.quarantined, 1);
-        assert!(!report.torn_tail);
-        fs::remove_dir_all(&dir).unwrap();
+            let mut seen = Vec::new();
+            let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
+            assert_eq!(seen, vec![2, 3, 4], "v2={v2}");
+            assert_eq!(report.quarantined, 1, "v2={v2}");
+            assert!(!report.torn_tail, "v2={v2}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1176,27 +1168,31 @@ mod tests {
     }
 
     #[test]
-    fn append_after_short_write_seals_debris_behind_guard_newline() {
-        let dir = temp_dir("guard");
-        let plan = Arc::new(FaultPlan::new());
-        plan.fail_append(1, crate::chaos::FaultKind::ShortWrite(4));
-        let mut j = Journal::create_with_faults(&dir, 1, FsyncPolicy::Never, Some(plan)).unwrap();
-        j.append(entry(1)).unwrap();
-        assert!(j.append(entry(2)).is_err(), "short write must nack");
-        // The journal keeps accepting appends after the failure; the
-        // acked records on either side of the debris must both survive.
-        j.append(entry(3)).unwrap();
-        drop(j);
+    fn append_after_short_write_seals_debris() {
+        // Cut inside the envelope header and inside the body.
+        for cut in [4, 6] {
+            let dir = temp_dir("guard");
+            let plan = Arc::new(FaultPlan::new());
+            plan.fail_append(1, crate::chaos::FaultKind::ShortWrite(cut));
+            let mut j =
+                Journal::create_with_faults(&dir, 1, FsyncPolicy::Never, Some(plan)).unwrap();
+            j.append(entry(1)).unwrap();
+            assert!(j.append(entry(2)).is_err(), "short write must nack");
+            // The journal keeps accepting appends after the failure; the
+            // acked records on either side of the debris must both survive.
+            j.append(entry(3)).unwrap();
+            drop(j);
 
-        let mut seen = Vec::new();
-        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![1, 3], "acked records never merge into debris");
-        assert_eq!(
-            report.quarantined, 1,
-            "the sealed partial record is explicit, not silent"
-        );
-        assert!(!report.torn_tail, "the tail itself ends clean");
-        fs::remove_dir_all(&dir).unwrap();
+            let mut seen = Vec::new();
+            let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
+            assert_eq!(seen, vec![1, 3], "acked records never merge into debris");
+            assert_eq!(
+                report.quarantined, 1,
+                "the sealed partial record is explicit, not silent"
+            );
+            assert!(!report.torn_tail, "the tail itself ends clean");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1279,16 +1275,11 @@ mod tests {
     #[test]
     fn read_entries_after_never_ships_corrupt_or_torn_lines() {
         let dir = temp_dir("readclean");
-        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        for seq in 1..=3 {
-            j.append(entry(seq)).unwrap();
-        }
-        drop(j);
-        let (_, path) = &list_segments(&dir).unwrap()[0];
+        let path = write_v2_segment(&dir, 1..=3);
         // Rot record 2, then leave a torn (unterminated) record 4.
-        let content = fs::read_to_string(path).unwrap();
-        fs::write(path, content.replacen("F 2", "F 9", 1)).unwrap();
-        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        let content = fs::read_to_string(&path).unwrap();
+        fs::write(&path, content.replacen("F 2", "F 9", 1)).unwrap();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         write!(f, "F 4 8").unwrap();
         drop(f);
 
@@ -1299,50 +1290,13 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn binary_journal(dir: &Path, next_seq: u64) -> Journal {
-        Journal::create_with_format(
-            dir,
-            next_seq,
-            FsyncPolicy::Never,
-            WireFormat::BinaryV3,
-            None,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn binary_append_then_replay() {
-        let dir = temp_dir("bin-append");
-        let mut j = binary_journal(&dir, 1);
-        assert_eq!(j.format(), WireFormat::BinaryV3);
-        for seq in 1..=5 {
-            j.append(entry(seq)).unwrap();
-        }
-        drop(j);
-        let (_, path) = &list_segments(&dir).unwrap()[0];
-        let bytes = fs::read(path).unwrap();
-        assert!(codec::is_binary(&bytes), "segment must open with the magic");
-
-        let mut seen = Vec::new();
-        let report = replay(&dir, 2, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![3, 4, 5]);
-        assert_eq!(report.skipped, 2);
-        assert_eq!(report.last_seq, Some(5));
-        assert!(!report.corruption_seen());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn mixed_format_directory_replays_in_order() {
-        // A v2 deployment restarted with --format v3: the old text
-        // segment and the new binary segment replay through one scanner.
+        // A v2 deployment restarted on a v3 binary: the old text segment
+        // and the new binary segment replay through one scanner.
         let dir = temp_dir("bin-mixed");
-        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        for seq in 1..=3 {
-            j.append(entry(seq)).unwrap();
-        }
-        drop(j);
-        let mut j = binary_journal(&dir, 4);
+        write_v2_segment(&dir, 1..=3);
+        let mut j = Journal::create(&dir, 4, FsyncPolicy::Never).unwrap();
         for seq in 4..=6 {
             j.append(entry(seq)).unwrap();
         }
@@ -1366,7 +1320,7 @@ mod tests {
     #[test]
     fn binary_torn_tail_is_dropped_not_fatal() {
         let dir = temp_dir("bin-torn");
-        let mut j = binary_journal(&dir, 1);
+        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
         for seq in 1..=3 {
             j.append(entry(seq)).unwrap();
         }
@@ -1387,7 +1341,7 @@ mod tests {
     #[test]
     fn binary_mid_file_corruption_is_quarantined_and_replay_continues() {
         let dir = temp_dir("bin-midfile");
-        let mut j = binary_journal(&dir, 1);
+        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
         for seq in 1..=5 {
             j.append(entry(seq)).unwrap();
         }
@@ -1408,35 +1362,9 @@ mod tests {
     }
 
     #[test]
-    fn binary_append_after_short_write_seals_debris() {
-        let dir = temp_dir("bin-guard");
-        let plan = Arc::new(FaultPlan::new());
-        plan.fail_append(1, crate::chaos::FaultKind::ShortWrite(6));
-        let mut j = Journal::create_with_format(
-            &dir,
-            1,
-            FsyncPolicy::Never,
-            WireFormat::BinaryV3,
-            Some(plan),
-        )
-        .unwrap();
-        j.append(entry(1)).unwrap();
-        assert!(j.append(entry(2)).is_err(), "short write must nack");
-        j.append(entry(3)).unwrap();
-        drop(j);
-
-        let mut seen = Vec::new();
-        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![1, 3], "acked records never merge into debris");
-        assert_eq!(report.quarantined, 1);
-        assert!(!report.torn_tail);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn binary_read_entries_after_never_ships_corrupt_records() {
         let dir = temp_dir("bin-readclean");
-        let mut j = binary_journal(&dir, 1);
+        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
         for seq in 1..=4 {
             j.append(entry(seq)).unwrap();
         }
@@ -1465,14 +1393,47 @@ mod tests {
         assert_eq!(
             records.iter().map(|r| r.kind).collect::<Vec<_>>(),
             vec![
-                RecordKind::TextV2,
-                RecordKind::TextV1,
+                RecordKind::VerifiedLine,
+                RecordKind::LegacyLine,
                 RecordKind::Binary,
                 RecordKind::Invalid
             ]
         );
         assert_eq!(records[2].entry, Some(entry(2)));
         assert_eq!(records[3].raw, b"not a record");
+    }
+
+    #[test]
+    fn scan_segment_resyncs_past_an_envelope_with_a_rotted_magic() {
+        let mut bytes = codec::encode_wal_entry(&entry(1));
+        bytes[1] ^= 0x04;
+        bytes.extend_from_slice(&codec::encode_wal_entry(&entry(2)));
+        let records = scan_segment(&bytes);
+        assert_eq!(
+            records.iter().map(|r| r.kind).collect::<Vec<_>>(),
+            vec![RecordKind::Invalid, RecordKind::Binary]
+        );
+        assert_eq!(records[1].entry, Some(entry(2)));
+    }
+
+    #[test]
+    fn a_damaged_envelope_is_one_chunk_even_across_newline_bytes() {
+        // u = 10 puts a 0x0a byte inside the body.
+        let rotten = JournalEntry {
+            seq: 1,
+            u: VertexId(10),
+            v: VertexId(11),
+        };
+        let mut bytes = codec::encode_wal_entry(&rotten);
+        assert!(bytes.contains(&b'\n'));
+        let crc_at = bytes.len() - 1;
+        bytes[crc_at] ^= 0x01;
+        bytes.extend_from_slice(&codec::encode_wal_entry(&entry(2)));
+        let records = scan_segment(&bytes);
+        assert_eq!(
+            records.iter().map(|r| r.kind).collect::<Vec<_>>(),
+            vec![RecordKind::Invalid, RecordKind::Binary]
+        );
     }
 
     #[test]

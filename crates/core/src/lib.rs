@@ -66,13 +66,13 @@
 //! * [`compressed`] — frozen b-bit replicas for serving/shipping
 //!   (Li–König b-bit minwise hashing).
 //! * [`parallel`] — sharded multi-threaded ingestion.
-//! * [`codec`] — the storage/wire format layer: a [`codec::Codec`]
-//!   trait with the readable text v2 formats and the checksummed binary
-//!   v3 envelope (LEB128 varints, delta-encoded slot columns); every
-//!   read path sniffs the format, so mixed directories stay readable.
-//! * [`snapshot`] — serde snapshots for persistence: atomic
-//!   (temp-file–fsync–rename) writes under a versioned, checksummed
-//!   header, with transparent v1 read-compat.
+//! * [`codec`] — the storage/wire format: the checksummed binary v3
+//!   envelope (LEB128 varints, delta-encoded slot columns), the only
+//!   format written; every read path sniffs, so directories left by the
+//!   older text formats stay readable.
+//! * [`snapshot`] — store snapshots for persistence: atomic
+//!   (temp-file–fsync–rename) writes of checksummed v3 files, with
+//!   transparent v1/v2 read-compat.
 //! * [`journal`] — append-only edge WAL with per-record CRC-32 framing:
 //!   acked edges survive crashes, and corruption is detected, not
 //!   replayed.
@@ -141,7 +141,7 @@ pub use audit::{AccuracyAuditor, AuditConfig, AuditSnapshot};
 pub use biased::BiasedStore;
 pub use bottomk::BottomKStore;
 pub use chaos::{DeliveryFault, DeliveryPlan, FaultKind, FaultPlan};
-pub use codec::{BinaryV3, Codec, CodecError, TextV2, WireFormat};
+pub use codec::{CodecError, WireFormat};
 pub use compressed::CompressedStore;
 pub use concurrent::ConcurrentSketchStore;
 pub use config::{HasherBackend, SketchConfig};

@@ -1,12 +1,11 @@
-//! Serde snapshots of a sketch store.
+//! Snapshots of a sketch store.
 //!
-//! A [`StoreSnapshot`] is a plain-data, format-agnostic image of a
-//! [`SketchStore`]: persist it with any serde format (the CLI uses JSON),
-//! ship it across processes, or archive per-epoch states of a long-running
-//! stream. Restoring rebuilds the hasher bank from the embedded config, so
-//! a restored store continues ingesting the stream exactly where the
-//! original left off. [`RobustSnapshot`] does the same for
-//! [`RobustStore`], persisting its HyperLogLog degree sketches.
+//! A [`StoreSnapshot`] is a plain-data image of a [`SketchStore`]:
+//! persist it, ship it across processes, or archive per-epoch states of
+//! a long-running stream. Restoring rebuilds the hasher bank from the
+//! embedded config, so a restored store continues ingesting the stream
+//! exactly where the original left off. [`RobustSnapshot`] does the same
+//! for [`RobustStore`], persisting its HyperLogLog degree sketches.
 //!
 //! ## Crash-safe writes
 //!
@@ -16,23 +15,25 @@
 //! crash mid-write leaves at most a stale `.tmp` file, which the next
 //! successful write replaces.
 //!
-//! ## Verifiable files (format v2)
+//! ## Verifiable files
 //!
 //! Atomic rename proves a snapshot was written *whole*; it proves nothing
-//! about the bytes staying intact afterwards. Snapshots therefore carry a
-//! versioned header with a whole-file digest:
+//! about the bytes staying intact afterwards. Every file is therefore
+//! written as a checksummed binary v3 envelope ([`crate::codec`]), so
+//! truncation and bit rot are detected before anything is decoded.
+//!
+//! Reads also accept the two retired text formats, so old data
+//! directories load unmodified. v2 carries a versioned header with a
+//! whole-payload digest:
 //!
 //! ```text
 //! STREAMLINK-SNAP v2 len=<payload bytes> crc32=<lower-hex-8>\n
 //! <JSON payload>
 //! ```
 //!
-//! The CRC-32 ([`hashkit::crc32()`]) covers the payload; `len` pins its
-//! exact size, so truncation and bit rot are both detected on read —
-//! before the JSON parser ever sees the bytes. Reads fall back
-//! transparently to v1 (bare JSON, no header): old data directories load
-//! unmodified, they just cannot be *verified* (see
-//! [`SnapshotIntegrity::Legacy`]).
+//! The CRC-32 ([`hashkit::crc32()`]) covers the payload and `len` pins
+//! its exact size. v1 is bare JSON with no header: it loads, but cannot
+//! be *verified* (see [`SnapshotIntegrity::Legacy`]).
 
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -43,7 +44,7 @@ use serde::{Deserialize, Serialize};
 
 use graphstream::VertexId;
 
-use crate::codec::{self, Codec};
+use crate::codec;
 use crate::config::SketchConfig;
 use crate::hll::HyperLogLog;
 use crate::robust::RobustStore;
@@ -56,40 +57,21 @@ pub const SNAPSHOT_MAGIC: &str = "STREAMLINK-SNAP";
 /// What the framing check proved about a snapshot file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotIntegrity {
-    /// v2 framing: length and whole-file CRC both verified.
+    /// v3 envelope CRC, or v2 length and payload CRC, verified.
     Verified,
     /// Legacy v1 file — parseable bare JSON, but carrying no digest, so
     /// integrity cannot be proven.
     Legacy,
 }
 
-/// Renders the framed v2 file contents for `json`.
-pub(crate) fn frame_v2(json: &str) -> String {
-    format!(
-        "{SNAPSHOT_MAGIC} v2 len={} crc32={:08x}\n{json}",
-        json.len(),
-        crc32(json.as_bytes())
-    )
-}
-
-/// Reads a snapshot file and verifies its framing, returning the JSON
-/// payload and what the check proved. Does not interpret the payload —
-/// `scrub` uses this to verify files it never deserializes.
+/// Verifies v2/v1 text framing, returning the JSON payload and what the
+/// check proved.
 ///
 /// # Errors
-/// * [`io::ErrorKind::NotFound`] — no file.
-/// * [`io::ErrorKind::InvalidData`] — malformed header, length mismatch
-///   (truncation or trailing garbage), or CRC mismatch (bit rot). The
-///   message says which.
-pub fn read_verified(path: &Path) -> io::Result<(String, SnapshotIntegrity)> {
-    let bytes = fs::read(path)?;
-    verify_text(&bytes).map_err(|e| rewrap(e, path))
-}
-
-/// Verifies v2/v1 text framing over in-memory bytes, returning the JSON
-/// payload and what the check proved. The text half of the codec layer;
-/// [`read_verified`] wraps it with path context.
-pub(crate) fn verify_text(bytes: &[u8]) -> io::Result<(String, SnapshotIntegrity)> {
+/// [`io::ErrorKind::InvalidData`] for a malformed header, a length
+/// mismatch (truncation or trailing garbage), or a CRC mismatch (bit
+/// rot). The message says which.
+fn verify_text(bytes: &[u8]) -> io::Result<(String, SnapshotIntegrity)> {
     let invalid = |detail: &str| io::Error::new(io::ErrorKind::InvalidData, detail.to_string());
     let content = std::str::from_utf8(bytes).map_err(|_| invalid("unreadable or not UTF-8"))?;
     let Some(rest) = content.strip_prefix(SNAPSHOT_MAGIC) else {
@@ -231,27 +213,29 @@ impl StoreSnapshot {
         store
     }
 
-    /// Persists the snapshot at `path` in the v2 text format using the
+    /// Persists the snapshot at `path` as a binary v3 file using the
     /// atomic temp-file–fsync–rename protocol.
     ///
     /// # Errors
-    /// Fails on IO errors; the previous snapshot at `path` (if any) is
-    /// untouched on failure.
+    /// Fails on IO errors, or with [`io::ErrorKind::InvalidData`] when
+    /// the store is past the codec's part limit
+    /// ([`codec::MAX_PARTS`]); the previous snapshot at `path` (if any)
+    /// is untouched on failure.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        self.write_atomic_as(path, codec::WireFormat::TextV2)
+        write_atomic_bytes(path, &codec::encode_store_snapshot(self)?)
     }
 
-    /// Persists the snapshot at `path` atomically in the given format.
+    /// [`Self::write_atomic`] under the signature the `perfbench`
+    /// harness calls; `WireFormat` has a single value.
     ///
     /// # Errors
-    /// Fails on IO errors; the previous snapshot at `path` (if any) is
-    /// untouched on failure.
-    pub fn write_atomic_as(&self, path: &Path, format: codec::WireFormat) -> io::Result<()> {
-        write_atomic_bytes(path, &format.codec().encode_store_snapshot(self)?)
+    /// As [`Self::write_atomic`].
+    pub fn write_atomic_as(&self, path: &Path, _format: codec::WireFormat) -> io::Result<()> {
+        self.write_atomic(path)
     }
 
-    /// Loads a snapshot previously written with [`Self::write_atomic`]
-    /// or [`Self::write_atomic_as`], sniffing the format from the bytes.
+    /// Loads a snapshot file in any format this crate ever wrote (v3
+    /// binary, v2 framed text, v1 bare JSON), sniffing it from the bytes.
     ///
     /// # Errors
     /// Fails if the file is missing ([`io::ErrorKind::NotFound`]) or does
@@ -267,15 +251,24 @@ impl StoreSnapshot {
     /// # Errors
     /// Fails if the file is missing or does not verify.
     pub fn read_with_integrity(path: &Path) -> io::Result<(Self, SnapshotIntegrity)> {
-        let bytes = fs::read(path)?;
-        if codec::is_binary(&bytes) {
-            let snap = codec::BinaryV3
-                .decode_store_snapshot(&bytes)
-                .map_err(|e| rewrap(e, path))?;
-            return Ok((snap, SnapshotIntegrity::Verified));
+        Self::decode(&fs::read(path)?).map_err(|e| rewrap(e, path))
+    }
+
+    /// Decodes snapshot file contents, sniffing the format as
+    /// [`Self::read_with_integrity`] does.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidData`] when the bytes do not verify.
+    pub(crate) fn decode(bytes: &[u8]) -> io::Result<(Self, SnapshotIntegrity)> {
+        if codec::is_binary(bytes) {
+            return Ok((
+                codec::decode_store_snapshot(bytes)?,
+                SnapshotIntegrity::Verified,
+            ));
         }
-        let (payload, integrity) = verify_text(&bytes).map_err(|e| rewrap(e, path))?;
-        let snap = serde_json::from_str(&payload).map_err(|e| corrupt(path, &e.to_string()))?;
+        let (payload, integrity) = verify_text(bytes)?;
+        let snap = serde_json::from_str(&payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         Ok((snap, integrity))
     }
 }
@@ -349,36 +342,25 @@ impl RobustSnapshot {
         store
     }
 
-    /// Persists the snapshot at `path` atomically in the v2 text format
+    /// Persists the snapshot at `path` atomically as a binary v3 file
     /// (see [`StoreSnapshot::write_atomic`]).
     ///
     /// # Errors
     /// Fails on IO errors; the previous snapshot at `path` (if any) is
     /// untouched on failure.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        self.write_atomic_as(path, codec::WireFormat::TextV2)
+        write_atomic_bytes(path, &codec::encode_robust_snapshot(self)?)
     }
 
-    /// Persists the snapshot at `path` atomically in the given format.
-    ///
-    /// # Errors
-    /// Fails on IO errors; the previous snapshot at `path` (if any) is
-    /// untouched on failure.
-    pub fn write_atomic_as(&self, path: &Path, format: codec::WireFormat) -> io::Result<()> {
-        write_atomic_bytes(path, &format.codec().encode_robust_snapshot(self)?)
-    }
-
-    /// Loads a snapshot previously written with [`Self::write_atomic`]
-    /// or [`Self::write_atomic_as`], sniffing the format from the bytes.
+    /// Loads a snapshot file in any format this crate ever wrote,
+    /// sniffing it from the bytes.
     ///
     /// # Errors
     /// Fails if the file is missing or does not verify.
     pub fn read_from(path: &Path) -> io::Result<Self> {
         let bytes = fs::read(path)?;
         if codec::is_binary(&bytes) {
-            return codec::BinaryV3
-                .decode_robust_snapshot(&bytes)
-                .map_err(|e| rewrap(e, path));
+            return codec::decode_robust_snapshot(&bytes).map_err(|e| rewrap(e.into(), path));
         }
         let (payload, _) = verify_text(&bytes).map_err(|e| rewrap(e, path))?;
         serde_json::from_str(&payload).map_err(|e| corrupt(path, &e.to_string()))
@@ -445,8 +427,8 @@ mod tests {
     #[test]
     fn snapshot_is_deterministically_ordered() {
         let s = populated();
-        let a = serde_json::to_string(&StoreSnapshot::capture(&s)).unwrap();
-        let b = serde_json::to_string(&StoreSnapshot::capture(&s)).unwrap();
+        let a = codec::encode_store_snapshot(&StoreSnapshot::capture(&s)).unwrap();
+        let b = codec::encode_store_snapshot(&StoreSnapshot::capture(&s)).unwrap();
         assert_eq!(
             a, b,
             "snapshots of the same store must serialize identically"
@@ -477,18 +459,6 @@ mod tests {
             "streamlink-snap-{}-{tag}-{n}.json",
             std::process::id()
         ))
-    }
-
-    #[test]
-    fn atomic_write_read_roundtrip() {
-        let path = temp_path("roundtrip");
-        let snap = StoreSnapshot::capture(&populated());
-        snap.write_atomic(&path).unwrap();
-        let back = StoreSnapshot::read_from(&path).unwrap();
-        assert_eq!(snap, back);
-        // No temp file left behind.
-        assert!(!path.with_extension("json.tmp").exists());
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -530,17 +500,45 @@ mod tests {
         fs::remove_file(&corrupt).unwrap();
     }
 
+    /// Writes the v2 text fixture of the populated store at `path`.
+    fn write_v2(path: &Path) {
+        let snap = StoreSnapshot::capture(&populated());
+        fs::write(path, codec::v2::store_snapshot(&snap)).unwrap();
+    }
+
+    #[test]
+    fn writes_are_binary_v3() {
+        let path = temp_path("v3");
+        let snap = StoreSnapshot::capture(&populated());
+        snap.write_atomic(&path).unwrap();
+        assert!(codec::is_binary(&fs::read(&path).unwrap()));
+        assert!(
+            !path.with_extension("json.tmp").exists(),
+            "no temp file left"
+        );
+        let (back, integrity) = StoreSnapshot::read_with_integrity(&path).unwrap();
+        assert_eq!(back, snap);
+        assert_eq!(integrity, SnapshotIntegrity::Verified);
+        // A flipped payload bit fails the envelope CRC.
+        crate::chaos::flip_bit(&path, 40, 0).unwrap();
+        let err = StoreSnapshot::read_from(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("CRC mismatch"), "{err}");
+        fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn v2_file_carries_verifiable_header() {
         let path = temp_path("v2header");
-        StoreSnapshot::capture(&populated())
-            .write_atomic(&path)
-            .unwrap();
+        write_v2(&path);
         let content = fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("STREAMLINK-SNAP v2 len="), "{content}");
-        let (payload, integrity) = read_verified(&path).unwrap();
+        let (payload, integrity) = verify_text(content.as_bytes()).unwrap();
         assert_eq!(integrity, SnapshotIntegrity::Verified);
         assert!(payload.starts_with('{'), "payload is the bare JSON");
+        let (snap, integrity) = StoreSnapshot::read_with_integrity(&path).unwrap();
+        assert_eq!(integrity, SnapshotIntegrity::Verified);
+        assert_eq!(snap, StoreSnapshot::capture(&populated()));
         fs::remove_file(&path).unwrap();
     }
 
@@ -549,19 +547,17 @@ mod tests {
         // A pre-framing data dir: bare JSON, no header.
         let path = temp_path("v1compat");
         let snap = StoreSnapshot::capture(&populated());
-        fs::write(&path, serde_json::to_string(&snap).unwrap()).unwrap();
-        let (_, integrity) = read_verified(&path).unwrap();
+        fs::write(&path, codec::v2::legacy_store_snapshot(&snap)).unwrap();
+        let (back, integrity) = StoreSnapshot::read_with_integrity(&path).unwrap();
         assert_eq!(integrity, SnapshotIntegrity::Legacy);
-        assert_eq!(StoreSnapshot::read_from(&path).unwrap(), snap);
+        assert_eq!(back, snap);
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn payload_bit_flip_is_detected_before_parsing() {
         let path = temp_path("bitflip");
-        StoreSnapshot::capture(&populated())
-            .write_atomic(&path)
-            .unwrap();
+        write_v2(&path);
         let header_len = fs::read_to_string(&path).unwrap().find('\n').unwrap() as u64 + 1;
         // Flip a low bit of a payload digit: likely still valid JSON —
         // only the CRC can catch it.
@@ -575,9 +571,7 @@ mod tests {
     #[test]
     fn truncation_is_detected_by_length_check() {
         let path = temp_path("truncate");
-        StoreSnapshot::capture(&populated())
-            .write_atomic(&path)
-            .unwrap();
+        write_v2(&path);
         crate::chaos::tear_file(&path, 17).unwrap();
         let err = StoreSnapshot::read_from(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -588,9 +582,7 @@ mod tests {
     #[test]
     fn garbage_appended_after_payload_is_detected() {
         let path = temp_path("trailing");
-        StoreSnapshot::capture(&populated())
-            .write_atomic(&path)
-            .unwrap();
+        write_v2(&path);
         crate::chaos::append_garbage(&path, b"   {}").unwrap();
         let err = StoreSnapshot::read_from(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -607,7 +599,7 @@ mod tests {
             "STREAMLINK-SNAP v2 len=2 crc32=00000000", // no payload line
         ] {
             fs::write(&path, bad).unwrap();
-            let err = read_verified(&path).unwrap_err();
+            let err = StoreSnapshot::read_from(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
         }
         fs::remove_file(&path).unwrap();
@@ -678,6 +670,9 @@ mod tests {
 
         let path = temp_path("robust");
         snap.write_atomic(&path).unwrap();
+        assert!(codec::is_binary(&fs::read(&path).unwrap()));
+        assert_eq!(RobustSnapshot::read_from(&path).unwrap(), snap);
+        fs::write(&path, codec::v2::robust_snapshot(&snap)).unwrap();
         assert_eq!(RobustSnapshot::read_from(&path).unwrap(), snap);
         fs::remove_file(&path).unwrap();
     }

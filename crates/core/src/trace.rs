@@ -225,27 +225,39 @@ fn ring() -> &'static Ring {
 }
 
 impl Ring {
-    /// Claims the next sequence number and stores the record.
+    /// Claims the next sequence number and stores the record, unless a
+    /// writer that claimed a later lap of the same slot stored first (a
+    /// writer descheduled between claim and store must not clobber a
+    /// newer record).
     fn push(&self, mut record: SpanRecord) -> u64 {
         let n = self.next.fetch_add(1, Ordering::Relaxed);
         let seq = n + 1;
         record.seq = seq;
         let slot = &self.slots[(n as usize) % self.slots.len()];
-        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(record);
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.as_ref().is_none_or(|old| old.seq < seq) {
+            *slot = Some(record);
+        }
         seq
     }
 
+    /// The newest `n` records, newest first. Position `i` back from the
+    /// claimed end may only yield the record carrying exactly that seq:
+    /// while a writer is mid-push its slot still holds the previous
+    /// lap's record, and a writer racing ahead may already have replaced
+    /// it with the next lap's. Either is skipped, so a scrape concurrent
+    /// with wrapping writers returns strictly descending seqs.
     fn recent(&self, n: usize) -> Vec<SpanRecord> {
         let end = self.next.load(Ordering::Relaxed);
         let have = (end as usize).min(self.slots.len());
         let want = n.min(have);
         let mut out = Vec::with_capacity(want);
-        for i in 0..want {
-            let idx = ((end - 1 - i as u64) as usize) % self.slots.len();
+        for seq in (end + 1 - want as u64..=end).rev() {
+            let idx = ((seq - 1) as usize) % self.slots.len();
             let guard = self.slots[idx]
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            if let Some(rec) = guard.as_ref() {
+            if let Some(rec) = guard.as_ref().filter(|rec| rec.seq == seq) {
                 out.push(rec.clone());
             }
         }
@@ -257,6 +269,43 @@ impl Ring {
             *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
         self.next.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Unit tests across this crate record spans into the one global ring
+/// (every store insert is a sampling candidate, merges and checkpoints
+/// open ops). A trace test that asserts exact ring contents takes the
+/// ring exclusively; span pushes from every thread outside that test
+/// wait at [`admit`] until it finishes.
+#[cfg(test)]
+mod ring_gate {
+    use std::cell::Cell;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static GATE: RwLock<()> = RwLock::new(());
+
+    thread_local! {
+        static OWNER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Takes the ring for the calling test thread.
+    pub(super) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        let guard = GATE.write().unwrap_or_else(PoisonError::into_inner);
+        join();
+        guard
+    }
+
+    /// Marks a thread spawned by the test holding the ring as its own.
+    pub(super) fn join() {
+        OWNER.with(|owner| owner.set(true));
+    }
+
+    /// Waits while another test holds the ring.
+    pub(super) fn admit() -> Option<RwLockReadGuard<'static, ()>> {
+        if OWNER.with(Cell::get) {
+            return None;
+        }
+        Some(GATE.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -467,6 +516,8 @@ pub fn record_sampled(name: &'static str, start: Instant) {
 }
 
 fn finish(record: SpanRecord) {
+    #[cfg(test)]
+    let _admitted = ring_gate::admit();
     let threshold = slow_op_threshold_ns();
     let slow = threshold > 0 && record.dur_ns >= threshold;
     let slow_copy = slow.then(|| record.clone());
@@ -828,10 +879,10 @@ pub fn rotated_path(path: &Path) -> PathBuf {
 mod tests {
     use super::*;
 
-    /// Serializes trace tests: they share the global ring.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Serializes trace tests on the global ring, and holds off spans
+    /// from every other test while one runs.
+    fn lock() -> std::sync::RwLockWriteGuard<'static, ()> {
+        super::ring_gate::exclusive()
     }
 
     #[test]
@@ -1021,6 +1072,7 @@ mod tests {
         let writers: Vec<_> = (0..WRITERS)
             .map(|_| {
                 std::thread::spawn(|| {
+                    super::ring_gate::join();
                     for _ in 0..PER_WRITER {
                         record_sampled("store.insert", Instant::now());
                     }
