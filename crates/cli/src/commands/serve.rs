@@ -42,12 +42,13 @@
 //! --audit-secs S              accuracy-audit cycle interval; 0
 //!                             disables the auditor               (30)
 //! --audit-pairs K             vertex pairs scored per cycle      (64)
-//! --replicate-from HOST:PORT  run as a read replica of that primary
-//!                             (mutually exclusive with --snapshot);
-//!                             writes answer `ERR readonly MOVED`.
-//!                             With --data-dir the replica journals
-//!                             what it applies and resumes from its
-//!                             own disk after a restart
+//! --replicate-from HOST:PORT  run as a read replica of that primary:
+//!                             a non-voting cluster learner (mutually
+//!                             exclusive with --snapshot); writes
+//!                             answer `ERR readonly MOVED`. With
+//!                             --data-dir the replica journals what it
+//!                             applies and resumes from its own disk
+//!                             after a restart
 //! --repl-id NAME              replica id shown in the primary's lag
 //!                             gauges              (replica-<pid>)
 //! --peers A,B                 cluster mode: the other members'
@@ -214,145 +215,74 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         .get("repl-id")
         .map_or_else(|| format!("replica-{}", std::process::id()), str::to_string);
 
-    let state = if let Some(peers_raw) = flags.get("peers") {
-        if flags.get("replicate-from").is_some() {
+    // Every replica runs on the cluster runtime; which flag was given
+    // decides whether it votes.
+    let membership = match (flags.get("peers"), flags.get("replicate-from")) {
+        (Some(_), Some(_)) => {
             return Err(
                 "--peers (cluster mode) is mutually exclusive with --replicate-from \
                  (cluster nodes discover the primary through the lease protocol)"
                     .into(),
-            );
+            )
         }
+        (Some(peers_raw), None) => Some(voter(&flags, peers_raw, &addr, config.repl_buffer)?),
+        (None, Some(primary)) => Some((
+            repl_id,
+            server::failover::Membership::Learner {
+                primary: primary.to_string(),
+            },
+        )),
+        (None, None) => None,
+    };
+    let state = if let Some((advertise, membership)) = membership {
         if flags.get("snapshot").is_some() {
             return Err(
-                "--peers is mutually exclusive with --snapshot (cluster state is \
-                 replicated; use --data-dir for durability)"
+                "--peers and --replicate-from are mutually exclusive with --snapshot \
+                 (a replica's state is the primary's, pulled over the wire; use \
+                 --data-dir for durability)"
                     .into(),
             );
         }
-        if config.repl_buffer == 0 {
-            return Err("cluster mode needs a ship ring; raise --repl-buffer above 0".into());
-        }
-        let peers: Vec<String> = peers_raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect();
-        if peers.is_empty() {
-            return Err("--peers needs at least one peer address".into());
-        }
-        let lease_ms = flags.get_parsed_or("lease-ms", 1_000u64)?;
-        if lease_ms < 50 {
-            return Err("--lease-ms must be at least 50".into());
-        }
-        let advertise = match flags.get("advertise") {
-            Some(a) => a.to_string(),
-            // Peers dial the advertised address; an OS-assigned port is
-            // unknown to them, so it must be stated explicitly.
-            None if addr.ends_with(":0") => {
-                return Err("cluster mode with an ephemeral --addr port needs --advertise".into())
-            }
-            None => addr.clone(),
-        };
-        if peers.contains(&advertise) {
-            return Err(format!(
-                "--peers must list the *other* members; {advertise} is this node"
-            ));
-        }
-        let cluster_config = server::failover::ClusterConfig {
-            advertise: advertise.clone(),
-            peers: peers.clone(),
-            lease: Duration::from_millis(lease_ms),
-            bootstrap_primary: flags.get_parsed_or("primary", false)?,
-        };
         let runtime = Arc::new(server::replication::ReplicaRuntime::new(
-            peers[0].clone(),
-            advertise,
+            advertise.clone(),
             repl_lag_slo,
             repl_tuning,
         ));
-        match flags.get("data-dir") {
+        let cluster_config = server::failover::ClusterConfig {
+            advertise,
+            membership,
+        };
+        let data_dir = flags.get("data-dir").map(Path::new);
+        // A durable replica journals what it applies and resumes from
+        // its own disk seq after a restart. A fresh store's shape is
+        // provisional: the handshake adopts the primary's
+        // slots/seed/backend while the store is empty.
+        let (store, persist, snapshot_seq, local_seq) = match data_dir {
             Some(dir) => {
                 let (persist, recovery) =
-                    persistence::open_with_faults(Path::new(dir), sketch_config, fsync, None)
-                        .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
+                    persistence::open_with_faults(dir, sketch_config, fsync, None)
+                        .map_err(|e| format!("cannot open data dir {}: {e}", dir.display()))?;
                 let local_seq = recovery.next_seq().saturating_sub(1);
-                runtime.seed_applied(local_seq);
                 eprintln!(
-                    "cluster node recovered {} edges from {dir} (local WAL seq {local_seq})",
+                    "replica recovered {} edges from {} (local WAL seq {local_seq})",
                     recovery.store.edges_processed(),
+                    dir.display(),
                 );
-                let cluster = Arc::new(
-                    server::failover::ClusterRuntime::new(
-                        &cluster_config,
-                        Some(Path::new(dir)),
-                        local_seq,
-                    )
-                    .map_err(|e| format!("cannot persist cluster state in {dir}: {e}"))?,
-                );
-                ServerState::with_cluster(
+                (
                     recovery.store,
                     Some(persist),
                     recovery.snapshot_seq,
-                    config,
-                    runtime,
-                    cluster,
+                    local_seq,
                 )
             }
-            None => {
-                let cluster = Arc::new(
-                    server::failover::ClusterRuntime::new(&cluster_config, None, 0)
-                        .map_err(|e| format!("cannot initialise cluster state: {e}"))?,
-                );
-                ServerState::with_cluster(
-                    SketchStore::new(sketch_config),
-                    None,
-                    0,
-                    config,
-                    runtime,
-                    cluster,
-                )
-            }
-        }
-    } else if let Some(primary) = flags.get("replicate-from") {
-        if flags.get("snapshot").is_some() {
-            return Err("--replicate-from is mutually exclusive with --snapshot \
-                 (a replica's state is the primary's, pulled over the wire)"
-                .into());
-        }
-        let runtime = Arc::new(server::replication::ReplicaRuntime::new(
-            primary.to_string(),
-            repl_id,
-            repl_lag_slo,
-            repl_tuning,
-        ));
-        match flags.get("data-dir") {
-            // A durable replica journals what it applies and resumes
-            // from its own disk seq after a restart instead of
-            // re-pulling the world from the primary.
-            Some(dir) => {
-                let (persist, recovery) =
-                    persistence::open_with_faults(Path::new(dir), sketch_config, fsync, None)
-                        .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
-                let local_seq = recovery.next_seq().saturating_sub(1);
-                runtime.seed_applied(local_seq);
-                eprintln!(
-                    "replica recovered {} edges from {dir}, resuming pulls after seq {local_seq}",
-                    recovery.store.edges_processed(),
-                );
-                ServerState::durable_replica(
-                    recovery.store,
-                    persist,
-                    recovery.snapshot_seq,
-                    config,
-                    runtime,
-                )
-            }
-            // The fresh store's shape is provisional: the handshake
-            // adopts the primary's slots/seed/backend while the store
-            // is empty.
-            None => ServerState::replica(SketchStore::new(sketch_config), config, runtime),
-        }
+            None => (SketchStore::new(sketch_config), None, 0, 0),
+        };
+        runtime.seed_applied(local_seq);
+        let cluster = Arc::new(
+            server::failover::ClusterRuntime::new(&cluster_config, data_dir, local_seq)
+                .map_err(|e| format!("cannot persist cluster state: {e}"))?,
+        );
+        ServerState::with_cluster(store, persist, snapshot_seq, config, runtime, cluster)
     } else {
         match (flags.get("data-dir"), flags.get("snapshot")) {
             (Some(_), Some(_)) => {
@@ -432,7 +362,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     signals::install();
     let local = listener.local_addr().map_or(addr, |a| a.to_string());
     println!("LISTENING {local}");
-    if let Some(cluster) = state.cluster() {
+    if let Some(cluster) = state.cluster().filter(|c| c.is_learner()) {
+        let primary = cluster.believed_primary().unwrap_or_default();
+        println!("REPLICATING {primary}");
+        eprintln!(
+            "read replica (learner) of {primary}, id {}",
+            cluster.advertise()
+        );
+    } else if let Some(cluster) = state.cluster() {
         println!(
             "CLUSTER role={} epoch={} peers={}",
             if cluster.is_primary() {
@@ -441,7 +378,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 "replica"
             },
             cluster.epoch(),
-            cluster.peer_count(),
+            cluster.peers().len(),
         );
         eprintln!(
             "failover cluster member {} (lease {} ms, epoch {}); replicas answer \
@@ -449,12 +386,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             cluster.advertise(),
             cluster.lease_ms(),
             cluster.epoch(),
-        );
-    } else if let Some(runtime) = state.replica_runtime() {
-        println!("REPLICATING {}", runtime.primary_addr);
-        eprintln!(
-            "read replica of {} (id {}, lag SLO {} edges); writes answer ERR readonly",
-            runtime.primary_addr, runtime.id, runtime.lag_slo
         );
     }
     let _ = std::io::stdout().flush();
@@ -487,6 +418,51 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
     eprintln!("shut down cleanly");
     Ok(())
+}
+
+/// Validates the `--peers` flags into a voter's `(advertise, membership)`.
+fn voter(
+    flags: &Flags,
+    peers_raw: &str,
+    addr: &str,
+    repl_buffer: usize,
+) -> Result<(String, server::failover::Membership), String> {
+    if repl_buffer == 0 {
+        return Err("cluster mode needs a ship ring; raise --repl-buffer above 0".into());
+    }
+    let peers: Vec<String> = peers_raw
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(str::to_string)
+        .collect();
+    if peers.is_empty() {
+        return Err("--peers needs at least one peer address".into());
+    }
+    let lease_ms = flags.get_parsed_or("lease-ms", 1_000u64)?;
+    if lease_ms < 50 {
+        return Err("--lease-ms must be at least 50".into());
+    }
+    let advertise = match flags.get("advertise") {
+        Some(a) => a.to_string(),
+        // Peers dial the advertised address; an OS-assigned port is
+        // unknown to them, so it must be stated explicitly.
+        None if addr.ends_with(":0") => {
+            return Err("cluster mode with an ephemeral --addr port needs --advertise".into())
+        }
+        None => addr.to_string(),
+    };
+    if peers.contains(&advertise) {
+        return Err(format!(
+            "--peers must list the *other* members; {advertise} is this node"
+        ));
+    }
+    let membership = server::failover::Membership::Voter {
+        peers,
+        lease: Duration::from_millis(lease_ms),
+        bootstrap_primary: flags.get_parsed_or("primary", false)?,
+    };
+    Ok((advertise, membership))
 }
 
 /// Back-compat accept loop over an in-memory store with default limits.

@@ -1,5 +1,17 @@
-//! Automatic failover: lease-based promotion, epoch fencing, and the
-//! rejoin/handoff path for revived primaries.
+//! Cluster membership and automatic failover: lease-based promotion,
+//! epoch fencing, the rejoin/handoff path for revived primaries, and the
+//! one replication loop every replica runs.
+//!
+//! ## Voters and learners
+//!
+//! Every replica is a cluster node. A `--peers` node is a **voter**: it
+//! renews the primary's lease, votes, and may be elected. A
+//! `--replicate-from` replica is a **learner** (Raft's non-voting
+//! member): it only pulls from its one primary. It never sends `REPL
+//! LEASE`, so it counts toward no majority; it never campaigns and
+//! answers `REPL VOTE`, `REPL LEASE`, `PROMOTE` and `DEMOTE` with `ERR`;
+//! it never hands off, because it never acked a write; and it takes its
+//! epochs only from the primary's `HELLO`. Both run [`cluster_loop`].
 //!
 //! The decision logic — who may write, who may be elected, which vote
 //! to grant — lives in [`streamlink_core::failover`] as a pure state
@@ -7,7 +19,7 @@
 //!
 //! ```text
 //! REPL LEASE <id> <epoch> <applied_seq> [corr=<id>]
-//!     replica -> primary, every puller tick. The primary treats it as
+//!     voter -> primary, every pull. The primary treats it as
 //!     a lease renewal and answers `OK lease epoch=<e>
 //!     primary_seq=<s> tl=<timeline>`; a stale sender gets
 //!     `ERR fenced epoch=<e>`, a non-primary answers
@@ -82,24 +94,43 @@ use streamlink_core::{metrics, trace, PullOutcome};
 use super::protocol::parse_bounded;
 use super::replication::{
     adopt_config, id_seed, jittered, new_corr_id, next_backoff, pull_once, readonly_moved,
-    say_hello, sleep_poll, snapshot_round_with, take_corr, Lcg, PrimaryLink, ReplicaRuntime,
+    say_hello, sleep_poll, snapshot_round_with, take_corr, Hello, Lcg, PrimaryLink, ReplicaRuntime,
 };
 use super::ServerState;
 
 /// Flag-level cluster settings, assembled by `streamlink serve`.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// This node's own address as peers dial it (also its node id and
-    /// what `MOVED` hints point at).
+    /// This node's id in events and `CLUSTER INFO`. A voter's is its
+    /// own address as peers dial it (what `MOVED` hints point at); a
+    /// learner is never dialed and uses its `--repl-id`.
     pub advertise: String,
-    /// The other members' protocol addresses.
-    pub peers: Vec<String>,
-    /// Lease window `L`: a primary stays writable while a majority
-    /// renewed within `L`; elections start after `2L` of silence.
-    pub lease: Duration,
-    /// Seed epoch 1 as primary on a fresh cluster (`--primary`).
-    /// Ignored — loudly — once a persisted epoch exists.
-    pub bootstrap_primary: bool,
+    /// Whether this node takes part in elections.
+    pub membership: Membership,
+}
+
+/// How a node belongs to its cluster; `serve` picks it from which flag
+/// was given.
+#[derive(Debug, Clone)]
+pub enum Membership {
+    /// A `--peers` member: renews the primary's lease, votes, and may be
+    /// elected.
+    Voter {
+        /// The other members' protocol addresses.
+        peers: Vec<String>,
+        /// Lease window `L`: a primary stays writable while a majority
+        /// renewed within `L`; elections start after `2L` of silence.
+        lease: Duration,
+        /// Seed epoch 1 as primary on a fresh cluster (`--primary`).
+        /// Ignored — loudly — once a persisted epoch exists.
+        bootstrap_primary: bool,
+    },
+    /// A `--replicate-from` replica: a non-voting learner that only
+    /// pulls from `primary` (see the module docs).
+    Learner {
+        /// The primary it replicates from.
+        primary: String,
+    },
 }
 
 /// Shared cluster state: the failover node behind a lock, the fork
@@ -107,7 +138,10 @@ pub struct ClusterConfig {
 pub struct ClusterRuntime {
     node: Mutex<FailoverNode>,
     timeline: Mutex<Timeline>,
+    /// The voting roster (other members); empty for a learner.
     peers: Vec<String>,
+    /// The primary a learner replicates from; `None` for a voter.
+    learner_of: Option<String>,
     advertise: String,
     lease_ms: u64,
     started: Instant,
@@ -141,11 +175,19 @@ impl ClusterRuntime {
     /// Fails when the durable cluster state cannot be written — a node
     /// that cannot persist its vote must not join the cluster.
     pub fn new(config: &ClusterConfig, dir: Option<&Path>, local_seq: u64) -> io::Result<Self> {
-        let cluster_size = config.peers.len() + 1;
-        let lease_ms = u64::try_from(config.lease.as_millis())
-            .unwrap_or(u64::MAX)
-            .max(1);
-        let mut node = FailoverNode::new(&config.advertise, cluster_size, lease_ms);
+        let (peers, lease, bootstrap_primary, learner_of) = match &config.membership {
+            Membership::Voter {
+                peers,
+                lease,
+                bootstrap_primary,
+            } => (peers.clone(), *lease, *bootstrap_primary, None),
+            // A learner holds no lease: its lease window reads 0.
+            Membership::Learner { primary } => {
+                (Vec::new(), Duration::ZERO, false, Some(primary.clone()))
+            }
+        };
+        let lease_ms = u64::try_from(lease.as_millis()).unwrap_or(u64::MAX);
+        let mut node = FailoverNode::new(&config.advertise, peers.len() + 1, lease_ms.max(1));
         let mut timeline = Timeline::new();
         let mut data_epoch = 0u64;
         if let Some(dir) = dir {
@@ -160,9 +202,10 @@ impl ClusterRuntime {
                 );
             }
         }
-        let mut believed = None;
+        // A learner knows its primary from the start.
+        let mut believed = learner_of.clone();
         let mut bootstrapped = false;
-        if config.bootstrap_primary {
+        if bootstrap_primary {
             if node.bootstrap_primary() {
                 timeline.record_fork(1, local_seq);
                 data_epoch = 1;
@@ -184,7 +227,8 @@ impl ClusterRuntime {
             data_epoch: AtomicU64::new(data_epoch),
             node: Mutex::new(node),
             timeline: Mutex::new(timeline),
-            peers: config.peers.clone(),
+            peers,
+            learner_of,
             advertise: config.advertise.clone(),
             lease_ms,
             started: Instant::now(),
@@ -208,9 +252,10 @@ impl ClusterRuntime {
             runtime.epoch(),
             local_seq,
             format!(
-                "cluster config: peers={} lease_ms={} durable={}",
+                "cluster config: peers={} lease_ms={} learner_of={} durable={}",
                 runtime.peers.len(),
                 runtime.lease_ms,
+                runtime.learner_of.as_deref().unwrap_or("-"),
                 runtime.dir.is_some(),
             ),
             None,
@@ -240,11 +285,17 @@ impl ClusterRuntime {
         &self.advertise
     }
 
-    /// The other members' protocol addresses — the fan-out roster for
-    /// `CLUSTER STATUS` / `/clusterz`.
+    /// The other voting members' protocol addresses (empty for a
+    /// learner).
     #[must_use]
     pub fn peers(&self) -> &[String] {
         &self.peers
+    }
+
+    /// Whether this node is a non-voting learner (`--replicate-from`).
+    #[must_use]
+    pub fn is_learner(&self) -> bool {
+        self.learner_of.is_some()
     }
 
     /// Records one control-plane event into the global
@@ -273,12 +324,6 @@ impl ClusterRuntime {
     #[must_use]
     pub fn lease_ms(&self) -> u64 {
         self.lease_ms
-    }
-
-    /// How many *other* members this node knows about.
-    #[must_use]
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
     }
 
     /// The current fencing epoch (cached; exact after every exchange).
@@ -331,6 +376,21 @@ impl ClusterRuntime {
 
     fn adopt_timeline(&self, tl: &Timeline) {
         *self.timeline() = tl.clone();
+    }
+
+    /// A learner's only source of epochs: take the primary's epoch as
+    /// both its fencing epoch and its data epoch (it replicates
+    /// contiguously in it from now on), and the primary's timeline, and
+    /// persist them. The epoch may go down: a primary re-bootstrapped
+    /// into a fresh cluster is still the one to follow.
+    fn follow_primary(&self, epoch: u64, tl: &Timeline) {
+        self.node().restore(epoch, None);
+        self.adopt_timeline(tl);
+        self.set_data_epoch(epoch);
+        self.refresh_cache();
+        if let Err(e) = self.persist_state() {
+            eprintln!("replication: could not persist the primary's epoch {epoch}: {e}");
+        }
     }
 
     fn set_data_epoch(&self, epoch: u64) {
@@ -390,7 +450,11 @@ impl ClusterRuntime {
 
     /// Records that `target` was not (or no longer is) the primary:
     /// drop the belief if it pointed there and rotate the probe cursor.
+    /// A learner's primary is fixed, so it keeps naming it.
     fn probe_failed(&self, target: &str) {
+        if self.is_learner() {
+            return;
+        }
         let mut believed = self.believed.lock().unwrap_or_else(PoisonError::into_inner);
         if believed.as_deref() == Some(target) {
             *believed = None;
@@ -483,25 +547,18 @@ fn load_state_file(path: &Path) -> Option<SavedState> {
 /// carries the complete refusal line. Lock-free on the accept path
 /// (two atomics), so fencing costs nothing on a healthy primary.
 pub(super) fn write_gate(state: &ServerState) -> Option<String> {
-    match state.cluster() {
-        Some(cluster) => {
-            if cluster.is_primary() {
-                if cluster.writable_now() {
-                    None
-                } else {
-                    metrics::global().repl_fenced_writes.incr();
-                    Some(format!(
-                        "ERR fenced epoch={} (majority lease lost; retry once the cluster heals)",
-                        cluster.epoch(),
-                    ))
-                }
-            } else {
-                Some(readonly_moved(state))
-            }
-        }
-        None if state.is_replica() => Some(readonly_moved(state)),
-        None => None,
+    let cluster = state.cluster()?;
+    if !cluster.is_primary() {
+        return Some(readonly_moved(state));
     }
+    if cluster.writable_now() {
+        return None;
+    }
+    metrics::global().repl_fenced_writes.incr();
+    Some(format!(
+        "ERR fenced epoch={} (majority lease lost; retry once the cluster heals)",
+        cluster.epoch(),
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -512,12 +569,21 @@ fn not_clustered() -> String {
     "ERR not clustered (start with --peers to enable failover)".into()
 }
 
+/// The refusal a learner answers to every election or role command.
+fn learner_refusal(what: &str) -> String {
+    format!("ERR learner never {what} (a --replicate-from replica takes no part in elections)")
+}
+
 /// `REPL LEASE <id> <epoch> <applied_seq> [corr=<id>]` — the replica's
 /// combined liveness probe and lease renewal.
 pub(super) fn lease_command(state: &ServerState, args: &[&str]) -> String {
     let Some(cluster) = state.cluster() else {
         return not_clustered();
     };
+    if cluster.is_learner() {
+        // Its epochs come only from its primary's HELLO.
+        return learner_refusal("holds a lease");
+    }
     let (args, corr) = take_corr(args);
     let [_, id, epoch, seq] = args else {
         return "ERR REPL LEASE takes <id> <epoch> <applied_seq> [corr=<id>]".into();
@@ -585,6 +651,9 @@ pub(super) fn vote_command(state: &ServerState, args: &[&str]) -> String {
     let Some(cluster) = state.cluster() else {
         return not_clustered();
     };
+    if cluster.is_learner() {
+        return learner_refusal("votes");
+    }
     let (args, corr) = take_corr(args);
     let [_, candidate, target, data_epoch, seq] = args else {
         return "ERR REPL VOTE takes <candidate> <target_epoch> <data_epoch> <candidate_seq> \
@@ -708,6 +777,9 @@ pub(super) fn promote_command(state: &ServerState) -> String {
     let Some(cluster) = state.cluster() else {
         return not_clustered();
     };
+    if cluster.is_learner() {
+        return learner_refusal("becomes primary");
+    }
     if cluster.is_primary() {
         return format!("OK promoted epoch={} (already primary)", cluster.epoch());
     }
@@ -721,6 +793,9 @@ pub(super) fn demote_command(state: &ServerState) -> String {
     let Some(cluster) = state.cluster() else {
         return not_clustered();
     };
+    if cluster.is_learner() {
+        return learner_refusal("changes role");
+    }
     let was_primary = {
         let mut node = cluster.node();
         let was = node.role() == Role::Primary;
@@ -860,33 +935,32 @@ fn adopt_observed(state: &ServerState, cluster: &ClusterRuntime, epoch: u64) {
     }
 }
 
+/// The value of the first `key` (`name=`) field of a reply line.
+fn reply_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    line.split_whitespace().find_map(|kv| kv.strip_prefix(key))
+}
+
 /// Pulls the first `epoch=` field out of a reply line.
 fn parse_epoch_field(line: &str) -> Option<u64> {
-    line.split_whitespace()
-        .find_map(|kv| kv.strip_prefix("epoch="))
-        .and_then(|v| v.parse().ok())
+    reply_field(line, "epoch=").and_then(|v| v.parse().ok())
 }
 
 // ---------------------------------------------------------------------
 // The cluster loop.
 // ---------------------------------------------------------------------
 
-fn how_session_ended(reply: &str) -> bool {
-    reply.starts_with("OK lease ")
-}
-
 /// What one replica session concluded about its target.
-enum SessionEnd {
+pub(super) enum SessionEnd {
     /// Shutdown was requested; stop the loop.
     Shutdown,
     /// The target is not (or no longer) the primary; probe elsewhere.
     NotPrimary,
 }
 
-/// The single cluster thread: as primary, keep the gate caches fresh;
-/// as replica, follow the primary (pull + lease) and campaign once the
-/// lease dies. Replaces [`super::replication::replica_loop`] in
-/// cluster mode.
+/// The one replication thread, for voters and learners alike. As
+/// primary, keep the gate caches fresh; as replica, follow the primary
+/// (pull, plus lease renewal on a voter) and, on a voter, campaign once
+/// the lease dies.
 pub fn cluster_loop(state: &Arc<ServerState>, cluster: &Arc<ClusterRuntime>) {
     let Some(runtime) = state.replica_runtime().cloned() else {
         eprintln!("failover: cluster node without a replica runtime; loop disabled");
@@ -894,11 +968,16 @@ pub fn cluster_loop(state: &Arc<ServerState>, cluster: &Arc<ClusterRuntime>) {
     };
     let mut rng = Lcg::new(id_seed(&cluster.advertise));
     let tick = Duration::from_millis((cluster.lease_ms / 4).clamp(10, 1000));
-    let backoff_floor = runtime.tuning.backoff_base.min(tick);
-    let backoff_ceiling = runtime
-        .tuning
-        .backoff_max
-        .min(Duration::from_millis(cluster.lease_ms.max(100)));
+    // A voter bounds its reconnect backoff by the lease so elections do
+    // not wait out a 5s ceiling. No election waits on a learner, so it
+    // keeps the plain `--repl-*` schedule.
+    let (base, max) = (runtime.tuning.backoff_base, runtime.tuning.backoff_max);
+    let (backoff_floor, backoff_ceiling, sleep_cap) = if cluster.is_learner() {
+        (base, max, Duration::MAX)
+    } else {
+        let lease = Duration::from_millis(cluster.lease_ms.max(100));
+        (base.min(tick), max.min(lease), tick)
+    };
     let mut backoff = backoff_floor;
     cluster.node().arm(cluster.now_ms());
     cluster.refresh_cache();
@@ -925,6 +1004,12 @@ pub fn cluster_loop(state: &Arc<ServerState>, cluster: &Arc<ClusterRuntime>) {
                 backoff = backoff_floor;
             }
             Err(e) => {
+                // A session that got past its handshake proves the
+                // primary was healthy: the next outage starts from the
+                // base delay.
+                if runtime.connected() {
+                    backoff = backoff_floor;
+                }
                 runtime.set_connected(false);
                 runtime.update_gauges();
                 metrics::global().repl_reconnects.incr();
@@ -932,26 +1017,24 @@ pub fn cluster_loop(state: &Arc<ServerState>, cluster: &Arc<ClusterRuntime>) {
                 if state.shutdown_requested() {
                     break;
                 }
-                eprintln!("failover: link to {target}: {e}");
+                eprintln!("replication: link to {target}: {e}");
             }
         }
         maybe_campaign(state, cluster, &runtime);
         if cluster.is_primary() {
             continue;
         }
-        // Short, jittered, lease-bounded backoff: elections must not
-        // wait out a 5s reconnect ceiling.
-        sleep_poll(state, jittered(&mut rng, backoff).min(tick));
+        sleep_poll(state, jittered(&mut rng, backoff).min(sleep_cap));
         backoff = next_backoff(backoff, backoff_ceiling);
     }
     runtime.set_connected(false);
     runtime.update_gauges();
 }
 
-/// One session against a presumed primary: handshake, rejoin if our
-/// data sits on a dead timeline, then pull + lease until the link dies
-/// or the remote stops being primary.
-fn replica_session(
+/// One session against a presumed primary: handshake, leave a dead
+/// timeline if our data sits on one, then pull (and, on a voter, renew
+/// the lease) until the link dies or the remote stops being primary.
+pub(super) fn replica_session(
     state: &ServerState,
     cluster: &ClusterRuntime,
     runtime: &ReplicaRuntime,
@@ -967,8 +1050,9 @@ fn replica_session(
         let _t = trace::op("repl.session");
         trace::note_corr(corr);
     }
-    let hello = say_hello(&cluster.advertise, &mut link)?;
-    if let Some(epoch) = hello.epoch {
+    let hello = say_hello(&runtime.id, &mut link)?;
+    let learner = cluster.is_learner();
+    if let Some(epoch) = hello.epoch.filter(|_| !learner) {
         if epoch < cluster.epoch() {
             return Ok(SessionEnd::NotPrimary);
         }
@@ -977,19 +1061,24 @@ fn replica_session(
         }
     }
     adopt_config(state, runtime, &hello)?;
-    match hello.timeline.as_deref().and_then(Timeline::parse) {
-        Some(remote_tl) => rejoin_timeline(state, cluster, runtime, &mut link, &remote_tl, corr)?,
-        None => {
-            // A primary without timeline info (old binary or fresh
-            // cluster): fall back to the classic dead-timeline check.
-            if hello.primary_seq < runtime.applied_seq() {
-                snapshot_round_with(state, runtime, &mut link, true)?;
-            }
-        }
+    if learner {
+        learner_rejoin(state, cluster, runtime, &mut link, &hello, corr)?;
+    } else if let Some(remote_tl) = hello.timeline.as_deref().and_then(Timeline::parse) {
+        // A plain (non-cluster) primary ships no timeline; the lease
+        // below then fails.
+        rejoin_timeline(state, cluster, runtime, &mut link, &remote_tl, corr)?;
     }
     runtime.note_primary_seq(hello.primary_seq);
     runtime.set_connected(true);
     runtime.update_gauges();
+    // Only a voter's idle poll is bounded by the lease: its pulls carry
+    // the renewals.
+    let idle = if learner {
+        runtime.tuning.poll_interval
+    } else {
+        let lease_tick = Duration::from_millis((cluster.lease_ms / 4).max(10));
+        runtime.tuning.poll_interval.min(lease_tick)
+    };
     let mut last_anti_entropy = Instant::now();
     loop {
         if state.shutdown_requested() {
@@ -999,45 +1088,7 @@ fn replica_session(
             // Promoted mid-session (election or PROMOTE): stop pulling.
             return Ok(SessionEnd::NotPrimary);
         }
-        // The lease renewal doubles as the liveness probe; only an
-        // `OK lease` from the *primary* renews our timer.
-        link.send(&format!(
-            "REPL LEASE {} {} {} corr={corr}",
-            cluster.advertise,
-            cluster.epoch(),
-            runtime.applied_seq(),
-        ))?;
-        let reply = link.recv()?;
-        if how_session_ended(&reply) {
-            let now = cluster.now_ms();
-            let epoch = parse_epoch_field(&reply).unwrap_or_else(|| cluster.epoch());
-            {
-                let mut node = cluster.node();
-                node.note_primary(epoch, now);
-            }
-            cluster.refresh_cache();
-            cluster.set_believed(Some(target.to_string()));
-            cluster.set_data_epoch(epoch);
-            if let Some(seq) = reply
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("primary_seq="))
-                .and_then(|v| v.parse().ok())
-            {
-                runtime.note_primary_seq(seq);
-            }
-            if let Some(tl) = reply
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("tl="))
-                .and_then(Timeline::parse)
-            {
-                cluster.adopt_timeline(&tl);
-            }
-        } else {
-            if let Some(epoch) = parse_epoch_field(&reply) {
-                if epoch > cluster.epoch() {
-                    adopt_observed(state, cluster, epoch);
-                }
-            }
+        if !learner && !renew_lease(state, cluster, runtime, &mut link, target, corr)? {
             return Ok(SessionEnd::NotPrimary);
         }
         let advanced = pull_once(state, runtime, &mut link)?;
@@ -1051,10 +1102,90 @@ fn replica_session(
         runtime.update_gauges();
         cluster.update_gauges();
         if !advanced {
-            let lease_tick = Duration::from_millis((cluster.lease_ms / 4).max(10));
-            sleep_poll(state, runtime.tuning.poll_interval.min(lease_tick));
+            sleep_poll(state, idle);
         }
     }
+}
+
+/// One `REPL LEASE` exchange, which doubles as the liveness probe: only
+/// an `OK lease` from the *primary* renews our timer. Returns whether
+/// the target still is the primary.
+fn renew_lease(
+    state: &ServerState,
+    cluster: &ClusterRuntime,
+    runtime: &ReplicaRuntime,
+    link: &mut PrimaryLink,
+    target: &str,
+    corr: u64,
+) -> io::Result<bool> {
+    link.send(&format!(
+        "REPL LEASE {} {} {} corr={corr}",
+        cluster.advertise,
+        cluster.epoch(),
+        runtime.applied_seq(),
+    ))?;
+    let reply = link.recv()?;
+    let epoch = parse_epoch_field(&reply);
+    if !reply.starts_with("OK lease ") {
+        if let Some(epoch) = epoch.filter(|&e| e > cluster.epoch()) {
+            adopt_observed(state, cluster, epoch);
+        }
+        return Ok(false);
+    }
+    let epoch = epoch.unwrap_or_else(|| cluster.epoch());
+    cluster.node().note_primary(epoch, cluster.now_ms());
+    cluster.refresh_cache();
+    cluster.set_believed(Some(target.to_string()));
+    cluster.set_data_epoch(epoch);
+    if let Some(seq) = reply_field(&reply, "primary_seq=").and_then(|v| v.parse().ok()) {
+        runtime.note_primary_seq(seq);
+    }
+    if let Some(tl) = reply_field(&reply, "tl=").and_then(Timeline::parse) {
+        cluster.adopt_timeline(&tl);
+    }
+    Ok(true)
+}
+
+/// A learner's rejoin. Its data is on a dead timeline when the primary's
+/// seq is below our applied seq (a primary restarted empty or into an
+/// older WAL), its epoch went down (a re-bootstrapped cluster), or its
+/// timeline forked below our applied seq. A learner never acked a write,
+/// so there is no tail to hand off: it installs the primary's snapshot
+/// wholesale. Then it takes the primary's epochs and timeline as its
+/// own, so a restart does not mistake its seqs for a dead tail.
+fn learner_rejoin(
+    state: &ServerState,
+    cluster: &ClusterRuntime,
+    runtime: &ReplicaRuntime,
+    link: &mut PrimaryLink,
+    hello: &Hello,
+    corr: u64,
+) -> io::Result<()> {
+    let epoch = hello.epoch.unwrap_or(0);
+    let remote_tl = hello
+        .timeline
+        .as_deref()
+        .and_then(Timeline::parse)
+        .unwrap_or_default();
+    let applied = runtime.applied_seq();
+    let dead = hello.primary_seq < applied
+        || epoch < cluster.epoch()
+        || remote_tl
+            .fork_after(cluster.data_epoch())
+            .is_some_and(|base| applied > base);
+    if dead {
+        snapshot_round_with(state, runtime, link, true)?;
+        let detail = format!("learner left a dead timeline at seq {applied}");
+        cluster.record_event(
+            EventKind::Resync,
+            epoch,
+            runtime.applied_seq(),
+            detail,
+            Some(corr),
+        );
+    }
+    cluster.follow_primary(epoch, &remote_tl);
+    Ok(())
 }
 
 /// Detects a fork past our data epoch, hands off our un-replicated
@@ -1185,6 +1316,9 @@ fn local_tail(state: &ServerState, after: u64, max: usize) -> Vec<JournalEntry> 
 /// Opens (or retries) a candidacy once the lease is dead and our
 /// stagger slot came up, then runs one synchronous vote round.
 fn maybe_campaign(state: &ServerState, cluster: &ClusterRuntime, runtime: &ReplicaRuntime) {
+    if cluster.is_learner() {
+        return;
+    }
     let now = cluster.now_ms();
     let target = {
         let mut node = cluster.node();
@@ -1504,13 +1638,14 @@ fn probe_cluster_info(addr: &str, corr: u64) -> Option<String> {
 /// The merged `streamlink.clusterz.v1` snapshot: this node's view plus
 /// a bounded, timeout-guarded parallel fan-out to every `--peers`
 /// member. Returns `(single-line json, divergent)`; `None` when this
-/// node is not clustered.
+/// node is not clustered or is a learner, which has no voting peers to
+/// describe.
 ///
 /// Divergence flags cover the beliefs that must agree on a healthy
 /// cluster: at most one primary, one epoch, every member reachable,
 /// and no replica past its lag SLO.
 pub(super) fn clusterz_json(state: &ServerState) -> Option<(String, bool)> {
-    let cluster = state.cluster()?;
+    let cluster = state.cluster().filter(|c| !c.is_learner())?;
     let corr = new_corr_id(cluster.advertise(), cluster.now_ms());
     trace::note_corr(corr);
     let mut views = vec![NodeView::parse(
@@ -1583,43 +1718,42 @@ pub(super) fn clusterz_json(state: &ServerState) -> Option<(String, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::replication::ReplicaTuning;
-    use crate::server::{ServerConfig, ServerState};
+    use crate::server::protocol::handle_command;
+    use crate::server::replication::{apply_entry, repl_command, repl_pull_frame};
+    use crate::server::testkit::{self, scripted};
+    use crate::server::{http, ServerConfig, ServerState};
     use graphstream::VertexId;
-    use streamlink_core::{SketchConfig, SketchStore};
+    use streamlink_core::snapshot::StoreSnapshot;
+    use streamlink_core::{codec, SketchConfig, SketchStore};
 
     fn cluster_config(advertise: &str, peers: &[&str], bootstrap: bool) -> ClusterConfig {
         ClusterConfig {
             advertise: advertise.into(),
+            membership: voter(peers, bootstrap),
+        }
+    }
+
+    fn voter(peers: &[&str], bootstrap: bool) -> Membership {
+        Membership::Voter {
             peers: peers.iter().map(|s| (*s).to_string()).collect(),
             lease: Duration::from_millis(200),
             bootstrap_primary: bootstrap,
         }
     }
 
+    fn store() -> SketchStore {
+        SketchStore::new(SketchConfig::with_slots(32).seed(5))
+    }
+
     fn cluster_state(bootstrap: bool) -> (ServerState, Arc<ClusterRuntime>) {
-        let config = cluster_config(
-            "127.0.0.1:7001",
-            &["127.0.0.1:7002", "127.0.0.1:7003"],
-            bootstrap,
-        );
-        let cluster = Arc::new(ClusterRuntime::new(&config, None, 0).unwrap());
-        let runtime = Arc::new(ReplicaRuntime::new(
-            "127.0.0.1:7002".into(),
-            "127.0.0.1:7001".into(),
-            100_000,
-            ReplicaTuning::default(),
-        ));
-        let store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
-        let state = ServerState::with_cluster(
-            store,
-            None,
-            0,
-            ServerConfig::default(),
-            runtime,
-            Arc::clone(&cluster),
-        );
+        let peers = voter(&["127.0.0.1:7002", "127.0.0.1:7003"], bootstrap);
+        let (state, _runtime, cluster) =
+            testkit::node("127.0.0.1:7001", peers, 100_000, store(), None);
         (state, cluster)
+    }
+
+    fn learner_state() -> (ServerState, Arc<ReplicaRuntime>, Arc<ClusterRuntime>) {
+        testkit::learner("127.0.0.1:7002", "r1", 100_000, store())
     }
 
     #[test]
@@ -1911,5 +2045,140 @@ mod tests {
         assert_eq!(view.role, "primary");
         assert_eq!(view.epoch, 1);
         assert_eq!(view.believed, "127.0.0.1:7001");
+    }
+
+    #[test]
+    fn a_learner_never_opens_a_candidacy() {
+        let (state, runtime, cluster) = learner_state();
+        cluster.node().arm(0);
+        std::thread::sleep(Duration::from_millis(20));
+        // Its lease on the primary is long expired...
+        assert!(cluster.node().candidacy_due(cluster.now_ms(), 0));
+        // ...yet it does not campaign.
+        maybe_campaign(&state, &cluster, &runtime);
+        assert_eq!(cluster.node().candidacy_epoch(), None);
+        assert_eq!(cluster.epoch(), 0);
+        assert!(!cluster.is_primary());
+        assert!(state.is_replica());
+    }
+
+    #[test]
+    fn a_learner_refuses_votes_and_role_changes() {
+        let (state, _runtime, cluster) = learner_state();
+        for reply in [
+            handle_command(&state, "REPL VOTE 127.0.0.1:7003 1 0 0"),
+            handle_command(&state, "REPL LEASE 127.0.0.1:7003 5 0"),
+            handle_command(&state, "PROMOTE"),
+            handle_command(&state, "DEMOTE"),
+        ] {
+            assert!(reply.starts_with("ERR learner never "), "{reply}");
+        }
+        assert_eq!(cluster.epoch(), 0);
+        assert_eq!(cluster.node().voted(), None);
+        assert!(!cluster.is_primary());
+    }
+
+    #[test]
+    fn a_learner_session_never_leases_or_hands_off_even_across_a_fork() {
+        let (state, runtime, cluster) = learner_state();
+        // Seqs 1..=5 applied while following epoch 1...
+        cluster.follow_primary(1, &Timeline::parse("1:0").unwrap());
+        for seq in 1..=5u64 {
+            let (u, v) = (VertexId(seq), VertexId(seq + 10));
+            apply_entry(&state, &runtime, JournalEntry { seq, u, v });
+        }
+        // ...then epoch 2 forked at seq 3, so seqs 4..=5 are a dead tail.
+        // A voter would hand them off; a learner installs a snapshot.
+        let hello = "OK repl hello primary_seq=9 slots=32 seed=5 backend=mixer epoch=2 tl=1:0,2:3";
+        let mut primary_store = store();
+        primary_store.insert_edge(VertexId(70), VertexId(80));
+        let snapshot = StoreSnapshot::capture(&primary_store);
+        let (addr, primary) = scripted(
+            b"OK fmt=v3\n",
+            vec![
+                codec::encode_text_frame(hello),
+                codec::encode_snapshot_frame(9, &snapshot).unwrap(),
+                codec::encode_wal_batch(&[], 9),
+            ],
+        );
+        assert!(replica_session(&state, &cluster, &runtime, &addr).is_err());
+        let requests = primary.join().expect("no LEASE or HANDOFF line");
+        assert_eq!(requests[..2], ["REPL HELLO r1", "REPL SNAPSHOT"]);
+        assert!(requests[2].starts_with("REPL PULL r1 9 "), "{requests:?}");
+        assert_eq!(runtime.applied_seq(), 9);
+        assert_eq!(state.read_store().degree(VertexId(4)), 0);
+        assert_eq!(state.read_store().degree(VertexId(70)), 1);
+        // It took the primary's epoch, data epoch and timeline...
+        assert_eq!(
+            (cluster.epoch(), cluster.data_epoch()),
+            (2, 2),
+            "epochs come from HELLO"
+        );
+        assert_eq!(cluster.timeline_spec(), "1:0,2:3");
+        // ...so the next session does not mistake seqs 4..=9 for a dead
+        // tail: it goes straight to pulling.
+        let (addr, primary) = scripted(
+            b"OK fmt=v3\n",
+            vec![
+                codec::encode_text_frame(hello),
+                codec::encode_wal_batch(&[], 9),
+            ],
+        );
+        assert!(replica_session(&state, &cluster, &runtime, &addr).is_err());
+        let requests = primary.join().unwrap();
+        assert!(requests[1].starts_with("REPL PULL r1 9 "), "{requests:?}");
+        assert!(!cluster.is_primary());
+    }
+
+    #[test]
+    fn learner_pulls_do_not_keep_a_voting_primary_writable() {
+        let (state, cluster) = cluster_state(true);
+        std::thread::sleep(Duration::from_millis(5));
+        for id in ["r1", "r2"] {
+            assert!(repl_command(&state, &["HELLO", id]).starts_with("OK repl hello"));
+            let (_, is_err) = repl_pull_frame(&state, &["PULL", id, "0", "10"]);
+            assert!(!is_err);
+        }
+        cluster.refresh_cache();
+        assert!(!cluster.writable_now(), "learners count toward no majority");
+        // One voter's lease is a majority of three.
+        let reply = lease_command(&state, &["LEASE", "127.0.0.1:7002", "1", "0"]);
+        assert!(reply.starts_with("OK lease"), "{reply}");
+        assert!(cluster.writable_now());
+    }
+
+    #[test]
+    fn moved_status_and_healthz_name_the_same_believed_primary() {
+        let (state, cluster) = cluster_state(false);
+        let views = |state: &ServerState| {
+            let moved = write_gate(state).expect("a replica refuses writes");
+            let status = repl_command(state, &["STATUS"]);
+            let healthz = http::respond(state, "GET", "/healthz").body;
+            (
+                moved.split_whitespace().nth(3).unwrap().to_string(),
+                status
+                    .split_whitespace()
+                    .find_map(|kv| kv.strip_prefix("primary="))
+                    .unwrap()
+                    .to_string(),
+                healthz
+                    .split("\"primary\":\"")
+                    .nth(1)
+                    .and_then(|rest| rest.split('"').next())
+                    .unwrap()
+                    .to_string(),
+            )
+        };
+        let unknown = ("?".to_string(), "?".to_string(), "?".to_string());
+        assert_eq!(views(&state), unknown, "no belief yet");
+        cluster.set_believed(Some("127.0.0.1:7003".into()));
+        let known = "127.0.0.1:7003".to_string();
+        assert_eq!(views(&state), (known.clone(), known.clone(), known));
+        cluster.set_believed(None);
+        assert_eq!(views(&state), unknown, "belief cleared");
+        // A learner names its primary before any contact.
+        let (learner, _, _) = learner_state();
+        let primary = "127.0.0.1:7002".to_string();
+        assert_eq!(views(&learner), (primary.clone(), primary.clone(), primary));
     }
 }

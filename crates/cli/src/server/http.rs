@@ -424,31 +424,24 @@ fn healthz(state: &ServerState) -> Response {
     };
     // A cluster node carries a replica runtime in both roles; route on
     // the *current* role, not on which structs exist.
-    let (repl_ok, repl_json) = if state.is_replica() {
-        match state.replica_runtime() {
-            Some(runtime) => {
-                let primary = state
-                    .cluster()
-                    .and_then(|c| c.believed_primary())
-                    .unwrap_or_else(|| runtime.primary_addr.clone());
-                (
-                    !runtime.lag_exceeds_slo(),
-                    format!(
-                        "{{\"role\":\"replica\",\"primary\":\"{primary}\",\"connected\":{},\
-                         \"applied_seq\":{},\"persisted_seq\":{},\"primary_seq\":{},\
-                         \"lag_edges\":{},\"durable_lag_edges\":{},\"lag_slo\":{}}}",
-                        runtime.connected(),
-                        runtime.applied_seq(),
-                        runtime.persisted_seq(),
-                        runtime.primary_seq(),
-                        runtime.lag(),
-                        runtime.durable_lag(),
-                        runtime.lag_slo,
-                    ),
-                )
-            }
-            None => (true, "null".to_string()),
-        }
+    let replica = state.replica_runtime().filter(|_| state.is_replica());
+    let (repl_ok, repl_json) = if let Some(runtime) = replica {
+        let primary = super::replication::primary_hint(state);
+        (
+            !runtime.lag_exceeds_slo(),
+            format!(
+                "{{\"role\":\"replica\",\"primary\":\"{primary}\",\"connected\":{},\
+                 \"applied_seq\":{},\"persisted_seq\":{},\"primary_seq\":{},\
+                 \"lag_edges\":{},\"durable_lag_edges\":{},\"lag_slo\":{}}}",
+                runtime.connected(),
+                runtime.applied_seq(),
+                runtime.persisted_seq(),
+                runtime.primary_seq(),
+                runtime.lag(),
+                runtime.durable_lag(),
+                runtime.lag_slo,
+            ),
+        )
     } else {
         match state.primary_repl() {
             Some(repl) => {
@@ -506,8 +499,21 @@ fn healthz(state: &ServerState) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::failover::Membership;
+    use crate::server::testkit;
     use crate::server::ServerConfig;
     use streamlink_core::{SketchConfig, SketchStore};
+
+    /// A bootstrapped voting primary whose `peers` are never contacted.
+    fn bootstrap_primary(advertise: &str, peers: &[&str]) -> ServerState {
+        let membership = Membership::Voter {
+            peers: peers.iter().map(|p| (*p).to_string()).collect(),
+            lease: std::time::Duration::from_millis(200),
+            bootstrap_primary: true,
+        };
+        let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
+        testkit::node(advertise, membership, 100_000, store, None).0
+    }
 
     fn state() -> ServerState {
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
@@ -601,16 +607,8 @@ mod tests {
 
     #[test]
     fn healthz_flips_503_when_replica_lag_exceeds_the_slo() {
-        use crate::server::replication::{ReplicaRuntime, ReplicaTuning};
-        use std::sync::Arc;
-        let runtime = Arc::new(ReplicaRuntime::new(
-            "127.0.0.1:9".into(),
-            "lag-test".into(),
-            1_000,
-            ReplicaTuning::default(),
-        ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s = ServerState::replica(store, ServerConfig::default(), Arc::clone(&runtime));
+        let (s, runtime, _) = testkit::learner("127.0.0.1:9", "lag-test", 1_000, store);
 
         // Caught up: healthy, and the replication leg is reported.
         let r = respond(&s, "GET", "/healthz");
@@ -634,16 +632,8 @@ mod tests {
 
     #[test]
     fn healthz_slo_uses_the_durable_watermark_not_the_applied_one() {
-        use crate::server::replication::{ReplicaRuntime, ReplicaTuning};
-        use std::sync::Arc;
-        let runtime = Arc::new(ReplicaRuntime::new(
-            "127.0.0.1:9".into(),
-            "durable-lag-test".into(),
-            1_000,
-            ReplicaTuning::default(),
-        ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s = ServerState::replica(store, ServerConfig::default(), Arc::clone(&runtime));
+        let (s, runtime, _) = testkit::learner("127.0.0.1:9", "durable-lag-test", 1_000, store);
         // Everything applied AND persisted up to the primary's seq:
         // healthy even at a high watermark.
         runtime.seed_applied(2_000);
@@ -662,26 +652,7 @@ mod tests {
 
     #[test]
     fn healthz_reports_the_failover_leg_in_cluster_mode() {
-        use crate::server::failover::{ClusterConfig, ClusterRuntime};
-        use crate::server::replication::{ReplicaRuntime, ReplicaTuning};
-        use std::sync::Arc;
-        use std::time::Duration;
-        let config = ClusterConfig {
-            advertise: "127.0.0.1:7101".into(),
-            peers: vec!["127.0.0.1:7102".into()],
-            lease: Duration::from_millis(200),
-            bootstrap_primary: true,
-        };
-        let cluster = Arc::new(ClusterRuntime::new(&config, None, 0).unwrap());
-        let runtime = Arc::new(ReplicaRuntime::new(
-            "127.0.0.1:7102".into(),
-            "127.0.0.1:7101".into(),
-            100_000,
-            ReplicaTuning::default(),
-        ));
-        let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s =
-            ServerState::with_cluster(store, None, 0, ServerConfig::default(), runtime, cluster);
+        let s = bootstrap_primary("127.0.0.1:7101", &["127.0.0.1:7102"]);
         let r = respond(&s, "GET", "/healthz");
         assert_eq!(r.status, 200, "{}", r.body);
         assert!(r.body.contains("\"failover\":{\"epoch\":1"), "{}", r.body);
@@ -719,29 +690,10 @@ mod tests {
 
     #[test]
     fn clusterz_answers_503_and_flags_when_members_diverge() {
-        use crate::server::failover::{ClusterConfig, ClusterRuntime};
-        use crate::server::replication::{ReplicaRuntime, ReplicaTuning};
-        use std::sync::Arc;
-        use std::time::Duration;
         // A bootstrapped primary whose two peers are dead sockets: the
         // snapshot must come back divergent with both members flagged
         // unreachable, and the endpoint must turn that into a 503.
-        let config = ClusterConfig {
-            advertise: "127.0.0.1:7111".into(),
-            peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
-            lease: Duration::from_millis(200),
-            bootstrap_primary: true,
-        };
-        let cluster = Arc::new(ClusterRuntime::new(&config, None, 0).unwrap());
-        let runtime = Arc::new(ReplicaRuntime::new(
-            "127.0.0.1:1".into(),
-            "127.0.0.1:7111".into(),
-            100_000,
-            ReplicaTuning::default(),
-        ));
-        let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s =
-            ServerState::with_cluster(store, None, 0, ServerConfig::default(), runtime, cluster);
+        let s = bootstrap_primary("127.0.0.1:7111", &["127.0.0.1:1", "127.0.0.1:2"]);
         let r = respond(&s, "GET", "/clusterz");
         assert_eq!(r.status, 503, "{}", r.body);
         assert!(
@@ -791,26 +743,7 @@ mod tests {
 
     #[test]
     fn healthz_primary_leg_reports_the_believed_primary_in_cluster_mode() {
-        use crate::server::failover::{ClusterConfig, ClusterRuntime};
-        use crate::server::replication::{ReplicaRuntime, ReplicaTuning};
-        use std::sync::Arc;
-        use std::time::Duration;
-        let config = ClusterConfig {
-            advertise: "127.0.0.1:7112".into(),
-            peers: vec!["127.0.0.1:1".into()],
-            lease: Duration::from_millis(200),
-            bootstrap_primary: true,
-        };
-        let cluster = Arc::new(ClusterRuntime::new(&config, None, 0).unwrap());
-        let runtime = Arc::new(ReplicaRuntime::new(
-            "127.0.0.1:1".into(),
-            "127.0.0.1:7112".into(),
-            100_000,
-            ReplicaTuning::default(),
-        ));
-        let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s =
-            ServerState::with_cluster(store, None, 0, ServerConfig::default(), runtime, cluster);
+        let s = bootstrap_primary("127.0.0.1:7112", &["127.0.0.1:1"]);
         let r = respond(&s, "GET", "/healthz");
         assert_eq!(r.status, 200, "{}", r.body);
         assert!(

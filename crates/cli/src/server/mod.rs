@@ -14,12 +14,13 @@
 //!   `/metrics`, `/healthz`, `/tracez`, and `/memz` over a bounded,
 //!   timeboxed std-only HTTP/1.1 listener.
 //! * [`replication`] — WAL shipping: the primary's bounded ship ring
-//!   and `REPL` command family, and the replica's puller thread with
-//!   anti-entropy (see `docs/OPERATIONS.md` §11).
-//! * [`failover`] — cluster mode (`--peers`): the lease/vote/handoff
-//!   wire handlers around [`streamlink_core::failover`], the single
-//!   cluster loop that replaces the plain puller, and the epoch fence
-//!   in front of every write.
+//!   and `REPL` command family, and the replica's pulls, applies and
+//!   anti-entropy rounds (see `docs/OPERATIONS.md` §11).
+//! * [`failover`] — cluster membership: the lease/vote/handoff wire
+//!   handlers around [`streamlink_core::failover`], the epoch fence in
+//!   front of every write, and the one replication loop every replica
+//!   runs — a `--peers` node as a voter, a `--replicate-from` replica as
+//!   a non-voting learner.
 //!
 //! ## Lifecycle
 //!
@@ -44,6 +45,8 @@ pub mod persistence;
 pub mod protocol;
 pub mod replication;
 pub mod signals;
+#[cfg(test)]
+mod testkit;
 
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
@@ -138,16 +141,18 @@ pub struct ServerState {
     /// the audit cycle (read store → score) follow it.
     auditor: Option<AccuracyAuditor>,
     /// Primary-side replication: the bounded ship ring + peer registry
-    /// (`None` when `repl_buffer` is zero or this node is a replica).
+    /// (`None` when `repl_buffer` is zero). A replica holds one but
+    /// serves no pulls from it unless a promotion makes it primary.
     /// Lock order: the ring's lock is taken under the store write lock
     /// on the insert path, so store → ring everywhere.
     repl: Option<replication::PrimaryRepl>,
-    /// Replica-side replication: where the primary is and how far apply
-    /// has gotten (`None` on primaries).
+    /// Replica-side replication: how far apply has gotten (`None` on a
+    /// plain primary).
     replica: Option<Arc<replication::ReplicaRuntime>>,
-    /// Cluster membership and the failover state machine (`None`
-    /// outside `--peers` mode). Cluster nodes carry *both* `repl` and
-    /// `replica`, switching sides as their role changes.
+    /// Cluster membership and the failover state machine (`None` on a
+    /// plain primary). Every replica is a cluster node — a voter or a
+    /// learner — carrying *both* `repl` and `replica`; a voter switches
+    /// sides as its role changes.
     cluster: Option<Arc<failover::ClusterRuntime>>,
 }
 
@@ -171,45 +176,12 @@ impl ServerState {
         Self::new(store, Some(persist), snapshot_seq, config)
     }
 
-    /// A read replica: in-memory store, no journal, writes rejected at
-    /// the protocol layer, state pulled from `runtime.primary_addr` by
-    /// the puller thread [`serve`] spawns.
-    #[must_use]
-    pub fn replica(
-        store: SketchStore,
-        config: ServerConfig,
-        runtime: Arc<replication::ReplicaRuntime>,
-    ) -> Self {
-        let mut state = Self::new(store, None, 0, config);
-        state.repl = None; // replicas do not re-ship
-        state.replica = Some(runtime);
-        state
-    }
-
-    /// A read replica with its own data directory: applied WAL entries
-    /// are journaled locally (see `replication::apply_entry`), so a
-    /// restart resumes from the local disk seq instead of re-pulling
-    /// the world. The caller seeds the runtime's applied seq from the
-    /// recovery high-water mark.
-    #[must_use]
-    pub fn durable_replica(
-        store: SketchStore,
-        persist: Persist,
-        snapshot_seq: u64,
-        config: ServerConfig,
-        runtime: Arc<replication::ReplicaRuntime>,
-    ) -> Self {
-        let mut state = Self::new(store, Some(persist), snapshot_seq, config);
-        state.repl = None; // replicas do not re-ship
-        state.replica = Some(runtime);
-        state
-    }
-
-    /// A failover-cluster node. Unlike [`Self::replica`], it keeps its
-    /// ship ring (a promotion turns it into the serving primary) and may
-    /// carry a data directory (durable replicas journal what they
-    /// apply). Whether it currently *acts* as a replica is decided by
-    /// the cluster runtime's role, not by construction.
+    /// A replica: a cluster node, voter (`--peers`) or learner
+    /// (`--replicate-from`). It keeps its ship ring (a voter's promotion
+    /// turns it into the serving primary) and may carry a data directory
+    /// (durable replicas journal what they apply). Whether it currently
+    /// *acts* as a replica is decided by the cluster runtime's role, not
+    /// by construction.
     #[must_use]
     pub fn with_cluster(
         store: SketchStore,
@@ -345,27 +317,24 @@ impl ServerState {
         self.repl.as_ref()
     }
 
-    /// Replica-side replication state, when this node is a replica.
+    /// Replica-side replication state, on every cluster node.
     #[must_use]
     pub fn replica_runtime(&self) -> Option<&Arc<replication::ReplicaRuntime>> {
         self.replica.as_ref()
     }
 
-    /// Cluster failover state, when this node runs with `--peers`.
+    /// Cluster membership, on every node that is or may become a
+    /// replica (`--peers` or `--replicate-from`).
     #[must_use]
     pub fn cluster(&self) -> Option<&Arc<failover::ClusterRuntime>> {
         self.cluster.as_ref()
     }
 
     /// Whether this node currently acts as a read replica (writes get
-    /// `ERR readonly MOVED ...`). Static for classic replicas; for
-    /// cluster nodes it follows the live failover role.
+    /// `ERR readonly MOVED ...`): it follows the live failover role.
     #[must_use]
     pub fn is_replica(&self) -> bool {
-        match &self.cluster {
-            Some(cluster) => !cluster.is_primary(),
-            None => self.replica.is_some(),
-        }
+        self.cluster.as_ref().is_some_and(|c| !c.is_primary())
     }
 
     /// The auditor's current rolling error state, if auditing is on.
@@ -509,28 +478,19 @@ pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> 
     } else {
         None
     };
-    let repl_thread = match (&state.cluster, &state.replica) {
-        // Cluster mode: one loop owns both sides — it pulls while the
-        // node is a replica and maintains the lease while it is primary.
-        (Some(cluster), _) => {
+    // One loop owns both sides: it pulls while the node is a replica
+    // and maintains the lease while a voter is primary.
+    let repl_thread = match &state.cluster {
+        Some(cluster) => {
             let st = Arc::clone(state);
             let cl = Arc::clone(cluster);
             Some(
                 thread::Builder::new()
-                    .name("failover".into())
+                    .name("replication".into())
                     .spawn(move || failover::cluster_loop(&st, &cl))?,
             )
         }
-        (None, Some(runtime)) => {
-            let st = Arc::clone(state);
-            let rt = Arc::clone(runtime);
-            Some(
-                thread::Builder::new()
-                    .name("replication".into())
-                    .spawn(move || replication::replica_loop(&st, &rt))?,
-            )
-        }
-        (None, None) => None,
+        None => None,
     };
 
     state.refresh_observable_gauges();

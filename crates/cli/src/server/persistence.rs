@@ -154,6 +154,46 @@ pub fn checkpoint_now(state: &ServerState) -> io::Result<CheckpointReport> {
     })
 }
 
+/// Makes the live store the data directory's whole history: writes it
+/// as the generation at `seq`, deletes every other generation, and
+/// restarts the journal empty at `seq + 1`.
+///
+/// For a node that installed a snapshot from another timeline: a plain
+/// checkpoint is not enough, since a dead generation at a higher seq
+/// would win recovery and dead journal records above `seq` would replay
+/// on top of the installed store.
+///
+/// # Errors
+/// Fails on IO errors. A failure before the generation write leaves the
+/// old history in place; one after it leaves some dead files behind.
+pub(super) fn reset_to_store(state: &ServerState, seq: u64) -> io::Result<()> {
+    let Some(persist) = state.persist.as_ref() else {
+        return Ok(());
+    };
+    let store = state.read_store();
+    let mut persist = persist
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    StoreSnapshot::capture(&store).write_atomic(&durable::generation_path(&persist.dir, seq))?;
+    for (generation, path) in durable::list_generations(&persist.dir)? {
+        if generation != seq {
+            fs::remove_file(path)?;
+        }
+    }
+    match fs::remove_file(durable::snapshot_path(&persist.dir)) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    persist.journal.discard_history(seq + 1)?;
+    // Persist the deletions (best effort, as for the generation's own
+    // rename): a crash must not bring dead files back.
+    if let Ok(dir) = fs::File::open(&persist.dir) {
+        let _ = dir.sync_all();
+    }
+    state.set_last_snapshot_seq(seq);
+    Ok(())
+}
+
 /// The checkpointer thread body: poll until shutdown, checkpointing
 /// when the journal lag hits the edge budget or the interval elapses
 /// with anything to persist. The final shutdown checkpoint is the

@@ -1179,16 +1179,8 @@ mod tests {
     }
 
     fn replica() -> ServerState {
-        use crate::server::replication::{ReplicaRuntime, ReplicaTuning};
-        use std::sync::Arc;
-        let runtime = Arc::new(ReplicaRuntime::new(
-            "127.0.0.1:9".into(),
-            "test-replica".into(),
-            100_000,
-            ReplicaTuning::default(),
-        ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(1));
-        ServerState::replica(store, ServerConfig::default(), runtime)
+        crate::server::testkit::learner("127.0.0.1:9", "test-replica", 100_000, store).0
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! WAL-shipping replication: the primary's ship buffer + peer registry
-//! and the replica's puller loop.
+//! and the replica's side of a session (pull, apply, snapshot rounds).
 //!
 //! ## Topology
 //!
@@ -24,8 +24,8 @@
 //!
 //! ## The link is always binary v3
 //!
-//! Every link to a primary — classic replica or cluster peer — opens
-//! with `HELLO v3`, and from then on each response is one
+//! Every link to a primary, a learner's or a voter's, opens with
+//! `HELLO v3`, and from then on each response is one
 //! [`streamlink_core::codec`] envelope. A `REPL PULL` batch ships as one
 //! CRC-covered `WAL_BATCH` record (seqs delta-encoded); a snapshot ships
 //! as one `SNAPSHOT_FRAME` whose body is the seq followed by the same v3
@@ -55,16 +55,20 @@
 //!
 //! ## Failure behavior
 //!
-//! The puller reconnects with jittered exponential backoff and resumes
-//! from its last applied seq — a replica killed mid-stream loses nothing
-//! it already applied. A primary that restarted into a lower seq space
-//! is detected at handshake and answered with a full local reset.
+//! Every replica runs the one loop in [`super::failover`]: a
+//! `--replicate-from` replica is a non-voting learner there, a `--peers`
+//! node a voter. The loop reconnects with jittered exponential backoff
+//! and resumes from the last applied seq — a replica killed mid-stream
+//! loses nothing it already applied. A primary that restarted into a
+//! lower seq space is detected at the handshake and answered by
+//! installing its snapshot wholesale (`snapshot_round_with`); a
+//! durable replica then checkpoints it and discards its old history.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -265,11 +269,10 @@ impl PrimaryRepl {
     }
 }
 
-/// Replica-side shared state: where the primary is, how far we have
-/// applied, and the tunables the puller thread runs with.
+/// Replica-side shared state: how far we have applied and the tunables
+/// the replication loop runs with. Where the primary is lives in the
+/// cluster runtime ([`super::failover::ClusterRuntime::believed_primary`]).
 pub struct ReplicaRuntime {
-    /// `HOST:PORT` of the primary this node replicates from.
-    pub primary_addr: String,
     /// This replica's id, echoed in `REPL PULL` so the primary's peer
     /// registry and lag gauges can tell replicas apart.
     pub id: String,
@@ -290,9 +293,8 @@ pub struct ReplicaRuntime {
 impl ReplicaRuntime {
     /// A fresh runtime that has applied nothing yet.
     #[must_use]
-    pub fn new(primary_addr: String, id: String, lag_slo: u64, tuning: ReplicaTuning) -> Self {
+    pub fn new(id: String, lag_slo: u64, tuning: ReplicaTuning) -> Self {
         ReplicaRuntime {
-            primary_addr,
             id,
             lag_slo,
             tuning,
@@ -391,7 +393,8 @@ impl ReplicaRuntime {
         self.durable_lag() > self.lag_slo
     }
 
-    /// Whether the puller currently holds a live link to the primary.
+    /// Whether the replication loop currently holds a live link to the
+    /// primary.
     #[must_use]
     pub fn connected(&self) -> bool {
         self.connected.load(Ordering::Relaxed)
@@ -572,15 +575,19 @@ fn serving_repl(state: &ServerState) -> Option<&PrimaryRepl> {
 /// primary's address (`?` when no primary is currently known), so
 /// clients can follow it with `split_whitespace().nth(3)`.
 pub(super) fn readonly_moved(state: &ServerState) -> String {
-    let target = if let Some(cluster) = state.cluster() {
-        cluster.believed_primary()
-    } else {
-        state
-            .replica_runtime()
-            .map(|runtime| runtime.primary_addr.clone())
-    };
-    let target = target.unwrap_or_else(|| "?".into());
-    format!("ERR readonly MOVED {target} (this node is a read replica; retry on the primary)")
+    format!(
+        "ERR readonly MOVED {} (this node is a read replica; retry on the primary)",
+        primary_hint(state)
+    )
+}
+
+/// Where this node believes the primary is, or `?` when it does not
+/// know — the one address `MOVED`, `REPL STATUS` and `/healthz` report.
+pub(super) fn primary_hint(state: &ServerState) -> String {
+    state
+        .cluster()
+        .and_then(|cluster| cluster.believed_primary())
+        .unwrap_or_else(|| "?".into())
 }
 
 fn repl_unavailable(state: &ServerState) -> String {
@@ -598,18 +605,11 @@ fn status_line(state: &ServerState) -> String {
         Some(cluster) => format!(" epoch={}", cluster.epoch()),
         None => String::new(),
     };
-    if state.is_replica() {
-        let Some(runtime) = state.replica_runtime() else {
-            return "ERR replica state missing".into();
-        };
-        let primary = state
-            .cluster()
-            .and_then(|cluster| cluster.believed_primary())
-            .unwrap_or_else(|| runtime.primary_addr.clone());
+    if let Some(runtime) = state.replica_runtime().filter(|_| state.is_replica()) {
         return format!(
             "OK role=replica primary={} connected={} applied_seq={} persisted_seq={} \
              primary_seq={} lag_edges={} lag_slo={}{epoch_part}",
-            primary,
+            primary_hint(state),
             u64::from(runtime.connected()),
             runtime.applied_seq(),
             runtime.persisted_seq(),
@@ -629,10 +629,7 @@ fn status_line(state: &ServerState) -> String {
             // primary is (themselves, unless mid-transition) — the
             // same address the `MOVED` hint would carry.
             let believed_part = match state.cluster() {
-                Some(cluster) => format!(
-                    " believed_primary={}",
-                    cluster.believed_primary().unwrap_or_else(|| "?".into())
-                ),
+                Some(_) => format!(" believed_primary={}", primary_hint(state)),
                 None => String::new(),
             };
             format!(
@@ -660,41 +657,8 @@ fn parse_backend(name: &str) -> Option<HasherBackend> {
 }
 
 // ---------------------------------------------------------------------
-// Replica side: the puller thread.
+// Replica side: one session's pulls, applies and snapshot rounds.
 // ---------------------------------------------------------------------
-
-/// The replica puller thread body: connect, handshake, pull until
-/// shutdown; on any link error back off (jittered exponential) and
-/// reconnect, resuming from the last applied seq.
-pub fn replica_loop(state: &Arc<ServerState>, runtime: &Arc<ReplicaRuntime>) {
-    // Cheap deterministic jitter source, seeded per replica id so a
-    // fleet restarting together does not reconnect in lockstep.
-    let mut rng = Lcg::new(id_seed(&runtime.id));
-    let mut backoff = runtime.tuning.backoff_base;
-    while !state.shutdown_requested() {
-        match run_session(state, runtime, &mut backoff) {
-            Ok(()) => break, // clean shutdown
-            Err(e) => {
-                runtime.set_connected(false);
-                runtime.update_gauges();
-                metrics::global().repl_reconnects.incr();
-                if state.shutdown_requested() {
-                    break;
-                }
-                let delay = jittered(&mut rng, backoff);
-                eprintln!(
-                    "replication: link to {}: {e}; retrying in {}ms",
-                    runtime.primary_addr,
-                    delay.as_millis(),
-                );
-                sleep_poll(state, delay);
-                backoff = next_backoff(backoff, runtime.tuning.backoff_max);
-            }
-        }
-    }
-    runtime.set_connected(false);
-    runtime.update_gauges();
-}
 
 /// Folds a node id into a jitter seed (distinct ids, distinct phases).
 pub(super) fn id_seed(id: &str) -> u64 {
@@ -706,72 +670,6 @@ pub(super) fn id_seed(id: &str) -> u64 {
 /// One reconnect backoff step: double, saturating at the ceiling.
 pub(super) fn next_backoff(cur: Duration, max: Duration) -> Duration {
     cur.saturating_mul(2).min(max)
-}
-
-/// One connected session: handshake, then pull/anti-entropy until the
-/// link errors or shutdown is requested.
-fn run_session(
-    state: &ServerState,
-    runtime: &ReplicaRuntime,
-    backoff: &mut Duration,
-) -> io::Result<()> {
-    let mut link = PrimaryLink::connect(&runtime.primary_addr)?;
-    handshake(state, runtime, &mut link)?;
-    // A completed handshake proves the primary is healthy: reset the
-    // reconnect backoff so the next outage starts from the base delay.
-    *backoff = runtime.tuning.backoff_base;
-    runtime.set_connected(true);
-    runtime.update_gauges();
-    let mut last_anti_entropy = Instant::now();
-    loop {
-        if state.shutdown_requested() {
-            return Ok(());
-        }
-        let advanced = pull_once(state, runtime, &mut link)?;
-        if !runtime.tuning.anti_entropy_every.is_zero()
-            && last_anti_entropy.elapsed() >= runtime.tuning.anti_entropy_every
-        {
-            last_anti_entropy = Instant::now();
-            snapshot_round(state, runtime, &mut link)?;
-            metrics::global().repl_anti_entropy_rounds.incr();
-        }
-        runtime.update_gauges();
-        if !advanced {
-            sleep_poll(state, runtime.tuning.poll_interval);
-        }
-    }
-}
-
-/// `REPL HELLO` + config adoption / divergence handling (the classic,
-/// non-cluster handshake: a lower primary seq means a dead timeline and
-/// forces a full local reset).
-fn handshake(
-    state: &ServerState,
-    runtime: &ReplicaRuntime,
-    link: &mut PrimaryLink,
-) -> io::Result<()> {
-    let hello = say_hello(&runtime.id, link)?;
-    adopt_config(state, runtime, &hello)?;
-    if hello.primary_seq < runtime.applied_seq() {
-        // The primary restarted into a lower seq space: our state
-        // belongs to a dead timeline. Start over.
-        eprintln!(
-            "replication: primary seq {} behind local {}; full resync",
-            hello.primary_seq,
-            runtime.applied_seq(),
-        );
-        let mut store = state.write_store();
-        let mut applier = runtime.applier();
-        *store = SketchStore::new(*store.config());
-        applier.reset_to(0);
-        metrics::global().repl_resyncs.incr();
-        runtime
-            .applied_seq
-            .store(applier.applied_seq(), Ordering::Relaxed);
-        runtime.set_persisted(0);
-    }
-    runtime.note_primary_seq(hello.primary_seq);
-    Ok(())
 }
 
 /// Sends `REPL HELLO` and parses the reply. No local side effects.
@@ -878,7 +776,7 @@ pub(super) fn pull_once(
         (codec::MODE_TEXT_FRAME, body) => {
             let line = text_frame(body)?;
             if line.starts_with("ERR resync") {
-                snapshot_round(state, runtime, link)?;
+                snapshot_round_with(state, runtime, link, false)?;
                 Ok(true)
             } else {
                 Err(bad_data(format!("primary rejected pull: {line}")))
@@ -929,21 +827,12 @@ pub(super) fn apply_entry(state: &ServerState, runtime: &ReplicaRuntime, entry: 
         .store(applier.applied_seq(), Ordering::Relaxed);
 }
 
-/// One anti-entropy round: pull a primary snapshot and union it into the
-/// local store with the idempotent join, then advance the dedup gate to
-/// the snapshot's seq.
-pub(super) fn snapshot_round(
-    state: &ServerState,
-    runtime: &ReplicaRuntime,
-    link: &mut PrimaryLink,
-) -> io::Result<()> {
-    snapshot_round_with(state, runtime, link, false)
-}
-
-/// [`snapshot_round`] with an explicit replace switch: `force_replace`
-/// installs the snapshot wholesale even when its seq is ahead of the
-/// local mark — the rejoin path after a failover, where the local store
-/// belongs to a dead timeline whose seq numbers no longer mean anything.
+/// One snapshot round: pull a primary snapshot and union it into the
+/// local store with the idempotent join (anti-entropy), then advance the
+/// dedup gate to the snapshot's seq. A snapshot behind our applied mark
+/// is from another timeline and replaces the store wholesale, as does
+/// any snapshot with `force_replace` — the dead-timeline path, where the
+/// local seq numbers no longer mean anything.
 pub(super) fn snapshot_round_with(
     state: &ServerState,
     runtime: &ReplicaRuntime,
@@ -967,23 +856,24 @@ pub(super) fn snapshot_round_with(
         (mode, _) => return Err(bad_data(format!("unexpected frame mode {mode:#04x}"))),
     };
     let incoming = snap.restore();
-    {
+    let replaced = {
         let mut store = state.write_store();
         let mut applier = runtime.applier();
-        if *store.config() != *incoming.config() {
-            if store.vertex_count() == 0 && store.edges_processed() == 0 {
-                *store = incoming;
-                applier.reset_to(seq);
-            } else {
-                return Err(bad_data("snapshot config mismatch with local store"));
+        let fresh = store.vertex_count() == 0 && store.edges_processed() == 0;
+        if *store.config() != *incoming.config() && !fresh {
+            return Err(bad_data("snapshot config mismatch with local store"));
+        }
+        let replace = fresh || force_replace || seq < applier.applied_seq();
+        if replace {
+            // An empty store adopts the snapshot (and its sketch shape);
+            // otherwise the snapshot is from a different timeline than
+            // our applied mark (a primary reset, or a post-failover
+            // rejoin) and our seqs no longer mean anything.
+            if !fresh {
+                metrics::global().repl_resyncs.incr();
             }
-        } else if force_replace || seq < applier.applied_seq() {
-            // The snapshot is from a different timeline than our applied
-            // mark (a primary reset the handshake did not see, or a
-            // post-failover rejoin). Replace wholesale.
             *store = incoming;
             applier.reset_to(seq);
-            metrics::global().repl_resyncs.incr();
         } else {
             merge_join(&mut store, &incoming)
                 .map_err(|e| bad_data(format!("anti-entropy join failed: {e}")))?;
@@ -992,45 +882,44 @@ pub(super) fn snapshot_round_with(
         runtime
             .applied_seq
             .store(applier.applied_seq(), Ordering::Relaxed);
+        replace
+    };
+    if replaced {
+        // The old timeline's primary seq means nothing here either.
+        runtime.primary_seq.store(seq, Ordering::Relaxed);
+    } else {
+        runtime.note_primary_seq(seq);
     }
-    runtime.note_primary_seq(seq);
-    realign_durable(state, runtime, seq);
+    realign_durable(state, runtime, seq, replaced);
     Ok(())
 }
 
-/// After a snapshot install moved the applied mark without journal
-/// entries backing it, realign a durable node's journal to the new seq
-/// space and checkpoint immediately, so a restart recovers the
-/// snapshotted state instead of replaying a journal with a hole.
-fn realign_durable(state: &ServerState, runtime: &ReplicaRuntime, seq: u64) {
-    let realigned = {
-        let Some(mut persist) = state.persist_guard() else {
-            // In-memory node: RAM is the only durability there is.
-            runtime.set_persisted(runtime.applied_seq());
-            return;
-        };
-        if persist.journal.next_seq() == seq + 1 {
-            false
-        } else {
-            match persist.journal.rotate(seq + 1) {
-                Ok(()) => true,
-                Err(e) => {
-                    eprintln!(
-                        "replication: journal realign to seq {} failed: {e}",
-                        seq + 1
-                    );
-                    return;
-                }
-            }
-        }
+/// Makes a snapshot round durable on a node with a data directory. A
+/// wholesale replace makes the installed store the directory's whole
+/// history ([`persistence::reset_to_store`]), so a restart can bring
+/// back nothing of the dead timeline. A join that moved the applied mark
+/// past the journal realigns the journal and checkpoints, so a restart
+/// does not replay a journal with a hole.
+fn realign_durable(state: &ServerState, runtime: &ReplicaRuntime, seq: u64, replaced: bool) {
+    let Some(next_seq) = state.persist_guard().map(|p| p.journal.next_seq()) else {
+        // In-memory node: RAM is the only durability there is.
+        runtime.set_persisted(runtime.applied_seq());
+        return;
     };
-    if realigned {
-        match persistence::checkpoint_now(state) {
-            Ok(_) => runtime.set_persisted(seq),
-            Err(e) => eprintln!("replication: post-resync checkpoint failed: {e}"),
-        }
+    let realigned = if replaced {
+        persistence::reset_to_store(state, seq)
+    } else if next_seq != seq + 1 {
+        state
+            .persist_guard()
+            .map_or(Ok(()), |mut p| p.journal.rotate(seq + 1))
+            .and_then(|()| persistence::checkpoint_now(state).map(drop))
     } else {
         runtime.note_persisted(seq);
+        return;
+    };
+    match realigned {
+        Ok(()) => runtime.set_persisted(seq),
+        Err(e) => eprintln!("replication: cannot make the snapshot at seq {seq} durable: {e}"),
     }
 }
 
@@ -1150,8 +1039,12 @@ pub(super) fn jittered(rng: &mut Lcg, base: Duration) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::failover::{replica_session, Membership};
+    use crate::server::testkit::{self, scripted};
     use crate::server::{ServerConfig, ServerState};
     use graphstream::VertexId;
+    use std::sync::Arc;
+    use streamlink_core::journal::FsyncPolicy;
 
     fn primary_state() -> ServerState {
         let store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
@@ -1182,14 +1075,8 @@ mod tests {
     }
 
     fn replica_state() -> (ServerState, Arc<ReplicaRuntime>) {
-        let runtime = Arc::new(ReplicaRuntime::new(
-            "127.0.0.1:1".into(),
-            "r1".into(),
-            100_000,
-            ReplicaTuning::default(),
-        ));
         let store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
-        let state = ServerState::replica(store, ServerConfig::default(), Arc::clone(&runtime));
+        let (state, runtime, _cluster) = testkit::learner("127.0.0.1:1", "r1", 100_000, store);
         (state, runtime)
     }
 
@@ -1330,7 +1217,7 @@ mod tests {
         let (replica, runtime) = replica_state();
         let (addr, primary) = scripted(b"OK fmt=v3\n", vec![frame]);
         let mut link = PrimaryLink::connect(&addr).unwrap();
-        snapshot_round(&replica, &runtime, &mut link).unwrap();
+        snapshot_round_with(&replica, &runtime, &mut link, false).unwrap();
         primary.join().unwrap();
         assert_eq!(runtime.applied_seq(), 7);
         let (got, want) = (replica.read_store(), state.read_store());
@@ -1531,58 +1418,117 @@ mod tests {
         }
     }
 
-    #[test]
-    fn handshake_resets_a_replica_whose_timeline_died() {
-        let (state, runtime) = replica_state();
-        // The replica has applied up to seq 5 on the old timeline.
-        for seq in 1..=5u64 {
-            apply_entry(
-                &state,
-                &runtime,
-                JournalEntry {
-                    seq,
-                    u: VertexId(seq),
-                    v: VertexId(seq + 10),
-                },
-            );
+    fn snapshot_frame(seq: u64, edges: &[(u64, u64)]) -> Vec<u8> {
+        let mut store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
+        for &(u, v) in edges {
+            store.insert_edge(VertexId(u), VertexId(v));
         }
-        assert_eq!(runtime.applied_seq(), 5);
-        assert_eq!(state.read_store().edges_processed(), 5);
-
-        // A scripted primary that restarted into a lower seq space.
-        let hello = "OK repl hello primary_seq=1 slots=32 seed=5 backend=mixer";
-        let (addr, primary) = scripted(b"OK fmt=v3\n", vec![codec::encode_text_frame(hello)]);
-        let mut link = PrimaryLink::connect(&addr).unwrap();
-        handshake(&state, &runtime, &mut link).unwrap();
-        primary.join().unwrap();
-
-        // Everything local was wiped: the dead timeline's seqs mean
-        // nothing, so the replica starts over from 0.
-        assert_eq!(runtime.applied_seq(), 0);
-        assert_eq!(state.read_store().edges_processed(), 0);
-        assert_eq!(runtime.primary_seq(), 1);
+        codec::encode_snapshot_frame(seq, &StoreSnapshot::capture(&store)).unwrap()
     }
 
-    /// A one-shot scripted primary: it answers the link's `HELLO v3`
-    /// line with `hello`, then each request line with the next frame.
-    fn scripted(hello: &'static [u8], frames: Vec<Vec<u8>>) -> (String, thread::JoinHandle<()>) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let primary = thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line, "HELLO v3\n");
-            writer.write_all(hello).unwrap();
-            for frame in frames {
-                line.clear();
-                reader.read_line(&mut line).unwrap();
-                writer.write_all(&frame).unwrap();
-            }
-        });
-        (addr, primary)
+    /// Applies seqs `1..=n` of a timeline that is about to die.
+    fn apply_dead_timeline(state: &ServerState, runtime: &ReplicaRuntime, n: u64) {
+        for seq in 1..=n {
+            let (u, v) = (VertexId(seq), VertexId(seq + 10));
+            apply_entry(state, runtime, JournalEntry { seq, u, v });
+        }
+    }
+
+    /// The HELLO of a plain primary that restarted empty and took one
+    /// write.
+    const RESTARTED_HELLO: &str = "OK repl hello primary_seq=1 slots=32 seed=5 backend=mixer";
+
+    #[test]
+    fn handshake_resets_a_replica_whose_timeline_died() {
+        let (state, runtime, cluster) = testkit::learner(
+            "127.0.0.1:1",
+            "r1",
+            100_000,
+            SketchStore::new(SketchConfig::with_slots(32).seed(5)),
+        );
+        apply_dead_timeline(&state, &runtime, 5);
+        runtime.note_primary_seq(5);
+        assert_eq!(state.read_store().edges_processed(), 5);
+
+        // The primary restarted into a lower seq space: its HELLO is
+        // answered by installing its snapshot, then pulls resume there.
+        let (addr, primary) = scripted(
+            b"OK fmt=v3\n",
+            vec![
+                codec::encode_text_frame(RESTARTED_HELLO),
+                snapshot_frame(1, &[(50, 60)]),
+                codec::encode_wal_batch(&[], 1),
+            ],
+        );
+        assert!(replica_session(&state, &cluster, &runtime, &addr).is_err());
+        let requests = primary.join().unwrap();
+        assert_eq!(requests[..2], ["REPL HELLO r1", "REPL SNAPSHOT"]);
+        assert!(requests[2].starts_with("REPL PULL r1 1 "), "{requests:?}");
+
+        // The store is the primary's snapshot; the dead seqs are gone,
+        // and so is the lag they implied.
+        assert_eq!(runtime.applied_seq(), 1);
+        assert_eq!((runtime.primary_seq(), runtime.lag()), (1, 0));
+        let store = state.read_store();
+        assert_eq!(store.edges_processed(), 1);
+        assert_eq!(store.degree(VertexId(50)), 1);
+        assert_eq!(store.degree(VertexId(1)), 0);
+    }
+
+    #[test]
+    fn wholesale_install_survives_restart() {
+        let dir = std::env::temp_dir().join(format!("streamlink-install-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let cfg = SketchConfig::with_slots(32).seed(5);
+            let (persist, recovery) =
+                persistence::open_with_faults(&dir, cfg, FsyncPolicy::Never, None).unwrap();
+            let learner = Membership::Learner {
+                primary: "127.0.0.1:1".into(),
+            };
+            let node = testkit::node("r1", learner, 100_000, recovery.store, Some(persist));
+            (node, recovery.snapshot_seq)
+        };
+
+        // Case 1: dead seqs 1..=5 are journaled, then a different
+        // timeline's snapshot is force-installed at the journal's own
+        // high-water mark.
+        let ((state, runtime, _), _) = open();
+        apply_dead_timeline(&state, &runtime, 5);
+        let (addr, primary) = scripted(b"OK fmt=v3\n", vec![snapshot_frame(5, &[(100, 200)])]);
+        let mut link = PrimaryLink::connect(&addr).unwrap();
+        snapshot_round_with(&state, &runtime, &mut link, true).unwrap();
+        primary.join().unwrap();
+        drop(state);
+        let ((state, runtime, cluster), snapshot_seq) = open();
+        assert_eq!(snapshot_seq, 5);
+        assert_eq!(runtime.applied_seq(), 5);
+        {
+            let store = state.read_store();
+            assert_eq!(store.degree(VertexId(1)), 0, "dead timeline replayed");
+            assert_eq!(store.degree(VertexId(100)), 1, "installed snapshot lost");
+        }
+
+        // Case 2: the same node meets a primary that restarted empty and
+        // took one write, applies its seq 1, and restarts.
+        let (addr, primary) = scripted(
+            b"OK fmt=v3\n",
+            vec![
+                codec::encode_text_frame(RESTARTED_HELLO),
+                snapshot_frame(1, &[(300, 301)]),
+                codec::encode_wal_batch(&[], 1),
+            ],
+        );
+        assert!(replica_session(&state, &cluster, &runtime, &addr).is_err());
+        primary.join().unwrap();
+        drop(state);
+        let ((state, runtime, _), _) = open();
+        assert_eq!(state.read_store().edges_processed(), 1);
+        assert_eq!(state.read_store().degree(VertexId(300)), 1);
+        assert_eq!(runtime.applied_seq(), 1, "pulls resume after the new seq 1");
+        assert_eq!(state.persist_guard().unwrap().journal.next_seq(), 2);
+        drop(state);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

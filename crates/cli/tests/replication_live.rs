@@ -5,7 +5,9 @@
 //! replicas converge to the primary's exact state and serve every read,
 //! writes on a replica are refused with `ERR readonly`, a SIGKILLed
 //! replica rejoins and reconverges without the primary ever stalling,
-//! and both roles expose their lag through `REPL STATUS`.
+//! both roles expose their lag through `REPL STATUS`, and a durable
+//! replica that outlived its primary's timeline restarts onto the new
+//! one.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -22,13 +24,18 @@ struct Server {
 }
 
 impl Server {
-    /// Boots `streamlink serve --addr 127.0.0.1:0 <extra>` and waits for
-    /// its `LISTENING <addr>` line (and, for replicas, the following
-    /// `REPLICATING <primary>` line).
+    /// Boots `streamlink serve --addr 127.0.0.1:0 <extra>`.
     fn start(extra: &[&str], replica: bool) -> Server {
+        Server::start_at("127.0.0.1:0", extra, replica)
+    }
+
+    /// Boots `streamlink serve --addr <addr> <extra>` and waits for its
+    /// `LISTENING <addr>` line (and, for replicas, the following
+    /// `REPLICATING <primary>` line).
+    fn start_at(addr: &str, extra: &[&str], replica: bool) -> Server {
         let mut child = Command::new(env!("CARGO_BIN_EXE_streamlink"))
             .arg("serve")
-            .args(["--addr", "127.0.0.1:0", "--slots", SLOTS, "--seed", SEED])
+            .args(["--addr", addr, "--slots", SLOTS, "--seed", SEED])
             .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -68,19 +75,27 @@ impl Server {
 
     /// A replica of `primary` polling fast enough for test deadlines.
     fn replica(primary: &str, id: &str) -> Server {
-        Server::start(
-            &[
-                "--replicate-from",
-                primary,
-                "--repl-id",
-                id,
-                "--repl-poll-ms",
-                "20",
-                "--repl-anti-entropy-secs",
-                "1",
-            ],
-            true,
-        )
+        Server::start(&Server::replica_flags(primary, id), true)
+    }
+
+    /// [`Server::replica`] journaling into its own data directory.
+    fn durable_replica(primary: &str, id: &str, dir: &str) -> Server {
+        let mut flags = Server::replica_flags(primary, id);
+        flags.extend(["--data-dir", dir]);
+        Server::start(&flags, true)
+    }
+
+    fn replica_flags<'a>(primary: &'a str, id: &'a str) -> Vec<&'a str> {
+        vec![
+            "--replicate-from",
+            primary,
+            "--repl-id",
+            id,
+            "--repl-poll-ms",
+            "20",
+            "--repl-anti-entropy-secs",
+            "1",
+        ]
     }
 
     fn connect(&self) -> Client {
@@ -263,4 +278,57 @@ fn sigkilled_replica_rejoins_and_reconverges() {
         let status = feed.ask("REPL STATUS");
         field(&status, "replicas_connected") == 2 && field(&status, "max_lag_edges") == 0
     });
+}
+
+#[test]
+fn durable_replica_restarts_onto_a_restarted_primarys_timeline() {
+    let dir = std::env::temp_dir().join(format!("streamlink-repl-live-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let mut primary = Server::primary();
+    let addr = primary.addr.clone();
+    let mut replica = Server::durable_replica(&addr, "r1", dir_arg);
+
+    let stream = edges(40);
+    let mut feed = primary.connect();
+    for &(u, v) in &stream {
+        assert_eq!(feed.ask(&format!("INSERT {u} {v}")), "OK inserted");
+    }
+    wait_applied(&replica, stream.len() as u64, "replica to catch up");
+
+    // The primary dies and comes back empty on the same address: a new
+    // timeline whose seq 1 is a different edge from the journaled one.
+    primary.kill();
+    let primary = Server::start_at(&addr, &[], false);
+    let mut feed = primary.connect();
+    assert_eq!(feed.ask("INSERT 1 5000"), "OK inserted");
+    wait_for("replica to leave the dead timeline", || {
+        let stats = replica.connect().ask("STATS");
+        field(&stats, "edges") == 1
+    });
+    wait_applied(&replica, 1, "replica to apply the new seq 1");
+    let status = replica.connect().ask("REPL STATUS");
+    assert_eq!(
+        field(&status, "lag_edges"),
+        0,
+        "dead seqs still count as lag"
+    );
+    let want_edges = field(&feed.ask("STATS"), "edges");
+    let want_jaccard = feed.ask("JACCARD 1 2");
+    let want_degree = feed.ask("DEGREE 1");
+
+    // Restart the replica while no primary is up, so what it serves is
+    // exactly what it recovered from its own disk.
+    drop(feed);
+    drop(primary);
+    replica.kill();
+    let replica = Server::durable_replica(&addr, "r1", dir_arg);
+    let mut client = replica.connect();
+    assert_eq!(field(&client.ask("STATS"), "edges"), want_edges);
+    assert_eq!(client.ask("JACCARD 1 2"), want_jaccard);
+    assert_eq!(client.ask("DEGREE 1"), want_degree);
+    assert_eq!(field(&client.ask("REPL STATUS"), "applied_seq"), 1);
+    drop(client);
+    drop(replica);
+    let _ = std::fs::remove_dir_all(&dir);
 }

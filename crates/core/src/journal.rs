@@ -466,6 +466,28 @@ impl Journal {
         Ok(())
     }
 
+    /// Deletes every segment in the directory, the active one included,
+    /// and starts an empty one holding entries from `next_seq` on.
+    /// Returns how many segments were deleted.
+    ///
+    /// For a node whose whole WAL history was superseded by a snapshot
+    /// it installed from another timeline: none of the old records
+    /// describe its state, and replaying any of them (even ones above
+    /// `next_seq`) would bring the dead timeline back. Call only after
+    /// that snapshot is durable.
+    ///
+    /// # Errors
+    /// Fails if the directory listing, a deletion, or the new segment
+    /// fails.
+    pub fn discard_history(&mut self, next_seq: u64) -> io::Result<usize> {
+        let segments = list_segments(&self.dir)?;
+        for (_, path) in &segments {
+            fs::remove_file(path)?;
+        }
+        self.rotate(next_seq)?;
+        Ok(segments.len())
+    }
+
     /// Deletes sealed segments made fully redundant by a snapshot
     /// covering every seq up to and including `snapshot_seq`.
     ///
@@ -1094,6 +1116,30 @@ mod tests {
         let mut seen = Vec::new();
         replay(&dir, 4, |e| seen.push(e.seq)).unwrap();
         assert_eq!(seen, vec![5, 6]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn discard_history_drops_every_segment_even_one_named_like_the_new_start() {
+        let dir = temp_dir("discard");
+        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
+        for seq in 1..=4 {
+            j.append(entry(seq)).unwrap();
+        }
+        j.rotate(5).unwrap();
+        for seq in 5..=9 {
+            j.append(entry(seq)).unwrap();
+        }
+        // The new history restarts at seq 5: the dead `wal.5.log` must not
+        // be appended to, and the dead seqs 1..=4 must not replay either.
+        assert_eq!(j.discard_history(5).unwrap(), 2);
+        assert_eq!(j.next_seq(), 5);
+        j.append(entry(5)).unwrap();
+        drop(j);
+        let mut seen = Vec::new();
+        replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
+        assert_eq!(seen, vec![5]);
+        assert_eq!(list_segments(&dir).unwrap().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

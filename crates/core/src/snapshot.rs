@@ -218,9 +218,9 @@ impl StoreSnapshot {
     ///
     /// # Errors
     /// Fails on IO errors, or with [`io::ErrorKind::InvalidData`] when
-    /// the store is past the codec's part limit
-    /// ([`codec::MAX_PARTS`]); the previous snapshot at `path` (if any)
-    /// is untouched on failure.
+    /// the store's encoding is past the codec's body limit
+    /// ([`codec::MAX_BODY_LEN`]); the previous snapshot at `path` (if
+    /// any) is untouched on failure.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
         write_atomic_bytes(path, &codec::encode_store_snapshot(self)?)
     }
