@@ -44,10 +44,10 @@ pub fn write_trace_out(flags: &Flags) -> Result<(), String> {
 
 /// Loads the store a `--snapshot` file holds, in any snapshot format
 /// (a `serve --data-dir` generation, an `ingest` output, or a legacy v1
-/// or v2 text file), verifying its checksum where the format has one.
+/// or v2 text file), verifying its checksum where the format has one. A
+/// v3 file streams straight into the store.
 pub fn load_snapshot(path: &str) -> Result<streamlink_core::SketchStore, String> {
-    streamlink_core::snapshot::StoreSnapshot::read_from(std::path::Path::new(path))
-        .map(|snap| snap.restore())
+    streamlink_core::snapshot::load_store(std::path::Path::new(path))
         .map_err(|e| format!("cannot load snapshot {path}: {e}"))
 }
 

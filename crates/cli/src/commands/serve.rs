@@ -94,7 +94,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use streamlink_core::journal::FsyncPolicy;
-use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{SketchConfig, SketchStore};
 
 use crate::args::Flags;
@@ -326,11 +325,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                     config,
                 )
             }
-            (None, Some(path)) => {
-                let snap = StoreSnapshot::read_from(Path::new(path))
-                    .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
-                ServerState::in_memory(snap.restore(), config)
-            }
+            (None, Some(path)) => ServerState::in_memory(super::load_snapshot(path)?, config),
             (None, None) => ServerState::in_memory(SketchStore::new(sketch_config), config),
         }
     };
@@ -600,6 +595,68 @@ mod tests {
         server.join().unwrap().unwrap();
         assert_eq!(state.connections_active(), 0);
         assert_eq!(state.read_store().edges_processed(), 1);
+    }
+
+    #[test]
+    fn blocking_accept_takes_connections_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let store = SketchStore::new(SketchConfig::with_slots(16).seed(5));
+        let state = Arc::new(ServerState::in_memory(store, ServerConfig::default()));
+        let st = Arc::clone(&state);
+        let server = std::thread::spawn(move || server::serve(listener, &st));
+        // A polling acceptor leaves each connection waiting up to one
+        // poll interval (25 ms), so 20 quick ones in a row would take it
+        // thousands of tries. Three rounds absorb a scheduler hiccup on a
+        // loaded host.
+        let slowest_of_round = || {
+            (0..20)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let mut conn = TcpStream::connect(addr).unwrap();
+                    let mut reader = BufReader::new(conn.try_clone().unwrap());
+                    writeln!(conn, "PING").unwrap();
+                    let mut line = String::new();
+                    reader.read_line(&mut line).unwrap();
+                    assert_eq!(line.trim_end(), "OK pong");
+                    start.elapsed()
+                })
+                .max()
+                .unwrap()
+        };
+        let rounds: Vec<Duration> = (0..3).map(|_| slowest_of_round()).collect();
+        assert!(
+            rounds
+                .iter()
+                .any(|&slowest| slowest < Duration::from_millis(5)),
+            "slowest connect + PING per round of 20: {rounds:?}"
+        );
+        state.request_shutdown();
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_acceptor() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let store = SketchStore::new(SketchConfig::with_slots(16).seed(5));
+        let state = Arc::new(ServerState::in_memory(store, ServerConfig::default()));
+        let st = Arc::clone(&state);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = server::serve(listener, &st);
+            let _ = done_tx.send(result.is_ok());
+        });
+        // No client ever connects: the acceptor sits in a blocking
+        // accept, and only the wake-up connection can free it.
+        std::thread::sleep(Duration::from_millis(50));
+        state.request_shutdown();
+        let returned = done_rx.recv_timeout(ServerConfig::default().drain_deadline);
+        assert_eq!(
+            returned,
+            Ok(true),
+            "serve must return within the drain deadline"
+        );
+        assert_eq!(state.connections_active(), 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod signals;
 mod testkit;
 
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
@@ -61,11 +61,11 @@ use streamlink_core::{AccuracyAuditor, AuditConfig, AuditSnapshot, MemoryReport,
 
 use persistence::Persist;
 
-/// How often the accept loop and connection loops wake up to poll the
+/// How often the housekeeping and connection loops wake up to poll the
 /// shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// How often the accept loop refreshes the `mem.*` gauges from a fresh
+/// How often housekeeping refreshes the `mem.*` gauges from a fresh
 /// [`MemoryReport`] (scrapes also refresh on demand; this keeps the TCP
 /// `METRICS` view current even with no scraper attached).
 pub const MEM_REFRESH_INTERVAL: Duration = Duration::from_secs(5);
@@ -373,7 +373,7 @@ impl ServerState {
 
     /// Refreshes every observation-time gauge: live connections,
     /// journal lag, and the full `mem.*` breakdown. Called by the
-    /// accept loop every [`MEM_REFRESH_INTERVAL`] and by `/metrics` so
+    /// housekeeping thread every [`MEM_REFRESH_INTERVAL`] and by `/metrics` so
     /// scrapes are never staler than one request.
     pub fn refresh_observable_gauges(&self) {
         let m = streamlink_core::metrics::global();
@@ -453,11 +453,16 @@ impl Drop for ActiveGuard<'_> {
 /// the final checkpoint. Returns `Ok(())` on a clean shutdown so the
 /// process can exit 0.
 ///
+/// `accept` blocks, so a connection is taken the moment it arrives. The
+/// periodic work lives on a housekeeping thread, which also wakes the
+/// acceptor once shutdown is requested by connecting to the listener.
+///
 /// # Errors
 /// Fails if the listener cannot be configured or the final checkpoint
 /// cannot be written (acked edges are still safe in the journal).
 pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let wake = wake_addr(&listener)?;
     let checkpointer = if state.persist.is_some() {
         let st = Arc::clone(state);
         Some(
@@ -494,25 +499,25 @@ pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> 
     };
 
     state.refresh_observable_gauges();
-    let mut last_metrics_log = Instant::now();
-    let mut last_mem_refresh = Instant::now();
+    let housekeeping = {
+        let st = Arc::clone(state);
+        thread::Builder::new()
+            .name("housekeeping".into())
+            .spawn(move || housekeeping_loop(&st, wake))?
+    };
     // Phase attribution: how long the acceptor idled before each
     // connection arrived. Near-zero accept waits under load mean the
     // listener itself is the bottleneck; large waits mean it is starved
     // for work and latency lives elsewhere.
     let mut last_accept = Instant::now();
     while !state.shutdown_requested() {
-        let log_every = state.config.metrics_log_every;
-        if !log_every.is_zero() && last_metrics_log.elapsed() >= log_every {
-            last_metrics_log = Instant::now();
-            eprintln!("{}", metrics_log_line(state));
-        }
-        if last_mem_refresh.elapsed() >= MEM_REFRESH_INTERVAL {
-            last_mem_refresh = Instant::now();
-            state.refresh_observable_gauges();
-        }
         match listener.accept() {
             Ok((stream, _)) => {
+                if state.shutdown_requested() {
+                    // Housekeeping's wake-up, or a client that raced
+                    // shutdown: either way, serve nothing more.
+                    break;
+                }
                 let m = streamlink_core::metrics::global();
                 m.connections_accepted.incr();
                 m.serve_accept_wait_ms
@@ -536,7 +541,6 @@ pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> 
                     eprintln!("cannot spawn connection thread: {e}");
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
                 eprintln!("accept failed: {e}");
@@ -545,6 +549,7 @@ pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> 
         }
     }
     drop(listener); // stop accepting before draining
+    let _ = housekeeping.join();
 
     let deadline = Instant::now() + state.config.drain_deadline;
     while state.connections_active() > 0 && Instant::now() < deadline {
@@ -572,6 +577,41 @@ pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> 
         );
     }
     Ok(())
+}
+
+/// Where housekeeping connects to wake a blocked `accept`: the
+/// listener's own address, with a wildcard IP replaced by loopback.
+fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    Ok(addr)
+}
+
+/// The housekeeping thread body: the periodic metrics log line and
+/// `mem.*` refresh until shutdown is requested, then one connection to
+/// `wake` so the acceptor, blocked in `accept`, sees the flag.
+fn housekeeping_loop(state: &ServerState, wake: SocketAddr) {
+    let mut last_metrics_log = Instant::now();
+    let mut last_mem_refresh = Instant::now();
+    while !state.shutdown_requested() {
+        let log_every = state.config.metrics_log_every;
+        if !log_every.is_zero() && last_metrics_log.elapsed() >= log_every {
+            last_metrics_log = Instant::now();
+            eprintln!("{}", metrics_log_line(state));
+        }
+        if last_mem_refresh.elapsed() >= MEM_REFRESH_INTERVAL {
+            last_mem_refresh = Instant::now();
+            state.refresh_observable_gauges();
+        }
+        thread::sleep(POLL_INTERVAL);
+    }
+    if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+        eprintln!("cannot wake the accept loop at {wake}: {e}");
+    }
 }
 
 /// The accuracy-audit thread body: one cycle per `audit_interval`,
@@ -603,7 +643,7 @@ fn shed(stream: TcpStream, cap: usize) {
     );
 }
 
-/// The periodic one-line metrics summary the accept loop logs: the
+/// The periodic one-line metrics summary housekeeping logs: the
 /// load-bearing subset of `METRICS` (full catalogue via the protocol
 /// command).
 fn metrics_log_line(state: &ServerState) -> String {

@@ -840,9 +840,9 @@ pub(super) fn snapshot_round_with(
     force_replace: bool,
 ) -> io::Result<()> {
     link.send("REPL SNAPSHOT")?;
-    let (seq, snap) = match link.recv_frame()? {
+    let (seq, incoming) = match link.recv_frame()? {
         (codec::MODE_SNAPSHOT_FRAME, body) => {
-            codec::decode_snapshot_frame_body(&body).map_err(io::Error::from)?
+            codec::load_snapshot_frame(&body).map_err(io::Error::from)?
         }
         (codec::MODE_TEXT_FRAME, body) => {
             let line = text_frame(body)?;
@@ -855,7 +855,6 @@ pub(super) fn snapshot_round_with(
         }
         (mode, _) => return Err(bad_data(format!("unexpected frame mode {mode:#04x}"))),
     };
-    let incoming = snap.restore();
     let replaced = {
         let mut store = state.write_store();
         let mut applier = runtime.applier();

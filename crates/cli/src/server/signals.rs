@@ -2,9 +2,9 @@
 //!
 //! The handler does the only thing that is async-signal-safe here: one
 //! atomic store. Every serving loop polls [`shutdown_requested`] (the
-//! accept loop every ~25 ms, connection loops on their read-timeout
-//! tick), so a signal turns into a graceful drain rather than an
-//! abrupt exit.
+//! housekeeping thread every ~25 ms, which then wakes the blocked
+//! accept loop; connection loops on their read-timeout tick), so a
+//! signal turns into a graceful drain rather than an abrupt exit.
 //!
 //! This is the one place the CLI crate touches `unsafe`: registering
 //! the handler with libc's `signal(2)`. The raw binding keeps the

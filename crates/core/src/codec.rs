@@ -45,16 +45,17 @@
 //! flag, low groups first, at most 10 bytes for a `u64`.
 
 use std::fmt;
-use std::io::{self, Read};
+use std::io::{self, BufRead, Read};
 
 use graphstream::VertexId;
-use hashkit::crc32;
+use hashkit::crc32::{crc32, Crc32};
 
 use crate::config::{HasherBackend, SketchConfig};
 use crate::hll::HyperLogLog;
 use crate::journal::JournalEntry;
 use crate::sketch::{Slot, VertexSketch};
 use crate::snapshot::{RobustSnapshot, RobustVertexEntry, StoreSnapshot, VertexEntry};
+use crate::store::{SketchStore, Vertex};
 
 /// The 4-byte magic opening every binary v3 envelope.
 pub const BINARY_MAGIC: [u8; 4] = *b"SLB3";
@@ -156,22 +157,11 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 /// [`CodecError::Truncated`] if the input ends mid-varint;
 /// [`CodecError::Malformed`] if the encoding overflows a `u64`.
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    let mut value: u64 = 0;
-    for i in 0..10u32 {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err(CodecError::Truncated);
-        };
+    leb128(|| {
+        let b = *bytes.get(*pos).ok_or(CodecError::Truncated)?;
         *pos += 1;
-        let group = u64::from(b & 0x7f);
-        if i == 9 && group > 1 {
-            return Err(CodecError::Malformed("varint overflows u64"));
-        }
-        value |= group << (7 * i);
-        if b & 0x80 == 0 {
-            return Ok(value);
-        }
-    }
-    Err(CodecError::Malformed("varint longer than 10 bytes"))
+        Ok(b)
+    })
 }
 
 /// Whether `bytes` opens with the binary v3 magic — the format sniff
@@ -194,19 +184,37 @@ pub struct Envelope<'a> {
     pub consumed: usize,
 }
 
+/// Appends an envelope header: magic, version, mode, length varint.
+fn write_header(out: &mut Vec<u8>, mode: u8, body_len: usize) {
+    out.extend_from_slice(&BINARY_MAGIC);
+    out.push(BINARY_VERSION);
+    out.push(mode);
+    write_varint(out, body_len as u64);
+}
+
 /// Wraps `body` in a v3 envelope (magic, version, mode, length varint,
 /// body, CRC-32 trailer).
 #[must_use]
 pub fn encode_envelope(mode: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 20);
-    out.extend_from_slice(&BINARY_MAGIC);
-    out.push(BINARY_VERSION);
-    out.push(mode);
-    write_varint(&mut out, body.len() as u64);
+    write_header(&mut out, mode, body.len());
     out.extend_from_slice(body);
     let crc = crc32(&out[BINARY_MAGIC.len()..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// The envelope [`encode_envelope`] would build around `body`, as its
+/// header and CRC-32 trailer, so a writer can emit header, body and
+/// trailer in turn without copying the body into one buffer.
+#[must_use]
+pub(crate) fn envelope_frame(mode: u8, body: &[u8]) -> (Vec<u8>, [u8; 4]) {
+    let mut header = Vec::with_capacity(16);
+    write_header(&mut header, mode, body.len());
+    let mut crc = Crc32::new();
+    crc.update(&header[BINARY_MAGIC.len()..]);
+    crc.update(body);
+    (header, crc.finish().to_le_bytes())
 }
 
 /// The writer's half of [`MAX_BODY_LEN`]: refuses a body the reader
@@ -430,12 +438,235 @@ pub fn read_envelope_blocking(reader: &mut impl io::Read) -> io::Result<(u8, Vec
     }
     // Body + CRC trailer, buffered as it arrives rather than sized from
     // the length field, then verified through the one decoder.
+    let body_start = buf.len();
     let rest = body_len + 4;
     if (reader.by_ref().take(rest).read_to_end(&mut buf)? as u64) < rest {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    let env = decode_envelope(&buf)?;
-    Ok((env.mode, env.body.to_vec()))
+    let mode = decode_envelope(&buf)?.mode;
+    // Hand back the body in the buffer it arrived in, not a copy of it.
+    buf.truncate(buf.len() - 4);
+    buf.drain(..body_start);
+    Ok((mode, buf))
+}
+
+// ---------------------------------------------------------------------
+// Streaming input
+// ---------------------------------------------------------------------
+
+/// The byte source every snapshot-body decoder reads: any [`BufRead`],
+/// whether a slice in memory or a buffered file, decoded in place.
+///
+/// Decoded bytes go back to the source, and into the running CRC when
+/// one is kept, a whole buffer at a time rather than field by field.
+/// No read passes `limit`, so a body decoder cannot run on into the
+/// trailer. A read error from the source ends decoding as
+/// [`CodecError::Truncated`] and is kept in `io_error` for the caller to
+/// report as what it was.
+struct Input<R> {
+    inner: R,
+    /// Bytes of `inner`'s current buffer already decoded but not yet
+    /// handed back.
+    used: usize,
+    /// Source bytes handed back so far.
+    consumed: u64,
+    /// Absolute position no read may pass.
+    limit: u64,
+    /// How many bytes the source holds in all (a file's length, a
+    /// slice's), which bounds counts before anything is reserved.
+    held: u64,
+    crc: Option<Crc32>,
+    io_error: Option<io::Error>,
+}
+
+impl<'a> Input<&'a [u8]> {
+    /// Input over bytes already in memory.
+    fn slice(bytes: &'a [u8]) -> Self {
+        Input::new(bytes, bytes.len() as u64)
+    }
+}
+
+impl<R: BufRead> Input<R> {
+    fn new(inner: R, held: u64) -> Self {
+        Input {
+            inner,
+            used: 0,
+            consumed: 0,
+            limit: u64::MAX,
+            held,
+            crc: None,
+            io_error: None,
+        }
+    }
+
+    /// Bytes read so far.
+    fn position(&self) -> u64 {
+        self.consumed + self.used as u64
+    }
+
+    /// Bytes that can still be read: up to `limit` and within what the
+    /// source holds.
+    fn remaining(&self) -> u64 {
+        self.limit.min(self.held).saturating_sub(self.position())
+    }
+
+    /// Where the source's current buffer ends, cut at `limit` (0 at the
+    /// end of the source, or on a read error).
+    fn buffer_end(&mut self) -> usize {
+        let room = usize::try_from(self.limit.saturating_sub(self.consumed)).unwrap_or(usize::MAX);
+        loop {
+            match self.inner.fill_buf() {
+                Ok(buf) => return buf.len().min(room),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.io_error.get_or_insert(e);
+                    return 0;
+                }
+            }
+        }
+    }
+
+    /// The undecoded rest of the current buffer, refilled once it is
+    /// spent; empty only at the end of the source or at `limit`.
+    fn rest(&mut self) -> &[u8] {
+        let mut end = self.buffer_end();
+        if self.used > 0 && self.used >= end {
+            self.flush();
+            end = self.buffer_end();
+        }
+        match self.inner.fill_buf() {
+            Ok(buf) if self.used < end => &buf[self.used..end],
+            _ => &[],
+        }
+    }
+
+    /// Hands the decoded bytes back to the source, folding them into the
+    /// CRC first.
+    fn flush(&mut self) {
+        if self.used == 0 {
+            return;
+        }
+        if let (Some(crc), Ok(buf)) = (self.crc.as_mut(), self.inner.fill_buf()) {
+            crc.update(&buf[..self.used]);
+        }
+        self.inner.consume(self.used);
+        self.consumed += self.used as u64;
+        self.used = 0;
+    }
+
+    fn byte(&mut self) -> Result<u8, CodecError> {
+        let b = *self.rest().first().ok_or(CodecError::Truncated)?;
+        self.used += 1;
+        Ok(b)
+    }
+
+    /// Decodes one sketch: in one go from the current buffer when it
+    /// holds the whole sketch, which skips the per-field buffer checks,
+    /// and field by field across a refill when it does not.
+    fn sketch(&mut self, sketches: &mut SketchDecoder) -> Result<VertexSketch, CodecError> {
+        let mut window = Window {
+            bytes: self.rest(),
+            pos: 0,
+        };
+        match sketches.decode(&mut window) {
+            Ok(sketch) => {
+                let read = window.pos;
+                self.used += read;
+                Ok(sketch)
+            }
+            Err(CodecError::Truncated) => sketches.decode(self),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Appends the next `n` bytes to `out`.
+    fn read_into(&mut self, n: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
+        let target = out.len() + n;
+        while out.len() < target {
+            let rest = self.rest();
+            if rest.is_empty() {
+                return Err(CodecError::Truncated);
+            }
+            let take = rest.len().min(target - out.len());
+            out.extend_from_slice(&rest[..take]);
+            self.used += take;
+        }
+        Ok(())
+    }
+
+    /// Reads on to `limit` (or the end of the source), so the CRC
+    /// covers everything up to it.
+    fn skip_to_limit(&mut self) {
+        loop {
+            let n = self.rest().len();
+            if n == 0 {
+                return;
+            }
+            self.used += n;
+        }
+    }
+
+    /// Starts a CRC over everything read after this point.
+    fn start_crc(&mut self) {
+        self.flush();
+        self.crc = Some(Crc32::new());
+    }
+
+    /// Ends the CRC begun by [`Self::start_crc`] and returns its value.
+    fn finish_crc(&mut self) -> u32 {
+        self.flush();
+        self.crc.take().map_or(0, |crc| crc.finish())
+    }
+}
+
+/// A source of LEB128 varints for the column decoders.
+trait Varints {
+    fn varint(&mut self) -> Result<u64, CodecError>;
+}
+
+impl<R: BufRead> Varints for Input<R> {
+    fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut pos = 0;
+        match read_varint(self.rest(), &mut pos) {
+            Ok(value) => {
+                self.used += pos;
+                Ok(value)
+            }
+            // The buffer ends mid-varint: read it again a byte at a
+            // time, across the refill.
+            Err(CodecError::Truncated) => leb128(|| self.byte()),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// The rest of [`Input`]'s current buffer, read as plain bytes.
+struct Window<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Varints for Window<'_> {
+    fn varint(&mut self) -> Result<u64, CodecError> {
+        read_varint(self.bytes, &mut self.pos)
+    }
+}
+
+/// Unsigned LEB128 over a byte supplier.
+fn leb128(mut next: impl FnMut() -> Result<u8, CodecError>) -> Result<u64, CodecError> {
+    let mut value: u64 = 0;
+    for i in 0..10u32 {
+        let b = next()?;
+        let group = u64::from(b & 0x7f);
+        if i == 9 && group > 1 {
+            return Err(CodecError::Malformed("varint overflows u64"));
+        }
+        value |= group << (7 * i);
+        if b & 0x80 == 0 {
+            return Ok(value);
+        }
+    }
+    Err(CodecError::Malformed("varint longer than 10 bytes"))
 }
 
 // ---------------------------------------------------------------------
@@ -468,47 +699,68 @@ fn encode_sketch(out: &mut Vec<u8>, sketch: &VertexSketch) {
     }
 }
 
-fn decode_sketch(body: &[u8], pos: &mut usize, k: usize) -> Result<VertexSketch, CodecError> {
-    let filled = read_varint(body, pos)?;
-    if filled > k as u64 {
-        return Err(CodecError::Malformed("filled slots exceed sketch width"));
-    }
-    let filled = usize::try_from(filled).map_err(|_| CodecError::TooLarge("filled slot count"))?;
-    let mut hashes = Vec::with_capacity(filled);
-    let mut prev = 0u64;
-    for i in 0..filled {
-        let delta = read_varint(body, pos)?;
-        let hash = if i == 0 {
-            delta
-        } else {
-            prev.checked_add(delta)
-                .ok_or(CodecError::Malformed("hash column overflows"))?
-        };
-        prev = hash;
-        hashes.push(hash);
-    }
-    let mut slots = vec![Slot::EMPTY; k].into_boxed_slice();
-    let mut taken = vec![false; k];
-    let mut indices = Vec::with_capacity(filled);
-    for _ in 0..filled {
-        let idx = read_varint(body, pos)?;
-        let idx = usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < k)
-            .ok_or(CodecError::Malformed("slot index out of range"))?;
-        if std::mem::replace(&mut taken[idx], true) {
-            return Err(CodecError::Malformed("duplicate slot index"));
+/// Decodes sketches of width `k`, keeping its working buffers across
+/// vertices so that each sketch costs one allocation: its slot array.
+struct SketchDecoder {
+    k: usize,
+    hashes: Vec<u64>,
+    indices: Vec<usize>,
+    taken: Vec<bool>,
+}
+
+impl SketchDecoder {
+    fn new(k: usize) -> Self {
+        SketchDecoder {
+            k,
+            hashes: Vec::with_capacity(k),
+            indices: Vec::with_capacity(k),
+            taken: vec![false; k],
         }
-        indices.push(idx);
     }
-    for (i, &idx) in indices.iter().enumerate() {
-        let argmin = read_varint(body, pos)?;
-        slots[idx] = Slot {
-            hash: hashes[i],
-            argmin: VertexId(argmin),
-        };
+
+    fn decode(&mut self, input: &mut impl Varints) -> Result<VertexSketch, CodecError> {
+        let k = self.k;
+        let filled = input.varint()?;
+        if filled > k as u64 {
+            return Err(CodecError::Malformed("filled slots exceed sketch width"));
+        }
+        let filled =
+            usize::try_from(filled).map_err(|_| CodecError::TooLarge("filled slot count"))?;
+        self.hashes.clear();
+        let mut prev = 0u64;
+        for i in 0..filled {
+            let delta = input.varint()?;
+            let hash = if i == 0 {
+                delta
+            } else {
+                prev.checked_add(delta)
+                    .ok_or(CodecError::Malformed("hash column overflows"))?
+            };
+            prev = hash;
+            self.hashes.push(hash);
+        }
+        self.indices.clear();
+        self.taken.fill(false);
+        for _ in 0..filled {
+            let idx = input.varint()?;
+            let idx = usize::try_from(idx)
+                .ok()
+                .filter(|&i| i < k)
+                .ok_or(CodecError::Malformed("slot index out of range"))?;
+            if std::mem::replace(&mut self.taken[idx], true) {
+                return Err(CodecError::Malformed("duplicate slot index"));
+            }
+            self.indices.push(idx);
+        }
+        let mut slots = vec![Slot::EMPTY; k].into_boxed_slice();
+        for (&idx, &hash) in self.indices.iter().zip(&self.hashes) {
+            slots[idx] = Slot {
+                hash,
+                argmin: VertexId(input.varint()?),
+            };
+        }
+        Ok(VertexSketch::from_slots(slots))
     }
-    Ok(VertexSketch::from_slots(slots))
 }
 
 // ---------------------------------------------------------------------
@@ -540,32 +792,28 @@ fn encode_config(out: &mut Vec<u8>, config: &SketchConfig) -> Result<(), CodecEr
     Ok(())
 }
 
-fn decode_config(body: &[u8], pos: &mut usize) -> Result<SketchConfig, CodecError> {
-    let slots = read_varint(body, pos)?;
+fn decode_config<R: BufRead>(input: &mut Input<R>) -> Result<SketchConfig, CodecError> {
+    let slots = input.varint()?;
     if slots == 0 || slots > MAX_SLOT_COUNT {
         return Err(CodecError::Malformed("slot count out of range"));
     }
     let slots = usize::try_from(slots).map_err(|_| CodecError::TooLarge("slot count"))?;
-    let seed = read_varint(body, pos)?;
-    let Some(&backend) = body.get(*pos) else {
-        return Err(CodecError::Truncated);
-    };
-    *pos += 1;
+    let seed = input.varint()?;
+    let backend = input.byte()?;
     Ok(SketchConfig::with_slots(slots)
         .seed(seed)
         .backend(backend_from(u64::from(backend))?))
 }
 
 /// Decodes the sorted, delta-encoded vertex-id column.
-fn decode_vertex_column(
-    body: &[u8],
-    pos: &mut usize,
+fn decode_vertex_column<R: BufRead>(
+    input: &mut Input<R>,
     count: usize,
 ) -> Result<Vec<VertexId>, CodecError> {
     let mut out = Vec::with_capacity(count);
     let mut prev = 0u64;
     for i in 0..count {
-        let delta = read_varint(body, pos)?;
+        let delta = input.varint()?;
         let id = if i == 0 {
             delta
         } else {
@@ -579,14 +827,59 @@ fn decode_vertex_column(
     Ok(out)
 }
 
-fn read_vertex_count(body: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
-    let count = read_varint(body, pos)?;
+fn read_vertex_count<R: BufRead>(input: &mut Input<R>) -> Result<usize, CodecError> {
+    let count = input.varint()?;
     // Every vertex costs at least two body bytes (id delta + degree or
-    // sketch header); a count beyond the remaining bytes is corrupt.
-    if count > body.len().saturating_sub(*pos) as u64 {
+    // sketch header); a count beyond the bytes the body can still hold
+    // is corrupt, and is refused before anything is reserved for it.
+    if count > input.remaining() {
         return Err(CodecError::Malformed("vertex count exceeds body"));
     }
     usize::try_from(count).map_err(|_| CodecError::TooLarge("vertex count"))
+}
+
+/// Where the store-snapshot body decoder puts what it decodes: a
+/// [`StoreSnapshot`]'s vertex list, or straight into a [`SketchStore`]'s
+/// vertex map with no intermediate copy.
+pub(crate) trait SnapshotSink: Sized {
+    /// An empty image of a store with `config` and `edges_processed`,
+    /// with room for `count` vertices.
+    fn with_capacity(config: SketchConfig, edges_processed: u64, count: usize) -> Self;
+
+    /// Adds one vertex; vertex ids arrive strictly ascending.
+    fn push(&mut self, vertex: VertexId, degree: u64, sketch: VertexSketch);
+}
+
+impl SnapshotSink for StoreSnapshot {
+    fn with_capacity(config: SketchConfig, edges_processed: u64, count: usize) -> Self {
+        StoreSnapshot {
+            config,
+            edges_processed,
+            vertices: Vec::with_capacity(count),
+        }
+    }
+
+    fn push(&mut self, vertex: VertexId, degree: u64, sketch: VertexSketch) {
+        self.vertices.push(VertexEntry {
+            vertex,
+            sketch,
+            degree,
+        });
+    }
+}
+
+impl SnapshotSink for SketchStore {
+    fn with_capacity(config: SketchConfig, edges_processed: u64, count: usize) -> Self {
+        let mut store = SketchStore::new(config);
+        let (map, edges) = store.parts_mut();
+        map.reserve(count);
+        *edges = edges_processed;
+        store
+    }
+
+    fn push(&mut self, vertex: VertexId, degree: u64, sketch: VertexSketch) {
+        self.parts_mut().0.insert(vertex, Vertex { degree, sketch });
+    }
 }
 
 /// Appends the v3 store-snapshot body (the payload of both a
@@ -614,33 +907,29 @@ fn encode_store_snapshot_body(body: &mut Vec<u8>, snap: &StoreSnapshot) -> Resul
     Ok(())
 }
 
-fn decode_store_snapshot_body(body: &[u8]) -> Result<StoreSnapshot, CodecError> {
-    let mut pos = 0;
-    let config = decode_config(body, &mut pos)?;
-    let edges_processed = read_varint(body, &mut pos)?;
-    let count = read_vertex_count(body, &mut pos)?;
-    let ids = decode_vertex_column(body, &mut pos, count)?;
+/// The one v3 store-snapshot body decoder. It reads from `input` up to
+/// its `limit`, which is where the body must end, and hands each vertex
+/// to the sink as soon as its sketch is decoded.
+fn decode_store_snapshot_body<R: BufRead, S: SnapshotSink>(
+    input: &mut Input<R>,
+) -> Result<S, CodecError> {
+    let config = decode_config(input)?;
+    let edges_processed = input.varint()?;
+    let count = read_vertex_count(input)?;
+    let ids = decode_vertex_column(input, count)?;
     let mut degrees = Vec::with_capacity(count);
     for _ in 0..count {
-        degrees.push(read_varint(body, &mut pos)?);
+        degrees.push(input.varint()?);
     }
-    let mut vertices = Vec::with_capacity(count);
+    let mut sink = S::with_capacity(config, edges_processed, count);
+    let mut sketches = SketchDecoder::new(config.slots());
     for (vertex, degree) in ids.into_iter().zip(degrees) {
-        let sketch = decode_sketch(body, &mut pos, config.slots())?;
-        vertices.push(VertexEntry {
-            vertex,
-            sketch,
-            degree,
-        });
+        sink.push(vertex, degree, input.sketch(&mut sketches)?);
     }
-    if pos != body.len() {
+    if input.position() != input.limit {
         return Err(CodecError::Malformed("trailing bytes after snapshot"));
     }
-    Ok(StoreSnapshot {
-        config,
-        edges_processed,
-        vertices,
-    })
+    Ok(sink)
 }
 
 fn encode_robust_snapshot_body(snap: &RobustSnapshot) -> Result<Vec<u8>, CodecError> {
@@ -670,36 +959,31 @@ fn encode_robust_snapshot_body(snap: &RobustSnapshot) -> Result<Vec<u8>, CodecEr
 }
 
 fn decode_robust_snapshot_body(body: &[u8]) -> Result<RobustSnapshot, CodecError> {
-    let mut pos = 0;
-    let config = decode_config(body, &mut pos)?;
-    let Some(&hll_precision) = body.get(pos) else {
-        return Err(CodecError::Truncated);
-    };
-    pos += 1;
+    let mut input = Input::slice(body);
+    let config = decode_config(&mut input)?;
+    let hll_precision = input.byte()?;
     if !(4..=16).contains(&hll_precision) {
         return Err(CodecError::Malformed("HLL precision out of range"));
     }
     let registers = 1usize << hll_precision;
-    let edges_processed = read_varint(body, &mut pos)?;
-    let count = read_vertex_count(body, &mut pos)?;
-    let ids = decode_vertex_column(body, &mut pos, count)?;
+    let edges_processed = input.varint()?;
+    let count = read_vertex_count(&mut input)?;
+    let ids = decode_vertex_column(&mut input, count)?;
+    let mut sketches = SketchDecoder::new(config.slots());
     let mut vertices = Vec::with_capacity(count);
     for vertex in ids {
-        let sketch = decode_sketch(body, &mut pos, config.slots())?;
-        let end = pos
-            .checked_add(registers)
-            .filter(|&e| e <= body.len())
-            .ok_or(CodecError::Truncated)?;
-        let degree = HyperLogLog::from_parts(hll_precision, body[pos..end].to_vec())
+        let sketch = input.sketch(&mut sketches)?;
+        let mut regs = Vec::with_capacity(registers);
+        input.read_into(registers, &mut regs)?;
+        let degree = HyperLogLog::from_parts(hll_precision, regs)
             .ok_or(CodecError::Malformed("invalid HLL registers"))?;
-        pos = end;
         vertices.push(RobustVertexEntry {
             vertex,
             sketch,
             degree,
         });
     }
-    if pos != body.len() {
+    if input.position() != body.len() as u64 {
         return Err(CodecError::Malformed("trailing bytes after snapshot"));
     }
     Ok(RobustSnapshot {
@@ -727,24 +1011,112 @@ fn decode_expecting(bytes: &[u8], mode: u8) -> Result<&[u8], CodecError> {
     Ok(env.body)
 }
 
+/// The v3 store-snapshot body of `snap`, refused when the reader would
+/// refuse it.
+///
+/// # Errors
+/// [`CodecError::TooLarge`] for a body past [`MAX_BODY_LEN`] or an
+/// oversized sketch width.
+pub(crate) fn store_snapshot_body(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
+    let mut body = Vec::with_capacity(32 + snap.vertices.len() * 16);
+    encode_store_snapshot_body(&mut body, snap)?;
+    check_body_len(body.len())?;
+    Ok(body)
+}
+
 /// Encodes a full store snapshot file.
 ///
 /// # Errors
 /// [`CodecError::TooLarge`] for a body past [`MAX_BODY_LEN`] (the reader
 /// would refuse it) or an oversized sketch width.
 pub fn encode_store_snapshot(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
-    let mut body = Vec::with_capacity(32 + snap.vertices.len() * 16);
-    encode_store_snapshot_body(&mut body, snap)?;
-    check_body_len(body.len())?;
-    Ok(encode_envelope(MODE_STORE_SNAPSHOT, &body))
+    Ok(encode_envelope(
+        MODE_STORE_SNAPSHOT,
+        &store_snapshot_body(snap)?,
+    ))
 }
 
-/// Decodes and verifies a full store snapshot file.
+/// Reads one [`MODE_STORE_SNAPSHOT`] file from `input` in a single
+/// pass, folding the CRC over each buffer as it is consumed. The sink is
+/// returned only once the body has ended exactly at its declared
+/// length, the trailer CRC has matched, and the source has ended there.
+fn read_store_envelope<R: BufRead, S: SnapshotSink>(input: &mut Input<R>) -> Result<S, CodecError> {
+    let mut magic = [0u8; 4];
+    for b in &mut magic {
+        *b = input.byte()?;
+    }
+    if magic != BINARY_MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    input.start_crc();
+    let version = input.byte()?;
+    if version != BINARY_VERSION {
+        return Err(CodecError::BadVersion(version));
+    }
+    let mode = input.byte()?;
+    if mode != MODE_STORE_SNAPSHOT {
+        return Err(CodecError::BadMode(mode));
+    }
+    let body_len = input.varint()?;
+    if body_len > MAX_BODY_LEN {
+        return Err(CodecError::TooLarge("record body length"));
+    }
+    let body_end = input.position() + body_len;
+    input.limit = body_end;
+    let body = decode_store_snapshot_body(input);
+    if body.is_err() {
+        // Damage usually trips a structure check before the trailer is
+        // reached; run the CRC to the end anyway, so rot is reported as
+        // a CRC mismatch rather than as whatever it happened to break.
+        input.skip_to_limit();
+    }
+    let crc = input.finish_crc();
+    if input.position() != body_end {
+        return body.and(Err(CodecError::Truncated));
+    }
+    input.limit = body_end + 4;
+    let mut trailer = [0u8; 4];
+    for b in &mut trailer {
+        *b = input.byte()?;
+    }
+    if crc != u32::from_le_bytes(trailer) {
+        return Err(CodecError::BadCrc);
+    }
+    let sink = body?;
+    input.limit = u64::MAX;
+    if !input.rest().is_empty() {
+        return Err(CodecError::Malformed("trailing bytes after record"));
+    }
+    Ok(sink)
+}
+
+/// Decodes and verifies a full store snapshot file held in memory.
 ///
 /// # Errors
 /// Fails closed on any framing or body defect.
 pub fn decode_store_snapshot(bytes: &[u8]) -> Result<StoreSnapshot, CodecError> {
-    decode_store_snapshot_body(decode_expecting(bytes, MODE_STORE_SNAPSHOT)?)
+    read_store_envelope(&mut Input::slice(bytes))
+}
+
+/// Reads a full store snapshot file from `reader` in one pass, without
+/// holding its bytes: [`decode_store_snapshot`] for a stream. `held` is
+/// how many bytes the source holds (a file's length); it bounds the
+/// vertex count before anything is reserved.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidData`] for any framing or body defect, or a
+/// source that ends early or runs on past the trailer; any other kind
+/// is the source's own read error.
+pub(crate) fn read_store_snapshot<S: SnapshotSink>(
+    reader: impl BufRead,
+    held: u64,
+) -> io::Result<S> {
+    let mut input = Input::new(reader, held);
+    let decoded = read_store_envelope(&mut input);
+    match input.io_error {
+        Some(e) => Err(e),
+        None => decoded.map_err(io::Error::from),
+    }
 }
 
 /// Encodes a full robust-store snapshot file.
@@ -782,15 +1154,29 @@ pub fn encode_snapshot_frame(seq: u64, snap: &StoreSnapshot) -> Result<Vec<u8>, 
     Ok(encode_envelope(MODE_SNAPSHOT_FRAME, &body))
 }
 
-/// Decodes the body of a [`MODE_SNAPSHOT_FRAME`] envelope into
-/// `(seq, snapshot)`.
+/// Decodes the (already verified) body of a [`MODE_SNAPSHOT_FRAME`]
+/// envelope into `(seq, snapshot)`.
 ///
 /// # Errors
 /// Any [`CodecError`] on a truncated seq or a malformed snapshot body.
 pub fn decode_snapshot_frame_body(body: &[u8]) -> Result<(u64, StoreSnapshot), CodecError> {
-    let mut pos = 0usize;
-    let seq = read_varint(body, &mut pos)?;
-    Ok((seq, decode_store_snapshot_body(&body[pos..])?))
+    decode_frame_body(body)
+}
+
+/// [`decode_snapshot_frame_body`] straight into a live store, with no
+/// intermediate [`StoreSnapshot`]: how a replica installs a transfer.
+///
+/// # Errors
+/// As [`decode_snapshot_frame_body`].
+pub fn load_snapshot_frame(body: &[u8]) -> Result<(u64, SketchStore), CodecError> {
+    decode_frame_body(body)
+}
+
+fn decode_frame_body<S: SnapshotSink>(body: &[u8]) -> Result<(u64, S), CodecError> {
+    let mut input = Input::slice(body);
+    let seq = input.varint()?;
+    input.limit = body.len() as u64;
+    Ok((seq, decode_store_snapshot_body(&mut input)?))
 }
 
 /// The format selector of the write-path signatures that predate v3
@@ -897,6 +1283,27 @@ mod tests {
         assert_eq!(back, snap);
         assert!(decode_snapshot_frame_body(&env.body[..env.body.len() - 1]).is_err());
         assert_eq!(decode_snapshot_frame_body(&[]), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn streaming_decode_is_independent_of_buffer_size() {
+        // Small buffers put every field, and every sketch, across a
+        // refill; the CRC must still cover each byte exactly once.
+        let snap = populated_snapshot();
+        let bytes = encode_store_snapshot(&snap).unwrap();
+        let held = bytes.len() as u64;
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() - 6] ^= 0x04;
+        for capacity in [1, 2, 3, 7, 64, 1 << 20] {
+            let reader = io::BufReader::with_capacity(capacity, &bytes[..]);
+            let back: StoreSnapshot = read_store_snapshot(reader, held).unwrap();
+            assert_eq!(back, snap, "buffer of {capacity}");
+            let cut = io::BufReader::with_capacity(capacity, &bytes[..bytes.len() - 1]);
+            assert!(read_store_snapshot::<StoreSnapshot>(cut, held - 1).is_err());
+            let rot = io::BufReader::with_capacity(capacity, &flipped[..]);
+            let err = read_store_snapshot::<StoreSnapshot>(rot, held).unwrap_err();
+            assert!(err.to_string().contains("CRC mismatch"), "{err}");
+        }
     }
 
     #[test]
@@ -1097,7 +1504,7 @@ mod tests {
         let v3 = encode_store_snapshot(&snap).unwrap();
         let text = v2::store_snapshot(&snap);
         assert_eq!(decode_store_snapshot(&v3).unwrap(), snap);
-        assert_eq!(StoreSnapshot::decode(&text).unwrap().0, snap);
+        assert_eq!(StoreSnapshot::decode_text(&text).unwrap().0, snap);
         assert!(
             v3.len() * 2 < text.len(),
             "binary snapshot should be far smaller: {} vs {}",
@@ -1144,7 +1551,8 @@ mod tests {
             v2::wal_record(&entry(1)).len() + v2::wal_record(&entry(2)).len()
         });
         let snap = populated_snapshot();
-        let (back, integrity) = StoreSnapshot::decode(&v2::legacy_store_snapshot(&snap)).unwrap();
+        let (back, integrity) =
+            StoreSnapshot::decode_text(&v2::legacy_store_snapshot(&snap)).unwrap();
         assert_eq!(back, snap);
         assert_eq!(integrity, crate::snapshot::SnapshotIntegrity::Legacy);
     }
@@ -1187,7 +1595,7 @@ mod tests {
             s.insert_stream(BarabasiAlbert::new(n, 2, seed).edges());
             let snap = StoreSnapshot::capture(&s);
             let via_v3 = decode_store_snapshot(&encode_store_snapshot(&snap).unwrap()).unwrap();
-            let via_v2 = StoreSnapshot::decode(&v2::store_snapshot(&snap)).unwrap().0;
+            let via_v2 = StoreSnapshot::decode_text(&v2::store_snapshot(&snap)).unwrap().0;
             prop_assert_eq!(&via_v3, &via_v2);
             prop_assert_eq!(via_v3, snap);
         }

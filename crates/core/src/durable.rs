@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use crate::chaos::FaultPlan;
 use crate::config::SketchConfig;
 use crate::journal::{self, Journal, ReplayReport};
-use crate::snapshot::StoreSnapshot;
+use crate::snapshot::{self, StoreSnapshot};
 use crate::store::SketchStore;
 
 /// How many snapshot generations a checkpoint retains by default.
@@ -140,13 +140,13 @@ impl Recovery {
 pub fn recover(dir: &Path, config: SketchConfig) -> io::Result<Recovery> {
     let metrics = crate::metrics::global();
     let mut fallbacks = 0u64;
-    let mut loaded: Option<(StoreSnapshot, u64)> = None;
+    let mut loaded: Option<(SketchStore, u64)> = None;
 
     let generations = list_generations(dir)?;
     for (seq, path) in generations.iter().rev() {
-        match StoreSnapshot::read_from(path) {
-            Ok(snap) => {
-                loaded = Some((snap, *seq));
+        match snapshot::load_store(path) {
+            Ok(store) => {
+                loaded = Some((store, *seq));
                 break;
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -160,10 +160,10 @@ pub fn recover(dir: &Path, config: SketchConfig) -> io::Result<Recovery> {
     }
     if loaded.is_none() {
         // Pre-generation directories: a single unversioned snapshot.
-        match StoreSnapshot::read_from(&snapshot_path(dir)) {
-            Ok(snap) => {
-                let seq = snap.edges_processed;
-                loaded = Some((snap, seq));
+        match snapshot::load_store(&snapshot_path(dir)) {
+            Ok(store) => {
+                let seq = store.edges_processed();
+                loaded = Some((store, seq));
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -176,7 +176,7 @@ pub fn recover(dir: &Path, config: SketchConfig) -> io::Result<Recovery> {
     }
 
     let (mut store, snapshot_seq, snapshot_loaded) = match loaded {
-        Some((snap, seq)) => (snap.restore(), seq, true),
+        Some((store, seq)) => (store, seq, true),
         None => (SketchStore::new(config), 0, false),
     };
     let journal = journal::replay(dir, snapshot_seq, |entry| {

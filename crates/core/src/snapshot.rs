@@ -15,6 +15,15 @@
 //! crash mid-write leaves at most a stale `.tmp` file, which the next
 //! successful write replaces.
 //!
+//! ## Loading
+//!
+//! [`load_store`] streams a v3 file through the codec's one body decoder
+//! straight into a [`SketchStore`]: one buffered pass, one allocation per
+//! vertex, the CRC folded over each buffer as it goes, and the store
+//! returned only once the trailer verifies. Loading therefore peaks at
+//! about the live store, not at the file plus a decoded image plus the
+//! store.
+//!
 //! ## Verifiable files
 //!
 //! Atomic rename proves a snapshot was written *whole*; it proves nothing
@@ -36,7 +45,7 @@
 //! be *verified* (see [`SnapshotIntegrity::Legacy`]).
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 use hashkit::crc32;
@@ -44,12 +53,12 @@ use serde::{Deserialize, Serialize};
 
 use graphstream::VertexId;
 
-use crate::codec;
+use crate::codec::{self, SnapshotSink};
 use crate::config::SketchConfig;
 use crate::hll::HyperLogLog;
 use crate::robust::RobustStore;
 use crate::sketch::VertexSketch;
-use crate::store::{SketchStore, Vertex};
+use crate::store::SketchStore;
 
 /// The magic prefix of a v2 snapshot header line.
 pub const SNAPSHOT_MAGIC: &str = "STREAMLINK-SNAP";
@@ -128,13 +137,16 @@ fn rewrap(e: io::Error, path: &Path) -> io::Error {
     }
 }
 
-/// Writes `content` to `path` atomically: temp file in the same
-/// directory, flush + fsync, rename over the target, fsync the directory.
-fn write_atomic_bytes(path: &Path, content: &[u8]) -> io::Result<()> {
+/// Writes `parts`, one after another, to `path` atomically: temp file in
+/// the same directory, flush + fsync, rename over the target, fsync the
+/// directory.
+fn write_atomic_bytes(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
     let tmp = path.with_extension("json.tmp");
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(content)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -192,29 +204,33 @@ impl StoreSnapshot {
         }
     }
 
-    /// Restores a live store from the snapshot.
+    /// Restores a live store from the snapshot, cloning every sketch
+    /// (see [`Self::into_store`] to move them instead).
     #[must_use]
     pub fn restore(&self) -> SketchStore {
-        let mut store = SketchStore::new(self.config);
-        {
-            let (map, edges) = store.parts_mut();
-            map.reserve(self.vertices.len());
-            for entry in &self.vertices {
-                map.insert(
-                    entry.vertex,
-                    Vertex {
-                        degree: entry.degree,
-                        sketch: entry.sketch.clone(),
-                    },
-                );
-            }
-            *edges = self.edges_processed;
+        let mut store =
+            SketchStore::with_capacity(self.config, self.edges_processed, self.vertices.len());
+        for entry in &self.vertices {
+            store.push(entry.vertex, entry.degree, entry.sketch.clone());
+        }
+        store
+    }
+
+    /// Turns the snapshot into a live store, moving every sketch into it.
+    #[must_use]
+    pub fn into_store(self) -> SketchStore {
+        let mut store =
+            SketchStore::with_capacity(self.config, self.edges_processed, self.vertices.len());
+        for entry in self.vertices {
+            store.push(entry.vertex, entry.degree, entry.sketch);
         }
         store
     }
 
     /// Persists the snapshot at `path` as a binary v3 file using the
-    /// atomic temp-file–fsync–rename protocol.
+    /// atomic temp-file–fsync–rename protocol. The body is encoded once
+    /// and written between its header and trailer as it is, never
+    /// copied into a whole-file buffer.
     ///
     /// # Errors
     /// Fails on IO errors, or with [`io::ErrorKind::InvalidData`] when
@@ -222,7 +238,9 @@ impl StoreSnapshot {
     /// ([`codec::MAX_BODY_LEN`]); the previous snapshot at `path` (if
     /// any) is untouched on failure.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        write_atomic_bytes(path, &codec::encode_store_snapshot(self)?)
+        let body = codec::store_snapshot_body(self)?;
+        let (header, trailer) = codec::envelope_frame(codec::MODE_STORE_SNAPSHOT, &body);
+        write_atomic_bytes(path, &[&header, &body, &trailer])
     }
 
     /// [`Self::write_atomic`] under the signature the `perfbench`
@@ -251,26 +269,60 @@ impl StoreSnapshot {
     /// # Errors
     /// Fails if the file is missing or does not verify.
     pub fn read_with_integrity(path: &Path) -> io::Result<(Self, SnapshotIntegrity)> {
-        Self::decode(&fs::read(path)?).map_err(|e| rewrap(e, path))
+        read_file(path, |snap| snap)
     }
 
-    /// Decodes snapshot file contents, sniffing the format as
-    /// [`Self::read_with_integrity`] does.
+    /// Decodes the contents of a v2 or v1 text snapshot file.
     ///
     /// # Errors
     /// [`io::ErrorKind::InvalidData`] when the bytes do not verify.
-    pub(crate) fn decode(bytes: &[u8]) -> io::Result<(Self, SnapshotIntegrity)> {
-        if codec::is_binary(bytes) {
-            return Ok((
-                codec::decode_store_snapshot(bytes)?,
-                SnapshotIntegrity::Verified,
-            ));
-        }
+    pub(crate) fn decode_text(bytes: &[u8]) -> io::Result<(Self, SnapshotIntegrity)> {
         let (payload, integrity) = verify_text(bytes)?;
         let snap = serde_json::from_str(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         Ok((snap, integrity))
     }
+}
+
+/// How much of a v3 file one read brings in; the CRC is folded over each
+/// such buffer as the decoder finishes with it.
+const READ_BUFFER: usize = 256 * 1024;
+
+/// Reads the snapshot file at `path`, sniffing its format from the first
+/// bytes. A v3 file streams through the codec's body decoder into `S`;
+/// a v1 or v2 text file is read whole, decoded as JSON, and handed to
+/// `from_text`.
+fn read_file<S: SnapshotSink>(
+    path: &Path,
+    from_text: impl FnOnce(StoreSnapshot) -> S,
+) -> io::Result<(S, SnapshotIntegrity)> {
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut head = Vec::with_capacity(codec::BINARY_MAGIC.len());
+    (&mut file)
+        .take(codec::BINARY_MAGIC.len() as u64)
+        .read_to_end(&mut head)?;
+    let binary = codec::is_binary(&head);
+    let mut source = io::Cursor::new(head).chain(file);
+    if binary {
+        let sink = codec::read_store_snapshot(BufReader::with_capacity(READ_BUFFER, source), len)
+            .map_err(|e| rewrap(e, path))?;
+        return Ok((sink, SnapshotIntegrity::Verified));
+    }
+    let mut bytes = Vec::new();
+    source.read_to_end(&mut bytes)?;
+    let (snap, integrity) = StoreSnapshot::decode_text(&bytes).map_err(|e| rewrap(e, path))?;
+    Ok((from_text(snap), integrity))
+}
+
+/// Loads the store a snapshot file holds, in any format this crate ever
+/// wrote, without building a [`StoreSnapshot`] for a v3 file: the body
+/// streams into the store's vertex map (see the module docs).
+///
+/// # Errors
+/// As [`StoreSnapshot::read_from`].
+pub fn load_store(path: &Path) -> io::Result<SketchStore> {
+    Ok(read_file(path, StoreSnapshot::into_store)?.0)
 }
 
 /// One vertex's persisted state in a [`RobustSnapshot`].
@@ -349,7 +401,7 @@ impl RobustSnapshot {
     /// Fails on IO errors; the previous snapshot at `path` (if any) is
     /// untouched on failure.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        write_atomic_bytes(path, &codec::encode_robust_snapshot(self)?)
+        write_atomic_bytes(path, &[&codec::encode_robust_snapshot(self)?])
     }
 
     /// Loads a snapshot file in any format this crate ever wrote,

@@ -9,19 +9,24 @@
 //! not a cryptographic digest — nothing here defends against an
 //! adversary, only against hardware.
 //!
-//! Implemented from scratch (one 256-entry table, byte-at-a-time) to
-//! honor the workspace's no-external-dependencies constraint. The table
-//! is built in a `const fn`, so the whole thing is allocation-free and
-//! usable from any context.
+//! Implemented in this crate, honoring the workspace's
+//! no-external-dependencies constraint, as slicing-by-8: eight 256-entry
+//! tables let the loop fold eight input bytes per step with eight
+//! independent lookups instead of one dependent lookup per byte, about
+//! four times the throughput of the bytewise loop on large inputs. The
+//! tables are built in a `const fn`, so the whole thing is
+//! allocation-free and usable from any context.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// One table entry per byte value: the CRC of that single byte.
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0][b]` is the CRC of the single byte `b`; `TABLES[j][b]` is
+/// that byte's contribution after `j` further zero bytes, so one step
+/// can fold bytes at eight different distances from the end at once.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -34,10 +39,20 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 }
 
 /// CRC-32 of `bytes` (IEEE: init `!0`, final XOR `!0`).
@@ -91,8 +106,21 @@ impl Crc32 {
 }
 
 fn update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = (state >> 8) ^ TABLE[((state ^ u32::from(b)) & 0xFF) as usize];
+    let t = &TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ u32::from(b)) & 0xFF) as usize];
     }
     state
 }
@@ -100,6 +128,65 @@ fn update(mut state: u32, bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The textbook loop, one byte and one table lookup at a time,
+    /// computing the table bit by bit so it shares nothing with the
+    /// slicing tables: the reference the fast path must equal.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic filler bytes (SplitMix64 output).
+    fn noise(len: usize, mut seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_by_8_equals_bytewise_at_every_short_length_and_offset() {
+        // Every tail length and every alignment of the 8-byte steps.
+        let data = noise(64 + 8, 1);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(crc32(slice), bytewise(slice), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn slicing_by_8_equals_bytewise_on_random_lengths() {
+        let data = noise(64 * 1024, 2);
+        let mut state = 0x1234_5678_u64;
+        for _ in 0..64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let len = (state >> 33) as usize % (data.len() + 1);
+            let start = (state >> 17) as usize % (data.len() - len + 1);
+            let slice = &data[start..start + len];
+            assert_eq!(crc32(slice), bytewise(slice), "start {start} len {len}");
+        }
+        assert_eq!(crc32(&data), bytewise(&data));
+    }
 
     #[test]
     fn standard_vectors() {
