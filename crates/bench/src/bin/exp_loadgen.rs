@@ -1,71 +1,34 @@
-//! **E27 (performance observability plane)** — two gated legs proving
-//! the loadgen + `/profilez` plane measures the server without
-//! becoming the load:
+//! **E27 (performance observability plane, SLO leg)** — a live durable
+//! server (WAL + checkpoints + accuracy auditor + HTTP scrape plane, all
+//! on) is driven by the *real* `streamlink loadgen` command — open-loop,
+//! coordinated-omission-safe — at the scale's offered rate, while a
+//! scraper hammers the observability endpoints. The run's
+//! `streamlink.loadreport.v1` verdict (p99 against the pinned SLO) is the
+//! gate, and the report row lands in `results/e27_loadgen.jsonl`.
 //!
-//! 1. **Overhead leg.** Serve-path command throughput (the real
-//!    [`protocol::handle_command`] path: parse/execute phase
-//!    histograms, trace spans, registry counters all hot) with the
-//!    profiling plane *exercised* vs idle. Exercised means what a
-//!    monitored production box sees, densified: an HTTP scraper
-//!    polling `/metrics` and `/profilez` once a second, plus a
-//!    profile aggregation over the full span ring every
-//!    [`PROFILE_PERIOD`] — ~20× denser than any real operator
-//!    dashboard. `--max-overhead-pct N` gates the delta (CI runs 10;
-//!    the docs/OPERATIONS.md §14 budget is 5% on release builds).
-//!
-//! 2. **SLO leg.** A live durable server (WAL + checkpoints + accuracy
-//!    auditor + HTTP scrape plane, all on) is driven by the *real*
-//!    `streamlink loadgen` command — open-loop, coordinated-omission-
-//!    safe — at the scale's offered rate, while a scraper hammers the
-//!    observability endpoints. The run's `streamlink.loadreport.v1`
-//!    verdict (p99 against the pinned SLO) is the gate, and the report
-//!    row lands in `results/e27_loadgen.jsonl`.
+//! The profiling plane's overhead on the serve path is gated with the
+//! other planes' by `exp_overhead`.
 //!
 //! ```sh
 //! cargo run --release -p streamlink-bench --bin exp_loadgen -- \
-//!     [--scale small|standard|large] [--max-overhead-pct 10] [--slo-p99-ms MS]
+//!     [--scale small|standard|large] [--slo-p99-ms MS]
 //! ```
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use datasets::{Scale, SimulatedDataset};
-use graphstream::EdgeStream;
+use datasets::Scale;
 use serde::Serialize;
 use streamlink_bench::{
     flag_value, scale_from_args, table_header, table_row, ResultWriter, EXP_SEED,
 };
-use streamlink_cli::server::{http, persistence, protocol, ServerConfig, ServerState};
+use streamlink_cli::server::{http, persistence, ServerConfig, ServerState};
 use streamlink_core::journal::FsyncPolicy;
 use streamlink_core::loadgen::LoadReport;
-use streamlink_core::{trace, SketchConfig, SketchStore};
-
-/// Serve-path repetitions per mode; best-of-N is reported.
-const REPS: usize = 5;
-
-/// Profile-aggregation cadence in exercised mode — far denser than the
-/// 1 Hz an operator dashboard would use, so the gate bounds from above.
-const PROFILE_PERIOD: Duration = Duration::from_millis(50);
-
-/// HTTP scrape cadence in exercised mode (the Prometheus default).
-const SCRAPE_PERIOD: Duration = Duration::from_secs(1);
-
-#[derive(Serialize)]
-struct OverheadRow {
-    leg: &'static str,
-    dataset: String,
-    k: usize,
-    edges: u64,
-    reps: usize,
-    idle_best_secs: f64,
-    exercised_best_secs: f64,
-    overhead_pct: f64,
-    profiles_aggregated: u64,
-    scrapes_completed: u64,
-}
+use streamlink_core::{trace, SketchConfig};
 
 #[derive(Serialize)]
 struct SloRow {
@@ -84,19 +47,6 @@ struct SloRow {
     profile_nodes: u64,
 }
 
-/// One timed pass through the full serve path: every edge becomes an
-/// `INSERT` command line handled exactly as a connection thread would.
-fn serve_path_secs(edges: &[graphstream::Edge], state: &ServerState) -> f64 {
-    let t = Instant::now();
-    for e in edges {
-        let reply = protocol::handle_command(state, &format!("INSERT {} {}", e.src.0, e.dst.0));
-        debug_assert!(reply.starts_with("OK"), "{reply}");
-    }
-    let secs = t.elapsed().as_secs_f64();
-    std::hint::black_box(state.read_store().edges_processed());
-    secs
-}
-
 /// One full GET over a fresh connection; true on a 200 with a body.
 fn scrape_once(addr: SocketAddr, target: &str) -> bool {
     let Ok(mut conn) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) else {
@@ -108,108 +58,6 @@ fn scrape_once(addr: SocketAddr, target: &str) -> bool {
     }
     let mut body = String::new();
     conn.read_to_string(&mut body).is_ok() && body.starts_with("HTTP/1.1 200")
-}
-
-/// The overhead leg: idle vs exercised profiling plane around the same
-/// serve-path loop. Returns the worst overhead percentage.
-fn overhead_leg(scale: Scale, out: &mut ResultWriter) -> f64 {
-    let dataset = SimulatedDataset::DblpLike;
-    let edges: Vec<_> = dataset.stream(scale).edges().collect();
-    println!(
-        "\noverhead leg: dataset {} ({} edges, best of {REPS} serve-path runs per mode;\n\
-         exercised = /metrics+/profilez scrape @1Hz + full-ring profile every {:?})",
-        dataset.spec().key,
-        edges.len(),
-        PROFILE_PERIOD,
-    );
-    table_header(&[
-        "k",
-        "idle (s)",
-        "exercised (s)",
-        "overhead %",
-        "profiles",
-        "scrapes",
-    ]);
-
-    let mut worst_pct = f64::NEG_INFINITY;
-    for &k in &[64usize, 256] {
-        let fresh = |k: usize| {
-            ServerState::in_memory(
-                SketchStore::new(SketchConfig::with_slots(k).seed(EXP_SEED)),
-                ServerConfig::default(),
-            )
-        };
-        // Warm caches once so neither mode pays first-touch costs.
-        serve_path_secs(&edges, &fresh(k));
-
-        let idle = (0..REPS)
-            .map(|_| serve_path_secs(&edges, &fresh(k)))
-            .fold(f64::INFINITY, f64::min);
-
-        // Exercised: HTTP plane up, scraper + profile aggregator live.
-        let state = Arc::new(fresh(k));
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind http");
-        let addr = listener.local_addr().expect("http addr");
-        let handle = http::spawn(listener, Arc::clone(&state)).expect("spawn http");
-        let stop = Arc::new(AtomicBool::new(false));
-        let profiles = Arc::new(AtomicU64::new(0));
-        let scrapes = Arc::new(AtomicU64::new(0));
-        let aggregator = {
-            let (stop, profiles) = (Arc::clone(&stop), Arc::clone(&profiles));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::hint::black_box(trace::render_profilez_json(trace::RING_CAPACITY));
-                    profiles.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(PROFILE_PERIOD);
-                }
-            })
-        };
-        let scraper = {
-            let (stop, scrapes) = (Arc::clone(&stop), Arc::clone(&scrapes));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    for target in ["/metrics", "/profilez"] {
-                        if scrape_once(addr, target) {
-                            scrapes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    std::thread::sleep(SCRAPE_PERIOD);
-                }
-            })
-        };
-        let exercised = (0..REPS)
-            .map(|_| serve_path_secs(&edges, &fresh(k)))
-            .fold(f64::INFINITY, f64::min);
-        stop.store(true, Ordering::Relaxed);
-        aggregator.join().expect("aggregator");
-        scraper.join().expect("scraper");
-        state.request_shutdown();
-        handle.join().expect("http thread");
-
-        let pct = (exercised - idle) / idle * 100.0;
-        worst_pct = worst_pct.max(pct);
-        table_row(&[
-            k.to_string(),
-            format!("{idle:.4}"),
-            format!("{exercised:.4}"),
-            format!("{pct:+.2}"),
-            profiles.load(Ordering::Relaxed).to_string(),
-            scrapes.load(Ordering::Relaxed).to_string(),
-        ]);
-        out.write_row(&OverheadRow {
-            leg: "overhead",
-            dataset: dataset.spec().key.to_string(),
-            k,
-            edges: edges.len() as u64,
-            reps: REPS,
-            idle_best_secs: idle,
-            exercised_best_secs: exercised,
-            overhead_pct: pct,
-            profiles_aggregated: profiles.load(Ordering::Relaxed),
-            scrapes_completed: scrapes.load(Ordering::Relaxed),
-        });
-    }
-    worst_pct
 }
 
 /// Offered rate, op count, and pinned p99 SLO per scale. The SLO is
@@ -368,35 +216,15 @@ fn slo_leg(scale: Scale, slo_override: Option<u64>, out: &mut ResultWriter) -> b
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = scale_from_args(&args);
-    let max_overhead_pct: Option<f64> = flag_value(&args, "--max-overhead-pct")
-        .map(|v| v.parse().expect("--max-overhead-pct expects a number"));
     let slo_override: Option<u64> = flag_value(&args, "--slo-p99-ms")
         .map(|v| v.parse().expect("--slo-p99-ms expects a number"));
     let mut out = ResultWriter::new("e27_loadgen");
 
-    println!("\nE27 — performance observability plane ({scale:?})");
+    println!("\nE27 — performance observability plane, SLO leg ({scale:?})");
 
-    let worst_pct = overhead_leg(scale, &mut out);
-    let slo_ok = slo_leg(scale, slo_override, &mut out);
-
-    let mut failed = false;
-    if let Some(limit) = max_overhead_pct {
-        if worst_pct > limit {
-            eprintln!("FAIL: profiling-plane overhead {worst_pct:.2}% exceeds the {limit}% budget");
-            failed = true;
-        } else {
-            println!(
-                "\nPASS: worst profiling-plane overhead {worst_pct:.2}% within the {limit}% budget"
-            );
-        }
-    }
-    if !slo_ok {
+    if !slo_leg(scale, slo_override, &mut out) {
         eprintln!("FAIL: loadgen run breached its pinned p99 SLO (see report row)");
-        failed = true;
-    } else {
-        println!("PASS: loadgen run met its pinned p99 SLO");
-    }
-    if failed {
         std::process::exit(1);
     }
+    println!("PASS: loadgen run met its pinned p99 SLO");
 }

@@ -24,14 +24,14 @@
 //! The same exit code is published as the `scrub.last_exit` gauge
 //! (visible via `--metrics-out`).
 
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 use streamlink_core::codec;
 use streamlink_core::durable;
 use streamlink_core::journal::{self, JournalEntry, RecordKind};
-use streamlink_core::snapshot::{SnapshotIntegrity, StoreSnapshot};
+use streamlink_core::snapshot::{self, SnapshotIntegrity};
 
 use crate::args::Flags;
 
@@ -117,13 +117,16 @@ impl ScrubReport {
     }
 }
 
-/// Reads one snapshot through the same verifying path recovery uses,
-/// returning a framing tag for the verdict line and the edge count it
-/// carries.
+/// Verifies one snapshot through the same decoding path recovery uses,
+/// keeping none of it, and returns a framing tag for the verdict line
+/// and the edge count it carries.
 fn check_snapshot(path: &Path) -> io::Result<(&'static str, u64)> {
-    let binary = codec::is_binary(&fs::read(path)?);
-    let (snap, integrity) = StoreSnapshot::read_with_integrity(path)?;
-    let tag = if binary {
+    let mut head = Vec::with_capacity(codec::BINARY_MAGIC.len());
+    File::open(path)?
+        .take(codec::BINARY_MAGIC.len() as u64)
+        .read_to_end(&mut head)?;
+    let (integrity, edges) = snapshot::verify_file(path)?;
+    let tag = if codec::is_binary(&head) {
         "v3 verified"
     } else {
         match integrity {
@@ -131,7 +134,7 @@ fn check_snapshot(path: &Path) -> io::Result<(&'static str, u64)> {
             SnapshotIntegrity::Legacy => "v1 legacy, no checksum",
         }
     };
-    Ok((tag, snap.edges_processed))
+    Ok((tag, edges))
 }
 
 /// One journal record, owned (scrub outlives the segment buffer it was

@@ -26,8 +26,9 @@
 //!
 //! ## Why a stuck scraper cannot stall ingest
 //!
-//! The plane runs on its own accept thread with per-connection handler
-//! threads, capped at [`MAX_SCRAPER_CONNS`] (extras are shed with a
+//! The plane runs on its own accept thread (the same blocking acceptor
+//! as `serve`'s) with per-connection handler threads, capped at
+//! [`MAX_SCRAPER_CONNS`] (extras are shed with a
 //! `503`). Every socket gets a short read/write timeout and request
 //! heads are bounded to [`MAX_REQUEST_BYTES`], so the worst a hostile
 //! or wedged scraper can do is occupy a capped scraper slot for a
@@ -38,14 +39,13 @@
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use streamlink_core::{trace, AccuracyPlan};
 
-use super::{ServerState, POLL_INTERVAL};
+use super::ServerState;
 
 /// Maximum simultaneous scraper connections; extras get an immediate
 /// `503` and a `Retry-After` hint.
@@ -97,61 +97,30 @@ impl Response {
 }
 
 /// Starts the exposition plane on an already-bound listener. Returns
-/// the accept thread's handle; the thread exits when the shared
-/// shutdown flag flips.
+/// the accept thread's handle; the thread exits once shutdown is
+/// requested ([`ServerState::request_shutdown`] wakes it at once).
+///
+/// It runs the same blocking acceptor as `serve`, so a scrape is taken
+/// the moment it connects.
 ///
 /// # Errors
-/// Fails if the listener cannot be switched to non-blocking mode or the
-/// accept thread cannot be spawned.
+/// Fails if the listener cannot be switched to blocking mode or its
+/// address read, or the accept thread cannot be spawned.
 pub fn spawn(listener: TcpListener, state: Arc<ServerState>) -> io::Result<JoinHandle<()>> {
-    listener.set_nonblocking(true)?;
+    state.listen(&listener)?;
     thread::Builder::new()
         .name("http".into())
-        .spawn(move || accept_loop(&listener, &state))
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    let live = Arc::new(AtomicUsize::new(0));
-    while !state.shutdown_requested() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if live.fetch_add(1, Ordering::SeqCst) >= MAX_SCRAPER_CONNS {
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    shed(stream);
-                    continue;
-                }
-                let st = Arc::clone(state);
-                let slots = Arc::clone(&live);
-                let spawned = thread::Builder::new()
-                    .name("http-conn".into())
-                    .spawn(move || {
-                        handle_connection(stream, &st);
-                        slots.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if let Err(e) = spawned {
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    eprintln!("cannot spawn http connection thread: {e}");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("http accept failed: {e}");
-                thread::sleep(POLL_INTERVAL);
-            }
-        }
-    }
+        .spawn(move || super::accept_loop(&listener, &state, super::Plane::Http))
 }
 
 /// Sheds a connection over the scraper cap: counted as a served (error)
 /// request so the cap itself is observable.
-fn shed(stream: TcpStream) {
+pub(super) fn shed(stream: TcpStream) {
     let m = streamlink_core::metrics::global();
     m.http_requests.incr();
     m.http_errors.incr();
     m.sheds_http_cap.incr();
     let mut stream = stream;
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let body = "{\"error\":\"scraper connection cap reached\"}";
     let _ = write!(
@@ -165,13 +134,12 @@ fn shed(stream: TcpStream) {
 
 /// Serves exactly one request on `stream`: read a bounded head, route,
 /// respond, close. Every outcome is counted and timed.
-fn handle_connection(stream: TcpStream, state: &ServerState) {
+pub(super) fn handle_connection(stream: TcpStream, state: &ServerState) {
     let m = streamlink_core::metrics::global();
     let start = Instant::now();
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
     {
         m.http_requests.incr();
@@ -518,6 +486,46 @@ mod tests {
     fn state() -> ServerState {
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
         ServerState::in_memory(store, ServerConfig::default())
+    }
+
+    #[test]
+    fn blocking_accept_answers_healthz_at_once_and_stops_on_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let state = Arc::new(state());
+        let plane = spawn(listener, Arc::clone(&state)).unwrap();
+        // A polling acceptor leaves each connection waiting up to one
+        // poll interval (25 ms). Three rounds absorb a scheduler hiccup
+        // on a loaded host.
+        let slowest_of_round = || {
+            (0..20)
+                .map(|_| {
+                    let start = Instant::now();
+                    let mut conn = TcpStream::connect(addr).unwrap();
+                    write!(conn, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+                    let mut reply = String::new();
+                    conn.read_to_string(&mut reply).unwrap();
+                    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+                    start.elapsed()
+                })
+                .max()
+                .unwrap()
+        };
+        let rounds: Vec<Duration> = (0..3).map(|_| slowest_of_round()).collect();
+        assert!(
+            rounds
+                .iter()
+                .any(|&slowest| slowest < Duration::from_millis(5)),
+            "slowest GET /healthz per round of 20: {rounds:?}"
+        );
+        let stop = Instant::now();
+        state.request_shutdown();
+        plane.join().unwrap();
+        assert!(
+            stop.elapsed() < Duration::from_secs(1),
+            "the plane took {:?} to stop",
+            stop.elapsed()
+        );
     }
 
     #[test]

@@ -129,6 +129,12 @@ pub struct ServerState {
     config: ServerConfig,
     started: Instant,
     active: AtomicUsize,
+    /// Live HTTP-plane handlers (capped at
+    /// [`http::MAX_SCRAPER_CONNS`]).
+    scrapers_active: AtomicUsize,
+    /// Where to connect, once shutdown is requested, to free each
+    /// acceptor blocked in `accept` (see [`ServerState::listen`]).
+    wakes: Mutex<Vec<SocketAddr>>,
     last_snapshot_seq: AtomicU64,
     local_shutdown: AtomicBool,
     /// False after a journal append fails, true again after the next
@@ -221,6 +227,8 @@ impl ServerState {
             config,
             started: Instant::now(),
             active: AtomicUsize::new(0),
+            scrapers_active: AtomicUsize::new(0),
+            wakes: Mutex::new(Vec::new()),
             last_snapshot_seq: AtomicU64::new(snapshot_seq),
             local_shutdown: AtomicBool::new(false),
             storage_ok: AtomicBool::new(true),
@@ -403,9 +411,36 @@ impl ServerState {
         self.local_shutdown.load(Ordering::SeqCst) || signals::shutdown_requested()
     }
 
-    /// Requests shutdown without a signal (used by tests).
+    /// Requests shutdown without a signal (used by tests), and wakes
+    /// every acceptor so it sees the request at once.
     pub fn request_shutdown(&self) {
         self.local_shutdown.store(true, Ordering::SeqCst);
+        self.wake_acceptors();
+    }
+
+    /// Makes `listener` block in `accept` and registers its address with
+    /// the shutdown wake-up.
+    fn listen(&self, listener: &TcpListener) -> io::Result<()> {
+        listener.set_nonblocking(false)?;
+        let addr = wake_addr(listener)?;
+        self.wakes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(addr);
+        Ok(())
+    }
+
+    /// Connects once to every registered listener, so each acceptor
+    /// blocked in `accept` returns and sees the shutdown flag. Only the
+    /// first call after shutdown connects; a listener registered later
+    /// sees the flag before it first blocks.
+    fn wake_acceptors(&self) {
+        let wakes = std::mem::take(&mut *self.wakes.lock().unwrap_or_else(PoisonError::into_inner));
+        for wake in wakes {
+            if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+                eprintln!("cannot wake the accept loop at {wake}: {e}");
+            }
+        }
     }
 
     /// Connections currently being served.
@@ -439,13 +474,115 @@ impl ServerState {
     }
 }
 
-/// Decrements the active-connection counter when dropped, so a panicked
-/// handler thread still releases its slot.
-struct ActiveGuard<'a>(&'a ServerState);
+/// The two listeners a server runs, which share one acceptor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plane {
+    /// The line protocol (`serve`'s own listener).
+    Protocol,
+    /// The HTTP exposition plane (`--http-addr`).
+    Http,
+}
 
-impl Drop for ActiveGuard<'_> {
+impl Plane {
+    /// Handlers of this plane currently running.
+    fn live(self, state: &ServerState) -> &AtomicUsize {
+        match self {
+            Plane::Protocol => &state.active,
+            Plane::Http => &state.scrapers_active,
+        }
+    }
+
+    /// How many handlers may run at once; connections past it are shed.
+    fn cap(self, state: &ServerState) -> usize {
+        match self {
+            Plane::Protocol => state.config.max_conns,
+            Plane::Http => http::MAX_SCRAPER_CONNS,
+        }
+    }
+
+    /// Answers a connection past the cap with a back-off hint.
+    fn shed(self, stream: TcpStream, cap: usize) {
+        match self {
+            Plane::Protocol => shed(stream, cap),
+            Plane::Http => http::shed(stream),
+        }
+    }
+
+    /// Serves one accepted connection to its end.
+    fn handle(self, stream: TcpStream, state: &ServerState) {
+        match self {
+            Plane::Protocol => connection::handle(stream, state),
+            Plane::Http => http::handle_connection(stream, state),
+        }
+    }
+
+    fn thread_name(self) -> &'static str {
+        match self {
+            Plane::Protocol => "connection",
+            Plane::Http => "http-conn",
+        }
+    }
+}
+
+/// Releases a handler's slot when dropped, so a panicked handler thread
+/// still frees it.
+struct SlotGuard<'a>(&'a AtomicUsize);
+
+impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Takes connections on `listener` (registered with
+/// [`ServerState::listen`]) until shutdown is requested: one handler
+/// thread per connection up to the plane's cap, shedding the rest.
+/// `accept` blocks; the shutdown wake-up connection frees it.
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, plane: Plane) {
+    // Phase attribution: how long the acceptor idled before each
+    // connection arrived. Near-zero accept waits under load mean the
+    // listener itself is the bottleneck; large waits mean it is starved
+    // for work and latency lives elsewhere.
+    let mut last_accept = Instant::now();
+    while !state.shutdown_requested() {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if state.shutdown_requested() {
+                    // The wake-up, or a client that raced shutdown:
+                    // either way, serve nothing more.
+                    break;
+                }
+                if plane == Plane::Protocol {
+                    let m = streamlink_core::metrics::global();
+                    m.connections_accepted.incr();
+                    m.serve_accept_wait_ms
+                        .set(u64::try_from(last_accept.elapsed().as_millis()).unwrap_or(u64::MAX));
+                    last_accept = Instant::now();
+                }
+                let cap = plane.cap(state);
+                if plane.live(state).fetch_add(1, Ordering::SeqCst) >= cap {
+                    plane.live(state).fetch_sub(1, Ordering::SeqCst);
+                    plane.shed(stream, cap);
+                    continue;
+                }
+                let st = Arc::clone(state);
+                let spawned = thread::Builder::new()
+                    .name(plane.thread_name().into())
+                    .spawn(move || {
+                        let _slot = SlotGuard(plane.live(&st));
+                        plane.handle(stream, &st);
+                    });
+                if let Err(e) = spawned {
+                    plane.live(state).fetch_sub(1, Ordering::SeqCst);
+                    eprintln!("cannot spawn {plane:?} connection thread: {e}");
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                eprintln!("{plane:?} accept failed: {e}");
+                thread::sleep(POLL_INTERVAL);
+            }
+        }
     }
 }
 
@@ -454,15 +591,14 @@ impl Drop for ActiveGuard<'_> {
 /// process can exit 0.
 ///
 /// `accept` blocks, so a connection is taken the moment it arrives. The
-/// periodic work lives on a housekeeping thread, which also wakes the
-/// acceptor once shutdown is requested by connecting to the listener.
+/// periodic work lives on a housekeeping thread, which also wakes every
+/// acceptor once a signal requests shutdown.
 ///
 /// # Errors
 /// Fails if the listener cannot be configured or the final checkpoint
 /// cannot be written (acked edges are still safe in the journal).
 pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> {
-    listener.set_nonblocking(false)?;
-    let wake = wake_addr(&listener)?;
+    state.listen(&listener)?;
     let checkpointer = if state.persist.is_some() {
         let st = Arc::clone(state);
         Some(
@@ -503,51 +639,9 @@ pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> 
         let st = Arc::clone(state);
         thread::Builder::new()
             .name("housekeeping".into())
-            .spawn(move || housekeeping_loop(&st, wake))?
+            .spawn(move || housekeeping_loop(&st))?
     };
-    // Phase attribution: how long the acceptor idled before each
-    // connection arrived. Near-zero accept waits under load mean the
-    // listener itself is the bottleneck; large waits mean it is starved
-    // for work and latency lives elsewhere.
-    let mut last_accept = Instant::now();
-    while !state.shutdown_requested() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.shutdown_requested() {
-                    // Housekeeping's wake-up, or a client that raced
-                    // shutdown: either way, serve nothing more.
-                    break;
-                }
-                let m = streamlink_core::metrics::global();
-                m.connections_accepted.incr();
-                m.serve_accept_wait_ms
-                    .set(u64::try_from(last_accept.elapsed().as_millis()).unwrap_or(u64::MAX));
-                last_accept = Instant::now();
-                let previous = state.active.fetch_add(1, Ordering::SeqCst);
-                if previous >= state.config.max_conns {
-                    state.active.fetch_sub(1, Ordering::SeqCst);
-                    shed(stream, state.config.max_conns);
-                    continue;
-                }
-                let st = Arc::clone(state);
-                let spawned = thread::Builder::new()
-                    .name("connection".into())
-                    .spawn(move || {
-                        let _slot = ActiveGuard(&st);
-                        connection::handle(stream, &st);
-                    });
-                if let Err(e) = spawned {
-                    state.active.fetch_sub(1, Ordering::SeqCst);
-                    eprintln!("cannot spawn connection thread: {e}");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("accept failed: {e}");
-                thread::sleep(POLL_INTERVAL);
-            }
-        }
-    }
+    accept_loop(&listener, state, Plane::Protocol);
     drop(listener); // stop accepting before draining
     let _ = housekeeping.join();
 
@@ -579,7 +673,7 @@ pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> 
     Ok(())
 }
 
-/// Where housekeeping connects to wake a blocked `accept`: the
+/// Where the shutdown wake-up connects to free a blocked `accept`: the
 /// listener's own address, with a wildcard IP replaced by loopback.
 fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
     let mut addr = listener.local_addr()?;
@@ -592,9 +686,9 @@ fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
 }
 
 /// The housekeeping thread body: the periodic metrics log line and
-/// `mem.*` refresh until shutdown is requested, then one connection to
-/// `wake` so the acceptor, blocked in `accept`, sees the flag.
-fn housekeeping_loop(state: &ServerState, wake: SocketAddr) {
+/// `mem.*` refresh until shutdown is requested, then the wake-up of
+/// every acceptor (a signal flips the flag without waking anyone).
+fn housekeeping_loop(state: &ServerState) {
     let mut last_metrics_log = Instant::now();
     let mut last_mem_refresh = Instant::now();
     while !state.shutdown_requested() {
@@ -609,9 +703,7 @@ fn housekeeping_loop(state: &ServerState, wake: SocketAddr) {
         }
         thread::sleep(POLL_INTERVAL);
     }
-    if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
-        eprintln!("cannot wake the accept loop at {wake}: {e}");
-    }
+    state.wake_acceptors();
 }
 
 /// The accuracy-audit thread body: one cycle per `audit_interval`,
@@ -635,7 +727,6 @@ fn shed(stream: TcpStream, cap: usize) {
     m.connections_shed.incr();
     m.sheds_busy.incr();
     let mut stream = stream;
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = writeln!(
         stream,

@@ -59,8 +59,6 @@
 //! * [`audit`] — online sketch-health auditing: a bounded exact shadow
 //!   adjacency over sampled vertices, scored against the live sketch
 //!   estimates into rolling error gauges.
-//! * [`concurrent`] — sharded `RwLock` store for live ingest + query
-//!   serving.
 //! * [`hll`] / [`robust`] — HyperLogLog distinct-degree estimation and
 //!   the duplicate-robust store built on it.
 //! * [`compressed`] — frozen b-bit replicas for serving/shipping
@@ -114,7 +112,6 @@ pub mod bottomk;
 pub mod chaos;
 pub mod codec;
 pub mod compressed;
-pub mod concurrent;
 pub mod config;
 pub mod durable;
 pub mod estimators;
@@ -143,7 +140,6 @@ pub use bottomk::BottomKStore;
 pub use chaos::{DeliveryFault, DeliveryPlan, FaultKind, FaultPlan};
 pub use codec::{CodecError, WireFormat};
 pub use compressed::CompressedStore;
-pub use concurrent::ConcurrentSketchStore;
 pub use config::{HasherBackend, SketchConfig};
 pub use durable::{checkpoint, recover, Recovery, DEFAULT_SNAPSHOT_KEEP};
 pub use events::{ClusterEvent, EventJournal, EventKind};

@@ -27,9 +27,10 @@
 //! *sampled* (1 in [`INSERT_SAMPLE_INTERVAL`]) because two `Instant`
 //! reads per edge would be measurable at small `k`. Control-plane
 //! instruments (journal, checkpoint, server commands) are always
-//! recorded — their cost is dwarfed by the IO they measure. The
-//! `exp_metrics` experiment pins the enabled-vs-disabled ingest overhead
-//! below 5%.
+//! recorded — their cost is dwarfed by the IO they measure. The E19
+//! plane of the `exp_overhead` experiment gates the enabled-vs-disabled
+//! ingest overhead (median of paired passes; budget 5%, CI fails
+//! above 10%).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -325,6 +325,30 @@ pub fn load_store(path: &Path) -> io::Result<SketchStore> {
     Ok(read_file(path, StoreSnapshot::into_store)?.0)
 }
 
+/// Verifies the snapshot file at `path` exactly as a load would, in any
+/// format this crate ever wrote, without keeping its vertices: returns
+/// what the framing check proved and the edge count the snapshot
+/// carries. A v3 file streams through the body decoder, so this holds
+/// one read buffer, not the file.
+///
+/// # Errors
+/// As [`StoreSnapshot::read_from`].
+pub fn verify_file(path: &Path) -> io::Result<(SnapshotIntegrity, u64)> {
+    let (EdgeCount(edges), integrity) = read_file(path, |snap| EdgeCount(snap.edges_processed))?;
+    Ok((integrity, edges))
+}
+
+/// A [`SnapshotSink`] that keeps only the edge count.
+struct EdgeCount(u64);
+
+impl SnapshotSink for EdgeCount {
+    fn with_capacity(_config: SketchConfig, edges_processed: u64, _count: usize) -> Self {
+        EdgeCount(edges_processed)
+    }
+
+    fn push(&mut self, _vertex: VertexId, _degree: u64, _sketch: VertexSketch) {}
+}
+
 /// One vertex's persisted state in a [`RobustSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RobustVertexEntry {
