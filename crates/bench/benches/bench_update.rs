@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphstream::{AdjacencyGraph, BarabasiAlbert, Edge, EdgeStream};
-use streamlink_core::{BottomKStore, HasherBackend, SketchConfig, SketchStore};
+use streamlink_core::{HasherBackend, SketchConfig, SketchStore};
+use streamlink_variants::BottomKStore;
 
 fn edges() -> Vec<Edge> {
     BarabasiAlbert::new(10_000, 4, 7).edges().collect()

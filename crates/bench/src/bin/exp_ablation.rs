@@ -25,7 +25,8 @@ use serde::Serialize;
 use streamlink_bench::{
     flag_value, scale_from_args, table_header, table_row, ResultWriter, EXP_SEED,
 };
-use streamlink_core::{BiasedStore, BottomKStore, SketchConfig, SketchStore};
+use streamlink_core::{SketchConfig, SketchStore};
+use streamlink_variants::{BiasedStore, BottomKStore};
 
 #[derive(Serialize)]
 struct Row {

@@ -20,7 +20,7 @@ use serde::Serialize;
 use streamlink_bench::{
     all_datasets, build_store, scale_from_args, table_header, table_row, ResultWriter, EXP_SEED,
 };
-use streamlink_core::CompressedStore;
+use streamlink_variants::CompressedStore;
 
 #[derive(Serialize)]
 struct Row {

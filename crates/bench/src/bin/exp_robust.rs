@@ -32,7 +32,8 @@ use streamlink_bench::{
 };
 use streamlink_core::journal::{self, FsyncPolicy, Journal, JournalEntry};
 use streamlink_core::snapshot::StoreSnapshot;
-use streamlink_core::{chaos, durable, RobustStore, SketchConfig, SketchStore};
+use streamlink_core::{chaos, durable, SketchConfig, SketchStore};
+use streamlink_variants::RobustStore;
 
 #[derive(Serialize)]
 struct Row {

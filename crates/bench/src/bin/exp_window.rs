@@ -8,8 +8,8 @@
 //! bounded memory footprint.
 //!
 //! Shape to establish: windowed Jaccard error vs the recent-window truth
-//! stays flat across phases while the whole-stream store's error grows
-//! with every regime shift and never recovers. Memory is reported for
+//! stays well below the whole-stream store's, whose error grows with the
+//! regime shifts and never recovers. Memory is reported for
 //! honesty: over a *fixed* vertex universe both stores plateau — the
 //! windowed store ~#epochs× higher (per-epoch sketches of the same
 //! vertices); its memory advantage appears when the vertex universe
@@ -28,7 +28,8 @@ use serde::Serialize;
 use streamlink_bench::{
     flag_value, scale_from_args, table_header, table_row, ResultWriter, EXP_SEED,
 };
-use streamlink_core::{SketchConfig, SketchStore, WindowedStore};
+use streamlink_core::{SketchConfig, SketchStore};
+use streamlink_variants::WindowedStore;
 
 #[derive(Serialize)]
 struct Row {

@@ -51,10 +51,9 @@ use graphstream::VertexId;
 use hashkit::crc32::{crc32, Crc32};
 
 use crate::config::{HasherBackend, SketchConfig};
-use crate::hll::HyperLogLog;
 use crate::journal::JournalEntry;
 use crate::sketch::{Slot, VertexSketch};
-use crate::snapshot::{RobustSnapshot, RobustVertexEntry, StoreSnapshot, VertexEntry};
+use crate::snapshot::{StoreSnapshot, VertexEntry};
 use crate::store::{SketchStore, Vertex};
 
 /// The 4-byte magic opening every binary v3 envelope.
@@ -80,7 +79,9 @@ pub const MAX_SLOT_COUNT: u64 = 1 << 20;
 pub const MODE_WAL_ENTRY: u8 = 0x01;
 /// Envelope mode byte: a [`StoreSnapshot`] body.
 pub const MODE_STORE_SNAPSHOT: u8 = 0x02;
-/// Envelope mode byte: a [`RobustSnapshot`] body.
+/// Retired envelope mode byte: the duplicate-robust store snapshot,
+/// which nothing writes any more. Never reused, so such a file fails on
+/// the mode byte instead of mis-decoding as another body.
 pub const MODE_ROBUST_SNAPSHOT: u8 = 0x03;
 /// Envelope mode byte: a protocol frame whose body is UTF-8 command or
 /// response text (the negotiated binary wire mode).
@@ -579,21 +580,6 @@ impl<R: BufRead> Input<R> {
         }
     }
 
-    /// Appends the next `n` bytes to `out`.
-    fn read_into(&mut self, n: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        let target = out.len() + n;
-        while out.len() < target {
-            let rest = self.rest();
-            if rest.is_empty() {
-                return Err(CodecError::Truncated);
-            }
-            let take = rest.len().min(target - out.len());
-            out.extend_from_slice(&rest[..take]);
-            self.used += take;
-        }
-        Ok(())
-    }
-
     /// Reads on to `limit` (or the end of the source), so the CRC
     /// covers everything up to it.
     fn skip_to_limit(&mut self) {
@@ -932,84 +918,9 @@ fn decode_store_snapshot_body<R: BufRead, S: SnapshotSink>(
     Ok(sink)
 }
 
-fn encode_robust_snapshot_body(snap: &RobustSnapshot) -> Result<Vec<u8>, CodecError> {
-    if !(4..=16).contains(&snap.hll_precision) {
-        return Err(CodecError::Malformed("HLL precision out of range"));
-    }
-    let mut body = Vec::with_capacity(32 + snap.vertices.len() * 32);
-    encode_config(&mut body, &snap.config)?;
-    body.push(snap.hll_precision);
-    write_varint(&mut body, snap.edges_processed);
-    write_varint(&mut body, snap.vertices.len() as u64);
-    let mut prev = 0u64;
-    for (i, entry) in snap.vertices.iter().enumerate() {
-        let delta = if i == 0 {
-            entry.vertex.0
-        } else {
-            entry.vertex.0.wrapping_sub(prev)
-        };
-        write_varint(&mut body, delta);
-        prev = entry.vertex.0;
-    }
-    for entry in &snap.vertices {
-        encode_sketch(&mut body, &entry.sketch);
-        body.extend_from_slice(entry.degree.registers());
-    }
-    Ok(body)
-}
-
-fn decode_robust_snapshot_body(body: &[u8]) -> Result<RobustSnapshot, CodecError> {
-    let mut input = Input::slice(body);
-    let config = decode_config(&mut input)?;
-    let hll_precision = input.byte()?;
-    if !(4..=16).contains(&hll_precision) {
-        return Err(CodecError::Malformed("HLL precision out of range"));
-    }
-    let registers = 1usize << hll_precision;
-    let edges_processed = input.varint()?;
-    let count = read_vertex_count(&mut input)?;
-    let ids = decode_vertex_column(&mut input, count)?;
-    let mut sketches = SketchDecoder::new(config.slots());
-    let mut vertices = Vec::with_capacity(count);
-    for vertex in ids {
-        let sketch = input.sketch(&mut sketches)?;
-        let mut regs = Vec::with_capacity(registers);
-        input.read_into(registers, &mut regs)?;
-        let degree = HyperLogLog::from_parts(hll_precision, regs)
-            .ok_or(CodecError::Malformed("invalid HLL registers"))?;
-        vertices.push(RobustVertexEntry {
-            vertex,
-            sketch,
-            degree,
-        });
-    }
-    if input.position() != body.len() as u64 {
-        return Err(CodecError::Malformed("trailing bytes after snapshot"));
-    }
-    Ok(RobustSnapshot {
-        config,
-        hll_precision,
-        edges_processed,
-        vertices,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Snapshot files and snapshot transfers
 // ---------------------------------------------------------------------
-
-/// Verifies that `bytes` is exactly one envelope of `mode` and returns
-/// its body.
-fn decode_expecting(bytes: &[u8], mode: u8) -> Result<&[u8], CodecError> {
-    let env = decode_envelope(bytes)?;
-    if env.mode != mode {
-        return Err(CodecError::BadMode(env.mode));
-    }
-    if env.consumed != bytes.len() {
-        return Err(CodecError::Malformed("trailing bytes after record"));
-    }
-    Ok(env.body)
-}
 
 /// The v3 store-snapshot body of `snap`, refused when the reader would
 /// refuse it.
@@ -1119,25 +1030,6 @@ pub(crate) fn read_store_snapshot<S: SnapshotSink>(
     }
 }
 
-/// Encodes a full robust-store snapshot file.
-///
-/// # Errors
-/// As [`encode_store_snapshot`], plus [`CodecError::Malformed`] for an
-/// HLL precision outside `4..=16`.
-pub fn encode_robust_snapshot(snap: &RobustSnapshot) -> Result<Vec<u8>, CodecError> {
-    let body = encode_robust_snapshot_body(snap)?;
-    check_body_len(body.len())?;
-    Ok(encode_envelope(MODE_ROBUST_SNAPSHOT, &body))
-}
-
-/// Decodes and verifies a full robust-store snapshot file.
-///
-/// # Errors
-/// Fails closed on any framing or body defect.
-pub fn decode_robust_snapshot(bytes: &[u8]) -> Result<RobustSnapshot, CodecError> {
-    decode_robust_snapshot_body(decode_expecting(bytes, MODE_ROBUST_SNAPSHOT)?)
-}
-
 /// Encodes an anti-entropy or resync snapshot transfer as one
 /// [`MODE_SNAPSHOT_FRAME`] envelope: the WAL seq the snapshot covers,
 /// then the store-snapshot body exactly as [`encode_store_snapshot`]
@@ -1196,7 +1088,7 @@ pub enum WireFormat {
 /// Nothing on the serving or CLI path writes text.
 pub mod v2 {
     use crate::journal::JournalEntry;
-    use crate::snapshot::{RobustSnapshot, StoreSnapshot, SNAPSHOT_MAGIC};
+    use crate::snapshot::{StoreSnapshot, SNAPSHOT_MAGIC};
     use hashkit::crc32;
     use serde::Serialize;
 
@@ -1213,12 +1105,6 @@ pub mod v2 {
     /// A v2 store snapshot file: header line, then the JSON payload.
     #[must_use]
     pub fn store_snapshot(snap: &StoreSnapshot) -> Vec<u8> {
-        framed(snap)
-    }
-
-    /// A v2 robust-store snapshot file.
-    #[must_use]
-    pub fn robust_snapshot(snap: &RobustSnapshot) -> Vec<u8> {
         framed(snap)
     }
 
@@ -1246,7 +1132,6 @@ pub mod v2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::robust::RobustStore;
     use crate::store::SketchStore;
     use graphstream::{BarabasiAlbert, EdgeStream};
     use proptest::prelude::*;
@@ -1514,15 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn robust_snapshot_binary_roundtrip() {
-        let mut s = RobustStore::new(SketchConfig::with_slots(16).seed(3), 8);
-        s.insert_stream(BarabasiAlbert::new(80, 2, 4).edges());
-        let snap = RobustSnapshot::capture(&s);
-        let v3 = encode_robust_snapshot(&snap).unwrap();
-        assert_eq!(decode_robust_snapshot(&v3).unwrap(), snap);
-    }
-
-    #[test]
     fn empty_snapshot_roundtrips() {
         let snap = StoreSnapshot::capture(&SketchStore::new(SketchConfig::with_slots(8)));
         let v3 = encode_store_snapshot(&snap).unwrap();
@@ -1532,8 +1408,6 @@ mod tests {
     #[test]
     fn snapshot_decode_rejects_wrong_mode() {
         let snap = populated_snapshot();
-        let v3 = encode_store_snapshot(&snap).unwrap();
-        assert!(decode_robust_snapshot(&v3).is_err());
         let frame = encode_snapshot_frame(3, &snap).unwrap();
         assert_eq!(
             decode_store_snapshot(&frame),

@@ -68,42 +68,6 @@ pub fn aa_from_samples(cn_estimate: f64, sampled_degrees: &[u64]) -> f64 {
     cn_estimate * mean_weight
 }
 
-/// Estimated intersection size — an alias of [`cn_from_jaccard`] exposed
-/// under set vocabulary for non-graph uses of the sketches (the
-/// neighborhood intersection *is* the common-neighbor count).
-#[inline]
-#[must_use]
-pub fn intersection_from_jaccard(jaccard: f64, size_a: u64, size_b: u64) -> f64 {
-    cn_from_jaccard(jaccard, size_a, size_b)
-}
-
-/// Estimated union size `|A ∪ B| = (|A| + |B|) / (1 + J)`.
-///
-/// Clamped to the feasible range `[max(|A|, |B|), |A| + |B|]`.
-#[inline]
-#[must_use]
-pub fn union_from_jaccard(jaccard: f64, size_a: u64, size_b: u64) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&jaccard));
-    let raw = (size_a + size_b) as f64 / (1.0 + jaccard);
-    raw.clamp(size_a.max(size_b) as f64, (size_a + size_b) as f64)
-}
-
-/// Weighted-Jaccard inversion used by the vertex-biased AA estimator.
-///
-/// With per-vertex weights `c(w)`, define `W(x) = Σ_{w∈N(x)} c(w)`. The
-/// weighted Jaccard `J_c = C∩ / C∪` satisfies
-/// `C∩ = J_c · (W_u + W_v) / (1 + J_c)` by the same identity as the
-/// unweighted case — and `C∩` *is* the Adamic–Adar score when
-/// `c(w) = 1/ln d(w)`.
-#[inline]
-#[must_use]
-pub fn weighted_intersection_from_jaccard(jaccard_w: f64, wsum_u: f64, wsum_v: f64) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&jaccard_w));
-    debug_assert!(wsum_u >= 0.0 && wsum_v >= 0.0);
-    let raw = jaccard_w * (wsum_u + wsum_v) / (1.0 + jaccard_w);
-    raw.clamp(0.0, wsum_u.min(wsum_v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,37 +139,5 @@ mod tests {
         let aa = aa_from_samples(2.0, &[2, 4]);
         let expected = 2.0 * (1.0 / 2f64.ln() + 1.0 / 4f64.ln()) / 2.0;
         assert!((aa - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn union_and_intersection_are_consistent() {
-        // |A| = 10, |B| = 8, |A∩B| = 4 → J = 4/14, |A∪B| = 14.
-        let j = 4.0 / 14.0;
-        let inter = intersection_from_jaccard(j, 10, 8);
-        let union = union_from_jaccard(j, 10, 8);
-        assert!((inter - 4.0).abs() < 1e-12);
-        assert!((union - 14.0).abs() < 1e-12);
-        // Inclusion–exclusion holds for the pair of estimates.
-        assert!((inter + union - 18.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn union_clamps_to_feasible_range() {
-        assert_eq!(union_from_jaccard(1.0, 10, 4), 10.0);
-        assert_eq!(union_from_jaccard(0.0, 10, 4), 14.0);
-    }
-
-    #[test]
-    fn weighted_inversion_matches_ground_truth() {
-        // C(u) = 3.0, C(v) = 2.0, C∩ = 1.0 → J_c = 1 / (3+2-1) = 0.25.
-        let jc = 1.0 / 4.0;
-        let c = weighted_intersection_from_jaccard(jc, 3.0, 2.0);
-        assert!((c - 1.0).abs() < 1e-12, "got {c}");
-    }
-
-    #[test]
-    fn weighted_inversion_clamps() {
-        assert_eq!(weighted_intersection_from_jaccard(1.0, 5.0, 1.0), 1.0);
-        assert_eq!(weighted_intersection_from_jaccard(0.0, 5.0, 1.0), 0.0);
     }
 }

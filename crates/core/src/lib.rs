@@ -21,9 +21,11 @@
 //! * **Adamic–Adar** — the agreeing slots are min-wise samples of the
 //!   *intersection*; averaging `1/ln d(w)` over the sampled common
 //!   neighbors and scaling by `ĈN` estimates AA
-//!   ([`SketchStore::adamic_adar`]). A second, *vertex-biased* estimator
-//!   ([`biased::BiasedStore`]) weights the sampling itself by `1/ln d`
-//!   via exponential ranks.
+//!   ([`SketchStore::adamic_adar`]).
+//!
+//! The research variants (bottom-k, vertex-biased, windowed,
+//! duplicate-robust and b-bit compressed sketches) live in the
+//! `streamlink-variants` crate, built on this crate's public API.
 //!
 //! ## Modules
 //!
@@ -32,11 +34,7 @@
 //! * [`sketch`] — the per-vertex [`sketch::VertexSketch`].
 //! * [`estimators`] — the pure estimation formulas, testable in isolation.
 //! * [`accuracy`] — the `(ε, δ)` guarantee calculator.
-//! * [`bottomk`] — the bottom-k single-hash variant (ablation).
-//! * [`biased`] — the vertex-biased (weighted) AA sketch (ablation).
 //! * [`lsh`] — banded LSH index for sub-linear top-k similarity search.
-//! * [`windowed`] — epoch-based sliding-window store (recent structure
-//!   only).
 //! * [`merge`] — sketch-store union for distributed ingestion.
 //! * [`metrics`] — zero-dependency observability: atomic counters,
 //!   gauges, and latency histograms behind one global registry, with
@@ -59,10 +57,6 @@
 //! * [`audit`] — online sketch-health auditing: a bounded exact shadow
 //!   adjacency over sampled vertices, scored against the live sketch
 //!   estimates into rolling error gauges.
-//! * [`hll`] / [`robust`] — HyperLogLog distinct-degree estimation and
-//!   the duplicate-robust store built on it.
-//! * [`compressed`] — frozen b-bit replicas for serving/shipping
-//!   (Li–König b-bit minwise hashing).
 //! * [`parallel`] — sharded multi-threaded ingestion.
 //! * [`codec`] — the storage/wire format: the checksummed binary v3
 //!   envelope (LEB128 varints, delta-encoded slot columns), the only
@@ -107,17 +101,13 @@
 
 pub mod accuracy;
 pub mod audit;
-pub mod biased;
-pub mod bottomk;
 pub mod chaos;
 pub mod codec;
-pub mod compressed;
 pub mod config;
 pub mod durable;
 pub mod estimators;
 pub mod events;
 pub mod failover;
-pub mod hll;
 pub mod journal;
 pub mod loadgen;
 pub mod lsh;
@@ -126,30 +116,22 @@ pub mod merge;
 pub mod metrics;
 pub mod parallel;
 pub mod repl;
-pub mod robust;
 pub mod sketch;
 pub mod snapshot;
 pub mod store;
 pub mod trace;
-pub mod windowed;
 
 pub use accuracy::AccuracyPlan;
 pub use audit::{AccuracyAuditor, AuditConfig, AuditSnapshot};
-pub use biased::BiasedStore;
-pub use bottomk::BottomKStore;
 pub use chaos::{DeliveryFault, DeliveryPlan, FaultKind, FaultPlan};
 pub use codec::{CodecError, WireFormat};
-pub use compressed::CompressedStore;
 pub use config::{HasherBackend, SketchConfig};
 pub use durable::{checkpoint, recover, Recovery, DEFAULT_SNAPSHOT_KEEP};
 pub use events::{ClusterEvent, EventJournal, EventKind};
-pub use hll::HyperLogLog;
 pub use journal::{FsyncPolicy, Journal, JournalEntry, LineCheck, ReplayReport};
 pub use loadgen::{LoadReport, MixSpec, OpKind, OpStream, WorkloadSpec};
 pub use lsh::LshIndex;
 pub use memory::{MemoryComponent, MemoryReport};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use repl::{ApplyOutcome, PullOutcome, ReplLog, ReplicaApplier};
-pub use robust::RobustStore;
 pub use store::SketchStore;
-pub use windowed::WindowedStore;

@@ -4,16 +4,14 @@
 //! persist it, ship it across processes, or archive per-epoch states of
 //! a long-running stream. Restoring rebuilds the hasher bank from the
 //! embedded config, so a restored store continues ingesting the stream
-//! exactly where the original left off. [`RobustSnapshot`] does the same
-//! for [`RobustStore`], persisting its HyperLogLog degree sketches.
+//! exactly where the original left off.
 //!
 //! ## Crash-safe writes
 //!
-//! [`StoreSnapshot::write_atomic`] (and the `RobustSnapshot` twin) uses
-//! the temp-file–fsync–rename protocol: readers either see the previous
-//! complete snapshot or the new complete snapshot, never a torn one. A
-//! crash mid-write leaves at most a stale `.tmp` file, which the next
-//! successful write replaces.
+//! [`StoreSnapshot::write_atomic`] uses the temp-file–fsync–rename
+//! protocol: readers either see the previous complete snapshot or the
+//! new complete snapshot, never a torn one. A crash mid-write leaves at
+//! most a stale `.tmp` file, which the next successful write replaces.
 //!
 //! ## Loading
 //!
@@ -55,8 +53,6 @@ use graphstream::VertexId;
 
 use crate::codec::{self, SnapshotSink};
 use crate::config::SketchConfig;
-use crate::hll::HyperLogLog;
-use crate::robust::RobustStore;
 use crate::sketch::VertexSketch;
 use crate::store::SketchStore;
 
@@ -349,100 +345,6 @@ impl SnapshotSink for EdgeCount {
     fn push(&mut self, _vertex: VertexId, _degree: u64, _sketch: VertexSketch) {}
 }
 
-/// One vertex's persisted state in a [`RobustSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RobustVertexEntry {
-    /// The vertex.
-    pub vertex: VertexId,
-    /// Its sketch.
-    pub sketch: VertexSketch,
-    /// Its HyperLogLog distinct-degree sketch.
-    pub degree: HyperLogLog,
-}
-
-/// A serializable image of a [`RobustStore`], HLL degrees included.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RobustSnapshot {
-    /// The configuration (slots, seed, backend).
-    pub config: SketchConfig,
-    /// HLL precision of the degree sketches.
-    pub hll_precision: u8,
-    /// Edges processed when the snapshot was taken.
-    pub edges_processed: u64,
-    /// Per-vertex state, sorted by vertex id for deterministic output.
-    pub vertices: Vec<RobustVertexEntry>,
-}
-
-impl RobustSnapshot {
-    /// Captures a snapshot of `store`.
-    ///
-    /// # Panics
-    /// Panics if the store's internal maps disagree on membership (a
-    /// vertex with a sketch but no degree sketch), which would indicate
-    /// internal corruption.
-    #[must_use]
-    pub fn capture(store: &RobustStore) -> Self {
-        let (sketches, degrees, edges_processed) = store.parts();
-        let mut vertices: Vec<RobustVertexEntry> = sketches
-            .iter()
-            .map(|(&vertex, sketch)| RobustVertexEntry {
-                vertex,
-                sketch: sketch.clone(),
-                degree: degrees
-                    .get(&vertex)
-                    .expect("robust store invariant: sketch without degree HLL")
-                    .clone(),
-            })
-            .collect();
-        vertices.sort_by_key(|e| e.vertex);
-        Self {
-            config: *store.config(),
-            hll_precision: store.hll_precision(),
-            edges_processed,
-            vertices,
-        }
-    }
-
-    /// Restores a live store from the snapshot.
-    #[must_use]
-    pub fn restore(&self) -> RobustStore {
-        let mut store = RobustStore::new(self.config, self.hll_precision);
-        {
-            let (sketches, degrees, edges) = store.parts_mut();
-            for entry in &self.vertices {
-                sketches.insert(entry.vertex, entry.sketch.clone());
-                degrees.insert(entry.vertex, entry.degree.clone());
-            }
-            *edges = self.edges_processed;
-        }
-        store
-    }
-
-    /// Persists the snapshot at `path` atomically as a binary v3 file
-    /// (see [`StoreSnapshot::write_atomic`]).
-    ///
-    /// # Errors
-    /// Fails on IO errors; the previous snapshot at `path` (if any) is
-    /// untouched on failure.
-    pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        write_atomic_bytes(path, &[&codec::encode_robust_snapshot(self)?])
-    }
-
-    /// Loads a snapshot file in any format this crate ever wrote,
-    /// sniffing it from the bytes.
-    ///
-    /// # Errors
-    /// Fails if the file is missing or does not verify.
-    pub fn read_from(path: &Path) -> io::Result<Self> {
-        let bytes = fs::read(path)?;
-        if codec::is_binary(&bytes) {
-            return codec::decode_robust_snapshot(&bytes).map_err(|e| rewrap(e.into(), path));
-        }
-        let (payload, _) = verify_text(&bytes).map_err(|e| rewrap(e, path))?;
-        serde_json::from_str(&payload).map_err(|e| corrupt(path, &e.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,84 +583,25 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
-    fn populated_robust() -> RobustStore {
-        let mut s = RobustStore::new(SketchConfig::with_slots(32).seed(5), 10);
-        s.insert_stream(BarabasiAlbert::new(150, 2, 8).edges());
-        s
-    }
-
     #[test]
-    fn robust_capture_restore_preserves_everything() {
-        let original = populated_robust();
-        let restored = RobustSnapshot::capture(&original).restore();
-        assert_eq!(restored.vertex_count(), original.vertex_count());
-        assert_eq!(restored.edges_processed(), original.edges_processed());
-        assert_eq!(restored.hll_precision(), original.hll_precision());
-        for v in (0..150).map(VertexId) {
-            assert_eq!(
-                restored.degree_estimate(v),
-                original.degree_estimate(v),
-                "HLL degree diverged at {v}"
-            );
+    fn retired_robust_mode_fails_closed_on_every_read_path() {
+        // A well-formed store body under the retired 0x03 mode byte must
+        // be refused on the mode, not decoded as a store.
+        let body = codec::store_snapshot_body(&StoreSnapshot::capture(&populated())).unwrap();
+        let bytes = codec::encode_envelope(codec::MODE_ROBUST_SNAPSHOT, &body);
+        let bad_mode = codec::CodecError::BadMode(0x03);
+        assert_eq!(codec::decode_store_snapshot(&bytes), Err(bad_mode.clone()));
+
+        let path = temp_path("retired-mode");
+        fs::write(&path, &bytes).unwrap();
+        let errors = [
+            load_store(&path).map(drop).unwrap_err(),
+            verify_file(&path).map(drop).unwrap_err(),
+        ];
+        for err in errors {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&bad_mode.to_string()), "{err}");
         }
-        for u in 0..30u64 {
-            for v in (u + 1)..30u64 {
-                let (u, v) = (VertexId(u), VertexId(v));
-                assert_eq!(original.jaccard(u, v), restored.jaccard(u, v));
-                assert_eq!(
-                    original.common_neighbors(u, v),
-                    restored.common_neighbors(u, v)
-                );
-                assert_eq!(original.adamic_adar(u, v), restored.adamic_adar(u, v));
-            }
-        }
-    }
-
-    #[test]
-    fn robust_restored_store_continues_ingesting_consistently() {
-        let edges: Vec<_> = BarabasiAlbert::new(200, 2, 6).edges().collect();
-        let (head, tail) = edges.split_at(edges.len() / 2);
-
-        let mut prefix = RobustStore::new(SketchConfig::with_slots(16).seed(1), 8);
-        prefix.insert_stream(head.iter().copied());
-        let mut resumed = RobustSnapshot::capture(&prefix).restore();
-        resumed.insert_stream(tail.iter().copied());
-
-        let mut whole = RobustStore::new(SketchConfig::with_slots(16).seed(1), 8);
-        whole.insert_stream(edges.iter().copied());
-
-        assert_eq!(resumed.edges_processed(), whole.edges_processed());
-        for v in (0..200).map(VertexId) {
-            assert_eq!(
-                resumed.degree_estimate(v),
-                whole.degree_estimate(v),
-                "divergence at {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn robust_json_and_file_roundtrip() {
-        let snap = RobustSnapshot::capture(&populated_robust());
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: RobustSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(snap, back);
-
-        let path = temp_path("robust");
-        snap.write_atomic(&path).unwrap();
-        assert!(codec::is_binary(&fs::read(&path).unwrap()));
-        assert_eq!(RobustSnapshot::read_from(&path).unwrap(), snap);
-        fs::write(&path, codec::v2::robust_snapshot(&snap)).unwrap();
-        assert_eq!(RobustSnapshot::read_from(&path).unwrap(), snap);
         fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn robust_empty_store_roundtrips() {
-        let s = RobustStore::new(SketchConfig::with_slots(4), 6);
-        let restored = RobustSnapshot::capture(&s).restore();
-        assert_eq!(restored.vertex_count(), 0);
-        assert_eq!(restored.edges_processed(), 0);
-        assert_eq!(restored.hll_precision(), 6);
     }
 }

@@ -138,33 +138,39 @@ impl AdjacencyGraph {
     /// is finite.
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> f64 {
-        match (self.adj.get(&u), self.adj.get(&v)) {
-            (Some(a), Some(b)) => {
-                let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-                small
-                    .iter()
-                    .filter(|w| large.contains(w))
-                    .map(|&w| 1.0 / (self.degree(w) as f64).ln())
-                    .sum()
-            }
-            _ => 0.0,
-        }
+        self.common_neighbor_sum(u, v, |w| 1.0 / (self.degree(w) as f64).ln())
     }
 
     /// The resource-allocation index `Σ_{w ∈ N(u)∩N(v)} 1/d(w)`.
     #[must_use]
     pub fn resource_allocation(&self, u: VertexId, v: VertexId) -> f64 {
-        match (self.adj.get(&u), self.adj.get(&v)) {
-            (Some(a), Some(b)) => {
-                let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-                small
-                    .iter()
-                    .filter(|w| large.contains(w))
-                    .map(|&w| 1.0 / self.degree(w) as f64)
-                    .sum()
-            }
-            _ => 0.0,
-        }
+        self.common_neighbor_sum(u, v, |w| 1.0 / self.degree(w) as f64)
+    }
+
+    /// `Σ_{w ∈ N(u)∩N(v)} weight(w)`, summed in ascending id order.
+    ///
+    /// Floating-point addition is not associative, and each neighbor set
+    /// iterates in its own per-process hash order; summing in a fixed
+    /// order makes the result bit-identical across graphs built from the
+    /// same edges, and so across runs.
+    #[must_use]
+    pub fn common_neighbor_sum(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        weight: impl Fn(VertexId) -> f64,
+    ) -> f64 {
+        let (Some(a), Some(b)) = (self.adj.get(&u), self.adj.get(&v)) else {
+            return 0.0;
+        };
+        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let mut common: Vec<VertexId> = small
+            .iter()
+            .filter(|w| large.contains(w))
+            .copied()
+            .collect();
+        common.sort_unstable();
+        common.into_iter().map(weight).sum()
     }
 
     /// The preferential-attachment score `d(u) · d(v)`.
@@ -292,6 +298,31 @@ mod tests {
         let g = bowtie();
         let expected = 2.0 / 3.0;
         assert!((g.resource_allocation(VertexId(0), VertexId(3)) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weighted_sums_are_bit_identical_across_graphs() {
+        // Vertices 0 and 1 share 60 neighbors whose degrees vary from 2
+        // to 61, so the AA terms differ and their sum depends on the
+        // order it is taken in. Each graph's hash sets iterate in their
+        // own order; the sums must still agree to the last bit.
+        let mut edges = Vec::new();
+        for i in 0..60u64 {
+            let w = 100 + i;
+            edges.push(Edge::new(0, w, 0));
+            edges.push(Edge::new(1, w, 0));
+            for j in 0..i {
+                edges.push(Edge::new(w, 1000 + j, 0));
+            }
+        }
+        let aa: Vec<u64> = (0..8)
+            .map(|_| {
+                let g = AdjacencyGraph::from_edges(edges.iter().copied());
+                assert_eq!(g.common_neighbors(VertexId(0), VertexId(1)), 60);
+                g.adamic_adar(VertexId(0), VertexId(1)).to_bits()
+            })
+            .collect();
+        assert!(aa.windows(2).all(|w| w[0] == w[1]), "{aa:?}");
     }
 
     #[test]

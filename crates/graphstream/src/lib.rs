@@ -19,8 +19,6 @@
 //!   deterministic under a seed.
 //! * [`io`] — CSV, SNAP, fixed-width binary and compact varint edge-list
 //!   codecs.
-//! * [`interner`] — string label ⇄ dense [`VertexId`] interning for
-//!   labeled feeds.
 //! * [`reservoir`] — uniform edge reservoir sampling (the equal-memory
 //!   streaming baseline).
 //! * [`split`] — temporal train/test splitting for link-prediction
@@ -43,7 +41,6 @@ pub mod adapters;
 pub mod adjacency;
 pub mod error;
 pub mod generators;
-pub mod interner;
 pub mod io;
 pub mod reservoir;
 pub mod split;
@@ -55,7 +52,6 @@ pub use adapters::NoiseInjector;
 pub use adjacency::AdjacencyGraph;
 pub use error::StreamError;
 pub use generators::{BarabasiAlbert, ErdosRenyi, ForestFire, PowerLawConfig, WattsStrogatz};
-pub use interner::VertexInterner;
 pub use reservoir::EdgeReservoir;
 pub use split::TemporalSplit;
 pub use stats::StreamStats;

@@ -197,33 +197,13 @@ impl Scorer for ReservoirScorer {
             }
             Measure::CommonNeighbors => self.graph.common_neighbors(u, v) as f64 / p2,
             Measure::AdamicAdar => {
-                let nu = self.graph.neighbors(u)?;
-                let nv = self.graph.neighbors(v)?;
-                let (small, large) = if nu.len() <= nv.len() {
-                    (nu, nv)
-                } else {
-                    (nv, nu)
-                };
-                small
-                    .iter()
-                    .filter(|w| large.contains(w))
-                    .map(|&w| 1.0 / self.degree_est(w).max(2.0).ln())
-                    .sum::<f64>()
+                self.graph
+                    .common_neighbor_sum(u, v, |w| 1.0 / self.degree_est(w).max(2.0).ln())
                     / p2
             }
             Measure::ResourceAllocation => {
-                let nu = self.graph.neighbors(u)?;
-                let nv = self.graph.neighbors(v)?;
-                let (small, large) = if nu.len() <= nv.len() {
-                    (nu, nv)
-                } else {
-                    (nv, nu)
-                };
-                small
-                    .iter()
-                    .filter(|w| large.contains(w))
-                    .map(|&w| 1.0 / self.degree_est(w).max(1.0))
-                    .sum::<f64>()
+                self.graph
+                    .common_neighbor_sum(u, v, |w| 1.0 / self.degree_est(w).max(1.0))
                     / p2
             }
             Measure::PreferentialAttachment => self.degree_est(u) * self.degree_est(v),

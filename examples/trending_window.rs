@@ -9,7 +9,7 @@
 //! ```
 
 use streamlink::prelude::*;
-use streamlink::sketch::WindowedStore;
+use streamlink::variants::WindowedStore;
 
 fn main() {
     let config = SketchConfig::with_slots(128).seed(4);

@@ -10,9 +10,9 @@
 //! ```
 
 use streamlink::prelude::*;
-use streamlink::sketch::RobustStore;
 use streamlink::stream::adapters::NoiseInjector;
 use streamlink::stream::EdgeStream;
+use streamlink::variants::RobustStore;
 
 fn main() {
     // The true stream, then what the consumer actually sees: every edge

@@ -11,6 +11,9 @@
 //! * [`sketch`] — the paper's contribution: per-vertex MinHash sketches with
 //!   constant space per vertex and constant time per edge
 //!   ([`streamlink_core`]).
+//! * [`variants`] — research sketches built on [`sketch`]: bottom-k and
+//!   vertex-biased ablations, sliding windows, duplicate-robust degrees,
+//!   b-bit compressed replicas ([`streamlink_variants`]).
 //! * [`predict`] — link-prediction scorers, evaluation metrics and
 //!   experiment drivers ([`linkpred`]).
 //! * [`data`] — synthetic stand-ins for the paper's real-world graph
@@ -45,6 +48,7 @@ pub use graphstream as stream;
 pub use hashkit as hash;
 pub use linkpred as predict;
 pub use streamlink_core as sketch;
+pub use streamlink_variants as variants;
 
 /// One-stop imports for examples and applications.
 pub mod prelude {

@@ -6,9 +6,10 @@ use streamlink::data::{Scale, SimulatedDataset};
 use streamlink::predict::evaluate::sample_overlap_pairs;
 use streamlink::predict::{EnsembleScorer, ExactScorer, Measure, Scorer, SketchScorer};
 use streamlink::prelude::*;
-use streamlink::sketch::{CompressedStore, LshIndex, RobustStore, WindowedStore};
+use streamlink::sketch::LshIndex;
 use streamlink::stream::adapters::NoiseInjector;
 use streamlink::stream::EdgeStream;
+use streamlink::variants::{CompressedStore, RobustStore, WindowedStore};
 
 /// Full replication pipeline: ingest → compress at several b → ship as
 /// JSON → restore → query; accuracy must degrade gracefully with b.

@@ -31,10 +31,11 @@ fn prelude_covers_the_evaluation_path() {
 
 #[test]
 fn module_aliases_resolve() {
-    // The five documented module aliases of the facade.
+    // The six documented module aliases of the facade.
     let _ = streamlink::hash::mix64(1);
     let _ = streamlink::stream::VertexId(1);
     let _ = streamlink::sketch::SketchConfig::with_slots(4);
+    let _ = streamlink::variants::BottomKStore::new(4, 1);
     let _ = streamlink::predict::Measure::Jaccard;
     let _ = streamlink::data::SimulatedDataset::ALL;
 }
