@@ -8,7 +8,7 @@
 //! rows at 100% budget show honestly).
 //!
 //! For each budget (a fraction of what exact adjacency needs) we size
-//! both backends to the same bytes: `k = budget/(16·n)` slots per vertex
+//! both backends to the same bytes: `k = budget/(8·n)` 8-byte slots per vertex
 //! vs `capacity = budget/24` reservoir edges.
 //!
 //! Paper shape to reproduce: as the budget shrinks, the sketch keeps full
@@ -25,9 +25,11 @@ use graphstream::{AdjacencyGraph, Edge, EdgeStream, WattsStrogatz};
 use linkpred::evaluate::sample_overlap_pairs;
 use linkpred::{metrics, ExactScorer, Measure, ReservoirScorer, Scorer, SketchScorer};
 use serde::Serialize;
+use std::mem::size_of;
 use streamlink_bench::{
     build_store, scale_from_args, table_header, table_row, ResultWriter, EXP_SEED,
 };
+use streamlink_core::sketch::Slot;
 
 #[derive(Serialize)]
 struct Row {
@@ -68,7 +70,7 @@ fn main() {
 
     for budget_fraction in [0.02f64, 0.05, 0.15, 0.4, 1.0] {
         let budget = (exact_bytes as f64 * budget_fraction) as usize;
-        let k = (budget / (16 * n as usize)).max(1);
+        let k = (budget / (size_of::<Slot>() * n as usize)).max(1);
         let capacity = (budget / std::mem::size_of::<Edge>()).max(8);
 
         let store = build_store(&stream, k, EXP_SEED);

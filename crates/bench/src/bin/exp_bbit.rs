@@ -4,7 +4,7 @@
 //!
 //! Shape to establish (Li–König): at a fixed byte budget, many low-bit
 //! slots beat few full-width slots — e.g. `k = 512, b = 2` (128 B/vertex)
-//! outperforms a full-width `k = 8` (128 B/vertex) by a wide margin —
+//! outperforms a full-width `k = 16` (128 B/vertex) by a wide margin —
 //! because the collision correction costs less than the variance of a
 //! tiny k. Full-width slots still earn their bytes when AA/RA sampling
 //! is needed (replicas answer JC/CN only).
@@ -17,9 +17,11 @@ use graphstream::{AdjacencyGraph, EdgeStream};
 use linkpred::evaluate::sample_overlap_pairs;
 use linkpred::metrics;
 use serde::Serialize;
+use std::mem::size_of;
 use streamlink_bench::{
     all_datasets, build_store, scale_from_args, table_header, table_row, ResultWriter, EXP_SEED,
 };
+use streamlink_core::sketch::Slot;
 use streamlink_variants::CompressedStore;
 
 #[derive(Serialize)]
@@ -46,7 +48,7 @@ fn main() {
         println!("dataset {}", dataset.spec().key);
         table_header(&["variant", "k", "b", "B/vertex", "J MAE"]);
 
-        // Full-width rows: 16 bytes per slot.
+        // Full-width rows: one 64-bit hash per slot.
         for k in [8usize, 16, 32, 64, 128] {
             let store = build_store(&stream, k, EXP_SEED);
             let mut est = Vec::new();
@@ -61,8 +63,8 @@ fn main() {
                 dataset: dataset.spec().key.to_string(),
                 variant: "full".into(),
                 k,
-                bits: 128,
-                bytes_per_vertex: (k * 16) as f64,
+                bits: (8 * size_of::<Slot>()) as u8,
+                bytes_per_vertex: (k * size_of::<Slot>()) as f64,
                 jaccard_mae: metrics::mae(&est, &t),
             };
             table_row(&[

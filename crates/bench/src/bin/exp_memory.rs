@@ -5,7 +5,7 @@
 //! Erdős–Rényi edge stream over n fixed vertices keeps arriving, degrees
 //! grow without bound, exact adjacency grows linearly in the edge count —
 //! and the sketch store flat-lines the moment every vertex has been seen.
-//! The curves cross where average degree ≈ 0.4·k and diverge from there.
+//! The curves cross where average degree ≈ 0.35·k and diverge from there.
 //!
 //! ```sh
 //! cargo run --release -p streamlink-bench --bin exp_memory [-- --scale ...] [--k N]
@@ -14,9 +14,11 @@
 use datasets::Scale;
 use graphstream::{AdjacencyGraph, EdgeStream, ErdosRenyi};
 use serde::Serialize;
+use std::mem::size_of;
 use streamlink_bench::{
     flag_value, scale_from_args, table_header, table_row, ResultWriter, EXP_SEED,
 };
+use streamlink_core::sketch::Slot;
 use streamlink_core::{SketchConfig, SketchStore};
 
 #[derive(Serialize)]
@@ -84,6 +86,6 @@ fn main() {
     println!(
         "\nsketch memory is flat after all {n} vertices are seen ({} bytes/vertex); \
          exact adjacency keeps growing with every edge",
-        16 * k
+        size_of::<Slot>() * k
     );
 }

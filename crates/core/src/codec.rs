@@ -36,7 +36,10 @@
 //! A v3 snapshot body stores per-sketch slot state as three columns:
 //! the non-empty slot hashes sorted ascending and delta-encoded (minima
 //! of uniform hashes delta-compress well), the slot-index permutation
-//! that returns each hash to its slot, and the argmin vertex ids.
+//! that returns each hash to its slot, and the argmin vertex ids. A slot
+//! in memory holds only its hash: the writer derives each argmin from it
+//! and the reader checks that every argmin hashes back to its slot before
+//! dropping it (Tabulation sketches, which cannot be inverted, keep it).
 //! Vertex ids are likewise sorted and delta-encoded across the store.
 //!
 //! ## Varints
@@ -50,11 +53,11 @@ use std::io::{self, BufRead, Read};
 use graphstream::VertexId;
 use hashkit::crc32::{crc32, Crc32};
 
-use crate::config::{HasherBackend, SketchConfig};
+use crate::config::{HasherBackend, HasherBank, SketchConfig};
 use crate::journal::JournalEntry;
 use crate::sketch::{Slot, VertexSketch};
 use crate::snapshot::{StoreSnapshot, VertexEntry};
-use crate::store::{SketchStore, Vertex};
+use crate::store::SketchStore;
 
 /// The 4-byte magic opening every binary v3 envelope.
 pub const BINARY_MAGIC: [u8; 4] = *b"SLB3";
@@ -564,7 +567,7 @@ impl<R: BufRead> Input<R> {
     /// Decodes one sketch: in one go from the current buffer when it
     /// holds the whole sketch, which skips the per-field buffer checks,
     /// and field by field across a refill when it does not.
-    fn sketch(&mut self, sketches: &mut SketchDecoder) -> Result<VertexSketch, CodecError> {
+    fn sketch(&mut self, sketches: &mut SketchDecoder) -> Result<DecodedSketch, CodecError> {
         let mut window = Window {
             bytes: self.rest(),
             pos: 0,
@@ -659,52 +662,77 @@ fn leb128(mut next: impl FnMut() -> Result<u8, CodecError>) -> Result<u64, Codec
 // Columnar sketch encoding
 // ---------------------------------------------------------------------
 
-fn encode_sketch(out: &mut Vec<u8>, sketch: &VertexSketch) {
-    let mut filled: Vec<(u64, usize, u64)> = sketch
+/// Appends one entry's three sketch columns. A slot stores no argmin, so
+/// the argmin column is derived: inverted from each hash under Mixer,
+/// read from the entry's column under Tabulation.
+fn encode_sketch(
+    out: &mut Vec<u8>,
+    entry: &VertexEntry,
+    bank: &HasherBank,
+) -> Result<(), CodecError> {
+    let mut filled: Vec<(u64, usize)> = entry
+        .sketch
         .slots()
         .iter()
         .enumerate()
         .filter(|(_, s)| !s.is_empty())
-        .map(|(i, s)| (s.hash, i, s.argmin.0))
+        .map(|(i, s)| (s.hash, i))
         .collect();
     filled.sort_unstable();
     write_varint(out, filled.len() as u64);
     // Column 1: sorted hashes, delta-encoded.
     let mut prev = 0u64;
-    for &(hash, _, _) in &filled {
+    for &(hash, _) in &filled {
         write_varint(out, hash - prev);
         prev = hash;
     }
     // Column 2: the slot-index permutation.
-    for &(_, idx, _) in &filled {
+    for &(_, idx) in &filled {
         write_varint(out, idx as u64);
     }
     // Column 3: the argmin vertices.
-    for &(_, _, argmin) in &filled {
-        write_varint(out, argmin);
+    for &(hash, idx) in &filled {
+        let argmin = entry.argmin(bank, idx, hash).ok_or(CodecError::Malformed(
+            "Tabulation sketch has no argmin column",
+        ))?;
+        write_varint(out, argmin.0);
     }
+    Ok(())
 }
 
-/// Decodes sketches of width `k`, keeping its working buffers across
-/// vertices so that each sketch costs one allocation: its slot array.
+/// A decoded sketch and, under Tabulation, its argmin column.
+type DecodedSketch = (VertexSketch, Option<Box<[VertexId]>>);
+
+/// Decodes sketches of one config's width, keeping its working buffers
+/// across vertices so that each sketch costs one allocation: its slot
+/// array (plus, under Tabulation, its argmin column).
 struct SketchDecoder {
     k: usize,
+    bank: HasherBank,
+    tabulation: bool,
     hashes: Vec<u64>,
     indices: Vec<usize>,
     taken: Vec<bool>,
 }
 
 impl SketchDecoder {
-    fn new(k: usize) -> Self {
+    fn new(config: &SketchConfig) -> Self {
+        let k = config.slots();
         SketchDecoder {
             k,
+            bank: config.build_bank(),
+            tabulation: config.hasher_backend() == HasherBackend::Tabulation,
             hashes: Vec::with_capacity(k),
             indices: Vec::with_capacity(k),
             taken: vec![false; k],
         }
     }
 
-    fn decode(&mut self, input: &mut impl Varints) -> Result<VertexSketch, CodecError> {
+    /// One sketch and, under Tabulation, its argmin column. Every stored
+    /// argmin must hash to its slot's minimum: one forward hash per filled
+    /// slot, so a corrupt argmin fails closed here instead of surfacing
+    /// as a wrong sample later.
+    fn decode(&mut self, input: &mut impl Varints) -> Result<DecodedSketch, CodecError> {
         let k = self.k;
         let filled = input.varint()?;
         if filled > k as u64 {
@@ -739,13 +767,21 @@ impl SketchDecoder {
             self.indices.push(idx);
         }
         let mut slots = vec![Slot::EMPTY; k].into_boxed_slice();
+        let mut column =
+            (self.tabulation && filled > 0).then(|| vec![VertexId(u64::MAX); k].into_boxed_slice());
         for (&idx, &hash) in self.indices.iter().zip(&self.hashes) {
-            slots[idx] = Slot {
-                hash,
-                argmin: VertexId(input.varint()?),
-            };
+            let argmin = input.varint()?;
+            if self.bank.hash(idx, argmin) != hash {
+                return Err(CodecError::Malformed(
+                    "slot argmin does not hash to its slot",
+                ));
+            }
+            slots[idx] = Slot { hash };
+            if let Some(column) = column.as_mut() {
+                column[idx] = VertexId(argmin);
+            }
         }
-        Ok(VertexSketch::from_slots(slots))
+        Ok((VertexSketch::from_slots(slots), column))
     }
 }
 
@@ -833,7 +869,7 @@ pub(crate) trait SnapshotSink: Sized {
     fn with_capacity(config: SketchConfig, edges_processed: u64, count: usize) -> Self;
 
     /// Adds one vertex; vertex ids arrive strictly ascending.
-    fn push(&mut self, vertex: VertexId, degree: u64, sketch: VertexSketch);
+    fn push(&mut self, entry: VertexEntry);
 }
 
 impl SnapshotSink for StoreSnapshot {
@@ -845,26 +881,8 @@ impl SnapshotSink for StoreSnapshot {
         }
     }
 
-    fn push(&mut self, vertex: VertexId, degree: u64, sketch: VertexSketch) {
-        self.vertices.push(VertexEntry {
-            vertex,
-            sketch,
-            degree,
-        });
-    }
-}
-
-impl SnapshotSink for SketchStore {
-    fn with_capacity(config: SketchConfig, edges_processed: u64, count: usize) -> Self {
-        let mut store = SketchStore::new(config);
-        let (map, edges) = store.parts_mut();
-        map.reserve(count);
-        *edges = edges_processed;
-        store
-    }
-
-    fn push(&mut self, vertex: VertexId, degree: u64, sketch: VertexSketch) {
-        self.parts_mut().0.insert(vertex, Vertex { degree, sketch });
+    fn push(&mut self, entry: VertexEntry) {
+        self.vertices.push(entry);
     }
 }
 
@@ -887,8 +905,9 @@ fn encode_store_snapshot_body(body: &mut Vec<u8>, snap: &StoreSnapshot) -> Resul
     for entry in &snap.vertices {
         write_varint(body, entry.degree);
     }
+    let bank = snap.config.build_bank();
     for entry in &snap.vertices {
-        encode_sketch(body, &entry.sketch);
+        encode_sketch(body, entry, &bank)?;
     }
     Ok(())
 }
@@ -908,9 +927,15 @@ fn decode_store_snapshot_body<R: BufRead, S: SnapshotSink>(
         degrees.push(input.varint()?);
     }
     let mut sink = S::with_capacity(config, edges_processed, count);
-    let mut sketches = SketchDecoder::new(config.slots());
+    let mut sketches = SketchDecoder::new(&config);
     for (vertex, degree) in ids.into_iter().zip(degrees) {
-        sink.push(vertex, degree, input.sketch(&mut sketches)?);
+        let (sketch, argmins) = input.sketch(&mut sketches)?;
+        sink.push(VertexEntry {
+            vertex,
+            sketch,
+            degree,
+            argmins,
+        });
     }
     if input.position() != input.limit {
         return Err(CodecError::Malformed("trailing bytes after snapshot"));
@@ -926,8 +951,7 @@ fn decode_store_snapshot_body<R: BufRead, S: SnapshotSink>(
 /// refuse it.
 ///
 /// # Errors
-/// [`CodecError::TooLarge`] for a body past [`MAX_BODY_LEN`] or an
-/// oversized sketch width.
+/// As [`encode_store_snapshot`].
 pub(crate) fn store_snapshot_body(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
     let mut body = Vec::with_capacity(32 + snap.vertices.len() * 16);
     encode_store_snapshot_body(&mut body, snap)?;
@@ -939,7 +963,9 @@ pub(crate) fn store_snapshot_body(snap: &StoreSnapshot) -> Result<Vec<u8>, Codec
 ///
 /// # Errors
 /// [`CodecError::TooLarge`] for a body past [`MAX_BODY_LEN`] (the reader
-/// would refuse it) or an oversized sketch width.
+/// would refuse it) or an oversized sketch width;
+/// [`CodecError::Malformed`] for a filled Tabulation sketch whose entry
+/// carries no argmin column.
 pub fn encode_store_snapshot(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
     Ok(encode_envelope(
         MODE_STORE_SNAPSHOT,

@@ -121,6 +121,34 @@ impl HasherBank {
         self.len() == 0
     }
 
+    /// Slot `i`'s hash of `key`.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    #[must_use]
+    pub fn hash(&self, i: usize, key: u64) -> u64 {
+        match self {
+            HasherBank::Mixer(f) => f.member(i).hash(key),
+            HasherBank::Tabulation(t) => t[i].hash(key),
+        }
+    }
+
+    /// The key whose slot-`i` hash is `hash`: a Mixer slot function is a
+    /// bijection, so this recovers a slot's argmin from its minimum.
+    /// `None` under Tabulation, which is not invertible.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    #[must_use]
+    pub fn invert(&self, i: usize, hash: u64) -> Option<u64> {
+        match self {
+            HasherBank::Mixer(f) => Some(f.member(i).invert(hash)),
+            HasherBank::Tabulation(_) => None,
+        }
+    }
+
     /// Evaluates all functions on `key` into the caller's scratch buffer
     /// (the per-edge hot path — no allocation).
     ///
@@ -189,6 +217,20 @@ mod tests {
         bank.hash_all_into(7, &mut out);
         let distinct: std::collections::HashSet<_> = out.iter().collect();
         assert_eq!(distinct.len(), 16, "slot functions alias each other");
+    }
+
+    #[test]
+    fn mixer_banks_invert_and_tabulation_banks_do_not() {
+        let mixer = SketchConfig::with_slots(8).seed(4).build_bank();
+        for i in 0..8 {
+            for key in [0, 1, 77, u64::MAX] {
+                assert_eq!(mixer.invert(i, mixer.hash(i, key)), Some(key));
+            }
+        }
+        let tab = SketchConfig::with_slots(8)
+            .backend(HasherBackend::Tabulation)
+            .build_bank();
+        assert_eq!(tab.invert(3, tab.hash(3, 77)), None);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! Edges `(u, v)` arrive one at a time. For every vertex we keep a sketch
 //! of `k` slots; slot `i` holds the minimum of `h_i(·)` over the neighbors
-//! seen so far, together with the vertex that achieved it. Per edge we
+//! seen so far. Each `h_i` is a bijection, so that minimum also names the
+//! vertex that achieved it (see [`sketch::Slot`]). Per edge we
 //! fold `h_i(v)` into `u`'s sketch and `h_i(u)` into `v`'s sketch — `O(k)`
 //! work, no allocation, independent of the graph size.
 //!

@@ -8,7 +8,7 @@
 //! as no edge is delivered to two shards (that would double-count
 //! degrees; slots themselves would still be correct).
 
-use crate::store::{SketchStore, Vertex};
+use crate::store::SketchStore;
 
 /// Why two stores could not be merged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,18 +74,9 @@ pub fn merge_into(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeE
 
     let _t = crate::trace::op("merge");
     let start = std::time::Instant::now();
-    let k = dst.config().slots();
-    // `dst` and `src` are distinct objects (`&mut` + `&`), so the
-    // mutable view of one and the shared view of the other coexist:
-    // merge straight out of `src` with zero transient allocation.
-    let (src_vertices, src_edges) = src.parts();
-    let (dst_vertices, dst_edges) = dst.parts_mut();
-    for (&v, s) in src_vertices {
-        let d = dst_vertices.entry(v).or_insert_with(|| Vertex::new(k));
-        d.sketch.merge(&s.sketch);
-        d.degree += s.degree;
-    }
-    *dst_edges += src_edges;
+    // `dst` and `src` are distinct objects (`&mut` + `&`): merge straight
+    // out of `src` with zero transient allocation.
+    dst.join_from(src, |a, b| a + b);
     let m = crate::metrics::global();
     m.merge_ops.incr();
     m.merge_latency.observe(start);
@@ -114,15 +105,7 @@ pub fn merge_join(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeE
 
     let _t = crate::trace::op("merge_join");
     let start = std::time::Instant::now();
-    let k = dst.config().slots();
-    let (src_vertices, src_edges) = src.parts();
-    let (dst_vertices, dst_edges) = dst.parts_mut();
-    for (&v, s) in src_vertices {
-        let d = dst_vertices.entry(v).or_insert_with(|| Vertex::new(k));
-        d.sketch.merge(&s.sketch);
-        d.degree = d.degree.max(s.degree);
-    }
-    *dst_edges = (*dst_edges).max(src_edges);
+    dst.join_from(src, u64::max);
     let m = crate::metrics::global();
     m.merge_ops.incr();
     m.merge_latency.observe(start);

@@ -1,30 +1,40 @@
 //! The per-vertex MinHash sketch.
 
-use serde::{Deserialize, Serialize};
-
 use graphstream::VertexId;
 
-/// One sketch slot: the minimum hash seen under this slot's function, and
-/// the neighbor that achieved it (the *argmin*).
+use crate::config::HasherBank;
+
+/// One sketch slot: the minimum hash seen under this slot's function.
 ///
-/// The argmin is what turns the sketch from a similarity estimator into a
-/// *sampler*: on a slot match between two sketches, the shared argmin is a
-/// min-wise sample of the neighborhood intersection, which the Adamic–Adar
-/// estimator looks up by current degree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A slot stores no argmin. Under the default Mixer backend each slot
+/// function is a bijection, so the neighbor that achieved the minimum is
+/// `h_i⁻¹(hash)` ([`HasherBank::invert`]); that recovered argmin is what
+/// turns the sketch from a similarity estimator into a *sampler* (see
+/// [`VertexSketch::matched_samples`]). The Tabulation backend is not
+/// invertible, so a Tabulation [`crate::SketchStore`] keeps an argmin
+/// column beside its sketches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     /// Minimum hash value over neighbors, `u64::MAX` while empty.
     pub hash: u64,
-    /// The neighbor achieving the minimum (undefined while empty).
-    pub argmin: VertexId,
 }
 
 impl Slot {
     /// The empty slot.
-    pub const EMPTY: Slot = Slot {
-        hash: u64::MAX,
-        argmin: VertexId(u64::MAX),
-    };
+    pub const EMPTY: Slot = Slot { hash: u64::MAX };
+
+    /// Folds one neighbor's hash into the slot; `true` when it became the
+    /// new minimum. Writes only on a change, which is rare once a slot
+    /// has seen a few neighbors, so untouched sketches stay clean in
+    /// cache.
+    #[inline]
+    pub(crate) fn fold(&mut self, hash: u64) -> bool {
+        let lower = hash < self.hash;
+        if lower {
+            self.hash = hash;
+        }
+        lower
+    }
 
     /// Whether any neighbor has been folded in.
     ///
@@ -35,22 +45,17 @@ impl Slot {
     pub fn is_empty(&self) -> bool {
         self.hash == u64::MAX
     }
-
-    /// Folds one hashed neighbor into the slot.
-    #[inline]
-    pub fn fold(&mut self, hash: u64, neighbor: VertexId) {
-        if hash < self.hash {
-            self.hash = hash;
-            self.argmin = neighbor;
-        }
-    }
 }
 
 /// A fixed-width MinHash sketch of one vertex's neighborhood.
 ///
-/// Exactly `k` slots, allocated once at first sight of the vertex — the
-/// "constant space per vertex" in the paper's claim.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Exactly `k` slots of 8 bytes, allocated once at first sight of the
+/// vertex — the "constant space per vertex" in the paper's claim.
+///
+/// It has no serde form of its own: the v1/v2 JSON carries each slot's
+/// argmin, which only the config's hash functions can derive, so
+/// [`crate::snapshot::StoreSnapshot`] serializes sketches.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexSketch {
     slots: Box<[Slot]>,
 }
@@ -64,8 +69,8 @@ impl VertexSketch {
         }
     }
 
-    /// Builds a sketch directly from slot state (the binary codec's
-    /// decode path; validation happens in the codec).
+    /// Builds a sketch directly from slot state (the decoders' path;
+    /// validation happens there).
     #[must_use]
     pub(crate) fn from_slots(slots: Box<[Slot]>) -> Self {
         Self { slots }
@@ -92,7 +97,15 @@ impl VertexSketch {
         &self.slots
     }
 
-    /// Folds a neighbor into every slot. `hashes[i]` must be `h_i(neighbor)`.
+    /// The slots, mutably: the Tabulation store's fold, which writes an
+    /// argmin column beside them.
+    #[inline]
+    pub(crate) fn slots_mut(&mut self) -> &mut [Slot] {
+        &mut self.slots
+    }
+
+    /// Folds a neighbor into every slot. `hashes[i]` must be
+    /// `h_i(neighbor)`.
     ///
     /// One endpoint's half of an edge, from precomputed hashes: the
     /// variant stores and tests use it. [`crate::SketchStore`] folds both
@@ -102,10 +115,10 @@ impl VertexSketch {
     /// # Panics
     /// Panics if `hashes.len() != self.len()`.
     #[inline]
-    pub fn fold_neighbor(&mut self, hashes: &[u64], neighbor: VertexId) {
+    pub fn fold_neighbor(&mut self, hashes: &[u64]) {
         assert_eq!(hashes.len(), self.slots.len(), "hash count != slot count");
         for (slot, &h) in self.slots.iter_mut().zip(hashes) {
-            slot.fold(h, neighbor);
+            slot.fold(h);
         }
     }
 
@@ -115,17 +128,15 @@ impl VertexSketch {
     /// yields `(h_i(u), h_i(v))` in slot order.
     ///
     /// This is the per-edge hot path: both sketches stream through the
-    /// cache side by side, with one branch and at most one 16-byte write
-    /// per slot and sketch.
+    /// cache side by side as contiguous `u64` minima, with one branch and
+    /// at most one 8-byte write per slot and sketch.
     ///
     /// # Panics
     /// Panics if the sketches have different widths.
     #[inline]
     pub(crate) fn fold_edge(
         &mut self,
-        u: VertexId,
         other: &mut VertexSketch,
-        v: VertexId,
         hashes: impl Iterator<Item = (u64, u64)>,
     ) {
         assert_eq!(
@@ -139,8 +150,8 @@ impl VertexSketch {
             .zip(other.slots.iter_mut())
             .zip(hashes)
         {
-            su.fold(hv, v);
-            sv.fold(hu, u);
+            su.fold(hv);
+            sv.fold(hu);
         }
     }
 
@@ -167,18 +178,39 @@ impl VertexSketch {
             .count()
     }
 
-    /// Iterates the argmin vertices of slots where both sketches agree
-    /// and are non-empty — min-wise samples of the neighborhood
-    /// intersection (with repetition across slots).
-    pub fn matched_samples<'a>(
+    /// The `(index, hash)` of every slot where both sketches agree and
+    /// are non-empty, in slot order.
+    pub(crate) fn matched_slots<'a>(
         &'a self,
         other: &'a VertexSketch,
-    ) -> impl Iterator<Item = VertexId> + 'a {
+    ) -> impl Iterator<Item = (usize, u64)> + 'a {
         self.slots
             .iter()
             .zip(other.slots.iter())
-            .filter(|(a, b)| !a.is_empty() && a.hash == b.hash)
-            .map(|(a, _)| a.argmin)
+            .enumerate()
+            .filter(|(_, (a, b))| !a.is_empty() && a.hash == b.hash)
+            .map(|(i, (a, _))| (i, a.hash))
+    }
+
+    /// Iterates, in slot order, the argmin vertices of slots where both
+    /// sketches agree and are non-empty — min-wise samples of the
+    /// neighborhood intersection (with repetition across slots). Each
+    /// argmin is recovered from its slot's hash through `bank`.
+    ///
+    /// # Panics
+    /// Panics under the Tabulation backend, which cannot be inverted: a
+    /// Tabulation [`crate::SketchStore`] samples from the argmin column it
+    /// keeps instead.
+    pub fn matched_samples<'a>(
+        &'a self,
+        other: &'a VertexSketch,
+        bank: &'a HasherBank,
+    ) -> impl Iterator<Item = VertexId> + 'a {
+        let HasherBank::Mixer(family) = bank else {
+            panic!("Tabulation slots cannot be inverted to their argmins");
+        };
+        self.matched_slots(other)
+            .map(|(i, hash)| VertexId(family.member(i).invert(hash)))
     }
 
     /// Component-wise minimum with another sketch (neighborhood union).
@@ -196,9 +228,7 @@ impl VertexSketch {
             "cannot merge sketches of different width"
         );
         for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
-            if b.hash < a.hash {
-                *a = *b;
-            }
+            a.fold(b.hash);
         }
     }
 
@@ -225,83 +255,89 @@ impl VertexSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashkit::HashFamily;
+    use crate::config::{HasherBackend, SketchConfig};
 
-    fn hashes(fam: &HashFamily, key: u64) -> Vec<u64> {
-        let mut out = vec![0u64; fam.len()];
-        fam.hash_all_into(key, &mut out);
+    fn bank(k: usize, seed: u64) -> HasherBank {
+        SketchConfig::with_slots(k).seed(seed).build_bank()
+    }
+
+    fn hashes(bank: &HasherBank, key: u64) -> Vec<u64> {
+        let mut out = vec![0u64; bank.len()];
+        bank.hash_all_into(key, &mut out);
         out
+    }
+
+    #[test]
+    fn a_slot_is_one_word() {
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
+        assert_eq!(VertexSketch::new(64).memory_bytes(), 8 * 64);
     }
 
     #[test]
     fn empty_slot_properties() {
         assert!(Slot::EMPTY.is_empty());
-        let mut s = Slot::EMPTY;
-        s.fold(5, VertexId(1));
-        assert!(!s.is_empty());
-        assert_eq!(s.hash, 5);
-        assert_eq!(s.argmin, VertexId(1));
+        assert!(!Slot { hash: 5 }.is_empty());
     }
 
     #[test]
-    fn fold_keeps_minimum_and_argmin() {
-        let mut s = Slot::EMPTY;
-        s.fold(10, VertexId(1));
-        s.fold(20, VertexId(2)); // larger: ignored
-        assert_eq!((s.hash, s.argmin), (10, VertexId(1)));
-        s.fold(3, VertexId(3)); // smaller: replaces
-        assert_eq!((s.hash, s.argmin), (3, VertexId(3)));
+    fn fold_keeps_minimum() {
+        let mut s = VertexSketch::new(1);
+        s.fold_neighbor(&[10]);
+        s.fold_neighbor(&[20]); // larger: ignored
+        assert_eq!(s.slots()[0].hash, 10);
+        s.fold_neighbor(&[3]); // smaller: replaces
+        assert_eq!(s.slots()[0].hash, 3);
     }
 
     #[test]
     fn fold_neighbor_is_idempotent() {
-        let fam = HashFamily::new(32, 1);
+        let b = bank(32, 1);
         let mut a = VertexSketch::new(32);
-        let h = hashes(&fam, 99);
-        a.fold_neighbor(&h, VertexId(99));
+        let h = hashes(&b, 99);
+        a.fold_neighbor(&h);
         let snapshot = a.clone();
-        a.fold_neighbor(&h, VertexId(99)); // duplicate edge delivery
+        a.fold_neighbor(&h); // duplicate edge delivery
         assert_eq!(a, snapshot);
     }
 
     #[test]
     fn identical_neighborhoods_match_fully() {
-        let fam = HashFamily::new(64, 2);
-        let mut a = VertexSketch::new(64);
-        let mut b = VertexSketch::new(64);
+        let b = bank(64, 2);
+        let mut x = VertexSketch::new(64);
+        let mut y = VertexSketch::new(64);
         for w in 100..120u64 {
-            let h = hashes(&fam, w);
-            a.fold_neighbor(&h, VertexId(w));
-            b.fold_neighbor(&h, VertexId(w));
+            let h = hashes(&b, w);
+            x.fold_neighbor(&h);
+            y.fold_neighbor(&h);
         }
-        assert_eq!(a.match_count(&b), 64);
+        assert_eq!(x.match_count(&y), 64);
     }
 
     #[test]
     fn disjoint_neighborhoods_rarely_match() {
-        let fam = HashFamily::new(64, 3);
-        let mut a = VertexSketch::new(64);
-        let mut b = VertexSketch::new(64);
+        let b = bank(64, 3);
+        let mut x = VertexSketch::new(64);
+        let mut y = VertexSketch::new(64);
         for w in 0..50u64 {
-            a.fold_neighbor(&hashes(&fam, w), VertexId(w));
-            b.fold_neighbor(&hashes(&fam, w + 1000), VertexId(w + 1000));
+            x.fold_neighbor(&hashes(&b, w));
+            y.fold_neighbor(&hashes(&b, w + 1000));
         }
-        assert_eq!(a.match_count(&b), 0, "disjoint sets matched");
+        assert_eq!(x.match_count(&y), 0, "disjoint sets matched");
     }
 
     #[test]
     fn matched_samples_lie_in_intersection() {
-        let fam = HashFamily::new(128, 4);
-        let mut a = VertexSketch::new(128);
-        let mut b = VertexSketch::new(128);
-        // N(a) = 0..30, N(b) = 20..50; intersection = 20..30.
+        let b = bank(128, 4);
+        let mut x = VertexSketch::new(128);
+        let mut y = VertexSketch::new(128);
+        // N(x) = 0..30, N(y) = 20..50; intersection = 20..30.
         for w in 0..30u64 {
-            a.fold_neighbor(&hashes(&fam, w), VertexId(w));
+            x.fold_neighbor(&hashes(&b, w));
         }
         for w in 20..50u64 {
-            b.fold_neighbor(&hashes(&fam, w), VertexId(w));
+            y.fold_neighbor(&hashes(&b, w));
         }
-        let samples: Vec<_> = a.matched_samples(&b).collect();
+        let samples: Vec<_> = x.matched_samples(&y, &b).collect();
         assert!(!samples.is_empty(), "overlap produced no samples");
         for v in samples {
             assert!((20..30).contains(&v.0), "sample {v} outside intersection");
@@ -309,33 +345,58 @@ mod tests {
     }
 
     #[test]
+    fn matched_samples_recover_each_slots_argmin() {
+        let b = bank(16, 8);
+        let mut x = VertexSketch::new(16);
+        for w in [7u64, 1 << 40, u64::MAX - 1] {
+            x.fold_neighbor(&hashes(&b, w));
+        }
+        let samples: Vec<_> = x.matched_samples(&x, &b).collect();
+        assert_eq!(samples.len(), 16);
+        for (i, w) in samples.into_iter().enumerate() {
+            assert_eq!(b.hash(i, w.0), x.slots()[i].hash, "slot {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be inverted")]
+    fn tabulation_samples_need_a_column() {
+        let b = SketchConfig::with_slots(4)
+            .backend(HasherBackend::Tabulation)
+            .build_bank();
+        let mut x = VertexSketch::new(4);
+        x.fold_neighbor(&hashes(&b, 1));
+        let _ = x.matched_samples(&x, &b).count();
+    }
+
+    #[test]
     fn merge_equals_union_fold() {
-        let fam = HashFamily::new(32, 5);
-        let mut a = VertexSketch::new(32);
-        let mut b = VertexSketch::new(32);
+        let b = bank(32, 5);
+        let mut x = VertexSketch::new(32);
+        let mut y = VertexSketch::new(32);
         let mut union = VertexSketch::new(32);
         for w in 0..20u64 {
-            a.fold_neighbor(&hashes(&fam, w), VertexId(w));
-            union.fold_neighbor(&hashes(&fam, w), VertexId(w));
+            x.fold_neighbor(&hashes(&b, w));
+            union.fold_neighbor(&hashes(&b, w));
         }
         for w in 15..40u64 {
-            b.fold_neighbor(&hashes(&fam, w), VertexId(w));
-            union.fold_neighbor(&hashes(&fam, w), VertexId(w));
+            y.fold_neighbor(&hashes(&b, w));
+            union.fold_neighbor(&hashes(&b, w));
         }
-        a.merge(&b);
-        assert_eq!(a, union);
+        x.merge(&y);
+        assert_eq!(x, union);
     }
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let fam = HashFamily::new(16, 6);
-        let mut a = VertexSketch::new(16);
+        let b = bank(16, 6);
+        let mut x = VertexSketch::new(16);
         for w in 0..5u64 {
-            a.fold_neighbor(&hashes(&fam, w), VertexId(w));
+            x.fold_neighbor(&hashes(&b, w));
         }
-        let before = a.clone();
-        a.merge(&VertexSketch::new(16));
-        assert_eq!(a, before);
+        let before = x.clone();
+        x.merge(&VertexSketch::new(16));
+        assert_eq!(x, before);
     }
 
     #[test]
@@ -351,14 +412,5 @@ mod tests {
     #[should_panic(expected = "different width")]
     fn width_mismatch_rejected() {
         let _ = VertexSketch::new(4).match_count(&VertexSketch::new(8));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let fam = HashFamily::new(8, 7);
-        let mut a = VertexSketch::new(8);
-        a.fold_neighbor(&hashes(&fam, 9), VertexId(9));
-        let json = serde_json::to_string(&a).unwrap();
-        assert_eq!(a, serde_json::from_str::<VertexSketch>(&json).unwrap());
     }
 }

@@ -47,13 +47,13 @@ use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 use hashkit::crc32;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use graphstream::VertexId;
 
 use crate::codec::{self, SnapshotSink};
-use crate::config::SketchConfig;
-use crate::sketch::VertexSketch;
+use crate::config::{HasherBackend, HasherBank, SketchConfig};
+use crate::sketch::{Slot, VertexSketch};
 use crate::store::SketchStore;
 
 /// The magic prefix of a v2 snapshot header line.
@@ -158,7 +158,7 @@ fn write_atomic_bytes(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
 }
 
 /// One vertex's persisted state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexEntry {
     /// The vertex.
     pub vertex: VertexId,
@@ -166,10 +166,101 @@ pub struct VertexEntry {
     pub sketch: VertexSketch,
     /// Its degree counter.
     pub degree: u64,
+    /// Under the Tabulation backend only, each slot's argmin: `Some` once
+    /// any slot is filled. `None` under Mixer, whose argmins are
+    /// recovered from the slot hashes.
+    pub argmins: Option<Box<[VertexId]>>,
+}
+
+impl VertexEntry {
+    /// The argmin of slot `i`, which holds `hash`: recovered through the
+    /// bank under Mixer, read from the column under Tabulation.
+    pub(crate) fn argmin(&self, bank: &HasherBank, i: usize, hash: u64) -> Option<VertexId> {
+        match bank.invert(i, hash) {
+            Some(key) => Some(VertexId(key)),
+            None => self
+                .argmins
+                .as_ref()
+                .and_then(|column| column.get(i).copied()),
+        }
+    }
+
+    /// The v1/v2 JSON object: `{"vertex", "sketch": {"slots": [{"hash",
+    /// "argmin"}, ..]}, "degree"}`, each argmin derived from its slot.
+    fn to_json(&self, bank: &HasherBank) -> Value {
+        let slots = self
+            .sketch
+            .slots()
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let argmin = if slot.is_empty() {
+                    Some(VertexId(u64::MAX))
+                } else {
+                    self.argmin(bank, i, slot.hash)
+                };
+                Value::Object(vec![
+                    ("hash".into(), slot.hash.to_value()),
+                    ("argmin".into(), argmin.to_value()),
+                ])
+            })
+            .collect();
+        Value::Object(vec![
+            ("vertex".into(), self.vertex.to_value()),
+            (
+                "sketch".into(),
+                Value::Object(vec![("slots".into(), Value::Array(slots))]),
+            ),
+            ("degree".into(), self.degree.to_value()),
+        ])
+    }
+
+    /// Reads a v1/v2 JSON vertex object, refusing a sketch whose width is
+    /// not the config's or a filled slot whose argmin does not hash to
+    /// it; the argmins are then dropped, except for Tabulation's column.
+    fn from_json(value: &Value, config: &SketchConfig, bank: &HasherBank) -> Result<Self, Error> {
+        let slots = field(field(value, "sketch")?, "slots")?
+            .as_array()
+            .ok_or_else(|| Error::custom("sketch slots are not an array"))?;
+        if slots.len() != config.slots() {
+            return Err(Error::custom("sketch width differs from the config's"));
+        }
+        let mut hashes = Vec::with_capacity(slots.len());
+        let mut column = Vec::with_capacity(slots.len());
+        for (i, slot) in slots.iter().enumerate() {
+            let hash = u64::from_value(field(slot, "hash")?)?;
+            let argmin = u64::from_value(field(slot, "argmin")?)?;
+            let filled = !(Slot { hash }).is_empty();
+            if filled && bank.hash(i, argmin) != hash {
+                return Err(Error::custom("slot argmin does not hash to its slot"));
+            }
+            hashes.push(Slot { hash });
+            column.push(VertexId(argmin));
+        }
+        let any_filled = hashes.iter().any(|s| !s.is_empty());
+        let tabulation = config.hasher_backend() == HasherBackend::Tabulation;
+        Ok(Self {
+            vertex: VertexId::from_value(field(value, "vertex")?)?,
+            sketch: VertexSketch::from_slots(hashes.into_boxed_slice()),
+            degree: u64::from_value(field(value, "degree")?)?,
+            argmins: (tabulation && any_filled).then(|| column.into_boxed_slice()),
+        })
+    }
+}
+
+/// The member `name` of a JSON object.
+fn field<'a>(value: &'a Value, name: &str) -> Result<&'a Value, Error> {
+    value
+        .get(name)
+        .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
 }
 
 /// A serializable image of a whole store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Its v1/v2 JSON form is serialized here rather than derived: the JSON
+/// carries each slot's argmin, which only the config's hash functions
+/// can derive (when writing) or check (when reading).
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoreSnapshot {
     /// The configuration (slots, seed, backend).
     pub config: SketchConfig,
@@ -179,23 +270,47 @@ pub struct StoreSnapshot {
     pub vertices: Vec<VertexEntry>,
 }
 
+impl Serialize for StoreSnapshot {
+    fn to_value(&self) -> Value {
+        let bank = self.config.build_bank();
+        Value::Object(vec![
+            ("config".into(), self.config.to_value()),
+            ("edges_processed".into(), self.edges_processed.to_value()),
+            (
+                "vertices".into(),
+                Value::Array(self.vertices.iter().map(|e| e.to_json(&bank)).collect()),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for StoreSnapshot {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let config = SketchConfig::from_value(field(value, "config")?)?;
+        let bank = config.build_bank();
+        let vertices = field(value, "vertices")?
+            .as_array()
+            .ok_or_else(|| Error::custom("vertices are not an array"))?
+            .iter()
+            .map(|entry| VertexEntry::from_json(entry, &config, &bank))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            config,
+            edges_processed: u64::from_value(field(value, "edges_processed")?)?,
+            vertices,
+        })
+    }
+}
+
 impl StoreSnapshot {
     /// Captures a snapshot of `store`.
     #[must_use]
     pub fn capture(store: &SketchStore) -> Self {
-        let (map, edges_processed) = store.parts();
-        let mut vertices: Vec<VertexEntry> = map
-            .iter()
-            .map(|(&vertex, x)| VertexEntry {
-                vertex,
-                sketch: x.sketch.clone(),
-                degree: x.degree,
-            })
-            .collect();
+        let mut vertices: Vec<VertexEntry> = store.entries().collect();
         vertices.sort_by_key(|e| e.vertex);
         Self {
             config: *store.config(),
-            edges_processed,
+            edges_processed: store.edges_processed(),
             vertices,
         }
     }
@@ -207,7 +322,7 @@ impl StoreSnapshot {
         let mut store =
             SketchStore::with_capacity(self.config, self.edges_processed, self.vertices.len());
         for entry in &self.vertices {
-            store.push(entry.vertex, entry.degree, entry.sketch.clone());
+            store.push(entry.clone());
         }
         store
     }
@@ -218,7 +333,7 @@ impl StoreSnapshot {
         let mut store =
             SketchStore::with_capacity(self.config, self.edges_processed, self.vertices.len());
         for entry in self.vertices {
-            store.push(entry.vertex, entry.degree, entry.sketch);
+            store.push(entry);
         }
         store
     }
@@ -342,7 +457,7 @@ impl SnapshotSink for EdgeCount {
         EdgeCount(edges_processed)
     }
 
-    fn push(&mut self, _vertex: VertexId, _degree: u64, _sketch: VertexSketch) {}
+    fn push(&mut self, _entry: VertexEntry) {}
 }
 
 #[cfg(test)]

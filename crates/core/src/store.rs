@@ -4,28 +4,35 @@ use std::collections::HashMap;
 
 use graphstream::{Edge, VertexId};
 
+use crate::codec::SnapshotSink;
 use crate::config::{HasherBank, SketchConfig};
 use crate::estimators;
 use crate::sketch::VertexSketch;
+use crate::snapshot::VertexEntry;
 
 /// One observed vertex: its degree counter beside its sketch, so an edge
 /// reaches both with a single map probe per endpoint.
 #[derive(Debug, Clone)]
-pub(crate) struct Vertex {
+struct Vertex {
     /// Edges delivered with this vertex as an endpoint.
-    pub(crate) degree: u64,
+    degree: u64,
     /// The MinHash sketch of the vertex's neighborhood.
-    pub(crate) sketch: VertexSketch,
+    sketch: VertexSketch,
 }
 
 impl Vertex {
     /// A vertex with no edges yet and an empty `k`-slot sketch.
-    pub(crate) fn new(k: usize) -> Self {
+    fn new(k: usize) -> Self {
         Self {
             degree: 0,
             sketch: VertexSketch::new(k),
         }
     }
+}
+
+/// An argmin column for `k` empty slots.
+fn empty_column(k: usize) -> Box<[VertexId]> {
+    vec![VertexId(u64::MAX); k].into_boxed_slice()
 }
 
 /// Component-wise resident-byte model of a [`SketchStore`].
@@ -34,10 +41,12 @@ impl Vertex {
 /// is exactly [`SketchStore::memory_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreMemory {
-    /// Slot arrays of every resident sketch (`vertices × k × 16`).
+    /// Slot arrays of every resident sketch (`vertices × k × 8`), plus,
+    /// under Tabulation only, the argmin columns (`× 2`).
     pub sketch_slot_bytes: usize,
     /// Vertex hash-map overhead (capacity × entry + control bytes),
-    /// less the degree words counted in `degree_map_bytes`.
+    /// less the degree words counted in `degree_map_bytes`, plus the
+    /// Tabulation argmin map's overhead.
     pub sketch_map_bytes: usize,
     /// The degree words inside the vertex map (capacity × 8).
     pub degree_map_bytes: usize,
@@ -60,8 +69,12 @@ impl StoreMemory {
 ///   both endpoints once and makes one pass over the `k` slots, doing
 ///   `2k` hash evaluations and `2k` slot folds; no allocation after the
 ///   two touched vertices exist.
-/// * **Constant space per vertex** — `k` 16-byte slots plus one degree
-///   word, independent of the vertex's degree or the stream length.
+/// * **Constant space per vertex** — `k` 8-byte slots plus one degree
+///   word, independent of the vertex's degree or the stream length. A
+///   slot holds only its minimum hash: under the default Mixer backend
+///   the argmin is recovered by inverting the slot's hash function. The
+///   Tabulation backend is not invertible, so a Tabulation store also
+///   keeps a `k`-entry argmin column per vertex.
 ///
 /// ## Stream contract
 ///
@@ -80,6 +93,10 @@ pub struct SketchStore {
     config: SketchConfig,
     bank: HasherBank,
     vertices: HashMap<VertexId, Vertex>,
+    /// Tabulation only: each vertex's slot argmins, present once a slot
+    /// of the vertex is filled. Always empty under Mixer, whose argmins
+    /// are recovered from the slot hashes.
+    argmins: HashMap<VertexId, Box<[VertexId]>>,
     edges_processed: u64,
 }
 
@@ -91,6 +108,7 @@ impl SketchStore {
             bank: config.build_bank(),
             config,
             vertices: HashMap::new(),
+            argmins: HashMap::new(),
             edges_processed: 0,
         }
     }
@@ -125,12 +143,12 @@ impl SketchStore {
         if u == v {
             return;
         }
+        let k = self.config.slots();
         let [a, b] = match self.vertices.get_disjoint_mut([&u, &v]) {
             [Some(a), Some(b)] => [a, b],
             _ => {
                 // First sight of an endpoint: create it, then look both up
                 // again.
-                let k = self.config.slots();
                 self.vertices.entry(u).or_insert_with(|| Vertex::new(k));
                 self.vertices.entry(v).or_insert_with(|| Vertex::new(k));
                 self.vertices
@@ -145,10 +163,31 @@ impl SketchStore {
         let (su, sv) = (&mut a.sketch, &mut b.sketch);
         match &self.bank {
             HasherBank::Mixer(f) => {
-                su.fold_edge(u, sv, v, f.iter().map(|h| (h.hash(u.0), h.hash(v.0))));
+                su.fold_edge(sv, f.iter().map(|h| (h.hash(u.0), h.hash(v.0))));
             }
             HasherBank::Tabulation(t) => {
-                su.fold_edge(u, sv, v, t.iter().map(|h| (h.hash(u.0), h.hash(v.0))));
+                // Not invertible: every slot write also records its
+                // argmin in the column.
+                let [au, av] = match self.argmins.get_disjoint_mut([&u, &v]) {
+                    [Some(a), Some(b)] => [a, b],
+                    _ => {
+                        self.argmins.entry(u).or_insert_with(|| empty_column(k));
+                        self.argmins.entry(v).or_insert_with(|| empty_column(k));
+                        self.argmins
+                            .get_disjoint_mut([&u, &v])
+                            .map(|x| x.expect("both columns were just inserted"))
+                    }
+                };
+                let slots = su.slots_mut().iter_mut().zip(sv.slots_mut());
+                for (((xu, xv), (cu, cv)), h) in slots.zip(au.iter_mut().zip(av.iter_mut())).zip(t)
+                {
+                    if xu.fold(h.hash(v.0)) {
+                        *cu = v;
+                    }
+                    if xv.fold(h.hash(u.0)) {
+                        *cv = u;
+                    }
+                }
             }
         }
     }
@@ -190,12 +229,7 @@ impl SketchStore {
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let _t = crate::trace::child("estimate.adamic_adar");
-        let (su, sv) = (self.sketch(u)?, self.sketch(v)?);
-        let matches = su.match_count(sv);
-        let j = estimators::jaccard_from_matches(matches, self.config.slots());
-        let cn = estimators::cn_from_jaccard(j, self.degree(u), self.degree(v));
-        let sampled: Vec<u64> = su.matched_samples(sv).map(|w| self.degree(w)).collect();
-        Some(estimators::aa_from_samples(cn, &sampled))
+        self.sampled_estimate(u, v, estimators::aa_weight)
     }
 
     /// Estimated resource-allocation index `Σ_{w∈N(u)∩N(v)} 1/d(w)` via
@@ -203,20 +237,38 @@ impl SketchStore {
     /// weight `1/d` instead of `1/ln d`.
     #[must_use]
     pub fn resource_allocation(&self, u: VertexId, v: VertexId) -> Option<f64> {
+        self.sampled_estimate(u, v, |d| 1.0 / d.max(2) as f64)
+    }
+
+    /// The CN estimate of `(u, v)` times the mean of `weight(d(w))` over
+    /// the matched samples `w`, summed in slot order with no allocation;
+    /// 0 with no samples (no evidence of any common neighbor).
+    fn sampled_estimate(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        weight: impl Fn(u64) -> f64,
+    ) -> Option<f64> {
         let (su, sv) = (self.sketch(u)?, self.sketch(v)?);
-        let matches = su.match_count(sv);
-        let j = estimators::jaccard_from_matches(matches, self.config.slots());
+        let j = estimators::jaccard_from_matches(su.match_count(sv), self.config.slots());
         let cn = estimators::cn_from_jaccard(j, self.degree(u), self.degree(v));
-        let samples: Vec<VertexId> = su.matched_samples(sv).collect();
-        if samples.is_empty() {
-            return Some(0.0);
+        let (mut sum, mut samples) = (0.0, 0usize);
+        let mut add = |w: VertexId| {
+            sum += weight(self.degree(w));
+            samples += 1;
+        };
+        match &self.bank {
+            HasherBank::Mixer(_) => su.matched_samples(sv, &self.bank).for_each(&mut add),
+            HasherBank::Tabulation(_) => {
+                let column = &self.argmins[&u];
+                su.matched_slots(sv).for_each(|(i, _)| add(column[i]));
+            }
         }
-        let mean_inv_degree: f64 = samples
-            .iter()
-            .map(|&w| 1.0 / self.degree(w).max(2) as f64)
-            .sum::<f64>()
-            / samples.len() as f64;
-        Some(cn * mean_inv_degree)
+        Some(if samples == 0 {
+            0.0
+        } else {
+            cn * (sum / samples as f64)
+        })
     }
 
     /// The preferential-attachment score `d(u) · d(v)` — exact, straight
@@ -320,22 +372,80 @@ impl SketchStore {
         // control word.
         let map_bytes = buckets * (size_of::<(VertexId, Vertex)>() + size_of::<u64>());
         let degree_map_bytes = buckets * size_of::<u64>();
+        let column_bytes = self.argmins.len() * self.config.slots() * size_of::<VertexId>();
+        let column_map_bytes =
+            self.argmins.capacity() * (size_of::<(VertexId, Box<[VertexId]>)>() + size_of::<u64>());
         StoreMemory {
-            sketch_slot_bytes: self.vertices.len() * slot_bytes_per_sketch,
-            sketch_map_bytes: map_bytes - degree_map_bytes,
+            sketch_slot_bytes: self.vertices.len() * slot_bytes_per_sketch + column_bytes,
+            sketch_map_bytes: map_bytes - degree_map_bytes + column_map_bytes,
             degree_map_bytes,
             fixed_bytes: size_of::<Self>(),
         }
     }
 
-    /// Internal access for the merge/snapshot/concurrent modules.
-    pub(crate) fn parts_mut(&mut self) -> (&mut HashMap<VertexId, Vertex>, &mut u64) {
-        (&mut self.vertices, &mut self.edges_processed)
+    /// Every vertex's persisted state, in map order (the snapshot
+    /// capture's source).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = VertexEntry> + '_ {
+        self.vertices.iter().map(|(&vertex, x)| VertexEntry {
+            vertex,
+            sketch: x.sketch.clone(),
+            degree: x.degree,
+            argmins: self.argmins.get(&vertex).cloned(),
+        })
     }
 
-    /// Internal read access for the merge/snapshot/concurrent modules.
-    pub(crate) fn parts(&self) -> (&HashMap<VertexId, Vertex>, u64) {
-        (&self.vertices, self.edges_processed)
+    /// Joins every vertex of `src` into this store: slots by `min` (and,
+    /// under Tabulation, the argmin of each slot `src` wins), with
+    /// `combine` joining the degree counters and the edge counts. The
+    /// caller has checked that the two configurations agree.
+    pub(crate) fn join_from(&mut self, src: &SketchStore, combine: fn(u64, u64) -> u64) {
+        let k = self.config.slots();
+        let tabulation = matches!(self.bank, HasherBank::Tabulation(_));
+        for (&v, s) in &src.vertices {
+            let d = self.vertices.entry(v).or_insert_with(|| Vertex::new(k));
+            d.degree = combine(d.degree, s.degree);
+            let src_column = if tabulation {
+                src.argmins.get(&v)
+            } else {
+                None
+            };
+            match src_column {
+                None => d.sketch.merge(&s.sketch),
+                Some(src_column) => {
+                    let column = self.argmins.entry(v).or_insert_with(|| empty_column(k));
+                    let slots = d.sketch.slots_mut().iter_mut().zip(s.sketch.slots());
+                    for ((a, b), (ca, cb)) in slots.zip(column.iter_mut().zip(src_column.iter())) {
+                        if a.fold(b.hash) {
+                            *ca = *cb;
+                        }
+                    }
+                }
+            }
+        }
+        self.edges_processed = combine(self.edges_processed, src.edges_processed);
+    }
+}
+
+/// A snapshot loads straight into the store's maps.
+impl SnapshotSink for SketchStore {
+    fn with_capacity(config: SketchConfig, edges_processed: u64, count: usize) -> Self {
+        let mut store = Self::new(config);
+        store.vertices.reserve(count);
+        store.edges_processed = edges_processed;
+        store
+    }
+
+    fn push(&mut self, entry: VertexEntry) {
+        let VertexEntry {
+            vertex,
+            sketch,
+            degree,
+            argmins,
+        } = entry;
+        self.vertices.insert(vertex, Vertex { degree, sketch });
+        if let Some(column) = argmins {
+            self.argmins.insert(vertex, column);
+        }
     }
 }
 
@@ -385,14 +495,16 @@ mod tests {
         assert!(breakdown.fixed_bytes >= std::mem::size_of::<SketchStore>());
     }
 
-    /// The insert path as two separate steps per endpoint — hash it
-    /// into a buffer, fold the other endpoint's sketch from that buffer —
-    /// with degrees counted in a map of their own: the reference the
-    /// fused single-map pass must match bit for bit.
+    /// The store as it was with 16-byte `{hash, argmin}` slots: each
+    /// endpoint hashed into a buffer and folded from it, the argmin
+    /// written beside every new minimum, degrees in a map of their own.
+    /// The hash-only store must match it bit for bit: estimates, the
+    /// inputs `EXPLAIN` prints, v3 bytes, v1/v2 JSON and merges.
+    #[derive(Clone)]
     struct Reference {
-        k: usize,
+        config: SketchConfig,
         bank: HasherBank,
-        sketches: HashMap<VertexId, VertexSketch>,
+        sketches: HashMap<VertexId, Vec<(u64, VertexId)>>,
         degrees: HashMap<VertexId, u64>,
         edges_processed: u64,
     }
@@ -400,7 +512,7 @@ mod tests {
     impl Reference {
         fn new(config: SketchConfig) -> Self {
             Self {
-                k: config.slots(),
+                config,
                 bank: config.build_bank(),
                 sketches: HashMap::new(),
                 degrees: HashMap::new(),
@@ -413,31 +525,241 @@ mod tests {
             if u == v {
                 return;
             }
-            let (mut hu, mut hv) = (vec![0; self.k], vec![0; self.k]);
+            let k = self.config.slots();
+            let (mut hu, mut hv) = (vec![0; k], vec![0; k]);
             self.bank.hash_all_into(u.0, &mut hu);
             self.bank.hash_all_into(v.0, &mut hv);
-            let k = self.k;
-            self.sketches
-                .entry(u)
-                .or_insert_with(|| VertexSketch::new(k))
-                .fold_neighbor(&hv, v);
-            self.sketches
-                .entry(v)
-                .or_insert_with(|| VertexSketch::new(k))
-                .fold_neighbor(&hu, u);
-            *self.degrees.entry(u).or_insert(0) += 1;
-            *self.degrees.entry(v).or_insert(0) += 1;
+            for (x, hashes, nbr) in [(u, &hv, v), (v, &hu, u)] {
+                let sketch = self.sketches.entry(x).or_insert_with(|| empty(k));
+                for (slot, &h) in sketch.iter_mut().zip(hashes.iter()) {
+                    if h < slot.0 {
+                        *slot = (h, nbr);
+                    }
+                }
+                *self.degrees.entry(x).or_insert(0) += 1;
+            }
         }
+
+        fn degree(&self, v: VertexId) -> u64 {
+            self.degrees.get(&v).copied().unwrap_or(0)
+        }
+
+        fn match_count(&self, u: VertexId, v: VertexId) -> Option<usize> {
+            let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);
+            Some(su.iter().zip(sv).filter(|(a, b)| a.0 == b.0).count())
+        }
+
+        fn samples(&self, u: VertexId, v: VertexId) -> Vec<VertexId> {
+            let (su, sv) = (&self.sketches[&u], &self.sketches[&v]);
+            su.iter()
+                .zip(sv)
+                .filter(|(a, b)| a.0 != u64::MAX && a.0 == b.0)
+                .map(|(a, _)| a.1)
+                .collect()
+        }
+
+        fn jaccard(&self, u: VertexId, v: VertexId) -> Option<f64> {
+            let matches = self.match_count(u, v)?;
+            Some(estimators::jaccard_from_matches(
+                matches,
+                self.config.slots(),
+            ))
+        }
+
+        fn common_neighbors(&self, u: VertexId, v: VertexId) -> Option<f64> {
+            let j = self.jaccard(u, v)?;
+            Some(estimators::cn_from_jaccard(
+                j,
+                self.degree(u),
+                self.degree(v),
+            ))
+        }
+
+        fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
+            let cn = self.common_neighbors(u, v)?;
+            let sampled: Vec<u64> = self.samples(u, v).iter().map(|&w| self.degree(w)).collect();
+            Some(estimators::aa_from_samples(cn, &sampled))
+        }
+
+        fn resource_allocation(&self, u: VertexId, v: VertexId) -> Option<f64> {
+            let cn = self.common_neighbors(u, v)?;
+            let samples = self.samples(u, v);
+            if samples.is_empty() {
+                return Some(0.0);
+            }
+            let mean_inv_degree: f64 = samples
+                .iter()
+                .map(|&w| 1.0 / self.degree(w).max(2) as f64)
+                .sum::<f64>()
+                / samples.len() as f64;
+            Some(cn * mean_inv_degree)
+        }
+
+        /// `merge_into` (`combine` = add) or `merge_join` (`combine` =
+        /// max) over 16-byte slots: a winning slot carries its argmin.
+        fn join(&mut self, src: &Reference, combine: fn(u64, u64) -> u64) {
+            let k = self.config.slots();
+            for (v, s) in &src.sketches {
+                let d = self.sketches.entry(*v).or_insert_with(|| empty(k));
+                for (a, b) in d.iter_mut().zip(s) {
+                    if b.0 < a.0 {
+                        *a = *b;
+                    }
+                }
+                let degree = self.degrees.entry(*v).or_insert(0);
+                *degree = combine(*degree, src.degree(*v));
+            }
+            self.edges_processed = combine(self.edges_processed, src.edges_processed);
+        }
+
+        fn sorted_vertices(&self) -> Vec<VertexId> {
+            let mut ids: Vec<_> = self.sketches.keys().copied().collect();
+            ids.sort_unstable();
+            ids
+        }
+
+        /// The v3 snapshot file the 16-byte store wrote.
+        fn v3_file(&self) -> Vec<u8> {
+            use crate::codec::write_varint;
+            let mut body = Vec::new();
+            write_varint(&mut body, self.config.slots() as u64);
+            write_varint(&mut body, self.config.base_seed());
+            body.push(u8::from(
+                self.config.hasher_backend() == HasherBackend::Tabulation,
+            ));
+            write_varint(&mut body, self.edges_processed);
+            let ids = self.sorted_vertices();
+            write_varint(&mut body, ids.len() as u64);
+            let mut prev = 0;
+            for v in &ids {
+                write_varint(&mut body, v.0 - prev);
+                prev = v.0;
+            }
+            for v in &ids {
+                write_varint(&mut body, self.degree(*v));
+            }
+            for v in &ids {
+                let mut filled: Vec<(u64, usize, u64)> = self.sketches[v]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.0 != u64::MAX)
+                    .map(|(i, s)| (s.0, i, s.1 .0))
+                    .collect();
+                filled.sort_unstable();
+                write_varint(&mut body, filled.len() as u64);
+                let mut prev = 0;
+                for &(hash, _, _) in &filled {
+                    write_varint(&mut body, hash - prev);
+                    prev = hash;
+                }
+                for &(_, idx, _) in &filled {
+                    write_varint(&mut body, idx as u64);
+                }
+                for &(_, _, argmin) in &filled {
+                    write_varint(&mut body, argmin);
+                }
+            }
+            crate::codec::encode_envelope(crate::codec::MODE_STORE_SNAPSHOT, &body)
+        }
+
+        /// The v1 JSON document the derived serde of the 16-byte store
+        /// wrote.
+        fn v1_json(&self) -> String {
+            let vertices: Vec<String> = self
+                .sorted_vertices()
+                .iter()
+                .map(|v| {
+                    let slots: Vec<String> = self.sketches[v]
+                        .iter()
+                        .map(|(h, a)| format!("{{\"hash\":{h},\"argmin\":{}}}", a.0))
+                        .collect();
+                    format!(
+                        "{{\"vertex\":{},\"sketch\":{{\"slots\":[{}]}},\"degree\":{}}}",
+                        v.0,
+                        slots.join(","),
+                        self.degree(*v)
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"config\":{},\"edges_processed\":{},\"vertices\":[{}]}}",
+                serde_json::to_string(&self.config).unwrap(),
+                self.edges_processed,
+                vertices.join(",")
+            )
+        }
+    }
+
+    fn empty(k: usize) -> Vec<(u64, VertexId)> {
+        vec![(u64::MAX, VertexId(u64::MAX)); k]
+    }
+
+    /// Asserts `store` equals `reference` on everything observable.
+    fn assert_matches_reference(
+        store: &SketchStore,
+        reference: &Reference,
+        ids: u64,
+    ) -> Result<(), TestCaseError> {
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        prop_assert_eq!(store.edges_processed(), reference.edges_processed);
+        prop_assert_eq!(store.vertex_count(), reference.sketches.len());
+        for (v, slots) in &reference.sketches {
+            let hashes: Vec<u64> = slots.iter().map(|s| s.0).collect();
+            let sketch = store.sketch(*v).expect("reference vertex is in the store");
+            let store_hashes: Vec<u64> = sketch.slots().iter().map(|s| s.hash).collect();
+            prop_assert_eq!(store_hashes, hashes);
+            prop_assert_eq!(store.degree(*v), reference.degree(*v));
+        }
+        // One id past the stream's range: unseen pairs answer None.
+        for u in (0..ids).chain([ids + 7]).map(VertexId) {
+            for v in (0..ids).chain([ids + 7]).map(VertexId) {
+                prop_assert_eq!(bits(store.jaccard(u, v)), bits(reference.jaccard(u, v)));
+                prop_assert_eq!(
+                    bits(store.common_neighbors(u, v)),
+                    bits(reference.common_neighbors(u, v))
+                );
+                prop_assert_eq!(
+                    bits(store.adamic_adar(u, v)),
+                    bits(reference.adamic_adar(u, v))
+                );
+                prop_assert_eq!(
+                    bits(store.resource_allocation(u, v)),
+                    bits(reference.resource_allocation(u, v))
+                );
+                // What `EXPLAIN` prints besides these estimates: fills,
+                // matches and degrees.
+                let (su, sv) = (store.sketch(u), store.sketch(v));
+                prop_assert_eq!(
+                    su.zip(sv).map(|(a, b)| a.match_count(b)),
+                    reference.match_count(u, v)
+                );
+                prop_assert_eq!(
+                    su.map(VertexSketch::filled_slots),
+                    reference
+                        .sketches
+                        .get(&u)
+                        .map(|s| s.iter().filter(|x| x.0 != u64::MAX).count())
+                );
+            }
+        }
+        let snap = crate::snapshot::StoreSnapshot::capture(store);
+        let file = reference.v3_file();
+        prop_assert_eq!(&crate::codec::encode_store_snapshot(&snap).unwrap(), &file);
+        prop_assert_eq!(&crate::codec::decode_store_snapshot(&file).unwrap(), &snap);
+        prop_assert_eq!(serde_json::to_string(&snap).unwrap(), reference.v1_json());
+        prop_assert_eq!(store.memory_breakdown().total(), store.memory_bytes());
+        Ok(())
     }
 
     proptest! {
         #[test]
-        fn prop_fused_insert_matches_reference(
+        fn prop_hash_only_store_matches_16_byte_reference(
             k in 1usize..70,
             seed in any::<u64>(),
             tabulation in any::<bool>(),
             // 24 ids: duplicate edges and self-loops are frequent.
             edges in proptest::collection::vec((0u64..24, 0u64..24), 0..300),
+            split in 0usize..301,
         ) {
             let backend = if tabulation {
                 HasherBackend::Tabulation
@@ -445,21 +767,43 @@ mod tests {
                 HasherBackend::Mixer
             };
             let config = SketchConfig::with_slots(k).seed(seed).backend(backend);
-            let mut store = SketchStore::new(config);
-            let mut reference = Reference::new(config);
-            for &(u, v) in &edges {
-                store.insert_edge(VertexId(u), VertexId(v));
-                reference.insert_edge(VertexId(u), VertexId(v));
-            }
-            prop_assert_eq!(store.edges_processed(), reference.edges_processed);
-            prop_assert_eq!(store.vertex_count(), reference.sketches.len());
-            for (v, sketch) in &reference.sketches {
-                // Slot equality covers both the minimum and its argmin.
-                prop_assert_eq!(store.sketch(*v).map(VertexSketch::slots), Some(sketch.slots()));
-                prop_assert_eq!(store.degree(*v), reference.degrees[v]);
-            }
-            prop_assert_eq!(store.memory_breakdown().total(), store.memory_bytes());
+            let build = |edges: &[(u64, u64)]| {
+                let (mut store, mut reference) = (SketchStore::new(config), Reference::new(config));
+                for &(u, v) in edges {
+                    store.insert_edge(VertexId(u), VertexId(v));
+                    reference.insert_edge(VertexId(u), VertexId(v));
+                }
+                (store, reference)
+            };
+            let (whole, whole_ref) = build(&edges);
+            assert_matches_reference(&whole, &whole_ref, 24)?;
+
+            // Shard union of the two halves, and the join of a prefix
+            // state with the whole stream's.
+            let (head, tail) = edges.split_at(split.min(edges.len()));
+            let (mut union, mut union_ref) = build(head);
+            let (shard, shard_ref) = build(tail);
+            crate::merge::merge_into(&mut union, &shard).unwrap();
+            union_ref.join(&shard_ref, |a, b| a + b);
+            assert_matches_reference(&union, &union_ref, 24)?;
+
+            let (mut joined, mut joined_ref) = build(head);
+            crate::merge::merge_join(&mut joined, &whole).unwrap();
+            joined_ref.join(&whole_ref, u64::max);
+            assert_matches_reference(&joined, &joined_ref, 24)?;
         }
+    }
+
+    #[test]
+    fn a_k64_mixer_vertex_costs_under_600_bytes() {
+        let mut s = store(64);
+        s.insert_stream(BarabasiAlbert::new(20_000, 4, 3).edges());
+        let per_vertex = s.memory_bytes() / s.vertex_count();
+        assert_eq!(
+            s.memory_breakdown().sketch_slot_bytes,
+            s.vertex_count() * 64 * 8
+        );
+        assert!(per_vertex <= 600, "{per_vertex} bytes per vertex");
     }
 
     #[test]

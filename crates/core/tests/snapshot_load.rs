@@ -44,6 +44,7 @@ fn with_empty_vertices(s: &SketchStore, empty: &[u64]) -> StoreSnapshot {
                 vertex,
                 sketch: VertexSketch::new(s.config().slots()),
                 degree: 0,
+                argmins: None,
             });
         }
     }
@@ -116,6 +117,84 @@ proptest! {
         fs::remove_file(&path).unwrap();
         prop_assert!(result.is_err(), "flip at bit {} loaded", bit);
         prop_assert_eq!(result.err().map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+    }
+}
+
+/// A v3 file of `s` whose last argmin (a one-byte varint: every id in
+/// these stores is below 128) names another vertex, re-framed with a
+/// valid CRC so that only the argmin check can refuse it.
+fn with_altered_last_argmin(s: &SketchStore) -> Vec<u8> {
+    let file = codec::encode_store_snapshot(&StoreSnapshot::capture(s)).unwrap();
+    let mut body = codec::decode_envelope(&file).unwrap().body.to_vec();
+    let last = body.len() - 1;
+    assert!(body[last] < 0x80, "the last argmin is a one-byte varint");
+    body[last] ^= 1;
+    codec::encode_envelope(codec::MODE_STORE_SNAPSHOT, &body)
+}
+
+#[test]
+fn an_argmin_that_does_not_hash_to_its_slot_fails_closed() {
+    let edges: Vec<Edge> = (0..120u64)
+        .map(|i| Edge::new(i % 23, (i * 5 + 1) % 31 + 24, 0))
+        .collect();
+    for backend in [HasherBackend::Mixer, HasherBackend::Tabulation] {
+        let damaged = with_altered_last_argmin(&store(&edges, 8, 2, backend));
+        let why = "slot argmin does not hash to its slot";
+        assert_eq!(
+            codec::decode_store_snapshot(&damaged),
+            Err(codec::CodecError::Malformed(why)),
+            "{backend:?}"
+        );
+        let path = temp_path("argmin");
+        fs::write(&path, &damaged).unwrap();
+        // `scrub` verifies a generation through `verify_file`.
+        let errors = [
+            snapshot::load_store(&path).map(drop).unwrap_err(),
+            snapshot::verify_file(&path).map(drop).unwrap_err(),
+        ];
+        for err in errors {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{backend:?}");
+            assert!(err.to_string().contains(why), "{backend:?}: {err}");
+        }
+        fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn a_v2_json_argmin_that_does_not_hash_to_its_slot_fails_closed() {
+    let edges: Vec<Edge> = (0..60u64)
+        .map(|i| Edge::new(i % 11, i % 13 + 20, 0))
+        .collect();
+    for backend in [HasherBackend::Mixer, HasherBackend::Tabulation] {
+        let snap = StoreSnapshot::capture(&store(&edges, 6, 9, backend));
+        let text = String::from_utf8(v2::store_snapshot(&snap)).unwrap();
+        let json = text.split_once('\n').unwrap().1;
+        // The first slot of the first vertex is filled; point its argmin
+        // at a vertex whose hash is not the slot's.
+        let at = json.find("\"argmin\":").unwrap() + "\"argmin\":".len();
+        let end = at + json[at..].find('}').unwrap();
+        let argmin: u64 = json[at..end].parse().unwrap();
+        let altered = format!("{}{}{}", &json[..at], argmin ^ 1, &json[end..]);
+        let framed = format!(
+            "STREAMLINK-SNAP v2 len={} crc32={:08x}\n{altered}",
+            altered.len(),
+            hashkit::crc32(altered.as_bytes())
+        );
+        let path = temp_path("argmin-v2");
+        fs::write(&path, &text).unwrap();
+        assert_eq!(
+            StoreSnapshot::read_from(&path).unwrap(),
+            snap,
+            "{backend:?}: fixture"
+        );
+        fs::write(&path, &framed).unwrap();
+        let err = StoreSnapshot::read_from(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{backend:?}");
+        assert!(
+            err.to_string().contains("does not hash to its slot"),
+            "{backend:?}: {err}"
+        );
+        fs::remove_file(&path).unwrap();
     }
 }
 

@@ -6,7 +6,7 @@
 //! every stream edge, so [`SeededHash::hash`] is a two-multiply mixer with
 //! no memory traffic.
 
-use crate::mix::{mix64, mix64_v3, seed_schedule};
+use crate::mix::{mix64, mix64_v3, seed_schedule, unmix64};
 
 /// One seeded 64-bit hash function over `u64` keys.
 ///
@@ -42,6 +42,17 @@ impl SeededHash {
     #[must_use]
     pub fn hash(&self, key: u64) -> u64 {
         mix64(key ^ self.seed)
+    }
+
+    /// The key whose hash is `hash`: `invert(hash(key)) == key` for every
+    /// key, since [`Self::hash`] is a bijection.
+    ///
+    /// A sketch slot stores only its minimum hash; this recovers the
+    /// neighbor that achieved it.
+    #[inline]
+    #[must_use]
+    pub fn invert(&self, hash: u64) -> u64 {
+        unmix64(hash) ^ self.seed
     }
 
     /// Hashes an arbitrary byte string (FNV-style fold, then finalize).

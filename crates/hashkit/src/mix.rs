@@ -40,16 +40,24 @@ pub fn mix64_v3(mut z: u64) -> u64 {
     z ^ (z >> 27)
 }
 
+/// Multiplicative inverse of [`mix64`]'s first constant.
+const INV_MUL1: u64 = inverse_odd(0xBF58_476D_1CE4_E5B9);
+/// Multiplicative inverse of [`mix64`]'s second constant.
+const INV_MUL2: u64 = inverse_odd(0x94D0_49BB_1331_11EB);
+
 /// Inverse of [`mix64`].
 ///
-/// Exists to make the bijectivity claim testable and to support debugging
-/// (recovering the pre-image of a sketch slot). Not used on any hot path.
+/// Recovers a sketch slot's argmin from its hash
+/// ([`crate::SeededHash::invert`]), so the Adamic–Adar and
+/// resource-allocation estimators call it once per matched slot. Both
+/// multiplicative inverses are compile-time constants.
+#[inline]
 #[must_use]
 pub fn unmix64(mut z: u64) -> u64 {
     z = unxorshift(z, 31);
-    z = z.wrapping_mul(inverse_odd(0x94D0_49BB_1331_11EB));
+    z = z.wrapping_mul(INV_MUL2);
     z = unxorshift(z, 27);
-    z = z.wrapping_mul(inverse_odd(0xBF58_476D_1CE4_E5B9));
+    z = z.wrapping_mul(INV_MUL1);
     unxorshift(z, 30)
 }
 
@@ -66,12 +74,13 @@ fn unxorshift(y: u64, shift: u32) -> u64 {
 }
 
 /// Multiplicative inverse of an odd 64-bit constant (Newton iteration).
-#[inline]
-fn inverse_odd(a: u64) -> u64 {
+const fn inverse_odd(a: u64) -> u64 {
     // x_{n+1} = x_n * (2 - a * x_n) doubles correct low bits each step.
     let mut x: u64 = a; // a is its own inverse mod 2^3 for odd a
-    for _ in 0..6 {
+    let mut i = 0;
+    while i < 6 {
         x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+        i += 1;
     }
     x
 }
@@ -142,6 +151,12 @@ mod tests {
         ] {
             assert_eq!(a.wrapping_mul(inverse_odd(a)), 1, "constant {a:#x}");
         }
+    }
+
+    #[test]
+    fn unmix_constants_invert_the_mix_constants() {
+        assert_eq!(0xBF58_476D_1CE4_E5B9u64.wrapping_mul(INV_MUL1), 1);
+        assert_eq!(0x94D0_49BB_1331_11EBu64.wrapping_mul(INV_MUL2), 1);
     }
 
     #[test]

@@ -18,6 +18,15 @@ proptest! {
         prop_assert_ne!(h.hash(a), h.hash(b));
     }
 
+    /// `invert` recovers the key from its hash, for constructed and
+    /// family-member functions alike.
+    #[test]
+    fn seeded_hash_invert_recovers_key(seed in any::<u64>(), i in any::<u64>(), key in any::<u64>()) {
+        for h in [SeededHash::new(seed), SeededHash::member(seed, i)] {
+            prop_assert_eq!(h.invert(h.hash(key)), key);
+        }
+    }
+
     /// Hashing is a pure function of (seed, key).
     #[test]
     fn seeded_hash_deterministic(seed in any::<u64>(), key in any::<u64>()) {

@@ -1,6 +1,6 @@
 //! b-bit compressed sketch replicas (Li–König b-bit minwise hashing).
 //!
-//! A serving replica doesn't need the full 16-byte slots: keeping only
+//! A serving replica doesn't need the full 8-byte slots: keeping only
 //! the lowest `b` bits of each slot minimum preserves Jaccard
 //! estimation, because two *equal* minima always agree on their low bits
 //! while two *different* minima collide only with probability
@@ -11,13 +11,14 @@
 //! ```
 //!
 //! an unbiased estimator with variance inflated by `1/(1−δ)²` — at
-//! `b = 8` that's under 0.8%. Memory drops from 16 bytes to `b/8` bytes
-//! per slot (64× at `b = 2`), which is the classic accuracy-per-byte
+//! `b = 8` that's under 0.8%. Memory drops from 8 bytes to `b/8` bytes
+//! per slot (32× at `b = 2`), which is the classic accuracy-per-byte
 //! win for shipping sketches to read replicas or over the network.
 //!
 //! The compressed form is **frozen**: min-registers cannot be updated
 //! once truncated (a new neighbor's full hash can't be compared against
-//! a truncated minimum), and the argmin ids are gone, so only Jaccard /
+//! a truncated minimum), and a truncated minimum can no longer be
+//! inverted to its argmin, so only Jaccard /
 //! CN / cosine / overlap are answerable — not AA/RA (which need the
 //! matched argmins). The builder keeps the full [`SketchStore`]; call
 //! [`CompressedStore::from_store`] at replication points.

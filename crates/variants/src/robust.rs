@@ -73,11 +73,11 @@ impl RobustStore {
         self.sketches
             .entry(u)
             .or_insert_with(|| VertexSketch::new(k))
-            .fold_neighbor(&self.scratch_v, v);
+            .fold_neighbor(&self.scratch_v);
         self.sketches
             .entry(v)
             .or_insert_with(|| VertexSketch::new(k))
-            .fold_neighbor(&self.scratch_u, u);
+            .fold_neighbor(&self.scratch_u);
 
         // HLL of the neighbor set: feed the already-computed first slot
         // hash (a uniform word per neighbor id).
@@ -127,12 +127,16 @@ impl RobustStore {
 
     /// Estimated Adamic–Adar using HLL degrees for both the CN factor
     /// and the sampled common neighbors' weights.
+    ///
+    /// # Panics
+    /// Panics under the Tabulation backend, whose argmins cannot be
+    /// recovered from the slots ([`VertexSketch::matched_samples`]).
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);
         let cn = self.common_neighbors(u, v)?;
         let samples: Vec<f64> = su
-            .matched_samples(sv)
+            .matched_samples(sv, &self.bank)
             .map(|w| self.degree_estimate(w))
             .collect();
         if samples.is_empty() {

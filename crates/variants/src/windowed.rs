@@ -24,6 +24,7 @@ use std::collections::{HashSet, VecDeque};
 
 use graphstream::{Edge, VertexId};
 
+use streamlink_core::config::HasherBank;
 use streamlink_core::estimators;
 use streamlink_core::sketch::VertexSketch;
 use streamlink_core::SketchConfig;
@@ -50,6 +51,8 @@ use streamlink_core::SketchStore;
 #[derive(Debug, Clone)]
 pub struct WindowedStore {
     config: SketchConfig,
+    /// The config's hash functions, which recover matched argmins.
+    bank: HasherBank,
     epoch_edges: u64,
     max_epochs: usize,
     /// Oldest epoch first, newest last; never empty.
@@ -107,6 +110,7 @@ impl WindowedStore {
         let mut queue = VecDeque::with_capacity(epochs + 1);
         queue.push_back(Epoch::new(config));
         Self {
+            bank: config.build_bank(),
             config,
             epoch_edges,
             max_epochs: epochs,
@@ -211,13 +215,21 @@ impl WindowedStore {
 
     /// Estimated Adamic–Adar over the window (match-sampling, window
     /// degrees).
+    ///
+    /// # Panics
+    /// Panics under the Tabulation backend, whose argmins cannot be
+    /// recovered from merged window sketches
+    /// ([`VertexSketch::matched_samples`]).
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let (su, sv) = (self.window_sketch(u)?, self.window_sketch(v)?);
         let matches = su.match_count(&sv);
         let j = estimators::jaccard_from_matches(matches, self.config.slots());
         let cn = estimators::cn_from_jaccard(j, self.degree(u), self.degree(v));
-        let sampled: Vec<u64> = su.matched_samples(&sv).map(|w| self.degree(w)).collect();
+        let sampled: Vec<u64> = su
+            .matched_samples(&sv, &self.bank)
+            .map(|w| self.degree(w))
+            .collect();
         Some(estimators::aa_from_samples(cn, &sampled))
     }
 
