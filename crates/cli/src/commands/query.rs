@@ -23,7 +23,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         // One trace op per pair so `--trace-out` shows the per-query
         // estimator breakdown, same as a served cmd.query span.
         let t = streamlink_core::trace::op("cmd.query");
-        t.note_degree(store.degree(u).max(store.degree(v)));
+        streamlink_core::trace::note_degree(store.degree(u).max(store.degree(v)));
         let score = match measure {
             Measure::Jaccard => store.jaccard(u, v),
             Measure::CommonNeighbors => store.common_neighbors(u, v),

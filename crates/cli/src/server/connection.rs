@@ -16,34 +16,29 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use super::{protocol, ServerState, POLL_INTERVAL};
 
-/// Commands currently being handled (request read → response flushed)
-/// across every connection thread; exported as the
-/// `serve.conn_queue_depth` gauge.
-static IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
-
+/// Holds one unit of the `serve.conn_queue_depth` gauge, the count of
+/// commands in flight (request read → response flushed) across every
+/// connection thread.
 struct InFlightGuard;
 
 impl InFlightGuard {
     fn enter() -> Self {
-        let depth = IN_FLIGHT.fetch_add(1, Ordering::Relaxed) + 1;
         streamlink_core::metrics::global()
             .serve_conn_queue_depth
-            .set(depth);
+            .incr();
         InFlightGuard
     }
 }
 
 impl Drop for InFlightGuard {
     fn drop(&mut self) {
-        let depth = IN_FLIGHT.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
         streamlink_core::metrics::global()
             .serve_conn_queue_depth
-            .set(depth);
+            .decr();
     }
 }
 
@@ -74,36 +69,20 @@ pub(super) fn handle(stream: TcpStream, state: &ServerState) {
     let mut writer = stream;
     let mut line = String::new();
     let mut last_activity = Instant::now();
-    let mut binary = false;
+    let mut framed = false;
     loop {
         let buffered = line.len();
         match reader.read_line(&mut line) {
             Ok(0) => break, // EOF
             Ok(_) => {
+                // The request's arrival: the command's op opens here.
                 last_activity = Instant::now();
-                let in_flight = InFlightGuard::enter();
+                let _in_flight = InFlightGuard::enter();
                 let trimmed = line.trim_end_matches(['\r', '\n']);
-                let (payload, closing) = if binary {
-                    protocol::handle_command_framed(state, trimmed)
-                } else {
-                    let mut response = protocol::handle_command(state, trimmed);
-                    let closing = response == "OK bye";
-                    if response == "OK fmt=v3" {
-                        binary = true;
-                    }
-                    response.push('\n');
-                    (response.into_bytes(), closing)
-                };
-                let respond_start = Instant::now();
-                let write_failed = writer.write_all(&payload).is_err();
-                streamlink_core::metrics::global()
-                    .serve_phase_respond
-                    .observe(respond_start);
-                drop(in_flight);
-                if write_failed || closing {
-                    break;
+                match protocol::serve(state, trimmed, last_activity, &mut framed, &mut writer) {
+                    Ok(false) => line.clear(),
+                    Ok(true) | Err(_) => break,
                 }
-                line.clear();
             }
             Err(e)
                 if matches!(

@@ -287,14 +287,10 @@ impl ServerState {
         let mut wal_seq = None;
         if let Some(mut persist) = self.persist_guard() {
             let seq = persist.journal.next_seq();
-            let append_start = std::time::Instant::now();
             if let Err(e) = persist.journal.append(JournalEntry { seq, u, v }) {
                 self.storage_ok.store(false, Ordering::SeqCst);
                 return Err(e);
             }
-            streamlink_core::metrics::global()
-                .serve_phase_journal_append
-                .observe(append_start);
             self.storage_ok.store(true, Ordering::SeqCst);
             wal_seq = Some(seq);
         }

@@ -137,6 +137,9 @@
 //! observed matches, and whether the online audit's shadow sample
 //! covers either endpoint (`audit_u`/`audit_v`).
 
+use std::io::{self, Write};
+use std::time::Instant;
+
 use graphstream::VertexId;
 use linkpred::Measure;
 use streamlink_core::{codec, metrics, trace};
@@ -163,63 +166,150 @@ pub(super) fn parse_bounded(name: &str, raw: &str, min: u64, max: u64) -> Result
     Ok(value)
 }
 
-/// Executes one protocol command against the shared state. Pure with
-/// respect to IO, so the full command surface is unit-testable without
-/// sockets.
-///
-/// Also the protocol-layer instrumentation point: every call bumps
-/// `server.commands` (plus the per-class counters) and feeds the
-/// command-latency histogram, so `METRICS` sees all traffic regardless
-/// of which transport delivered the command.
-#[must_use]
-pub fn handle_command(state: &ServerState, line: &str) -> String {
+/// Every command word with its span name, matched case-insensitively
+/// without allocating, so a request's command word is classified once.
+const COMMANDS: [(&str, &str); 22] = [
+    ("INSERT", "cmd.insert"),
+    ("JACCARD", "cmd.query"),
+    ("CN", "cmd.query"),
+    ("AA", "cmd.query"),
+    ("RA", "cmd.query"),
+    ("PA", "cmd.query"),
+    ("COSINE", "cmd.query"),
+    ("OVERLAP", "cmd.query"),
+    ("DEGREE", "cmd.degree"),
+    ("EXPLAIN", "cmd.explain"),
+    ("STATS", "cmd.stats"),
+    ("METRICS", "cmd.metrics"),
+    ("TRACE", "cmd.trace"),
+    ("PROFILE", "cmd.profile"),
+    ("HEALTH", "cmd.health"),
+    ("REPL", "cmd.repl"),
+    ("CLUSTER", "cmd.cluster"),
+    ("PROMOTE", "cmd.failover"),
+    ("DEMOTE", "cmd.failover"),
+    ("HELLO", "cmd.hello"),
+    ("PING", "cmd.ping"),
+    ("QUIT", "cmd.quit"),
+];
+
+/// Times one command as a `cmd.*` op opened at `arrival`. Classifying
+/// the command word (its canonical spelling, `""` if unknown) is the
+/// parse phase, span child `serve.parse`; `run` and the command
+/// counters are the execute phase, the op's own time. `run` returns the
+/// reply and whether it is an error. The op is returned still open, so
+/// [`serve`] can lap the respond phase before it closes.
+fn command<R>(
+    line: &str,
+    arrival: Instant,
+    run: impl FnOnce(&'static str) -> (R, bool),
+) -> (R, trace::OpGuard) {
     let m = metrics::global();
-    // The trace span covers exactly what the latency histogram covers,
-    // so a slow-op line and a histogram tail sample always agree.
-    // Phase attribution: tokenization/dispatch cost vs execution cost.
-    // The parse phase is tiny by design; if it ever grows, the serve
-    // path — not the store — is the suspect.
-    let parse_start = std::time::Instant::now();
-    let span_name = command_span_name(line);
-    m.serve_phase_parse.observe(parse_start);
-    let t = trace::op(span_name);
-    let start = std::time::Instant::now();
-    let response = execute(state, line, &t);
-    m.serve_phase_execute.observe(start);
+    let (verb, span) = line
+        .split_whitespace()
+        .next()
+        .and_then(|word| COMMANDS.iter().find(|(c, _)| c.eq_ignore_ascii_case(word)))
+        .map_or(("", "cmd.other"), |&entry| entry);
+    let mut op = trace::timed_op_at(span, &m.server_command_latency, arrival);
+    op.lap(&m.serve_phase_parse, Some("serve.parse"));
+    let (reply, is_err) = run(verb);
     m.server_commands.incr();
-    if response.starts_with("ERR") {
+    if is_err {
         m.server_command_errors.incr();
     }
-    m.server_command_latency.observe(start);
-    response
+    op.lap(&m.serve_phase_execute, None);
+    (reply, op)
 }
 
-/// Static span name for a command line (span names must be `&'static`).
-fn command_span_name(line: &str) -> &'static str {
-    let Some(word) = line.split_whitespace().next() else {
-        return "cmd.other";
-    };
-    match word.to_ascii_uppercase().as_str() {
-        "INSERT" => "cmd.insert",
-        "JACCARD" | "CN" | "AA" | "RA" | "PA" | "COSINE" | "OVERLAP" => "cmd.query",
-        "DEGREE" => "cmd.degree",
-        "EXPLAIN" => "cmd.explain",
-        "STATS" => "cmd.stats",
-        "METRICS" => "cmd.metrics",
-        "TRACE" => "cmd.trace",
-        "PROFILE" => "cmd.profile",
-        "HEALTH" => "cmd.health",
-        "REPL" => "cmd.repl",
-        "CLUSTER" => "cmd.cluster",
-        "PROMOTE" | "DEMOTE" => "cmd.failover",
-        "HELLO" => "cmd.hello",
-        "PING" => "cmd.ping",
-        "QUIT" => "cmd.quit",
-        _ => "cmd.other",
+/// Executes one protocol command against the shared state. Pure with
+/// respect to IO, so the full command surface is unit-testable without
+/// sockets. Timed like a served command without the respond phase.
+#[must_use]
+pub fn handle_command(state: &ServerState, line: &str) -> String {
+    command(line, Instant::now(), |verb| {
+        let reply = execute(state, line, verb);
+        let is_err = reply.starts_with("ERR");
+        (reply, is_err)
+    })
+    .0
+}
+
+/// Serves one request line that arrived at `arrival` and writes the
+/// response to `out`: the one instrumented path for both wire modes.
+/// The command is one `cmd.*` op from `arrival` to the flushed response,
+/// lapped into parse, execute and respond (span child `serve.respond`),
+/// so its `server.command_latency_ns` sample is the sum of its three
+/// `serve.phase.*` samples. Returns whether the connection closes.
+///
+/// On a `framed` (v3) connection every reply is one codec envelope:
+/// `REPL PULL` a `WAL_BATCH` record, `REPL SNAPSHOT` a `SNAPSHOT_FRAME`,
+/// anything else a `TEXT_FRAME` of the usual text, and `HELLO` just
+/// re-reports `OK fmt=v3` (the switch is one-way). An unframed
+/// connection turns framed once it answers `OK fmt=v3`.
+///
+/// # Errors
+/// Fails if writing the response fails.
+pub(super) fn serve(
+    state: &ServerState,
+    line: &str,
+    arrival: Instant,
+    framed: &mut bool,
+    out: &mut impl Write,
+) -> io::Result<bool> {
+    let ((bytes, closing), mut op) = command(line, arrival, |verb| {
+        if let Some((frame, is_err)) = repl_frame(state, line, verb, *framed) {
+            return ((frame, false), is_err);
+        }
+        let mut reply = match verb {
+            "HELLO" if *framed => "OK fmt=v3".to_string(),
+            _ => execute(state, line, verb),
+        };
+        let is_err = reply.starts_with("ERR");
+        let closing = reply == "OK bye";
+        let bytes = if *framed {
+            codec::encode_text_frame(&reply)
+        } else {
+            *framed = reply == "OK fmt=v3";
+            reply.push('\n');
+            reply.into_bytes()
+        };
+        ((bytes, closing), is_err)
+    });
+    let written = out.write_all(&bytes);
+    op.lap(
+        &metrics::global().serve_phase_respond,
+        Some("serve.respond"),
+    );
+    written.map(|()| closing)
+}
+
+/// On a framed connection, `REPL PULL` and `REPL SNAPSHOT` answer with
+/// their dedicated binary envelopes (`WAL_BATCH`, `SNAPSHOT_FRAME`);
+/// returns that envelope and whether it reports an error.
+fn repl_frame(
+    state: &ServerState,
+    line: &str,
+    verb: &str,
+    framed: bool,
+) -> Option<(Vec<u8>, bool)> {
+    if !framed || verb != "REPL" {
+        return None;
+    }
+    let args: Vec<&str> = line.split_whitespace().skip(1).collect();
+    let sub = args.first()?;
+    if sub.eq_ignore_ascii_case("PULL") {
+        Some(super::replication::repl_pull_frame(state, &args))
+    } else if !sub.eq_ignore_ascii_case("SNAPSHOT") {
+        None
+    } else if args.len() == 1 {
+        Some(super::replication::repl_snapshot_frame(state))
+    } else {
+        let err = "ERR REPL SNAPSHOT takes no arguments";
+        Some((codec::encode_text_frame(err), true))
     }
 }
 
-fn execute(state: &ServerState, line: &str, t: &trace::OpGuard) -> String {
+fn execute(state: &ServerState, line: &str, verb: &str) -> String {
     // Telnet/netcat clients terminate lines with `\r\n`, and humans pad
     // with spaces; `split_whitespace` treats `\r`, tabs, and padding as
     // separators, so both parse like the bare command.
@@ -239,8 +329,7 @@ fn execute(state: &ServerState, line: &str, t: &trace::OpGuard) -> String {
         Ok((parse_vertex(args[0])?, parse_vertex(args[1])?))
     };
 
-    let upper = command.to_ascii_uppercase();
-    match upper.as_str() {
+    match verb {
         "PING" => "OK pong".into(),
         "QUIT" => "OK bye".into(),
         // Wire-format negotiation: the connection layer watches for the
@@ -395,7 +484,7 @@ fn execute(state: &ServerState, line: &str, t: &trace::OpGuard) -> String {
                 Ok(v) => {
                     metrics::global().server_queries.incr();
                     let d = state.read_store().degree(v);
-                    t.note_degree(d);
+                    trace::note_degree(d);
                     format!("OK {d}")
                 }
                 Err(e) => format!("ERR {e}"),
@@ -429,7 +518,7 @@ fn execute(state: &ServerState, line: &str, t: &trace::OpGuard) -> String {
                     Ok(_) => {
                         metrics::global().server_inserts.incr();
                         let guard = state.read_store();
-                        t.note_degree(guard.degree(u).max(guard.degree(v)));
+                        trace::note_degree(guard.degree(u).max(guard.degree(v)));
                         "OK inserted".into()
                     }
                     // Not acked: the edge was neither journaled nor
@@ -459,21 +548,24 @@ fn execute(state: &ServerState, line: &str, t: &trace::OpGuard) -> String {
                 Ok((u, v)) => {
                     metrics::global().server_queries.incr();
                     let guard = state.read_store();
-                    t.note_degree(guard.degree(u).max(guard.degree(v)));
+                    trace::note_degree(guard.degree(u).max(guard.degree(v)));
                     explain(state, &guard, &what, u, v)
                 }
                 Err(e) => format!("ERR {e}"),
             }
         }
         "JACCARD" | "CN" | "AA" | "RA" | "PA" | "COSINE" | "OVERLAP" => {
-            let Some(measure) = Measure::parse(&upper) else {
-                return format!("ERR unknown measure {upper:?}");
+            let Some(measure) = Measure::ALL
+                .into_iter()
+                .find(|m| m.key().eq_ignore_ascii_case(verb))
+            else {
+                return format!("ERR unknown measure {verb:?}");
             };
             match pair(&args) {
                 Ok((u, v)) => {
                     metrics::global().server_queries.incr();
                     let guard = state.read_store();
-                    t.note_degree(guard.degree(u).max(guard.degree(v)));
+                    trace::note_degree(guard.degree(u).max(guard.degree(v)));
                     let score = match measure {
                         Measure::Jaccard => guard.jaccard(u, v),
                         Measure::CommonNeighbors => guard.common_neighbors(u, v),
@@ -491,63 +583,13 @@ fn execute(state: &ServerState, line: &str, t: &trace::OpGuard) -> String {
                 Err(e) => format!("ERR {e}"),
             }
         }
-        other => format!(
-            "ERR unknown command {other:?} (commands: INSERT, JACCARD, CN, AA, \
+        _ => format!(
+            "ERR unknown command {:?} (commands: INSERT, JACCARD, CN, AA, \
              RA, PA, COSINE, OVERLAP, DEGREE, EXPLAIN, STATS, METRICS, TRACE, \
-             PROFILE, HEALTH, REPL, CLUSTER, PROMOTE, DEMOTE, HELLO, PING, QUIT)"
+             PROFILE, HEALTH, REPL, CLUSTER, PROMOTE, DEMOTE, HELLO, PING, QUIT)",
+            command.to_ascii_uppercase()
         ),
     }
-}
-
-/// Executes one command in binary (v3) response mode: the reply is one
-/// self-delimiting codec envelope — a `WAL_BATCH` record for
-/// `REPL PULL`, a `SNAPSHOT_FRAME` for `REPL SNAPSHOT`, a `TEXT_FRAME`
-/// carrying the usual response text for everything else. Returns the
-/// frame bytes plus whether the connection should close (`QUIT`).
-/// Shares [`handle_command`]'s instrumentation, so `METRICS` counts
-/// traffic identically in both modes.
-pub(super) fn handle_command_framed(state: &ServerState, line: &str) -> (Vec<u8>, bool) {
-    let mut words = line.split_whitespace();
-    let first = words.next().unwrap_or("");
-    if first.eq_ignore_ascii_case("HELLO") {
-        // The switch is one-way and per-connection: once framed, a
-        // re-negotiation attempt just re-reports the active format.
-        metrics::global().server_commands.incr();
-        return (codec::encode_text_frame("OK fmt=v3"), false);
-    }
-    let sub = if first.eq_ignore_ascii_case("REPL") {
-        words.next().map(str::to_ascii_uppercase)
-    } else {
-        None
-    };
-    // PULL and SNAPSHOT have dedicated binary encodings (WAL_BATCH and
-    // SNAPSHOT_FRAME); every other REPL subcommand stays a text frame.
-    if matches!(sub.as_deref(), Some("PULL" | "SNAPSHOT")) {
-        let m = metrics::global();
-        let t = trace::op("cmd.repl");
-        let start = std::time::Instant::now();
-        let args: Vec<&str> = line.split_whitespace().skip(1).collect();
-        let (frame, is_err) = if sub.as_deref() == Some("PULL") {
-            super::replication::repl_pull_frame(state, &args)
-        } else if args.len() == 1 {
-            super::replication::repl_snapshot_frame(state)
-        } else {
-            (
-                codec::encode_text_frame("ERR REPL SNAPSHOT takes no arguments"),
-                true,
-            )
-        };
-        drop(t);
-        m.server_commands.incr();
-        if is_err {
-            m.server_command_errors.incr();
-        }
-        m.server_command_latency.observe(start);
-        return (frame, false);
-    }
-    let response = handle_command(state, line);
-    let closing = response == "OK bye";
-    (codec::encode_text_frame(&response), closing)
 }
 
 /// Builds the one-line `EXPLAIN` response: the estimate plus the
@@ -622,6 +664,14 @@ mod tests {
     use super::*;
     use crate::server::{ServerConfig, ServerState};
     use streamlink_core::{SketchConfig, SketchStore};
+
+    /// A command served on a framed (v3) connection: the reply envelope
+    /// and whether the connection closes.
+    fn handle_command_framed(s: &ServerState, line: &str) -> (Vec<u8>, bool) {
+        let mut out = Vec::new();
+        let closing = serve(s, line, Instant::now(), &mut true, &mut out).expect("write to a Vec");
+        (out, closing)
+    }
 
     fn state() -> ServerState {
         let mut s = SketchStore::new(SketchConfig::with_slots(64).seed(1));

@@ -138,10 +138,12 @@ impl Drop for ServeChild {
     }
 }
 
-#[test]
-fn metrics_command_works_over_live_tcp_session() {
+/// Starts `streamlink serve` with `extra` flags on an ephemeral port and
+/// returns it with the address it printed on its `LISTENING` line.
+fn spawn_serve(extra: &[&str]) -> (ServeChild, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_streamlink"))
         .args(["serve", "--addr", "127.0.0.1:0", "--slots", "32"])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -159,6 +161,12 @@ fn metrics_command_works_over_live_tcp_session() {
             _ => panic!("server exited before LISTENING"),
         }
     };
+    (child, addr)
+}
+
+#[test]
+fn metrics_command_works_over_live_tcp_session() {
+    let (child, addr) = spawn_serve(&[]);
 
     let conn = TcpStream::connect(&addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
@@ -200,4 +208,89 @@ fn metrics_command_works_over_live_tcp_session() {
     reader.read_line(&mut line).unwrap();
     assert_eq!(line.trim_end(), "OK bye");
     drop(child);
+}
+
+/// Sends one command and reads its reply through the `OK` line that
+/// ends every multi-line response.
+fn request(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, command: &str) -> String {
+    writeln!(conn, "{command}").unwrap();
+    let mut body = String::new();
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "EOF mid-reply");
+        body.push_str(&line);
+        if line.starts_with("OK") || line.starts_with("ERR") {
+            return body.trim_end().to_string();
+        }
+    }
+}
+
+/// One served `INSERT` is timed once per phase: each histogram gains
+/// exactly one sample, and the span and the histograms hold the same
+/// readings. The server is fresh and the `INSERT` is its first command,
+/// so every count starts at zero; a command's phases are fed when its
+/// op closes, so `METRICS` does not count its own.
+#[test]
+fn a_served_insert_is_timed_once_per_phase() {
+    let dir = std::env::temp_dir().join(format!("streamlink-one-reading-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let data_dir = dir.to_str().expect("utf-8 temp path");
+    // Checkpoints stay out of the window: no background op may land
+    // between the INSERT and the reads.
+    let (child, addr) = spawn_serve(&[
+        "--data-dir",
+        data_dir,
+        "--snapshot-every-edges",
+        "1000000",
+        "--snapshot-every-secs",
+        "9999",
+    ]);
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+
+    assert_eq!(request(&mut conn, &mut reader, "INSERT 1 2"), "OK inserted");
+    let snap = parse_metrics(&request(&mut conn, &mut reader, "METRICS"));
+    let phases = [
+        "serve.phase.parse_ns",
+        "serve.phase.execute_ns",
+        "serve.phase.respond_ns",
+    ];
+    for key in ["server.command_latency_ns", "journal.append_latency_ns"]
+        .iter()
+        .chain(&phases)
+    {
+        assert_eq!(snap[&format!("{key}.count")], 1, "{key}");
+    }
+    assert!(
+        !snap.contains_key("serve.phase.journal_append_ns.count"),
+        "journal.append_latency_ns is the one journal reading"
+    );
+
+    // Newest first: the INSERT's is the newest `cmd.insert` span.
+    let trace = request(&mut conn, &mut reader, "TRACE 16");
+    let span = trace
+        .lines()
+        .find(|l| l.contains(" op=cmd.insert "))
+        .unwrap_or_else(|| panic!("no cmd.insert span in {trace}"));
+    let field = |name: &str| {
+        span.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(name))
+            .unwrap_or_else(|| panic!("no {name} in {span}"))
+    };
+    let dur_ns: u64 = field("dur_ns=").parse().unwrap();
+    let journal_ns: u64 = field("children=")
+        .split(',')
+        .find_map(|c| c.strip_prefix("journal.append:"))
+        .unwrap_or_else(|| panic!("no journal.append child in {span}"))
+        .parse()
+        .unwrap();
+    assert_eq!(snap["journal.append_latency_ns.sum"], journal_ns);
+    assert_eq!(snap["server.command_latency_ns.sum"], dur_ns);
+    let phase_sum: u64 = phases.iter().map(|k| snap[&format!("{k}.sum")]).sum();
+    assert_eq!(phase_sum, dur_ns, "the phases partition the command");
+
+    drop(child);
+    let _ = std::fs::remove_dir_all(&dir);
 }

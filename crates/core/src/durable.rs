@@ -225,25 +225,20 @@ pub fn checkpoint(
     })
 }
 
-/// Runs one checkpoint attempt under the `checkpoint` trace op and
-/// counts it: `checkpoint.count` plus the latency histogram on success,
-/// `checkpoint.failures` otherwise.
+/// Runs one checkpoint attempt under the `checkpoint` op, which times
+/// it into `checkpoint.latency_ns`, and counts it: `checkpoint.count`
+/// on success, `checkpoint.failures` otherwise.
 ///
 /// # Errors
 /// Whatever `run` returns.
 pub fn observe_checkpoint<T>(run: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
     let metrics = crate::metrics::global();
-    let _t = crate::trace::op("checkpoint");
-    let start = std::time::Instant::now();
+    let _t = crate::trace::timed_op("checkpoint", &metrics.checkpoint_latency);
     let result = run();
-    match &result {
-        Ok(_) => {
-            metrics.checkpoints.incr();
-            metrics.checkpoint_latency.observe(start);
-        }
-        Err(_) => {
-            metrics.checkpoint_failures.incr();
-        }
+    if result.is_ok() {
+        metrics.checkpoints.incr();
+    } else {
+        metrics.checkpoint_failures.incr();
     }
     result
 }

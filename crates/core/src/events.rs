@@ -18,8 +18,8 @@
 //! * **Bounded** — live events land in a fixed-capacity in-memory ring
 //!   ([`RING_CAPACITY`], oldest-first overwrite) and, when a sink is
 //!   installed ([`install_event_log`]), append to a size-capped
-//!   `events.jsonl` that rotates once to `<path>.1` — the exact
-//!   discipline of the slow-op log.
+//!   `events.jsonl` that rotates once to `<path>.1` — the slow-op
+//!   log's own writer.
 //!
 //! ## Merging journals into one timeline
 //!
@@ -34,9 +34,11 @@
 //! primaryship (bootstrap or promotion) per epoch.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::{Mutex, OnceLock, PoisonError};
+
+use crate::trace::RotatingLog;
 
 /// Self-describing schema tag carried by every journal line.
 pub const SCHEMA: &str = "streamlink.event.v1";
@@ -400,14 +402,7 @@ pub fn ring_memory_bytes() -> usize {
 
 // ------------------------------------------------------ events.jsonl
 
-struct EventLog {
-    path: PathBuf,
-    max_bytes: u64,
-    file: std::fs::File,
-    bytes: u64,
-}
-
-static EVENT_LOG: Mutex<Option<EventLog>> = Mutex::new(None);
+static EVENT_LOG: Mutex<Option<RotatingLog>> = Mutex::new(None);
 
 /// Installs (or replaces) the on-disk event journal. Every [`emit`]
 /// appends one `streamlink.event.v1` JSONL line; when the file passes
@@ -417,18 +412,8 @@ static EVENT_LOG: Mutex<Option<EventLog>> = Mutex::new(None);
 /// # Errors
 /// Fails if the file cannot be created or appended to.
 pub fn install_event_log(path: &Path, max_bytes: u64) -> io::Result<()> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    let bytes = file.metadata().map_or(0, |m| m.len());
-    let mut guard = EVENT_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-    *guard = Some(EventLog {
-        path: path.to_path_buf(),
-        max_bytes: max_bytes.max(1),
-        file,
-        bytes,
-    });
+    let log = RotatingLog::open(path, max_bytes)?;
+    *EVENT_LOG.lock().unwrap_or_else(PoisonError::into_inner) = Some(log);
     Ok(())
 }
 
@@ -440,27 +425,10 @@ pub fn uninstall_event_log() {
 
 fn write_event(event: &ClusterEvent) {
     let mut guard = EVENT_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-    let Some(log) = guard.as_mut() else { return };
-    let mut line = event.render_line();
-    line.push('\n');
-    if log.bytes + line.len() as u64 > log.max_bytes {
-        let rotated = crate::trace::rotated_path(&log.path);
-        let _ = std::fs::rename(&log.path, rotated);
-        match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log.path)
-        {
-            Ok(f) => {
-                log.file = f;
-                log.bytes = 0;
-                crate::metrics::global().events_log_rotations.incr();
-            }
-            Err(_) => return, // keep the old handle; try again next time
+    if let Some(log) = guard.as_mut() {
+        if log.append(event.render_line()) {
+            crate::metrics::global().events_log_rotations.incr();
         }
-    }
-    if log.file.write_all(line.as_bytes()).is_ok() {
-        log.bytes += line.len() as u64;
     }
 }
 

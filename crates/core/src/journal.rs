@@ -372,8 +372,7 @@ impl Journal {
     /// (acked) record can merge into the debris.
     pub fn append(&mut self, entry: JournalEntry) -> io::Result<()> {
         let metrics = crate::metrics::global();
-        let _t = crate::trace::child("journal.append");
-        let start = std::time::Instant::now();
+        let _t = crate::trace::timed_child("journal.append", &metrics.journal_append_latency);
         let line = codec::encode_wal_entry(&entry);
         if self.tainted {
             // Seal off the previous failure's partial bytes as their own
@@ -418,7 +417,6 @@ impl Journal {
         }
         self.last_seq = Some(entry.seq);
         metrics.journal_appends.incr();
-        metrics.journal_append_latency.observe(start);
         Ok(())
     }
 

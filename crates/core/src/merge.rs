@@ -72,14 +72,12 @@ fn check_compat(dst: &SketchStore, src: &SketchStore) -> Result<(), MergeError> 
 pub fn merge_into(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeError> {
     check_compat(dst, src)?;
 
-    let _t = crate::trace::op("merge");
-    let start = std::time::Instant::now();
+    let m = crate::metrics::global();
+    let _t = crate::trace::timed_op("merge", &m.merge_latency);
     // `dst` and `src` are distinct objects (`&mut` + `&`): merge straight
     // out of `src` with zero transient allocation.
     dst.join_from(src, |a, b| a + b);
-    let m = crate::metrics::global();
     m.merge_ops.incr();
-    m.merge_latency.observe(start);
     Ok(())
 }
 
@@ -103,12 +101,10 @@ pub fn merge_into(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeE
 pub fn merge_join(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeError> {
     check_compat(dst, src)?;
 
-    let _t = crate::trace::op("merge_join");
-    let start = std::time::Instant::now();
-    dst.join_from(src, u64::max);
     let m = crate::metrics::global();
+    let _t = crate::trace::timed_op("merge_join", &m.merge_latency);
+    dst.join_from(src, u64::max);
     m.merge_ops.incr();
-    m.merge_latency.observe(start);
     Ok(())
 }
 

@@ -70,10 +70,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-write-wins level (e.g. live connections, journal lag).
@@ -93,15 +89,23 @@ impl Gauge {
         self.0.store(value, Ordering::Relaxed);
     }
 
+    /// Raises the level by one (a gauge used as an in-flight count).
+    #[inline]
+    pub fn incr(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Lowers the level by one, undoing an [`Gauge::incr`].
+    #[inline]
+    pub fn decr(&self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+
     /// Current level.
     #[inline]
     #[must_use]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.set(0);
     }
 }
 
@@ -212,14 +216,6 @@ impl LatencyHistogram {
             buckets,
         }
     }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
 }
 
 /// One coherent histogram read-out. Latencies are bucket upper bounds in
@@ -287,7 +283,8 @@ pub struct Metrics {
     pub journal_appends: Counter,
     /// Explicit `fdatasync`s issued by the journal.
     pub journal_fsyncs: Counter,
-    /// Per-append latency (write + flush + optional sync).
+    /// Per-append latency (write + flush + optional sync), failed
+    /// attempts included.
     pub journal_append_latency: LatencyHistogram,
     /// Journal segment rotations.
     pub journal_rotations: Counter,
@@ -303,7 +300,7 @@ pub struct Metrics {
     pub checkpoints: Counter,
     /// Checkpoints that failed with an IO error.
     pub checkpoint_failures: Counter,
-    /// Whole-checkpoint latency.
+    /// Whole-checkpoint latency, failed attempts included.
     pub checkpoint_latency: LatencyHistogram,
     /// Protocol commands executed (any result).
     pub server_commands: Counter,
@@ -313,7 +310,8 @@ pub struct Metrics {
     pub server_inserts: Counter,
     /// Measure/DEGREE read queries served.
     pub server_queries: Counter,
-    /// Whole-command latency at the protocol layer.
+    /// Whole-command latency: a served command's request arrival to its
+    /// flushed response, the sum of its three `serve.phase.*` laps.
     pub server_command_latency: LatencyHistogram,
     /// Connections accepted into a handler thread.
     pub connections_accepted: Counter,
@@ -333,16 +331,16 @@ pub struct Metrics {
     /// the listener is saturated, large means it is waiting for work.
     pub serve_accept_wait_ms: Gauge,
     /// Protocol commands currently in flight across all connection
-    /// handlers (set at dispatch entry/exit).
+    /// handlers: raised when a request line arrives, lowered once its
+    /// response is flushed.
     pub serve_conn_queue_depth: Gauge,
-    /// Serve-path phase: command-line tokenization and dispatch.
+    /// Serve-path phase: from the request line's arrival through
+    /// classifying its command word.
     pub serve_phase_parse: LatencyHistogram,
-    /// Serve-path phase: command execution (store/estimator work).
+    /// Serve-path phase: the command body (tokenizing, store locks,
+    /// journal append, estimators, encoding the reply).
     pub serve_phase_execute: LatencyHistogram,
-    /// Serve-path phase: the durable journal append inside an accepted
-    /// `INSERT` (absent for reads).
-    pub serve_phase_journal_append: LatencyHistogram,
-    /// Serve-path phase: writing and flushing the response bytes.
+    /// Serve-path phase: writing and flushing the response.
     pub serve_phase_respond: LatencyHistogram,
     /// `INSERT` commands nacked with `ERR storage` because the journal
     /// append failed.
@@ -489,7 +487,6 @@ impl Metrics {
             serve_conn_queue_depth: Gauge::new(),
             serve_phase_parse: LatencyHistogram::new(),
             serve_phase_execute: LatencyHistogram::new(),
-            serve_phase_journal_append: LatencyHistogram::new(),
             serve_phase_respond: LatencyHistogram::new(),
             storage_errors: Counter::new(),
             connections_active: Gauge::new(),
@@ -556,8 +553,9 @@ impl Metrics {
 
     /// Hot-path hook for `SketchStore::insert_edge`: counts the edge and
     /// decides (by sampling) whether this one should be timed. Returns
-    /// `Some(start)` when the caller must report back via
-    /// [`Metrics::insert_latency`].
+    /// `Some(start)` when the caller must time it from `start` into
+    /// [`Metrics::insert_latency`] (`SketchStore` opens a
+    /// [`crate::trace::timed_op_at`] guard there).
     #[inline]
     #[must_use]
     pub fn on_insert(&self) -> Option<Instant> {
@@ -688,108 +686,12 @@ impl Metrics {
                 ),
                 ("serve.phase.parse_ns", self.serve_phase_parse.summary()),
                 ("serve.phase.execute_ns", self.serve_phase_execute.summary()),
-                (
-                    "serve.phase.journal_append_ns",
-                    self.serve_phase_journal_append.summary(),
-                ),
                 ("serve.phase.respond_ns", self.serve_phase_respond.summary()),
                 (
                     "http.request_latency_ns",
                     self.http_request_latency.summary(),
                 ),
             ],
-        }
-    }
-
-    /// Zeroes every instrument (benchmarks and tests; the serving path
-    /// never resets).
-    pub fn reset(&self) {
-        for c in [
-            &self.insert_edges,
-            &self.merge_ops,
-            &self.parallel_ingests,
-            &self.journal_appends,
-            &self.journal_fsyncs,
-            &self.journal_rotations,
-            &self.journal_replayed,
-            &self.wal_replay_skipped,
-            &self.snapshot_fallbacks,
-            &self.checkpoints,
-            &self.checkpoint_failures,
-            &self.server_commands,
-            &self.server_command_errors,
-            &self.server_inserts,
-            &self.server_queries,
-            &self.connections_accepted,
-            &self.connections_shed,
-            &self.sheds_busy,
-            &self.sheds_idle_timeout,
-            &self.sheds_http_cap,
-            &self.storage_errors,
-            &self.trace_spans,
-            &self.trace_slow_ops,
-            &self.audit_cycles,
-            &self.audit_pairs,
-            &self.http_requests,
-            &self.http_errors,
-            &self.repl_entries_shipped,
-            &self.repl_snapshots_shipped,
-            &self.repl_entries_applied,
-            &self.repl_entries_deduped,
-            &self.repl_anti_entropy_rounds,
-            &self.repl_resyncs,
-            &self.repl_reconnects,
-            &self.repl_promotions,
-            &self.repl_fenced_writes,
-            &self.events_recorded,
-            &self.events_log_rotations,
-        ] {
-            c.reset();
-        }
-        self.connections_active.reset();
-        self.serve_accept_wait_ms.reset();
-        self.serve_conn_queue_depth.reset();
-        self.journal_lag_edges.reset();
-        self.snapshot_generations_kept.reset();
-        self.scrub_last_exit.reset();
-        self.audit_tracked_vertices.reset();
-        self.audit_jaccard_mae_ppm.reset();
-        self.audit_cn_rel_err_p95_ppm.reset();
-        self.audit_aa_mae_ppm.reset();
-        self.mem_total_bytes.reset();
-        self.mem_sketch_slot_bytes.reset();
-        self.mem_sketch_map_bytes.reset();
-        self.mem_degree_map_bytes.reset();
-        self.mem_store_fixed_bytes.reset();
-        self.mem_journal_buffer_bytes.reset();
-        self.mem_trace_ring_bytes.reset();
-        self.mem_audit_shadow_bytes.reset();
-        self.mem_vertices.reset();
-        self.mem_bytes_per_vertex.reset();
-        self.mem_repl_buffer_bytes.reset();
-        self.mem_events_ring_bytes.reset();
-        self.repl_replicas_connected.reset();
-        self.repl_max_lag_edges.reset();
-        self.repl_connected.reset();
-        self.repl_applied_seq.reset();
-        self.repl_lag_edges.reset();
-        self.repl_persisted_seq.reset();
-        self.repl_epoch.reset();
-        self.repl_lease_ms.reset();
-        for h in [
-            &self.insert_latency,
-            &self.merge_latency,
-            &self.shard_latency,
-            &self.journal_append_latency,
-            &self.checkpoint_latency,
-            &self.server_command_latency,
-            &self.serve_phase_parse,
-            &self.serve_phase_execute,
-            &self.serve_phase_journal_append,
-            &self.serve_phase_respond,
-            &self.http_request_latency,
-        ] {
-            h.reset();
         }
     }
 }
@@ -1263,10 +1165,6 @@ mod tests {
             2 * INSERT_SAMPLE_INTERVAL,
             "disabled inserts are not counted"
         );
-        m.set_enabled(true);
-        m.reset();
-        assert_eq!(m.insert_edges.get(), 0);
-        assert_eq!(m.insert_latency.summary().count, 0);
     }
 
     #[test]
@@ -1307,7 +1205,6 @@ mod tests {
         m.serve_conn_queue_depth.set(5);
         m.serve_phase_parse.record_ns(200);
         m.serve_phase_execute.record_ns(9_000);
-        m.serve_phase_journal_append.record_ns(50_000);
         m.serve_phase_respond.record_ns(700);
         let snap = m.snapshot();
         assert_eq!(snap.value("serve.sheds_by_reason.busy"), Some(1));
@@ -1318,7 +1215,6 @@ mod tests {
         for key in [
             "serve.phase.parse_ns",
             "serve.phase.execute_ns",
-            "serve.phase.journal_append_ns",
             "serve.phase.respond_ns",
         ] {
             let h = snap.histogram(key).unwrap_or_else(|| panic!("{key}"));
@@ -1330,11 +1226,6 @@ mod tests {
         assert!(prom.contains("streamlink_serve_sheds_by_reason_http_cap_total 3"));
         assert!(prom.contains("# TYPE streamlink_serve_conn_queue_depth gauge"));
         assert!(prom.contains("# TYPE streamlink_serve_phase_execute_ns histogram"));
-        m.reset();
-        let snap = m.snapshot();
-        assert_eq!(snap.value("serve.sheds_by_reason.busy"), Some(0));
-        assert_eq!(snap.value("serve.conn_queue_depth"), Some(0));
-        assert_eq!(snap.histogram("serve.phase.parse_ns").unwrap().count, 0);
     }
 
     #[test]

@@ -128,12 +128,10 @@ impl SketchStore {
         match m.on_insert() {
             None => self.insert_edge_inner(u, v),
             Some(start) => {
+                // The guard opens at the sampler's own reading: a sampled
+                // edge costs one more clock read, an unsampled one none.
+                let _t = crate::trace::timed_op_at("store.insert", &m.insert_latency, start);
                 self.insert_edge_inner(u, v);
-                m.insert_latency.observe(start);
-                // Reuse the same sampling decision (and Instant) for the
-                // trace ring: the hot path never pays a second clock read
-                // on unsampled edges.
-                crate::trace::record_sampled("store.insert", start);
             }
         }
     }

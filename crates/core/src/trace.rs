@@ -1,26 +1,27 @@
-//! Zero-dependency request tracing: span guards, a fixed-capacity
+//! Zero-dependency request tracing: phase guards, a fixed-capacity
 //! global ring buffer, and a slow-operation log.
 //!
 //! The metrics registry ([`crate::metrics`]) answers *how much* and *how
 //! fast in aggregate*; this module answers *where one slow request spent
-//! its time*. Three pieces:
+//! its time*. Both are fed by the same guards, so each phase is timed
+//! once:
 //!
-//! * **Operation spans** — [`op`] returns a guard that times a
-//!   top-level operation (a protocol command, a merge, a checkpoint)
-//!   and, on drop, records a [`SpanRecord`] into the global ring.
-//!   Nested ops aggregate into their parent's child breakdown *and*
-//!   record their own span.
-//! * **Child spans** — [`child`] times a sub-step (journal append,
-//!   store insert, estimator evaluation) and folds it into the
-//!   innermost active op's per-child-name breakdown. When no op is
-//!   active on the thread, a child guard is a no-op costing one
-//!   thread-local read — cheap enough for library-level call sites.
-//! * **Sampled hot-path records** — the per-edge insert path cannot
-//!   afford two `Instant` reads per edge; [`record_sampled`] reuses the
-//!   1-in-64 timing decision the metrics sampler already made
-//!   ([`crate::metrics::Metrics::on_insert`]) and turns that same
-//!   measurement into a span record, so steady-state ingest overhead
-//!   stays within the E21 budget (<5% proven, CI-gated at 10%).
+//! * **Operation guards** — [`timed_op`] times an operation (a
+//!   protocol command, a merge, a checkpoint) with one clock reading at
+//!   each end; that one duration feeds the op's [`LatencyHistogram`]
+//!   and, while tracing is on, a [`SpanRecord`] in the global ring.
+//!   [`OpGuard::lap`] splits an op into contiguous phases. Nested ops
+//!   fold into their parent's child breakdown *and* record their own
+//!   span; [`op`] is the form without a histogram.
+//! * **Child guards** — [`timed_child`] times a sub-step (journal
+//!   append) into its histogram and the innermost active op's
+//!   breakdown. [`child`] (estimator evaluation) has no histogram, and
+//!   with tracing off or no op active it costs one thread-local read.
+//! * **Sampled inserts** — two `Instant` reads per edge are too many;
+//!   [`crate::metrics::Metrics::on_insert`] times 1 insert in 64, and
+//!   [`timed_op_at`] opens that insert's guard at the sampler's own
+//!   reading, keeping ingest overhead within the E21 budget (<5%
+//!   proven, CI-gated at 10%).
 //!
 //! ## The ring
 //!
@@ -56,7 +57,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::{Instant, SystemTime};
+use std::time::Instant;
+
+use crate::metrics::LatencyHistogram;
 
 /// Completed-span slots in the global ring buffer.
 pub const RING_CAPACITY: usize = 2048;
@@ -83,7 +86,8 @@ pub fn enabled() -> bool {
 }
 
 /// Turns span recording on or off process-wide. Disabling also stops
-/// slow-op logging (nothing completes a span).
+/// slow-op logging (nothing completes a span); timed guards keep
+/// feeding their histograms.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -342,7 +346,6 @@ pub fn reset() {
 
 struct ActiveOp {
     op: &'static str,
-    start: Instant,
     max_degree: u64,
     corr: Option<u64>,
     children: Vec<(&'static str, u64)>,
@@ -369,53 +372,108 @@ fn add_child(children: &mut Vec<(&'static str, u64)>, name: &'static str, ns: u6
     }
 }
 
-/// Times a top-level operation; the returned guard records a span on
-/// drop. Nested calls aggregate into the enclosing op's breakdown and
-/// still record their own span. Returns a disarmed (free) guard when
-/// tracing is disabled.
+/// Applies `f` to the innermost active op on this thread, if any.
+fn with_top(f: impl FnOnce(&mut ActiveOp)) {
+    OPS.with(|ops| {
+        if let Some(top) = ops.borrow_mut().last_mut() {
+            f(top);
+        }
+    });
+}
+
+/// Folds `ns` into the innermost active op's child breakdown.
+fn attribute(name: &'static str, ns: u64) {
+    with_top(|top| add_child(&mut top.children, name, ns));
+}
+
+fn nanos_between(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Laps one op can take: a served command's parse, execute and respond.
+const MAX_LAPS: usize = 3;
+
+/// Times a top-level operation that has no histogram of its own; the
+/// guard records a span on drop while tracing is on. Nested ops fold
+/// into the enclosing op's breakdown and still record their own span.
 #[must_use]
 pub fn op(name: &'static str) -> OpGuard {
-    if !enabled() {
-        return OpGuard {
-            armed: false,
-            _not_send: std::marker::PhantomData,
-        };
-    }
-    OPS.with(|ops| {
-        ops.borrow_mut().push(ActiveOp {
-            op: name,
-            start: Instant::now(),
-            max_degree: 0,
-            corr: None,
-            children: Vec::new(),
+    open(name, None, Instant::now())
+}
+
+/// Times an operation into `hist`: one clock reading at each end, and
+/// that one duration feeds `hist` and, while tracing is on, the span.
+#[must_use]
+pub fn timed_op(name: &'static str, hist: &'static LatencyHistogram) -> OpGuard {
+    open(name, Some(hist), Instant::now())
+}
+
+/// [`timed_op`] for an operation that began at `start`, a clock reading
+/// the caller already holds (a request's arrival, a sampling decision).
+#[must_use]
+pub fn timed_op_at(name: &'static str, hist: &'static LatencyHistogram, start: Instant) -> OpGuard {
+    open(name, Some(hist), start)
+}
+
+fn open(name: &'static str, hist: Option<&'static LatencyHistogram>, start: Instant) -> OpGuard {
+    let armed = enabled();
+    if armed {
+        OPS.with(|ops| {
+            ops.borrow_mut().push(ActiveOp {
+                op: name,
+                max_degree: 0,
+                corr: None,
+                children: Vec::new(),
+            });
         });
-    });
+    }
     OpGuard {
-        armed: true,
+        start,
+        hist,
+        armed,
+        last_lap: None,
+        laps: [None; MAX_LAPS],
         _not_send: std::marker::PhantomData,
     }
 }
 
-/// Guard for one [`op`] span. Dropping it completes the span. Not
-/// `Send`: span begin/end must pair on one thread.
+/// Guard for one op; dropping it closes the op. Not `Send`: span
+/// begin/end must pair on one thread.
 pub struct OpGuard {
+    start: Instant,
+    hist: Option<&'static LatencyHistogram>,
     armed: bool,
+    /// Where the last [`OpGuard::lap`] ended; an op that laps ends there.
+    last_lap: Option<Instant>,
+    /// Closed laps, fed with the op's own duration, so a metrics
+    /// snapshot taken inside an op never counts part of it.
+    laps: [Option<(&'static LatencyHistogram, u64)>; MAX_LAPS],
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl OpGuard {
-    /// Notes a vertex degree the op touched; the span keeps the largest
-    /// one's [`degree_class`].
-    pub fn note_degree(&self, degree: u64) {
-        if !self.armed {
-            return;
+    /// Ends the phase that ran since the op opened or since its previous
+    /// lap, with one clock reading that also starts the next phase. The
+    /// phase's duration feeds `hist` and, while tracing is on, the op's
+    /// `child` breakdown (`None` leaves it in the op's own time). An op
+    /// that laps ends at its last lap, so its laps partition it.
+    pub fn lap(&mut self, hist: &'static LatencyHistogram, child: Option<&'static str>) {
+        let now = Instant::now();
+        let ns = nanos_between(self.last_lap.unwrap_or(self.start), now);
+        self.last_lap = Some(now);
+        let slot = self.laps.iter_mut().find(|lap| lap.is_none());
+        *slot.expect("an op laps at most MAX_LAPS times") = Some((hist, ns));
+        if let (true, Some(name)) = (self.armed, child) {
+            attribute(name, ns);
         }
-        OPS.with(|ops| {
-            if let Some(top) = ops.borrow_mut().last_mut() {
-                top.max_degree = top.max_degree.max(degree);
-            }
-        });
     }
+}
+
+/// Notes a vertex degree the innermost active op on this thread
+/// touched; its span keeps the largest one's [`degree_class`]. A no-op
+/// when no op is active.
+pub fn note_degree(degree: u64) {
+    with_top(|top| top.max_degree = top.max_degree.max(degree));
 }
 
 /// Stamps the innermost active op on this thread with a cross-node
@@ -425,36 +483,36 @@ impl OpGuard {
 /// identifiers, which is exactly why the ID is a numeric field and not
 /// part of the name.
 pub fn note_corr(corr: u64) {
-    OPS.with(|ops| {
-        if let Some(top) = ops.borrow_mut().last_mut() {
-            top.corr = Some(corr);
-        }
-    });
+    with_top(|top| top.corr = Some(corr));
 }
 
 impl Drop for OpGuard {
     fn drop(&mut self) {
+        let end = self.last_lap.unwrap_or_else(Instant::now);
+        let dur_ns = nanos_between(self.start, end);
+        if let Some(hist) = self.hist {
+            hist.record_ns(dur_ns);
+        }
+        for (hist, ns) in self.laps.iter().flatten() {
+            hist.record_ns(*ns);
+        }
         if !self.armed {
             return;
         }
         let done = OPS.with(|ops| ops.borrow_mut().pop());
         let Some(done) = done else { return };
-        let dur_ns = u64::try_from(done.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let parent = OPS.with(|ops| {
             let mut ops = ops.borrow_mut();
-            match ops.last_mut() {
-                Some(p) => {
-                    add_child(&mut p.children, done.op, dur_ns);
-                    Some(p.op)
-                }
-                None => None,
-            }
+            ops.last_mut().map(|p| {
+                add_child(&mut p.children, done.op, dur_ns);
+                p.op
+            })
         });
         finish(SpanRecord {
             seq: 0, // assigned by the ring
             op: done.op,
             parent,
-            ts_unix_ms: unix_ms(),
+            ts_unix_ms: crate::metrics::as_of_unix_ms(),
             dur_ns,
             degree_class: (done.max_degree > 0).then(|| degree_class(done.max_degree)),
             corr_id: done.corr,
@@ -463,56 +521,53 @@ impl Drop for OpGuard {
     }
 }
 
-/// Times a sub-step of the innermost active op. A no-op (one
-/// thread-local read) when no op is active on this thread.
+/// Times a sub-step of the innermost active op that has no histogram of
+/// its own. A no-op (one thread-local read) when tracing is off or no
+/// op is active on this thread.
 #[must_use]
 pub fn child(name: &'static str) -> ChildGuard {
-    let active = enabled() && OPS.with(|ops| !ops.borrow().is_empty());
+    open_child(name, None)
+}
+
+/// Times a sub-step into `hist`: one clock reading at each end, and that
+/// one duration feeds `hist` and, while tracing is on inside an op, the
+/// op's child breakdown.
+#[must_use]
+pub fn timed_child(name: &'static str, hist: &'static LatencyHistogram) -> ChildGuard {
+    open_child(name, Some(hist))
+}
+
+fn open_child(name: &'static str, hist: Option<&'static LatencyHistogram>) -> ChildGuard {
+    let attributed = enabled() && OPS.with(|ops| !ops.borrow().is_empty());
     ChildGuard {
         name,
-        start: active.then(Instant::now),
+        start: (attributed || hist.is_some()).then(Instant::now),
+        hist,
+        attributed,
         _not_send: std::marker::PhantomData,
     }
 }
 
-/// Guard for one [`child`] span; folds its elapsed time into the
-/// enclosing op's breakdown on drop.
+/// Guard for one [`child`] or [`timed_child`] span.
 pub struct ChildGuard {
     name: &'static str,
     start: Option<Instant>,
+    hist: Option<&'static LatencyHistogram>,
+    attributed: bool,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for ChildGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        OPS.with(|ops| {
-            if let Some(top) = ops.borrow_mut().last_mut() {
-                add_child(&mut top.children, self.name, ns);
-            }
-        });
+        let ns = nanos_between(start, Instant::now());
+        if let Some(hist) = self.hist {
+            hist.record_ns(ns);
+        }
+        if self.attributed {
+            attribute(self.name, ns);
+        }
     }
-}
-
-/// Records a completed hot-path span from a measurement that already
-/// exists — the 1-in-64 sampled insert timing. No child breakdown, no
-/// thread-local traffic beyond the ring push.
-pub fn record_sampled(name: &'static str, start: Instant) {
-    if !enabled() {
-        return;
-    }
-    let dur_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    finish(SpanRecord {
-        seq: 0,
-        op: name,
-        parent: None,
-        ts_unix_ms: unix_ms(),
-        dur_ns,
-        degree_class: None,
-        corr_id: None,
-        children: Vec::new(),
-    });
 }
 
 fn finish(record: SpanRecord) {
@@ -529,12 +584,6 @@ fn finish(record: SpanRecord) {
         m.trace_slow_ops.incr();
         write_slow_op(&rec);
     }
-}
-
-fn unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
 }
 
 // ------------------------------------------------------------ profilez
@@ -800,14 +849,54 @@ pub fn render_profilez_json(n: usize) -> String {
 
 // ---------------------------------------------------- slow-op log file
 
-struct SlowOpLog {
+/// A size-bounded JSONL file that rotates once to [`rotated_path`], so
+/// disk usage never exceeds two generations. The slow-op log and the
+/// cluster event log ([`crate::events`]) both write through it.
+pub(crate) struct RotatingLog {
     path: PathBuf,
     max_bytes: u64,
     file: std::fs::File,
     bytes: u64,
 }
 
-static SLOW_LOG: Mutex<Option<SlowOpLog>> = Mutex::new(None);
+impl RotatingLog {
+    /// Opens `path` for appending, counting what it already holds
+    /// toward `max_bytes`.
+    pub(crate) fn open(path: &Path, max_bytes: u64) -> io::Result<Self> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        let bytes = file.metadata().map_or(0, |m| m.len());
+        Ok(RotatingLog {
+            path: path.to_path_buf(),
+            max_bytes: max_bytes.max(1),
+            file,
+            bytes,
+        })
+    }
+
+    /// Appends `line` plus a newline, first rotating the file if the line
+    /// would pass the bound. Returns whether it rotated. A failed reopen
+    /// keeps the old handle and retries on the next line.
+    pub(crate) fn append(&mut self, mut line: String) -> bool {
+        line.push('\n');
+        let rotated = self.bytes + line.len() as u64 > self.max_bytes;
+        if rotated {
+            let _ = std::fs::rename(&self.path, rotated_path(&self.path));
+            match RotatingLog::open(&self.path, self.max_bytes) {
+                Ok(fresh) => *self = fresh,
+                Err(_) => return false,
+            }
+        }
+        if self.file.write_all(line.as_bytes()).is_ok() {
+            self.bytes += line.len() as u64;
+        }
+        rotated
+    }
+}
+
+static SLOW_LOG: Mutex<Option<RotatingLog>> = Mutex::new(None);
 
 /// Installs (or replaces) the on-disk slow-op log. Records exceeding
 /// the threshold append one JSON line each; when the file passes
@@ -816,18 +905,8 @@ static SLOW_LOG: Mutex<Option<SlowOpLog>> = Mutex::new(None);
 /// # Errors
 /// Fails if the file cannot be created or appended to.
 pub fn install_slow_op_log(path: &Path, max_bytes: u64) -> io::Result<()> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    let bytes = file.metadata().map_or(0, |m| m.len());
-    let mut guard = SLOW_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-    *guard = Some(SlowOpLog {
-        path: path.to_path_buf(),
-        max_bytes: max_bytes.max(1),
-        file,
-        bytes,
-    });
+    let log = RotatingLog::open(path, max_bytes)?;
+    *SLOW_LOG.lock().unwrap_or_else(PoisonError::into_inner) = Some(log);
     Ok(())
 }
 
@@ -841,26 +920,8 @@ pub fn uninstall_slow_op_log() {
 /// Appends one JSON line for a slow span to the installed log, if any.
 fn write_slow_op(record: &SpanRecord) {
     let mut guard = SLOW_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-    let Some(log) = guard.as_mut() else { return };
-    let mut line = record.render_json();
-    line.push('\n');
-    if log.bytes + line.len() as u64 > log.max_bytes {
-        let rotated = rotated_path(&log.path);
-        let _ = std::fs::rename(&log.path, rotated);
-        match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log.path)
-        {
-            Ok(f) => {
-                log.file = f;
-                log.bytes = 0;
-            }
-            Err(_) => return, // keep the old handle; try again next time
-        }
-    }
-    if log.file.write_all(line.as_bytes()).is_ok() {
-        log.bytes += line.len() as u64;
+    if let Some(log) = guard.as_mut() {
+        log.append(record.render_json());
     }
 }
 
@@ -885,13 +946,98 @@ mod tests {
         super::ring_gate::exclusive()
     }
 
+    /// A histogram private to these tests, so the global registry's
+    /// `core.insert.latency_ns` only ever sees real inserts.
+    static SAMPLED: LatencyHistogram = LatencyHistogram::new();
+
+    #[test]
+    fn untraced_guards_still_feed_their_histograms() {
+        static OP: LatencyHistogram = LatencyHistogram::new();
+        static CHILD: LatencyHistogram = LatencyHistogram::new();
+        let _gate = lock();
+        reset();
+        set_enabled(false);
+        {
+            let _g = timed_op("cmd.insert", &OP);
+            let _c = timed_child("journal.append", &CHILD);
+        }
+        set_enabled(true);
+        assert!(recent(10).is_empty(), "tracing off pushes no span");
+        assert_eq!(OP.summary().count, 1);
+        assert_eq!(CHILD.summary().count, 1);
+    }
+
+    #[test]
+    fn one_reading_feeds_histogram_span_and_child() {
+        static OP: LatencyHistogram = LatencyHistogram::new();
+        static CHILD: LatencyHistogram = LatencyHistogram::new();
+        let _gate = lock();
+        reset();
+        {
+            let _g = timed_op("cmd.insert", &OP);
+            let _c = timed_child("journal.append", &CHILD);
+            std::hint::black_box(42);
+        }
+        let spans = recent(10);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].dur_ns, OP.summary().sum_ns);
+        assert_eq!(
+            spans[0].children,
+            vec![("journal.append", CHILD.summary().sum_ns)]
+        );
+    }
+
+    #[test]
+    fn laps_partition_the_op_and_feed_when_it_closes() {
+        static OP: LatencyHistogram = LatencyHistogram::new();
+        static PARSE: LatencyHistogram = LatencyHistogram::new();
+        static EXECUTE: LatencyHistogram = LatencyHistogram::new();
+        static RESPOND: LatencyHistogram = LatencyHistogram::new();
+        let _gate = lock();
+        reset();
+        let start = Instant::now();
+        {
+            let mut g = timed_op_at("cmd.query", &OP, start);
+            g.lap(&PARSE, Some("serve.parse"));
+            {
+                let _c = child("estimate.jaccard");
+            }
+            g.lap(&EXECUTE, None);
+            g.lap(&RESPOND, Some("serve.respond"));
+            assert_eq!(
+                OP.summary().count + PARSE.summary().count,
+                0,
+                "fed at close"
+            );
+        }
+        let sums: Vec<u64> = [&PARSE, &EXECUTE, &RESPOND]
+            .iter()
+            .map(|h| h.summary().sum_ns)
+            .collect();
+        assert_eq!(
+            OP.summary().sum_ns,
+            sums.iter().sum::<u64>(),
+            "laps partition the op"
+        );
+        let span = &recent(1)[0];
+        assert_eq!(span.dur_ns, OP.summary().sum_ns);
+        let child_ns = |name| span.children.iter().find(|(n, _)| *n == name).map(|c| c.1);
+        assert_eq!(child_ns("serve.parse"), Some(sums[0]));
+        assert_eq!(child_ns("serve.respond"), Some(sums[2]));
+        // The execute lap is the op's own time: no child overlaps the
+        // children recorded inside it.
+        let profile = Profile::from_spans(std::slice::from_ref(span), 1);
+        let estimate = child_ns("estimate.jaccard").expect("estimate child");
+        assert_eq!(profile.nodes[0].exclusive_ns, sums[1] - estimate);
+    }
+
     #[test]
     fn op_records_span_with_children() {
         let _gate = lock();
         reset();
         {
-            let g = op("cmd.query");
-            g.note_degree(20);
+            let _g = op("cmd.query");
+            note_degree(20);
             {
                 let _c = child("store.read");
                 std::hint::black_box(42);
@@ -942,7 +1088,7 @@ mod tests {
             let _g = op("cmd.query");
             let _c = child("store.read");
         }
-        record_sampled("store.insert", Instant::now());
+        drop(timed_op("store.insert", &SAMPLED));
         set_enabled(true);
         assert!(recent(10).is_empty());
     }
@@ -952,7 +1098,7 @@ mod tests {
         let _gate = lock();
         reset();
         for _ in 0..(RING_CAPACITY + 10) {
-            record_sampled("store.insert", Instant::now());
+            drop(timed_op("store.insert", &SAMPLED));
         }
         let spans = recent(5);
         assert_eq!(spans.len(), 5);
@@ -1074,7 +1220,7 @@ mod tests {
                 std::thread::spawn(|| {
                     super::ring_gate::join();
                     for _ in 0..PER_WRITER {
-                        record_sampled("store.insert", Instant::now());
+                        drop(timed_op("store.insert", &SAMPLED));
                     }
                 })
             })
