@@ -42,10 +42,10 @@ pub fn write_trace_out(flags: &Flags) -> Result<(), String> {
     std::fs::write(path, json).map_err(|e| format!("cannot write trace to {path}: {e}"))
 }
 
-/// Loads the store a `--snapshot` file holds, in any snapshot format
-/// (a `serve --data-dir` generation, an `ingest` output, or a legacy v1
-/// or v2 text file), verifying its checksum where the format has one. A
-/// v3 file streams straight into the store.
+/// Loads the store a `--snapshot` file holds (a `serve --data-dir`
+/// generation or an `ingest` output), verifying its checksum as the v3
+/// file streams straight into the store. A file a pre-v3 build wrote is
+/// refused with an error naming it.
 pub fn load_snapshot(path: &str) -> Result<streamlink_core::SketchStore, String> {
     streamlink_core::snapshot::load_store(std::path::Path::new(path))
         .map_err(|e| format!("cannot load snapshot {path}: {e}"))

@@ -1,15 +1,16 @@
 //! `streamlink scrub` — offline integrity audit (and repair) of a data
 //! directory.
 //!
-//! Walks every snapshot generation and WAL segment, verifies the
-//! framing each record actually uses — text v2 (versioned header +
-//! whole-file CRC for snapshots, per-record CRC for journal lines) or
-//! binary v3 (checksummed envelopes) — and prints one verdict per
-//! file. Mixed-format directories are normal mid-migration; scrub
-//! audits each record under its own framing. With `--repair` it heals
-//! what it can: torn tails are truncated away, corrupt records and
-//! snapshot generations are moved into `quarantine/` so restart-time
-//! recovery never sees them.
+//! Walks every snapshot generation and WAL segment, verifies each
+//! checksummed v3 envelope, and prints one verdict per file. With
+//! `--repair` it heals what it can: torn tails are truncated away,
+//! corrupt records and snapshot generations are moved into
+//! `quarantine/` so restart-time recovery never sees them.
+//!
+//! A file a pre-v3 build wrote (a text generation or segment, or a bare
+//! `snapshot.json`) is not damage: scrub reads every file first and, on
+//! finding one, prints a `PRE-V3` verdict per such file and stops, with
+//! nothing judged or repaired (see `docs/OPERATIONS.md` §12.2).
 //!
 //! ## Exit codes (the contract with operators and CI)
 //!
@@ -19,19 +20,20 @@
 //!   still covered by a good snapshot, corrupt generations shadowed by
 //!   an older good generation plus the retained WAL.
 //! * `2` — acked records were lost: corruption above the best good
-//!   snapshot's coverage, or a replay gap the snapshots cannot bridge.
+//!   snapshot's coverage, or a replay gap the snapshots cannot bridge;
+//!   or the directory holds a pre-v3 file, which this build cannot read.
 //!
 //! The same exit code is published as the `scrub.last_exit` gauge
 //! (visible via `--metrics-out`).
 
-use std::fs::{self, File};
-use std::io::{self, Read};
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::io;
+use std::path::Path;
+use std::path::PathBuf;
 
-use streamlink_core::codec;
 use streamlink_core::durable;
-use streamlink_core::journal::{self, JournalEntry, RecordKind};
-use streamlink_core::snapshot::{self, SnapshotIntegrity};
+use streamlink_core::journal::{self, ChainClassifier, ScannedRecord, Verdict};
+use streamlink_core::snapshot;
 
 use crate::args::Flags;
 
@@ -65,11 +67,11 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
 /// Everything one scrub pass established about a data directory.
 #[derive(Debug, Default)]
 struct ScrubReport {
+    /// Files a pre-v3 build wrote; any stops the pass.
+    pre_v3: usize,
     snapshots_ok: usize,
     snapshots_corrupt: usize,
     records_ok: u64,
-    records_legacy: u64,
-    records_binary: u64,
     corrupt_records: u64,
     tail_dropped: u64,
     torn_files: usize,
@@ -83,7 +85,7 @@ impl ScrubReport {
     }
 
     fn exit_code(&self) -> u8 {
-        if self.lost_acked > 0 {
+        if self.pre_v3 > 0 || self.lost_acked > 0 {
             2
         } else if self.clean() {
             0
@@ -93,6 +95,13 @@ impl ScrubReport {
     }
 
     fn summary(&self, repair: bool) -> String {
+        if self.pre_v3 > 0 {
+            return format!(
+                "scrub: {} file(s) written by a pre-v3 build; nothing verified or \
+                 repaired — PRE-V3 (see docs/OPERATIONS.md §12.2)",
+                self.pre_v3
+            );
+        }
         let state = if self.lost_acked > 0 {
             "LOSS"
         } else if self.clean() {
@@ -103,13 +112,12 @@ impl ScrubReport {
             "DAMAGED (rerun with --repair)"
         };
         format!(
-            "scrub: {} snapshot(s) ok, {} corrupt; {} record(s) ok ({} legacy v1, \
-             {} binary v3), {} corrupt, {} torn-tail; {} acked record(s) lost — {state}",
+            "scrub: {} snapshot(s) ok, {} corrupt; {} record(s) ok ({} binary v3), \
+             {} corrupt, {} torn-tail; {} acked record(s) lost — {state}",
             self.snapshots_ok,
             self.snapshots_corrupt,
             self.records_ok,
-            self.records_legacy,
-            self.records_binary,
+            self.records_ok,
             self.corrupt_records,
             self.tail_dropped,
             self.lost_acked,
@@ -117,86 +125,65 @@ impl ScrubReport {
     }
 }
 
-/// Verifies one snapshot through the same decoding path recovery uses,
-/// keeping none of it, and returns a framing tag for the verdict line
-/// and the edge count it carries.
-fn check_snapshot(path: &Path) -> io::Result<(&'static str, u64)> {
-    let mut head = Vec::with_capacity(codec::BINARY_MAGIC.len());
-    File::open(path)?
-        .take(codec::BINARY_MAGIC.len() as u64)
-        .read_to_end(&mut head)?;
-    let (integrity, edges) = snapshot::verify_file(path)?;
-    let tag = if codec::is_binary(&head) {
-        "v3 verified"
-    } else {
-        match integrity {
-            SnapshotIntegrity::Verified => "v2 verified",
-            SnapshotIntegrity::Legacy => "v1 legacy, no checksum",
-        }
-    };
-    Ok((tag, edges))
-}
-
-/// One journal record, owned (scrub outlives the segment buffer it was
-/// scanned from), classified for repair and quarantine naming.
-struct ScannedLine {
-    /// The record's stored bytes: text lines without their newline
-    /// terminator, binary envelopes whole.
-    raw: Vec<u8>,
-    /// The verified record, `None` for anything replay would not apply
-    /// (malformed, bad CRC, truncated envelope, or an unterminated
-    /// final line).
-    entry: Option<JournalEntry>,
-    kind: RecordKind,
-}
-
-/// Splits a segment into records the way replay does, sniffing each
-/// record's framing (binary envelope vs text line) from its first
-/// bytes.
-fn scan_lines(bytes: &[u8]) -> Vec<ScannedLine> {
-    journal::scan_segment(bytes)
-        .into_iter()
-        .map(|r| ScannedLine {
-            raw: r.raw.to_vec(),
-            entry: r.entry,
-            kind: r.kind,
-        })
-        .collect()
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or("unknown")
+        .to_string()
 }
 
 fn scrub(dir: &Path, repair: bool) -> io::Result<ScrubReport> {
     let mut report = ScrubReport::default();
 
-    // --- Snapshots: every generation plus the legacy snapshot.json. ---
-    // `coverage` is the highest WAL seq a *good* snapshot reproduces;
-    // journal corruption at or below it costs nothing.
+    // --- Read and verify everything before judging or repairing
+    // anything: a pre-v3 file stops the pass with the directory as it
+    // was. ---
+    let mut refused: Vec<(String, io::Error)> = Vec::new();
+    if let Err(e) = durable::refuse_legacy_snapshot(dir) {
+        refused.push((durable::LEGACY_SNAPSHOT.into(), e));
+    }
+    let mut generations: Vec<(u64, PathBuf, io::Result<u64>)> = Vec::new();
+    for (seq, path) in durable::list_generations(dir)? {
+        match snapshot::verify_file(&path) {
+            Err(e) if e.kind() == io::ErrorKind::Unsupported => refused.push((file_name(&path), e)),
+            Err(e) if e.kind() != io::ErrorKind::InvalidData => return Err(e),
+            verified => generations.push((seq, path, verified)),
+        }
+    }
+    let segments = journal::list_segments(dir)?;
+    let mut files = Vec::with_capacity(segments.len());
+    for (_, path) in &segments {
+        match journal::read_segment(path) {
+            Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+                refused.push((file_name(path), e));
+                files.push(Vec::new());
+            }
+            read => files.push(read?),
+        }
+    }
+    if !refused.is_empty() {
+        for (name, e) in &refused {
+            println!("{name}: PRE-V3 ({e})");
+        }
+        report.pre_v3 = refused.len();
+        return Ok(report);
+    }
+
+    // --- Snapshots. `coverage` is the highest WAL seq a *good* snapshot
+    // reproduces; journal corruption at or below it costs nothing. ---
     let mut coverage = 0u64;
     let mut max_corrupt_gen = 0u64;
-    let mut snapshots: Vec<(Option<u64>, PathBuf)> = durable::list_generations(dir)?
-        .into_iter()
-        .map(|(seq, path)| (Some(seq), path))
-        .collect();
-    let legacy_snapshot = durable::snapshot_path(dir);
-    if legacy_snapshot.exists() {
-        snapshots.insert(0, (None, legacy_snapshot));
-    }
-    for (gen_seq, path) in snapshots {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("snapshot")
-            .to_string();
-        match check_snapshot(&path) {
-            Ok((tag, edges)) => {
+    for (seq, path, verified) in generations {
+        let name = file_name(&path);
+        match verified {
+            Ok(edges) => {
                 report.snapshots_ok += 1;
-                // A legacy file carries no watermark in its name; its
-                // edge count *is* its seq (pre-quarantine data dirs).
-                coverage = coverage.max(gen_seq.unwrap_or(edges));
-                println!("{name}: OK ({tag}, {edges} edges)");
+                coverage = coverage.max(seq);
+                println!("{name}: OK (v3 verified, {edges} edges)");
             }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            Err(e) => {
                 report.snapshots_corrupt += 1;
-                max_corrupt_gen = max_corrupt_gen.max(gen_seq.unwrap_or(0));
+                max_corrupt_gen = max_corrupt_gen.max(seq);
                 if repair {
                     let moved = journal::quarantine_file(dir, &path);
                     let action = if moved {
@@ -209,61 +196,29 @@ fn scrub(dir: &Path, repair: bool) -> io::Result<ScrubReport> {
                     println!("{name}: CORRUPT ({e})");
                 }
             }
-            Err(e) => return Err(e),
         }
     }
 
     // --- WAL segments, classified exactly as replay classifies. ---
-    let segments = journal::list_segments(dir)?;
-    let mut scanned: Vec<(String, PathBuf, Vec<ScannedLine>)> = Vec::new();
-    for (_, path) in &segments {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("wal.unknown.log")
-            .to_string();
-        scanned.push((name, path.clone(), scan_lines(&fs::read(path)?)));
-    }
-
-    // The last valid record in the whole chain: invalid lines after it
-    // are the torn tail, invalid lines before it are rotted acked data.
-    let last_valid: Option<(usize, usize)> = scanned
-        .iter()
-        .enumerate()
-        .flat_map(|(seg, (_, _, lines))| {
-            lines
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.entry.is_some())
-                .map(move |(i, _)| (seg, i))
-        })
-        .next_back();
-
+    let chain: Vec<Vec<ScannedRecord>> = files.iter().map(|b| journal::scan_segment(b)).collect();
+    let classifier = ChainClassifier::new(&chain);
     let mut first_seq: Option<u64> = None;
     let mut prev_seq = 0u64;
-    for (seg_idx, (name, path, lines)) in scanned.iter().enumerate() {
+    for (seg_idx, ((_, path), records)) in segments.iter().zip(&chain).enumerate() {
+        let name = file_name(path);
         let mut file_ok = 0u64;
-        let mut file_legacy = 0u64;
-        let mut file_binary = 0u64;
         let mut file_corrupt: Vec<usize> = Vec::new();
         let mut file_torn = 0u64;
-        for (line_idx, line) in lines.iter().enumerate() {
-            match &line.entry {
-                Some(entry) => {
+        for (idx, record) in records.iter().enumerate() {
+            match classifier.verdict(seg_idx, idx, record) {
+                Verdict::Entry(entry) => {
                     file_ok += 1;
-                    file_legacy += u64::from(line.kind == RecordKind::LegacyLine);
-                    file_binary += u64::from(line.kind == RecordKind::Binary);
                     first_seq = Some(first_seq.map_or(entry.seq, |s| s.min(entry.seq)));
                     prev_seq = entry.seq;
                 }
-                None if line.raw.is_empty() && Some((seg_idx, line_idx)) > last_valid => {
-                    // Blank padding at the end of the chain.
-                }
-                None if last_valid.is_none_or(|pos| (seg_idx, line_idx) > pos) => {
-                    file_torn += 1;
-                }
-                None => {
-                    file_corrupt.push(line_idx);
+                Verdict::TornTail => file_torn += 1,
+                Verdict::Rot => {
+                    file_corrupt.push(idx);
                     // The rotted record's seq is gone with its bytes;
                     // its slot in the chain pins it well enough to ask
                     // whether a snapshot still covers it.
@@ -274,8 +229,6 @@ fn scrub(dir: &Path, repair: bool) -> io::Result<ScrubReport> {
             }
         }
         report.records_ok += file_ok;
-        report.records_legacy += file_legacy;
-        report.records_binary += file_binary;
         report.corrupt_records += file_corrupt.len() as u64;
         report.tail_dropped += file_torn;
         report.torn_files += usize::from(file_torn > 0);
@@ -292,27 +245,23 @@ fn scrub(dir: &Path, repair: bool) -> io::Result<ScrubReport> {
             }
             format!("CORRUPT: {}", parts.join(", "))
         };
-        if file_legacy > 0 {
-            verdict.push_str(&format!(", {file_legacy} legacy v1 record(s)"));
-        }
-        if file_binary > 0 {
-            verdict.push_str(&format!(", {file_binary} binary v3 record(s)"));
+        if file_ok > 0 {
+            verdict.push_str(&format!(", {file_ok} binary v3 record(s)"));
         }
 
         if repair && (!file_corrupt.is_empty() || file_torn > 0) {
-            for &line_idx in &file_corrupt {
+            for &idx in &file_corrupt {
                 journal::quarantine_bytes(
                     dir,
-                    &format!("{name}.line{line_idx}.rec"),
-                    &lines[line_idx].raw,
+                    &journal::quarantine_name(path, idx),
+                    records[idx].raw,
                 );
             }
-            rewrite_segment(path, lines)?;
+            rewrite_segment(path, records)?;
             verdict.push_str(" — repaired (bad records quarantined, tail truncated)");
         }
         println!("{name}: {verdict}");
     }
-
     // --- Replay-gap accounting the per-record checks cannot see. ---
     if let Some(first) = first_seq {
         // The WAL only reaches back to `first`; everything older must
@@ -342,22 +291,16 @@ fn scrub(dir: &Path, repair: bool) -> io::Result<ScrubReport> {
 }
 
 /// Rewrites a damaged segment in place to exactly its valid records, in
-/// order and each under its original framing (raw bytes preserved, so a
-/// repair never re-encodes acked data): corrupt records (already
-/// quarantined by the caller) disappear and the torn tail is truncated
-/// away. Atomic via the temp-file-then-rename protocol the snapshots
-/// use.
-fn rewrite_segment(path: &Path, lines: &[ScannedLine]) -> io::Result<()> {
-    let mut content = Vec::new();
-    for line in lines {
-        if line.entry.is_none() {
-            continue;
-        }
-        content.extend_from_slice(&line.raw);
-        if line.kind != RecordKind::Binary {
-            content.push(b'\n');
-        }
-    }
+/// order and as stored (raw bytes preserved, so a repair never
+/// re-encodes acked data): corrupt records (already quarantined by the
+/// caller) disappear and the torn tail is truncated away. Atomic via the
+/// temp-file-then-rename protocol the snapshots use.
+fn rewrite_segment(path: &Path, records: &[ScannedRecord]) -> io::Result<()> {
+    let content: Vec<u8> = records
+        .iter()
+        .filter(|record| record.entry.is_some())
+        .flat_map(|record| record.raw.iter().copied())
+        .collect();
     let tmp = path.with_extension("log.tmp");
     fs::write(&tmp, &content)?;
     fs::rename(&tmp, path)

@@ -84,8 +84,8 @@
 //! with `--http-addr` a second line `HTTP LISTENING <addr>` follows.
 //!
 //! Everything the server writes to disk or ships to replicas is binary
-//! v3. A data directory left in the text formats by an older version
-//! recovers as it is and turns binary at its next checkpoint.
+//! v3, and v3 is all it reads: a data directory holding a file a pre-v3
+//! build wrote is refused by name, before anything in it is touched.
 
 use std::io::Write;
 use std::net::TcpListener;
@@ -157,11 +157,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             .get("data-dir")
             .map(|dir| Path::new(dir).join("events.jsonl")),
     };
-    // Installed before the cluster runtime exists: bootstrap and
+    // Installed after recovery, so a data dir recovery refuses is left
+    // as it was, and before the cluster runtime exists: bootstrap and
     // config-change events are the journal's first records, so the sink
-    // must be listening when they fire. The data dir may not exist yet
-    // at this point (recovery creates it later) — create it here.
-    if let Some(path) = &events_log {
+    // must be listening when they fire.
+    let install_events_log = || -> Result<(), String> {
+        let Some(path) = &events_log else {
+            return Ok(());
+        };
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)
@@ -174,7 +177,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             "cluster event journal: {} (rotate past {events_log_bytes} bytes)",
             path.display()
         );
-    }
+        Ok(())
+    };
     let slots = flags.get_parsed_or("slots", 256usize)?;
     let seed = flags.get_parsed_or("seed", 0u64)?;
     if slots == 0 {
@@ -277,13 +281,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             None => (SketchStore::new(sketch_config), None, 0, 0),
         };
         runtime.seed_applied(local_seq);
+        install_events_log()?;
         let cluster = Arc::new(
             server::failover::ClusterRuntime::new(&cluster_config, data_dir, local_seq)
                 .map_err(|e| format!("cannot persist cluster state: {e}"))?,
         );
         ServerState::with_cluster(store, persist, snapshot_seq, config, runtime, cluster)
     } else {
-        match (flags.get("data-dir"), flags.get("snapshot")) {
+        let state = match (flags.get("data-dir"), flags.get("snapshot")) {
             (Some(_), Some(_)) => {
                 return Err(
                     "--data-dir and --snapshot are mutually exclusive (a data dir carries \
@@ -327,7 +332,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             }
             (None, Some(path)) => ServerState::in_memory(super::load_snapshot(path)?, config),
             (None, None) => ServerState::in_memory(SketchStore::new(sketch_config), config),
-        }
+        };
+        install_events_log()?;
+        state
     };
 
     // Install the slow-op sink after the data dir exists (recovery

@@ -88,7 +88,7 @@ use std::time::{Duration, Instant};
 
 use streamlink_core::events::{self, ClusterEvent, EventKind};
 use streamlink_core::failover::{ExchangeOutcome, FailoverNode, Role, Timeline};
-use streamlink_core::journal::{self, JournalEntry, LineCheck};
+use streamlink_core::journal::{self, JournalEntry};
 use streamlink_core::{metrics, trace, PullOutcome};
 
 use super::protocol::parse_bounded;
@@ -724,11 +724,8 @@ pub(super) fn handoff_command(state: &ServerState, args: &[&str]) -> String {
         Err(e) => return format!("ERR {e}"),
     };
     let line = args[2..].join(" ");
-    let entry = match JournalEntry::check_line(&line) {
-        LineCheck::Verified(entry) | LineCheck::Legacy(entry) => entry,
-        LineCheck::Malformed | LineCheck::BadCrc => {
-            return "ERR bad handoff frame (expected `F <seq> <u> <v> <crc>`)".into();
-        }
+    let Some(entry) = JournalEntry::parse(&line) else {
+        return "ERR bad handoff frame (expected `F <seq> <u> <v> <crc>`)".into();
     };
     let now = cluster.now_ms();
     // Lock order: node → timeline → store/persist (via insert_edge).

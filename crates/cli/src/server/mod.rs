@@ -295,6 +295,8 @@ impl ServerState {
             wal_seq = Some(seq);
         }
         store.insert_edge(u, v);
+        // The span's degree class, noted under the write lock already held.
+        streamlink_core::trace::note_degree(store.degree(u).max(store.degree(v)));
         let mut assigned = wal_seq;
         // Ship-ring record happens under the store write lock, so a
         // `REPL SNAPSHOT` (read store, then ring) always sees a ring

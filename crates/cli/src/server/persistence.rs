@@ -42,11 +42,10 @@ pub struct Persist {
 
 /// Recovers the store from `dir` (moving it out via
 /// [`Recovery::store`]) and opens a journal segment for the edges this
-/// process will ack. New records — journal appends and checkpoint
-/// snapshots — are binary v3; recovery reads whatever formats the
-/// directory already holds, so a directory written by an older version
-/// needs no migration step. Returns the recovery report so the caller
-/// can log what was rebuilt (fallbacks taken, records quarantined).
+/// process will ack. Recovery reads and new records are binary v3 only;
+/// a file a pre-v3 build wrote stops recovery with an error naming it.
+/// Returns the recovery report so the caller can log what was rebuilt
+/// (fallbacks taken, records quarantined).
 ///
 /// `faults` installs a scripted [`FaultPlan`] on the journal, so tests
 /// can make exact appends/fsyncs/snapshot-writes of a *live* server
@@ -54,9 +53,9 @@ pub struct Persist {
 ///
 /// # Errors
 /// Fails on environmental IO errors (unreadable directory, journal
-/// creation). Corruption is not fatal: recovery falls back and
-/// quarantines (see [`streamlink_core::recover`]). A missing/empty
-/// directory is not an error (fresh start).
+/// creation) and on a pre-v3 file. Corruption is not fatal: recovery
+/// falls back and quarantines (see [`streamlink_core::recover`]). A
+/// missing/empty directory is not an error (fresh start).
 pub fn open_with_faults(
     dir: &Path,
     config: streamlink_core::SketchConfig,
@@ -180,10 +179,6 @@ pub(super) fn reset_to_store(state: &ServerState, seq: u64) -> io::Result<()> {
             fs::remove_file(path)?;
         }
     }
-    match fs::remove_file(durable::snapshot_path(&persist.dir)) {
-        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-        _ => {}
-    }
     persist.journal.discard_history(seq + 1)?;
     // Persist the deletions (best effort, as for the generation's own
     // rename): a crash must not bring dead files back.
@@ -254,7 +249,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("streamlink-lag-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        // A v2 text segment, as a pre-v3 server left it.
         let entries: Vec<JournalEntry> = (1..=10)
             .map(|seq| JournalEntry {
                 seq,
@@ -262,13 +256,17 @@ mod tests {
                 v: VertexId(100 + seq),
             })
             .collect();
-        let text = codec::v2::wal_segment(&entries);
+        let mut journal = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
+        for &entry in &entries {
+            journal.append(entry).unwrap();
+        }
+        drop(journal);
+        // Flip a body bit of record 3 (every record here is the same
+        // length): its CRC no longer verifies, so replay quarantines it
+        // and applies the other nine.
+        let record = codec::encode_wal_entry(&entries[0]).len();
         let segment = journal::segment_path(&dir, 1);
-        fs::write(&segment, &text).unwrap();
-        // Flip a digit of record 3's `u` field: its CRC no longer
-        // verifies, so replay quarantines it and applies the other nine.
-        let offset = codec::v2::wal_segment(&entries[..2]).len() + 4;
-        streamlink_core::chaos::flip_bit(&segment, offset as u64, 0).unwrap();
+        streamlink_core::chaos::flip_bit(&segment, (2 * record + 7) as u64, 0).unwrap();
 
         let (state, _, quarantined) = open_state(&dir);
         assert_eq!(quarantined, 1);

@@ -517,8 +517,6 @@ fn execute(state: &ServerState, line: &str, verb: &str) -> String {
                 Ok((u, v)) => match state.insert_edge(u, v) {
                     Ok(_) => {
                         metrics::global().server_inserts.incr();
-                        let guard = state.read_store();
-                        trace::note_degree(guard.degree(u).max(guard.degree(v)));
                         "OK inserted".into()
                     }
                     // Not acked: the edge was neither journaled nor
@@ -870,6 +868,22 @@ mod tests {
         assert!(
             response.contains("op=cmd.query"),
             "expected a cmd.query span: {response}"
+        );
+
+        // An insert span carries the class of its larger endpoint degree,
+        // noted under the insert's own write lock: vertex 900 reaches
+        // degree 40 (class 6), its new neighbour degree 1.
+        for w in 0..39 {
+            let _ = handle_command(&s, &format!("INSERT 900 {}", 1000 + w));
+        }
+        let _ = handle_command(&s, "INSERT 900 2000");
+        let response = handle_command(&s, "TRACE 256");
+        let class = format!("degree_class={}", trace::degree_class(40));
+        assert!(
+            response
+                .lines()
+                .any(|l| l.contains("op=cmd.insert") && l.contains(&class)),
+            "expected a cmd.insert span with {class}: {response}"
         );
     }
 

@@ -1228,6 +1228,22 @@ mod tests {
     }
 
     #[test]
+    fn replica_refuses_a_pre_v3_snapshot_frame() {
+        // The retired 0x06 transfer (seq, raw length, LZ-compressed JSON)
+        // is refused on its mode byte, never decoded or installed.
+        let (replica, runtime) = replica_state();
+        let frame = codec::encode_envelope(codec::MODE_LZ_SNAPSHOT_FRAME, b"{\"config\":");
+        let (addr, primary) = scripted(b"OK fmt=v3\n", vec![frame]);
+        let mut link = PrimaryLink::connect(&addr).unwrap();
+        let err = snapshot_round_with(&replica, &runtime, &mut link, false).unwrap_err();
+        primary.join().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("pre-v3 snapshot frame"), "{err}");
+        assert_eq!(runtime.applied_seq(), 0);
+        assert_eq!(replica.read_store().vertex_count(), 0);
+    }
+
+    #[test]
     fn primary_refuses_snapshots_past_the_frame_limit() {
         // A store too large for one frame is an `ERR` text frame, never a
         // SNAPSHOT_FRAME the replica would refuse. Checked at the limit

@@ -1,6 +1,7 @@
 //! End-to-end CLI pipeline tests: generate → stats → ingest → query →
 //! top, driven through the library entry point against a temp directory,
-//! plus `query` on the snapshot files a server writes.
+//! plus `query` on the snapshot files a server writes, and its refusal
+//! of a file a pre-v3 build wrote.
 
 use std::path::Path;
 use std::process::Command;
@@ -8,7 +9,6 @@ use std::process::Command;
 use graphstream::VertexId;
 use streamlink_cli::run;
 use streamlink_cli::server::{persistence, ServerConfig, ServerState};
-use streamlink_core::codec::{self, v2};
 use streamlink_core::journal::FsyncPolicy;
 use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{durable, SketchConfig, SketchStore};
@@ -67,7 +67,6 @@ fn full_pipeline_csv() {
     ]))
     .expect("ingest");
     // A checksummed v3 file, readable through the verifying path.
-    assert!(codec::is_binary(&std::fs::read(&snap).unwrap()));
     let snapshot = StoreSnapshot::read_from(Path::new(&snap)).unwrap();
     assert_eq!(snapshot.config.slots(), 64);
 
@@ -344,7 +343,7 @@ fn query_lines(snapshot: &str, pairs: &[(u64, u64)]) -> Vec<String> {
 }
 
 #[test]
-fn query_reads_server_generations_and_legacy_json() {
+fn query_reads_server_generations_and_refuses_legacy_json() {
     let dir = TempDir::new("servesnap");
     let data_dir = dir.path("data");
     let config = SketchConfig::with_slots(32).seed(7);
@@ -365,14 +364,6 @@ fn query_reads_server_generations_and_legacy_json() {
     let generations = durable::list_generations(Path::new(&data_dir)).unwrap();
     let (_, newest) = generations.last().expect("generation written");
 
-    // The same edges applied in memory, also saved as a v1 bare-JSON file.
-    let legacy = dir.path("legacy.json");
-    std::fs::write(
-        &legacy,
-        v2::legacy_store_snapshot(&StoreSnapshot::capture(&store)),
-    )
-    .unwrap();
-
     let pairs = [(0, 1), (2, 5), (50, 51), (3, 999)];
     let expected: Vec<String> = pairs
         .iter()
@@ -382,5 +373,32 @@ fn query_reads_server_generations_and_legacy_json() {
         })
         .collect();
     assert_eq!(query_lines(&newest.to_string_lossy(), &pairs), expected);
-    assert_eq!(query_lines(&legacy, &pairs), expected, "legacy v1 file");
+
+    // A v1 bare-JSON file, as a pre-v3 build wrote it, is refused by name.
+    let legacy = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/pre_v3/snapshot.json"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_streamlink"))
+        .args([
+            "query",
+            "--snapshot",
+            legacy,
+            "--measure",
+            "jaccard",
+            "--pair",
+            "1:2",
+        ])
+        .output()
+        .expect("run streamlink query");
+    assert!(!out.status.success(), "query of a v1 file: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("{legacy}: written by a pre-v3 build")),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains(streamlink_core::codec::LAST_PRE_V3_READER),
+        "{stderr}"
+    );
 }

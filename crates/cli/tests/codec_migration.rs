@@ -1,8 +1,8 @@
-//! Wire/storage format v3 end-to-end: a data directory left in the v1/v2
-//! text formats migrates to v3 by a restart (recovery reads every
-//! format, new records are written v3, scrub exits 0 on the mixed
-//! directory), the line protocol upgrades to framed binary responses
-//! after `HELLO v3`, and a replica converges over binary WAL shipping.
+//! Wire/storage format v3 end-to-end: a data directory or snapshot file
+//! that a pre-v3 build wrote is refused by name on every read path of
+//! the real binary, with nothing written; the line protocol upgrades to
+//! framed binary responses after `HELLO v3`; and a replica converges
+//! over binary WAL shipping.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -12,11 +12,7 @@ use std::process::{Child, Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use graphstream::VertexId;
-use streamlink_core::codec::{self, v2};
-use streamlink_core::journal::{self, JournalEntry};
-use streamlink_core::snapshot::StoreSnapshot;
-use streamlink_core::{durable, SketchConfig, SketchStore};
+use streamlink_core::codec;
 
 const SLOTS: &str = "64";
 const SEED: &str = "42";
@@ -70,39 +66,8 @@ impl Server {
         Server { child, addr }
     }
 
-    fn durable(dir: &Path) -> Server {
-        Server::start(
-            &["--data-dir", dir.to_str().unwrap(), "--fsync", "always"],
-            false,
-        )
-    }
-
     fn connect(&self) -> Client {
         Client::connect(&self.addr)
-    }
-
-    fn kill(&mut self) {
-        self.child.kill().expect("SIGKILL child");
-        self.child.wait().expect("reap child");
-    }
-
-    /// Graceful SIGTERM: drains and writes a final snapshot.
-    fn terminate(&mut self) {
-        let ok = Command::new("kill")
-            .args(["-TERM", &self.child.id().to_string()])
-            .status()
-            .expect("run kill")
-            .success();
-        assert!(ok, "kill -TERM failed");
-        let start = Instant::now();
-        loop {
-            if let Some(status) = self.child.try_wait().expect("try_wait") {
-                assert!(status.success(), "SIGTERM exit: {status:?}");
-                return;
-            }
-            assert!(start.elapsed() < Duration::from_secs(8), "SIGTERM hang");
-            std::thread::sleep(Duration::from_millis(20));
-        }
     }
 }
 
@@ -151,122 +116,135 @@ impl Client {
     }
 }
 
-fn scrub(dir: &Path) -> Output {
+/// The golden files pre-v3 builds wrote, committed under
+/// `tests/fixtures/pre_v3/`: a v2 generation, a v1 `snapshot.json`, a v1
+/// `E` segment and a v2 `F` segment.
+const PRE_V3_FIXTURES: [&str; 4] = ["snapshot.6.json", "snapshot.json", "wal.1.log", "wal.7.log"];
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/pre_v3")
+        .join(name)
+}
+
+/// Every entry of `dir` with its bytes (a subdirectory with none), by
+/// name.
+fn contents(dir: &Path) -> Vec<(String, Option<Vec<u8>>)> {
+    let mut entries: Vec<_> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, path.is_file().then(|| fs::read(&path).unwrap()))
+        })
+        .collect();
+    entries.sort();
+    entries
+}
+
+fn names(contents: &[(String, Option<Vec<u8>>)]) -> Vec<&str> {
+    contents.iter().map(|(name, _)| name.as_str()).collect()
+}
+
+fn streamlink(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_streamlink"))
-        .args(["scrub", "--data-dir", dir.to_str().unwrap()])
+        .args(args)
         .output()
-        .expect("run streamlink scrub")
+        .expect("run streamlink")
 }
 
-/// Lays down what a pre-v3 server left behind for the edges `1 100..140`:
-/// a v2 generation covering seqs 1..=20, v1 `E` lines for 21..=30 and
-/// v2 `F` lines for 31..=40. Returns the same edges applied in memory.
-fn write_text_directory(dir: &Path) -> SketchStore {
-    let config = SketchConfig::with_slots(SLOTS.parse().unwrap()).seed(SEED.parse().unwrap());
-    let mut store = SketchStore::new(config);
-    let entries: Vec<JournalEntry> = (1..=40u64)
-        .map(|seq| JournalEntry {
-            seq,
-            u: VertexId(1),
-            v: VertexId(99 + seq),
-        })
-        .collect();
-    for e in &entries[..20] {
-        store.insert_edge(e.u, e.v);
-    }
-    fs::write(
-        durable::generation_path(dir, 20),
-        v2::store_snapshot(&StoreSnapshot::capture(&store)),
-    )
-    .unwrap();
-    let v1: String = entries[20..30]
-        .iter()
-        .map(|e| format!("E {} {} {}\n", e.seq, e.u.0, e.v.0))
-        .collect();
-    fs::write(journal::segment_path(dir, 21), v1).unwrap();
-    fs::write(
-        journal::segment_path(dir, 31),
-        v2::wal_segment(&entries[30..]),
-    )
-    .unwrap();
-    for e in &entries[20..] {
-        store.insert_edge(e.u, e.v);
-    }
-    store
+/// Asserts `out` failed with the refusal that names `file`.
+fn assert_refused(out: &Output, file: &Path) {
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let named = format!("{}: written by a pre-v3 build", file.display());
+    assert!(stderr.contains(&named), "{stderr}");
+    assert!(stderr.contains(codec::LAST_PRE_V3_READER), "{stderr}");
 }
 
-/// The migration path: a directory in the v1/v2 text formats recovers
-/// as it is on a v3 server, new journal entries and checkpoints come
-/// out binary, a crash replays the v3 WAL, and scrub audits the mixed
-/// directory clean.
+/// Runs `serve --data-dir dir`, which must exit on its own; a server
+/// that starts serving instead is killed and the test fails.
+fn serve_data_dir(dir: &Path) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_streamlink"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--slots",
+            SLOTS,
+            "--seed",
+            SEED,
+        ])
+        .args(["--data-dir", dir.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn streamlink serve");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("try_wait").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve --data-dir {} kept running", dir.display());
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("reap serve")
+}
+
+/// Every pre-v3 file fails closed by name on the real binary: `serve
+/// --data-dir` exits non-zero, `scrub` exits 2 with a `PRE-V3` verdict
+/// with or without `--repair`, and not one byte of the directory
+/// changes (nothing quarantined, truncated or written); `query
+/// --snapshot` refuses a v2 file.
 #[test]
-fn v2_directory_migrates_to_v3_in_place() {
-    let dir = temp_dir("migrate");
-    let mut expected = write_text_directory(&dir);
-    let out = scrub(&dir);
-    assert_eq!(out.status.code(), Some(0), "scrub of the text dir: {out:?}");
+fn pre_v3_directory_fails_closed() {
+    for name in PRE_V3_FIXTURES {
+        let dir = temp_dir("pre-v3");
+        let file = dir.join(name);
+        fs::copy(fixture(name), &file).unwrap();
+        let before = contents(&dir);
 
-    // Lifetime 1: the text state recovers; new appends are binary
-    // envelopes. SIGKILL forces the next boot to replay them from the
-    // WAL.
-    let mut server = Server::durable(&dir);
-    let mut c = server.connect();
-    assert_eq!(c.ask("DEGREE 1"), "OK 40");
-    for i in 0..40u64 {
-        assert_eq!(c.ask(&format!("INSERT 2 {}", 200 + i)), "OK inserted");
-        expected.insert_edge(VertexId(2), VertexId(200 + i));
+        assert_refused(&serve_data_dir(&dir), &file);
+        let after = contents(&dir);
+        assert!(
+            after == before,
+            "{name}: serve changed the dir: {:?}",
+            names(&after)
+        );
+
+        for repair in [false, true] {
+            let mut args = vec!["scrub", "--data-dir", dir.to_str().unwrap()];
+            if repair {
+                args.push("--repair");
+            }
+            let out = streamlink(&args);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(2), "{name}: {stdout}");
+            assert!(stdout.contains(&format!("{name}: PRE-V3 (")), "{stdout}");
+            assert!(stdout.contains("— PRE-V3"), "{stdout}");
+            let after = contents(&dir);
+            assert!(
+                after == before,
+                "{name}: scrub changed the dir: {:?}",
+                names(&after)
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
-    drop(c);
-    server.kill();
 
-    // The live segment now holds binary records.
-    let has_binary_wal = fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .filter(|e| e.file_name().to_string_lossy().starts_with("wal."))
-        .any(|e| {
-            fs::read(e.path())
-                .map(|b| b.starts_with(&codec::BINARY_MAGIC))
-                .unwrap_or(false)
-        });
-    assert!(has_binary_wal, "no binary WAL segment written");
-
-    // Lifetime 2: everything acked survives the mixed directory, with
-    // estimates bit-identical to the same edges applied in memory, and
-    // a graceful exit checkpoints a binary snapshot.
-    let mut server = Server::durable(&dir);
-    let mut c = server.connect();
-    assert_eq!(c.ask("DEGREE 1"), "OK 40");
-    assert_eq!(c.ask("DEGREE 2"), "OK 40");
-    for (u, v) in [(1, 2), (100, 101), (1, 139), (200, 239)] {
-        let want = match expected.jaccard(VertexId(u), VertexId(v)) {
-            Some(j) => format!("OK {j:.6}"),
-            None => "OK unseen".into(),
-        };
-        assert_eq!(c.ask(&format!("JACCARD {u} {v}")), want);
-    }
-    drop(c);
-    server.terminate();
-
-    let snapshot_binary = fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .filter(|e| {
-            let name = e.file_name().to_string_lossy().to_string();
-            name.starts_with("snapshot.") && name.ends_with(".json")
-        })
-        .any(|e| {
-            fs::read(e.path())
-                .map(|b| b.starts_with(&codec::BINARY_MAGIC))
-                .unwrap_or(false)
-        });
-    assert!(snapshot_binary, "graceful exit left no binary snapshot");
-
-    // The mixed directory audits clean.
-    let out = scrub(&dir);
-    assert_eq!(out.status.code(), Some(0), "scrub: {out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("CLEAN"), "{stdout}");
+    let v2 = fixture("snapshot.6.json");
+    let v2 = v2.to_str().unwrap();
+    let out = streamlink(&[
+        "query",
+        "--snapshot",
+        v2,
+        "--measure",
+        "jaccard",
+        "--pair",
+        "1:2",
+    ]);
+    assert_refused(&out, Path::new(v2));
 }
 
 /// `HELLO v3` flips one connection to framed responses: requests stay

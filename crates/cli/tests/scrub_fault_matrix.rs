@@ -5,10 +5,6 @@
 //! and a restarted server recovers every acked edge that a good
 //! artifact still covers.
 //!
-//! Every case runs twice: on the v3 directory the binary writes, and on
-//! the same layout in the v2 text formats (built with the fixture
-//! encoders), as a directory left by an older version.
-//!
 //! Exit-code contract under test: 0 = clean, 1 = damage repaired (or
 //! repairable) with no acked loss, 2 = acked records unrecoverable.
 
@@ -20,11 +16,7 @@ use std::process::{Child, Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use graphstream::VertexId;
-use streamlink_core::codec::{self, v2};
-use streamlink_core::journal::{self, JournalEntry};
-use streamlink_core::snapshot::StoreSnapshot;
-use streamlink_core::{durable, SketchConfig, SketchStore};
+use streamlink_core::journal;
 
 const SLOTS: &str = "64";
 const SEED: &str = "42";
@@ -138,15 +130,9 @@ fn edges_stat(server: &Server) -> u64 {
 /// WAL only below the *oldest* generation, so `wal.31.log` (seq
 /// 31..=60, redundant with generation 60) stays on disk. A final
 /// SIGKILL strands seq 61..=80 as a journal-only tail in `wal.61.log`.
-///
-/// With `text`, the same files are written in the v2 formats instead.
-fn build_fixture(tag: &str, text: bool) -> (PathBuf, Vec<(u64, u64)>) {
+fn build_fixture(tag: &str) -> (PathBuf, Vec<(u64, u64)>) {
     let stream: Vec<(u64, u64)> = (0..80u64).map(|i| (i % 7, 100 + i)).collect();
     let dir = temp_dir(tag);
-    if text {
-        write_text_fixture(&dir, &stream);
-        return (dir, stream);
-    }
     for (range, clean_exit) in [(0..30, true), (30..60, true), (60..80, false)] {
         let mut server = Server::start(&dir);
         insert_all(&server, &stream[range]);
@@ -157,40 +143,6 @@ fn build_fixture(tag: &str, text: bool) -> (PathBuf, Vec<(u64, u64)>) {
         }
     }
     (dir, stream)
-}
-
-fn write_text_fixture(dir: &Path, stream: &[(u64, u64)]) {
-    let config = SketchConfig::with_slots(SLOTS.parse().unwrap()).seed(SEED.parse().unwrap());
-    let mut store = SketchStore::new(config);
-    let entries: Vec<JournalEntry> = stream
-        .iter()
-        .zip(1u64..)
-        .map(|(&(u, v), seq)| JournalEntry {
-            seq,
-            u: VertexId(u),
-            v: VertexId(v),
-        })
-        .collect();
-    for e in &entries[..60] {
-        store.insert_edge(e.u, e.v);
-        if e.seq == 30 || e.seq == 60 {
-            fs::write(
-                durable::generation_path(dir, e.seq),
-                v2::store_snapshot(&StoreSnapshot::capture(&store)),
-            )
-            .unwrap();
-        }
-    }
-    fs::write(
-        journal::segment_path(dir, 31),
-        v2::wal_segment(&entries[30..60]),
-    )
-    .unwrap();
-    fs::write(
-        journal::segment_path(dir, 61),
-        v2::wal_segment(&entries[60..]),
-    )
-    .unwrap();
 }
 
 fn scrub(dir: &Path, repair: bool) -> Output {
@@ -218,8 +170,7 @@ fn segment(dir: &Path, first_seq: u64) -> PathBuf {
 }
 
 /// Byte offset inside record `idx` where a single flipped bit breaks
-/// the record CRC: a digit of the seq field of a text line, the first
-/// body byte of an envelope.
+/// the record CRC: the first body byte of its envelope.
 fn record_offset(path: &Path, idx: usize) -> u64 {
     let bytes = fs::read(path).unwrap();
     let records = journal::scan_segment(&bytes);
@@ -227,120 +178,108 @@ fn record_offset(path: &Path, idx: usize) -> u64 {
     let raw = records[idx].raw;
     let start = raw.as_ptr() as usize - bytes.as_ptr() as usize;
     // Magic (4), version, mode and a one-byte length precede the body.
-    let into = if codec::is_binary(raw) { 7 } else { 2 };
-    (start + into) as u64
+    (start + 7) as u64
 }
 
 #[test]
 fn clean_directory_scrubs_exit_zero() {
-    for text in [false, true] {
-        let (dir, _) = build_fixture("clean", text);
-        let out = scrub(&dir, false);
-        assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-        assert!(stdout(&out).contains("CLEAN"), "{}", stdout(&out));
-        let framing = if text { "v2 verified" } else { "v3 verified" };
-        assert!(stdout(&out).contains(framing), "{}", stdout(&out));
-        fs::remove_dir_all(&dir).unwrap();
-    }
+    let (dir, _) = build_fixture("clean");
+    let out = scrub(&dir, false);
+    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
+    assert!(stdout(&out).contains("CLEAN"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("v3 verified"), "{}", stdout(&out));
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn bit_flip_under_snapshot_coverage_repairs_with_zero_loss() {
-    for text in [false, true] {
-        let (dir, stream) = build_fixture("bitflip", text);
-        let seg = segment(&dir, 31);
-        streamlink_core::chaos::flip_bit(&seg, record_offset(&seg, 4), 0).unwrap();
+    let (dir, stream) = build_fixture("bitflip");
+    let seg = segment(&dir, 31);
+    streamlink_core::chaos::flip_bit(&seg, record_offset(&seg, 4), 0).unwrap();
 
-        // Check-only: damage reported, nothing mutated, repairable → 1.
-        let before = fs::read(&seg).unwrap();
-        let out = scrub(&dir, false);
-        assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
-        assert!(stdout(&out).contains("DAMAGED"), "{}", stdout(&out));
-        assert_eq!(
-            fs::read(&seg).unwrap(),
-            before,
-            "check-only run must not write"
-        );
+    // Check-only: damage reported, nothing mutated, repairable → 1.
+    let before = fs::read(&seg).unwrap();
+    let out = scrub(&dir, false);
+    assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
+    assert!(stdout(&out).contains("DAMAGED"), "{}", stdout(&out));
+    assert_eq!(
+        fs::read(&seg).unwrap(),
+        before,
+        "check-only run must not write"
+    );
 
-        // Repair quarantines the rotted record; a second pass is clean.
-        let out = scrub(&dir, true);
-        assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
-        assert!(stdout(&out).contains("REPAIRED"), "{}", stdout(&out));
-        assert!(dir.join("quarantine").is_dir(), "quarantine dir created");
-        let out = scrub(&dir, false);
-        assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
+    // Repair quarantines the rotted record; a second pass is clean.
+    let out = scrub(&dir, true);
+    assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
+    assert!(stdout(&out).contains("REPAIRED"), "{}", stdout(&out));
+    assert!(dir.join("quarantine").is_dir(), "quarantine dir created");
+    let out = scrub(&dir, false);
+    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
 
-        // The record was covered by the snapshot generation: zero acked loss.
-        let mut server = Server::start(&dir);
-        assert_eq!(edges_stat(&server), stream.len() as u64);
-        server.kill();
-        fs::remove_dir_all(&dir).unwrap();
-    }
+    // The record was covered by the snapshot generation: zero acked loss.
+    let mut server = Server::start(&dir);
+    assert_eq!(edges_stat(&server), stream.len() as u64);
+    server.kill();
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn garbage_append_is_a_torn_tail_truncated_by_repair() {
-    for text in [false, true] {
-        let (dir, stream) = build_fixture("garbage", text);
-        let seg = segment(&dir, 61);
-        streamlink_core::chaos::append_garbage(&seg, b"F 99 7 7 deadbeef trailing junk").unwrap();
+    let (dir, stream) = build_fixture("garbage");
+    let seg = segment(&dir, 61);
+    streamlink_core::chaos::append_garbage(&seg, b"F 99 7 7 deadbeef trailing junk").unwrap();
 
-        let out = scrub(&dir, true);
-        assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
-        assert!(stdout(&out).contains("torn tail"), "{}", stdout(&out));
-        let out = scrub(&dir, false);
-        assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
+    let out = scrub(&dir, true);
+    assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
+    assert!(stdout(&out).contains("torn tail"), "{}", stdout(&out));
+    let out = scrub(&dir, false);
+    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
 
-        // The junk was never acked; everything that was survives.
-        let mut server = Server::start(&dir);
-        assert_eq!(edges_stat(&server), stream.len() as u64);
-        server.kill();
-        fs::remove_dir_all(&dir).unwrap();
-    }
+    // The junk was never acked; everything that was survives.
+    let mut server = Server::start(&dir);
+    assert_eq!(edges_stat(&server), stream.len() as u64);
+    server.kill();
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn truncated_snapshot_generation_is_quarantined_and_wal_rebuilds() {
-    for text in [false, true] {
-        let (dir, stream) = build_fixture("snaptrunc", text);
-        let generations = streamlink_core::durable::list_generations(&dir).unwrap();
-        let (_, newest) = generations.last().expect("fixture has a generation");
-        streamlink_core::chaos::tear_file(newest, 10).unwrap();
+    let (dir, stream) = build_fixture("snaptrunc");
+    let generations = streamlink_core::durable::list_generations(&dir).unwrap();
+    let (_, newest) = generations.last().expect("fixture has a generation");
+    streamlink_core::chaos::tear_file(newest, 10).unwrap();
 
-        // Generation 30 plus the WAL from seq 31 still covers everything,
-        // so the newest generation is redundant: repairable, zero loss.
-        let out = scrub(&dir, true);
-        assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
-        assert!(stdout(&out).contains("CORRUPT"), "{}", stdout(&out));
-        let out = scrub(&dir, false);
-        assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
+    // Generation 30 plus the WAL from seq 31 still covers everything,
+    // so the newest generation is redundant: repairable, zero loss.
+    let out = scrub(&dir, true);
+    assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
+    assert!(stdout(&out).contains("CORRUPT"), "{}", stdout(&out));
+    let out = scrub(&dir, false);
+    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
 
-        let mut server = Server::start(&dir);
-        assert_eq!(edges_stat(&server), stream.len() as u64);
-        server.kill();
-        fs::remove_dir_all(&dir).unwrap();
-    }
+    let mut server = Server::start(&dir);
+    assert_eq!(edges_stat(&server), stream.len() as u64);
+    server.kill();
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn bit_flip_above_coverage_is_reported_as_loss() {
-    for text in [false, true] {
-        let (dir, stream) = build_fixture("loss", text);
-        let seg = segment(&dir, 61);
-        streamlink_core::chaos::flip_bit(&seg, record_offset(&seg, 2), 0).unwrap();
+    let (dir, stream) = build_fixture("loss");
+    let seg = segment(&dir, 61);
+    streamlink_core::chaos::flip_bit(&seg, record_offset(&seg, 2), 0).unwrap();
 
-        // Seq 63 lives only in the WAL: no snapshot can rebuild it.
-        let out = scrub(&dir, false);
-        assert_eq!(exit_code(&out), 2, "{}", stdout(&out));
-        assert!(stdout(&out).contains("LOSS"), "{}", stdout(&out));
-        let out = scrub(&dir, true);
-        assert_eq!(exit_code(&out), 2, "{}", stdout(&out));
+    // Seq 63 lives only in the WAL: no snapshot can rebuild it.
+    let out = scrub(&dir, false);
+    assert_eq!(exit_code(&out), 2, "{}", stdout(&out));
+    assert!(stdout(&out).contains("LOSS"), "{}", stdout(&out));
+    let out = scrub(&dir, true);
+    assert_eq!(exit_code(&out), 2, "{}", stdout(&out));
 
-        // The loss is explicit — quarantined, never silent: the restarted
-        // server is exactly one acked edge short.
-        let mut server = Server::start(&dir);
-        assert_eq!(edges_stat(&server), stream.len() as u64 - 1);
-        server.kill();
-        fs::remove_dir_all(&dir).unwrap();
-    }
+    // The loss is explicit — quarantined, never silent: the restarted
+    // server is exactly one acked edge short.
+    let mut server = Server::start(&dir);
+    assert_eq!(edges_stat(&server), stream.len() as u64 - 1);
+    server.kill();
+    fs::remove_dir_all(&dir).unwrap();
 }

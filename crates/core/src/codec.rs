@@ -5,13 +5,14 @@
 //! written as a v3 envelope: LEB128 varints and delta-encoded sorted
 //! columns behind one CRC. Snapshots are several-fold smaller than the
 //! retired text formats and decode without a JSON parser; recovery
-//! replay is correspondingly faster (experiment E24 gates the ratio).
+//! replay is correspondingly faster (experiment E24 measured both
+//! before those formats were retired).
 //!
-//! Read paths still sniff ([`is_binary`]): v1 bare-JSON and v2
-//! `STREAMLINK-SNAP v2` snapshots and `E`/`F` text WAL lines stay
-//! readable (see [`crate::snapshot`] and [`crate::journal`]), so an old
-//! data directory recovers as it is and turns binary at its next
-//! checkpoint. Only the [`v2`] fixture helpers can still produce text.
+//! Every read path reads exactly this format. A file in one of the
+//! text formats that builds before v3 wrote is refused by name, never
+//! decoded, quarantined or skipped: [`refuse_pre_v3`] recognises it by
+//! its leading bytes and returns [`pre_v3_error`], which names the last
+//! build that reads it and the remedy.
 //!
 //! ## The v3 envelope
 //!
@@ -25,11 +26,11 @@
 //! The CRC-32 ([`hashkit::crc32()`]) covers everything between the magic
 //! and the trailer (version, mode, length varint, body), so any bit flip
 //! in the framing or payload fails verification; the magic itself is the
-//! format sniff, so a flipped magic simply stops being v3. Decoders are
+//! format check, so a flipped magic simply stops being v3. Decoders are
 //! hard-limit bounded ([`MAX_BODY_LEN`], [`MAX_SLOT_COUNT`]) and never
 //! allocate more than the input could justify, so corrupt or adversarial
-//! length fields cannot balloon memory — they fail closed into the same
-//! quarantine paths the text formats use.
+//! length fields cannot balloon memory — they fail closed into the
+//! quarantine paths of recovery and `scrub`.
 //!
 //! ## Columnar snapshot bodies
 //!
@@ -49,6 +50,7 @@
 
 use std::fmt;
 use std::io::{self, BufRead, Read};
+use std::path::Path;
 
 use graphstream::VertexId;
 use hashkit::crc32::{crc32, Crc32};
@@ -168,11 +170,73 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     })
 }
 
-/// Whether `bytes` opens with the binary v3 magic — the format sniff
-/// used by every auto-detecting read path.
-#[must_use]
-pub fn is_binary(bytes: &[u8]) -> bool {
+/// Whether `bytes` opens with the binary v3 magic: the envelope's
+/// format check.
+fn is_binary(bytes: &[u8]) -> bool {
     bytes.starts_with(&BINARY_MAGIC)
+}
+
+/// The last commit whose build still reads the pre-v3 text formats.
+pub const LAST_PRE_V3_READER: &str = "528a374";
+
+/// The first commit whose build writes only v3: any build from it
+/// through [`LAST_PRE_V3_READER`] converts a pre-v3 data directory.
+pub const FIRST_V3_WRITER: &str = "0b8569b";
+
+/// How many leading bytes [`refuse_pre_v3`] needs to see: the longest
+/// signature, `STREAMLINK-SNAP`.
+pub const PRE_V3_HEAD_LEN: usize = 15;
+
+/// The two kinds of file that builds before v3 wrote in text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileKind {
+    /// A snapshot: a data directory's generation or a `--snapshot` file.
+    Snapshot,
+    /// A WAL segment (`wal.<seq>.log`).
+    WalSegment,
+}
+
+/// Refuses the file at `path` when `head`, its leading bytes, carries
+/// the signature of a format a pre-v3 build wrote: `STREAMLINK-SNAP`
+/// (v2) or `{` (v1 bare JSON) for a snapshot, `F ` (v2) or `E ` (v1)
+/// for a WAL segment. This is the one rule that tells a pre-v3 file
+/// from a damaged v3 one. No single bit flip of a v3 file gives a
+/// signature (`F`, `E` and `{` each differ from the magic's leading `S`,
+/// 0x53, in two or three bits, and `STREAMLINK-SNAP` from `SLB3` in
+/// more), so a v3 file is never refused here: damage stays damage, for
+/// quarantine or fallback.
+///
+/// # Errors
+/// [`pre_v3_error`] for a pre-v3 file.
+pub fn refuse_pre_v3(kind: FileKind, path: &Path, head: &[u8]) -> io::Result<()> {
+    let signatures: &[&[u8]] = match kind {
+        FileKind::Snapshot => &[b"STREAMLINK-SNAP", b"{"],
+        FileKind::WalSegment => &[b"F ", b"E "],
+    };
+    if signatures.iter().any(|sig| head.starts_with(sig)) {
+        return Err(pre_v3_error(path));
+    }
+    Ok(())
+}
+
+/// The error every read path returns for a file a pre-v3 build wrote.
+/// Its kind is [`io::ErrorKind::Unsupported`], never `InvalidData`, so
+/// no caller mistakes it for damage to quarantine or skip; the message
+/// names the file, the last build that reads it and the remedy.
+#[must_use]
+pub fn pre_v3_error(path: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::Unsupported,
+        format!(
+            "{}: written by a pre-v3 build of streamlink in a text format this build \
+             does not read; the last build that reads it is commit {LAST_PRE_V3_READER}. \
+             Remedy: run any build from commit {FIRST_V3_WRITER} through \
+             {LAST_PRE_V3_READER} once on the data directory with `--snapshot-keep 1` \
+             and stop it with SIGTERM; its final checkpoint rewrites the directory \
+             in v3 (docs/OPERATIONS.md §12.2)",
+            path.display()
+        ),
+    )
 }
 
 /// A decoded v3 envelope: the mode byte, the body slice, and how many
@@ -1106,55 +1170,6 @@ pub enum WireFormat {
     BinaryV3,
 }
 
-/// Encoders for the retired text v2 formats (`STREAMLINK-SNAP v2`
-/// framed JSON snapshots and `F <seq> <u> <v> <crc32>` WAL lines).
-///
-/// These exist only to build read-compatibility fixtures — tests of
-/// v1/v2 replay, scrub and migration, and experiment E24's baseline.
-/// Nothing on the serving or CLI path writes text.
-pub mod v2 {
-    use crate::journal::JournalEntry;
-    use crate::snapshot::{StoreSnapshot, SNAPSHOT_MAGIC};
-    use hashkit::crc32;
-    use serde::Serialize;
-
-    fn framed(value: &impl Serialize) -> Vec<u8> {
-        let json = serde_json::to_string(value).expect("snapshots serialize to JSON");
-        format!(
-            "{SNAPSHOT_MAGIC} v2 len={} crc32={:08x}\n{json}",
-            json.len(),
-            crc32(json.as_bytes())
-        )
-        .into_bytes()
-    }
-
-    /// A v2 store snapshot file: header line, then the JSON payload.
-    #[must_use]
-    pub fn store_snapshot(snap: &StoreSnapshot) -> Vec<u8> {
-        framed(snap)
-    }
-
-    /// A v1 store snapshot file: the bare JSON document, no header.
-    #[must_use]
-    pub fn legacy_store_snapshot(snap: &StoreSnapshot) -> Vec<u8> {
-        serde_json::to_vec(snap).expect("snapshots serialize to JSON")
-    }
-
-    /// One v2 WAL line with its newline terminator.
-    #[must_use]
-    pub fn wal_record(entry: &JournalEntry) -> Vec<u8> {
-        let mut line = entry.to_string().into_bytes();
-        line.push(b'\n');
-        line
-    }
-
-    /// A whole v2 WAL segment holding `entries` in order.
-    #[must_use]
-    pub fn wal_segment(entries: &[JournalEntry]) -> Vec<u8> {
-        entries.iter().flat_map(wal_record).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1410,21 +1425,6 @@ mod tests {
     }
 
     #[test]
-    fn store_snapshot_binary_roundtrip_equals_text() {
-        let snap = populated_snapshot();
-        let v3 = encode_store_snapshot(&snap).unwrap();
-        let text = v2::store_snapshot(&snap);
-        assert_eq!(decode_store_snapshot(&v3).unwrap(), snap);
-        assert_eq!(StoreSnapshot::decode_text(&text).unwrap().0, snap);
-        assert!(
-            v3.len() * 2 < text.len(),
-            "binary snapshot should be far smaller: {} vs {}",
-            v3.len(),
-            text.len()
-        );
-    }
-
-    #[test]
     fn empty_snapshot_roundtrips() {
         let snap = StoreSnapshot::capture(&SketchStore::new(SketchConfig::with_slots(8)));
         let v3 = encode_store_snapshot(&snap).unwrap();
@@ -1442,19 +1442,38 @@ mod tests {
     }
 
     #[test]
-    fn v2_fixture_records_read_back_through_the_text_readers() {
-        let line = v2::wal_record(&entry(9));
-        assert_eq!(line.last(), Some(&b'\n'));
-        let text = std::str::from_utf8(&line[..line.len() - 1]).unwrap();
-        assert_eq!(JournalEntry::parse(text), Some(entry(9)));
-        assert_eq!(v2::wal_segment(&[entry(1), entry(2)]).len(), {
-            v2::wal_record(&entry(1)).len() + v2::wal_record(&entry(2)).len()
-        });
-        let snap = populated_snapshot();
-        let (back, integrity) =
-            StoreSnapshot::decode_text(&v2::legacy_store_snapshot(&snap)).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(integrity, crate::snapshot::SnapshotIntegrity::Legacy);
+    fn pre_v3_signatures_are_refused_by_name_and_v3_bit_flips_are_not() {
+        let path = Path::new("dir/snapshot.6.json");
+        for (kind, head) in [
+            (
+                FileKind::Snapshot,
+                &b"STREAMLINK-SNAP v2 len=2 crc32=0\n{}"[..],
+            ),
+            (FileKind::Snapshot, b"{\"config\":"),
+            (FileKind::WalSegment, b"F 7 2 106 9619fa8a\n"),
+            (FileKind::WalSegment, b"E 1 2 100\n"),
+        ] {
+            let err = refuse_pre_v3(kind, path, head).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{head:?}");
+            let msg = err.to_string();
+            assert!(msg.starts_with("dir/snapshot.6.json: "), "{msg}");
+            assert!(msg.contains(LAST_PRE_V3_READER), "{msg}");
+            assert!(msg.contains("--snapshot-keep 1"), "{msg}");
+        }
+        // A v3 file, whole or with any single bit of its magic flipped,
+        // is never taken for a pre-v3 one: damage stays damage.
+        for kind in [FileKind::Snapshot, FileKind::WalSegment] {
+            let mut head = encode_wal_entry(&entry(1));
+            refuse_pre_v3(kind, path, &head).unwrap();
+            for bit in 0..BINARY_MAGIC.len() * 8 {
+                head[bit / 8] ^= 1 << (bit % 8);
+                refuse_pre_v3(kind, path, &head).unwrap();
+                head[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        // The signatures are per kind: a segment opening with `{` is damage.
+        refuse_pre_v3(FileKind::WalSegment, path, b"{").unwrap();
+        refuse_pre_v3(FileKind::Snapshot, path, b"F 1 2 3").unwrap();
     }
 
     proptest! {
@@ -1484,20 +1503,6 @@ mod tests {
             let verdict = decode_envelope(&bytes)
                 .and_then(|env| decode_wal_entry_body(env.body));
             prop_assert!(verdict.is_err());
-        }
-
-        #[test]
-        fn prop_snapshot_cross_format_equality(
-            seed in 0u64..50,
-            n in 30u64..100,
-        ) {
-            let mut s = SketchStore::new(SketchConfig::with_slots(16).seed(seed));
-            s.insert_stream(BarabasiAlbert::new(n, 2, seed).edges());
-            let snap = StoreSnapshot::capture(&s);
-            let via_v3 = decode_store_snapshot(&encode_store_snapshot(&snap).unwrap()).unwrap();
-            let via_v2 = StoreSnapshot::decode_text(&v2::store_snapshot(&snap)).unwrap().0;
-            prop_assert_eq!(&via_v3, &via_v2);
-            prop_assert_eq!(via_v3, snap);
         }
 
         #[test]

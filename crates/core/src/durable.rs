@@ -3,12 +3,10 @@
 //! A data directory persists a serving store as two artifacts:
 //!
 //! * `snapshot.<seq>.json` — checksummed [`StoreSnapshot`] **generations**
-//!   (binary v3, see [`StoreSnapshot::write_atomic`]; generations written
-//!   by older versions in the text formats still load), one per
+//!   (binary v3, see [`StoreSnapshot::write_atomic`]), one per
 //!   checkpoint, newest-K retained. `<seq>` is the WAL sequence number
 //!   the snapshot covers, so recovery knows where replay must resume
-//!   *per generation*. A bare `snapshot.json`
-//!   from the pre-chain format is still honored as the oldest fallback.
+//!   *per generation*.
 //! * `wal.<seq>.log` — journal segments holding every acked edge (see
 //!   [`crate::journal`]), retained back to the **oldest** generation so
 //!   any retained snapshot can still replay forward.
@@ -23,6 +21,12 @@
 //! corruption is never silent: corrupt WAL records are quarantined and
 //! reported (see [`ReplayReport`]), corrupt snapshots are skipped and
 //! counted.
+//!
+//! A file a pre-v3 build wrote is neither: recovery stops on it with the
+//! error [`crate::codec::pre_v3_error`] returns, which names the file.
+//! That covers a text generation or segment ([`crate::codec::refuse_pre_v3`])
+//! and, by its name alone, the bare `snapshot.json` that builds before
+//! the generation chain wrote ([`refuse_legacy_snapshot`]).
 //!
 //! [`checkpoint`] is the other half of the contract: write the new
 //! generation atomically *first*, then trim retention and prune journal
@@ -44,10 +48,21 @@ use crate::store::SketchStore;
 /// How many snapshot generations a checkpoint retains by default.
 pub const DEFAULT_SNAPSHOT_KEEP: usize = 3;
 
-/// The legacy (pre-generation) snapshot file inside a data directory.
-#[must_use]
-pub fn snapshot_path(dir: &Path) -> PathBuf {
-    dir.join("snapshot.json")
+/// The single snapshot file that builds before the generation chain
+/// wrote into a data directory.
+pub const LEGACY_SNAPSHOT: &str = "snapshot.json";
+
+/// Refuses a data directory holding [`LEGACY_SNAPSHOT`]: only pre-v3
+/// builds ever wrote that name, so it is refused by the name alone.
+///
+/// # Errors
+/// [`crate::codec::pre_v3_error`] naming the file, when it exists.
+pub fn refuse_legacy_snapshot(dir: &Path) -> io::Result<()> {
+    let path = dir.join(LEGACY_SNAPSHOT);
+    if path.symlink_metadata().is_ok() {
+        return Err(crate::codec::pre_v3_error(&path));
+    }
+    Ok(())
 }
 
 /// The snapshot generation covering WAL entries up to and including
@@ -58,8 +73,7 @@ pub fn generation_path(dir: &Path, seq: u64) -> PathBuf {
 }
 
 /// Lists `(seq, path)` for every snapshot generation in `dir`, sorted by
-/// seq ascending. The legacy `snapshot.json` is not a generation and is
-/// not listed.
+/// seq ascending.
 ///
 /// # Errors
 /// Fails if the directory cannot be read; a missing directory lists as
@@ -96,7 +110,7 @@ pub struct Recovery {
     /// WAL seq covered by the snapshot that seeded recovery (0 when
     /// starting empty). Journal replay resumed after this seq.
     pub snapshot_seq: u64,
-    /// Whether any snapshot (generation or legacy) was loaded.
+    /// Whether a snapshot generation was loaded.
     pub snapshot_loaded: bool,
     /// Corrupt snapshot generations skipped (and quarantined) on the way
     /// to the one that loaded.
@@ -126,22 +140,23 @@ impl Recovery {
 ///
 /// Generations are tried newest-first; one that fails verification or
 /// parsing is moved into `quarantine/` and counted, and the next older
-/// one is tried — the last-known-good chain. If no generation loads, the
-/// legacy `snapshot.json` is tried the same way; if nothing loads at
-/// all, recovery starts from an empty store built with `config` and
-/// relies on journal replay alone. When a snapshot loads, its embedded
-/// config wins (the journal tail must be applied with the same hashers
-/// that produced the snapshot).
+/// one is tried — the last-known-good chain. If no generation loads,
+/// recovery starts from an empty store built with `config` and relies on
+/// journal replay alone. When a snapshot loads, its embedded config wins
+/// (the journal tail must be applied with the same hashers that produced
+/// the snapshot).
 ///
 /// # Errors
 /// Fails on *environmental* IO errors (unreadable directory,
-/// permissions). Corruption is not an error — it is skipped, quarantined,
-/// and reported in the returned [`Recovery`].
+/// permissions), and stops on a file a pre-v3 build wrote (see the
+/// module docs) without touching it. Corruption is not an error — it is
+/// skipped, quarantined, and reported in the returned [`Recovery`].
 pub fn recover(dir: &Path, config: SketchConfig) -> io::Result<Recovery> {
     let metrics = crate::metrics::global();
     let mut fallbacks = 0u64;
     let mut loaded: Option<(SketchStore, u64)> = None;
 
+    refuse_legacy_snapshot(dir)?;
     let generations = list_generations(dir)?;
     for (seq, path) in generations.iter().rev() {
         match snapshot::load_store(path) {
@@ -158,23 +173,6 @@ pub fn recover(dir: &Path, config: SketchConfig) -> io::Result<Recovery> {
             Err(e) => return Err(e),
         }
     }
-    if loaded.is_none() {
-        // Pre-generation directories: a single unversioned snapshot.
-        match snapshot::load_store(&snapshot_path(dir)) {
-            Ok(store) => {
-                let seq = store.edges_processed();
-                loaded = Some((store, seq));
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                journal::quarantine_file(dir, &snapshot_path(dir));
-                fallbacks += 1;
-                metrics.snapshot_fallbacks.incr();
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
     let (mut store, snapshot_seq, snapshot_loaded) = match loaded {
         Some((store, seq)) => (store, seq, true),
         None => (SketchStore::new(config), 0, false),
@@ -245,16 +243,13 @@ pub fn observe_checkpoint<T>(run: impl FnOnce() -> io::Result<T>) -> io::Result<
 
 /// The tail every checkpoint shares once its snapshot is captured and
 /// the journal rotated past `wal_seq`: write the generation atomically
-/// (binary v3, after consulting `faults`), remove the legacy
-/// `snapshot.json`, trim to the newest `keep` generations, publish the
-/// `snapshot.generations_kept` gauge, and finally hand the oldest
-/// retained seq to `prune_below`. Returns what `prune_below` returns.
+/// (binary v3, after consulting `faults`), trim to the newest `keep`
+/// generations, publish the `snapshot.generations_kept` gauge, and
+/// finally hand the oldest retained seq to `prune_below`. Returns what
+/// `prune_below` returns.
 ///
-/// The legacy `snapshot.json` is strictly older than the generation just
-/// written; leaving it would let a future fallback resurrect
-/// pre-pruning state as if it were current. No lock is needed here:
-/// callers pass a `prune_below` that takes whatever lock guards their
-/// journal.
+/// No lock is needed here: callers pass a `prune_below` that takes
+/// whatever lock guards their journal.
 ///
 /// # Errors
 /// Fails on IO errors, real or injected.
@@ -270,11 +265,6 @@ pub fn commit_generation(
         plan.next_snapshot()?;
     }
     snapshot.write_atomic(&generation_path(dir, wal_seq))?;
-    match fs::remove_file(snapshot_path(dir)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
     let mut generations = list_generations(dir)?;
     let keep = keep.max(1);
     while generations.len() > keep {
@@ -389,8 +379,6 @@ mod tests {
         }
         drop(journal); // crash after more ingestion
 
-        let (_, generation) = list_generations(&dir).unwrap().pop().unwrap();
-        assert!(crate::codec::is_binary(&fs::read(generation).unwrap()));
         let rec = recover(&dir, cfg()).unwrap();
         assert!(rec.snapshot_loaded);
         assert_eq!(rec.snapshot_seq, cut as u64);
@@ -491,52 +479,13 @@ mod tests {
         snap.write_atomic(&generation_path(&dir, 8)).unwrap();
         // No prune ran, so the WAL still holds seqs 1..=8.
         drop(journal);
-        fs::write(generation_path(&dir, 8), b"{ not a snapshot").unwrap();
+        chaos::tear_file(&generation_path(&dir, 8), 10).unwrap();
 
         let rec = recover(&dir, cfg()).unwrap();
         assert!(!rec.snapshot_loaded);
         assert_eq!(rec.fallbacks, 1);
         assert_eq!(rec.journal.replayed, 8);
         assert_eq!(rec.store.edges_processed(), 8);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_legacy_snapshot_is_quarantined_not_fatal() {
-        let dir = temp_dir("legacycorrupt");
-        fs::write(snapshot_path(&dir), b"{ not json").unwrap();
-        let rec = recover(&dir, cfg()).unwrap();
-        assert!(!rec.snapshot_loaded);
-        assert_eq!(rec.fallbacks, 1);
-        assert!(!snapshot_path(&dir).exists());
-        assert!(dir.join(QUARANTINE_DIR).join("snapshot.json").exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_data_directory_loads_unmodified() {
-        // A directory written entirely by the pre-CRC format: bare-JSON
-        // snapshot.json plus v1 `E` journal lines.
-        let dir = temp_dir("v1dir");
-        let mut store = SketchStore::new(cfg());
-        for i in 0..5 {
-            store.insert_edge(VertexId(i), VertexId(i + 10));
-        }
-        let snap = StoreSnapshot::capture(&store);
-        fs::write(
-            snapshot_path(&dir),
-            crate::codec::v2::legacy_store_snapshot(&snap),
-        )
-        .unwrap();
-        fs::write(dir.join("wal.6.log"), "E 6 5 15\nE 7 6 16\n").unwrap();
-
-        let rec = recover(&dir, cfg()).unwrap();
-        assert!(rec.snapshot_loaded);
-        assert_eq!(rec.snapshot_seq, 5);
-        assert_eq!(rec.fallbacks, 0);
-        assert_eq!(rec.journal.replayed, 2);
-        assert_eq!(rec.store.edges_processed(), 7);
-        assert_eq!(rec.next_seq(), 8);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -573,21 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_removes_legacy_snapshot_file() {
-        let dir = temp_dir("legacygone");
-        let mut store = SketchStore::new(cfg());
-        let mut journal = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        ingest(&mut store, &mut journal, 1, 2);
-        fs::write(snapshot_path(&dir), b"{}").unwrap();
-        run_checkpoint(&store, &dir, &mut journal, 2);
-        assert!(
-            !snapshot_path(&dir).exists(),
-            "legacy file must not survive a generation checkpoint"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn injected_snapshot_fault_fails_checkpoint_then_heals() {
         let dir = temp_dir("snapfault");
         let plan = Arc::new(FaultPlan::new());
@@ -618,22 +552,22 @@ mod tests {
         // After a mid-file record is lost, edges_processed < wal seq; the
         // next seq must come from the WAL watermark, never the count —
         // otherwise new appends collide with existing seqs and replay
-        // skipping silently drops them. (A v2 text segment, as a pre-v3
-        // server left it.)
+        // skipping silently drops them.
         let dir = temp_dir("seqgap");
-        let entries: Vec<JournalEntry> = (1..=5u64)
-            .map(|seq| JournalEntry {
-                seq,
-                u: VertexId(seq),
-                v: VertexId(seq + 100),
-            })
-            .collect();
-        let text = String::from_utf8(crate::codec::v2::wal_segment(&entries)).unwrap();
-        fs::write(
-            journal::segment_path(&dir, 1),
-            text.replacen("F 3", "F 9", 1),
-        )
-        .unwrap();
+        let mut store = SketchStore::new(cfg());
+        let mut journal = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
+        for i in 1..=5 {
+            ingest(&mut store, &mut journal, i, i + 100);
+        }
+        drop(journal);
+        // Rot a body byte of record 3.
+        let (_, path) = &journal::list_segments(&dir).unwrap()[0];
+        let record = crate::codec::encode_wal_entry(&JournalEntry {
+            seq: 1,
+            u: VertexId(1),
+            v: VertexId(101),
+        });
+        chaos::flip_bit(path, 2 * record.len() as u64 + 7, 0).unwrap();
 
         let rec = recover(&dir, cfg()).unwrap();
         assert_eq!(rec.journal.quarantined, 1);

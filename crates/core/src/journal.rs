@@ -13,18 +13,9 @@
 //! record (see [`crate::codec`]) carrying its own CRC-32
 //! ([`hashkit::crc32()`]).
 //!
-//! Segments written before v3 hold text lines, which replay still reads.
-//! The v2 framing carries a per-record CRC over the payload:
-//!
-//! ```text
-//! F <seq> <u> <v> <crc32-lower-hex-8>\n
-//! ```
-//!
-//! Pre-CRC (v1) records — `E <seq> <u> <v>\n` — are parsed but cannot be
-//! *verified*. [`scan_segment`] sniffs each record's framing from its
-//! first bytes, so segments of any format — even interleaved in one
-//! directory across a migration — replay through the same
-//! classification logic.
+//! A segment holds nothing but envelopes. One whose first bytes are a
+//! text line (`F ` or `E `) was written by a pre-v3 build and is refused
+//! by name ([`read_segment`], [`codec::refuse_pre_v3`]), never scanned.
 //!
 //! `seq` is a monotone log sequence number. In an uncorrupted directory
 //! it equals the store's `edges_processed` after applying the edge; after
@@ -41,8 +32,8 @@
 //!
 //! [`replay`] distinguishes two corruption shapes:
 //!
-//! * **Torn tail** — the trailing run of unparseable (or unterminated)
-//!   lines after the last valid record. Only a crash mid-append can
+//! * **Torn tail** — the trailing run of invalid chunks after the last
+//!   valid record. Only a crash mid-append can
 //!   produce it; the records were never acked, so they are dropped and
 //!   counted ([`ReplayReport::tail_dropped`]).
 //! * **Mid-file corruption** — a bad record *followed by* valid records.
@@ -106,34 +97,11 @@ pub struct JournalEntry {
 }
 
 impl fmt::Display for JournalEntry {
-    /// Renders the v2 checksummed line (without the trailing newline).
+    /// Renders the checksummed `F <seq> <u> <v> <crc32>` line (without a
+    /// newline) that `REPL HANDOFF` carries between peers.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let payload = self.payload();
         write!(f, "{payload} {:08x}", crc32(payload.as_bytes()))
-    }
-}
-
-/// What [`JournalEntry::check_line`] found in one journal line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LineCheck {
-    /// A v2 record whose CRC verified.
-    Verified(JournalEntry),
-    /// A legacy v1 record — parseable, but carrying no checksum.
-    Legacy(JournalEntry),
-    /// Structurally invalid (wrong tag, field count, or field syntax).
-    Malformed,
-    /// Well-formed v2 framing whose CRC does not match the payload.
-    BadCrc,
-}
-
-impl LineCheck {
-    /// The entry, when the line parsed.
-    #[must_use]
-    pub fn entry(self) -> Option<JournalEntry> {
-        match self {
-            LineCheck::Verified(e) | LineCheck::Legacy(e) => Some(e),
-            LineCheck::Malformed | LineCheck::BadCrc => None,
-        }
     }
 }
 
@@ -148,73 +116,44 @@ fn parse_u64_strict(tok: &str) -> Option<u64> {
 }
 
 impl JournalEntry {
-    /// The checksummed payload of the v2 line (everything before the CRC
-    /// field).
+    /// The checksummed payload of the `F` line (everything before the
+    /// CRC field).
     #[must_use]
     fn payload(&self) -> String {
         format!("F {} {} {}", self.seq, self.u.0, self.v.0)
     }
 
-    /// Classifies one journal line: verified v2, legacy v1, malformed,
-    /// or CRC mismatch.
+    /// Parses one `F <seq> <u> <v> <crc32>` line, as [`fmt::Display`]
+    /// renders it; `None` for a malformed line or a CRC mismatch.
     #[must_use]
-    pub fn check_line(line: &str) -> LineCheck {
+    pub fn parse(line: &str) -> Option<Self> {
         let mut parts = line.split(' ');
-        let tag = parts.next();
-        let (Some(seq), Some(u), Some(v)) = (
-            parts.next().and_then(parse_u64_strict),
-            parts.next().and_then(parse_u64_strict),
-            parts.next().and_then(parse_u64_strict),
-        ) else {
-            return LineCheck::Malformed;
-        };
-        let crc_tok = parts.next();
-        if parts.next().is_some() {
-            return LineCheck::Malformed;
+        if parts.next() != Some("F") {
+            return None;
         }
-        let entry = JournalEntry {
+        let seq = parse_u64_strict(parts.next()?)?;
+        let u = parse_u64_strict(parts.next()?)?;
+        let v = parse_u64_strict(parts.next()?)?;
+        let crc_tok = parts.next()?;
+        // The CRC must be canonical lowercase 8-hex: case-insensitive
+        // parsing would let a single case-bit flip go undetected.
+        if parts.next().is_some()
+            || crc_tok.len() != 8
+            || !crc_tok
+                .bytes()
+                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+        {
+            return None;
+        }
+        let found = u32::from_str_radix(crc_tok, 16).ok()?;
+        // CRC the line bytes as received, not a re-rendering: any byte
+        // drift is a mismatch. The fields above guarantee the length.
+        let payload = &line.as_bytes()[..line.len() - 9];
+        (crc32(payload) == found).then_some(JournalEntry {
             seq,
             u: VertexId(u),
             v: VertexId(v),
-        };
-        match (tag, crc_tok) {
-            // Legacy v1: exactly four fields, no checksum to verify.
-            (Some("E"), None) => LineCheck::Legacy(entry),
-            // v2: exactly five fields; the CRC must be canonical
-            // lowercase 8-hex (case-insensitive parsing would let a
-            // single case-bit flip in the CRC field go undetected).
-            (Some("F"), Some(crc_tok)) => {
-                if crc_tok.len() != 8
-                    || !crc_tok
-                        .bytes()
-                        .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-                {
-                    return LineCheck::Malformed;
-                }
-                let Ok(found) = u32::from_str_radix(crc_tok, 16) else {
-                    return LineCheck::Malformed;
-                };
-                // CRC the line bytes as stored, not a re-rendering: any
-                // byte drift since write is a mismatch. Checked length
-                // math: a corrupt short line must classify, not panic.
-                let Some(payload_len) = line.len().checked_sub(9) else {
-                    return LineCheck::Malformed; // strip " <8 hex>"
-                };
-                if crc32(&line.as_bytes()[..payload_len]) == found {
-                    LineCheck::Verified(entry)
-                } else {
-                    LineCheck::BadCrc
-                }
-            }
-            _ => LineCheck::Malformed,
-        }
-    }
-
-    /// Parses one journal line (either framing version); `None` for
-    /// malformed or checksum-failing lines.
-    #[must_use]
-    pub fn parse(line: &str) -> Option<Self> {
-        Self::check_line(line).entry()
+        })
     }
 }
 
@@ -547,8 +486,8 @@ pub struct ReplayReport {
     pub segments: usize,
     /// Whether a torn (incomplete or malformed) tail was dropped.
     pub torn_tail: bool,
-    /// Lines discarded in the torn-tail region (trailing run of invalid
-    /// lines after the last valid record — never-acked crash debris).
+    /// Chunks discarded in the torn-tail region (trailing run of invalid
+    /// chunks after the last valid record — never-acked crash debris).
     pub tail_dropped: u64,
     /// Corrupt records found *before* later valid records (bit rot of
     /// acked data), quarantined into `quarantine/` and skipped.
@@ -566,144 +505,125 @@ impl ReplayReport {
     }
 }
 
-/// What framing one scanned journal record used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// Checksummed text v2 line, verified.
-    VerifiedLine,
-    /// Legacy text v1 line — parseable, no checksum.
-    LegacyLine,
-    /// Binary v3 envelope, verified.
-    Binary,
-    /// Unverifiable bytes: corrupt, truncated, unterminated, or a
-    /// non-WAL envelope. Whether that means a torn tail or quarantine
-    /// is positional and decided by the caller.
-    Invalid,
-}
-
 /// One record found by [`scan_segment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScannedRecord<'a> {
-    /// The record's bytes as stored — text records without their newline
-    /// terminator, binary records as the whole envelope, invalid chunks
-    /// verbatim.
+    /// The record's bytes as stored: a whole envelope, or an invalid
+    /// chunk verbatim.
     pub raw: &'a [u8],
-    /// The decoded entry, when the record verified (or parsed, for v1).
+    /// The decoded entry; `None` for bytes that do not verify as a WAL
+    /// record (corrupt, truncated, debris, or a non-WAL envelope).
     pub entry: Option<JournalEntry>,
-    /// The framing the bytes used.
-    pub kind: RecordKind,
 }
 
-fn classify_text_record(raw: &[u8]) -> (Option<JournalEntry>, RecordKind) {
-    let Ok(line) = std::str::from_utf8(raw) else {
-        return (None, RecordKind::Invalid);
-    };
-    match JournalEntry::check_line(line) {
-        LineCheck::Verified(e) => (Some(e), RecordKind::VerifiedLine),
-        LineCheck::Legacy(e) => (Some(e), RecordKind::LegacyLine),
-        LineCheck::Malformed | LineCheck::BadCrc => (None, RecordKind::Invalid),
-    }
-}
-
-/// The first binary magic in `bytes[from..to]` — where an envelope may
+/// The first binary magic in `bytes[from..]`: where an envelope may
 /// begin.
-fn next_magic(bytes: &[u8], from: usize, to: usize) -> Option<usize> {
-    (from..to).find(|&i| bytes[i..].starts_with(&codec::BINARY_MAGIC))
+fn next_magic(bytes: &[u8], from: usize) -> Option<usize> {
+    (from..bytes.len()).find(|&i| bytes[i..].starts_with(&codec::BINARY_MAGIC))
 }
 
-/// Splits one segment's bytes into records, sniffing each record's
-/// framing from its first bytes: a binary magic starts an envelope,
-/// anything else is a text line running to the next newline (or to the
-/// next binary magic, which ends it as an invalid chunk).
+/// Splits one segment's bytes into records: each verified envelope is
+/// one record, and bytes that do not decode as one run to the next
+/// binary magic as one invalid chunk, whatever they hold (a truncated
+/// or rotted envelope, the guard newline after a short write, garbage).
 ///
-/// Purely structural — no quarantining, no position-dependent torn-tail
-/// judgment; [`replay`] and `scrub` layer those on top. An unterminated
-/// final text line is always [`RecordKind::Invalid`] (it was never
-/// flushed-and-acked whole), as is a truncated or corrupt envelope (the
-/// bytes up to the next plausible record start become one invalid
-/// chunk).
+/// Purely structural: no quarantining, no position-dependent torn-tail
+/// judgment; [`ChainClassifier`] makes that, for [`replay`] and `scrub`.
 #[must_use]
 pub fn scan_segment(bytes: &[u8]) -> Vec<ScannedRecord<'_>> {
     let mut records = Vec::new();
     let mut pos = 0;
     while pos < bytes.len() {
-        if codec::is_binary(&bytes[pos..]) {
-            match codec::decode_envelope(&bytes[pos..]) {
-                Ok(env) => {
-                    let entry = (env.mode == codec::MODE_WAL_ENTRY)
-                        .then(|| codec::decode_wal_entry_body(env.body).ok())
-                        .flatten();
-                    records.push(ScannedRecord {
-                        raw: &bytes[pos..pos + env.consumed],
-                        entry,
-                        kind: if entry.is_some() {
-                            RecordKind::Binary
-                        } else {
-                            RecordKind::Invalid
-                        },
-                    });
-                    pos += env.consumed;
-                }
-                Err(_) => {
-                    // Only envelopes follow an envelope (a segment is
-                    // never appended in text after binary), so the
-                    // damage runs to the next magic whatever bytes it
-                    // holds, newlines included.
-                    let end = next_magic(bytes, pos + 1, bytes.len()).unwrap_or(bytes.len());
-                    records.push(ScannedRecord {
-                        raw: &bytes[pos..end],
-                        entry: None,
-                        kind: RecordKind::Invalid,
-                    });
-                    pos = end;
-                }
+        let (end, entry) = match codec::decode_envelope(&bytes[pos..]) {
+            Ok(env) => {
+                let entry = (env.mode == codec::MODE_WAL_ENTRY)
+                    .then(|| codec::decode_wal_entry_body(env.body).ok())
+                    .flatten();
+                (pos + env.consumed, entry)
             }
-        } else {
-            let line_end = bytes[pos..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map_or(bytes.len(), |rel| pos + rel);
-            // A binary magic inside the line means an envelope starts
-            // there; the bytes before it are debris (say, an envelope
-            // whose own magic rotted), never a text record.
-            if let Some(start) = next_magic(bytes, pos + 1, line_end) {
-                records.push(ScannedRecord {
-                    raw: &bytes[pos..start],
-                    entry: None,
-                    kind: RecordKind::Invalid,
-                });
-                pos = start;
-            } else if line_end < bytes.len() {
-                let raw = &bytes[pos..line_end];
-                let (entry, kind) = classify_text_record(raw);
-                records.push(ScannedRecord { raw, entry, kind });
-                pos = line_end + 1;
-            } else {
-                // Unterminated final line: a write cut exactly at the
-                // line boundary was never flushed-and-acked whole.
-                records.push(ScannedRecord {
-                    raw: &bytes[pos..],
-                    entry: None,
-                    kind: RecordKind::Invalid,
-                });
-                pos = bytes.len();
-            }
-        }
+            Err(_) => (next_magic(bytes, pos + 1).unwrap_or(bytes.len()), None),
+        };
+        records.push(ScannedRecord {
+            raw: &bytes[pos..end],
+            entry,
+        });
+        pos = end;
     }
     records
 }
 
-/// Replays every journal entry with `seq > after_seq`, in order, through
-/// `apply`, tolerating a torn tail and quarantining mid-file corruption.
-///
-/// The trailing run of invalid lines after the last valid record is the
-/// torn tail: dropped (those records can only be un-acked crash debris)
-/// and counted. An invalid line *followed by* a valid record anywhere in
-/// the chain is bit rot of acked data: its raw bytes are written to
-/// `dir/quarantine/` and replay continues with the records after it.
+/// Reads the WAL segment at `path` whole.
 ///
 /// # Errors
-/// Fails if the directory or a segment cannot be read.
+/// Fails if the file cannot be read, and refuses a segment a pre-v3
+/// build wrote ([`codec::refuse_pre_v3`]).
+pub fn read_segment(path: &Path) -> io::Result<Vec<u8>> {
+    let bytes = fs::read(path)?;
+    codec::refuse_pre_v3(codec::FileKind::WalSegment, path, &bytes)?;
+    Ok(bytes)
+}
+
+/// What a record's place in a segment chain makes of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// A verified entry.
+    Entry(JournalEntry),
+    /// An invalid record with no valid one after it anywhere in the
+    /// chain: never-acked crash debris, dropped.
+    TornTail,
+    /// An invalid record followed by a valid one: bit rot of acked data,
+    /// quarantined.
+    Rot,
+}
+
+/// Judges the records of a segment chain (segments oldest first, each
+/// as [`scan_segment`] split it) by position: an invalid record after
+/// the chain's last valid record is torn tail, one before it is rot.
+/// The one classifier [`replay`] and `scrub` share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainClassifier {
+    /// `(segment, record)` index of the chain's last valid record.
+    last_valid: Option<(usize, usize)>,
+}
+
+impl ChainClassifier {
+    /// Finds the last valid record of `chain`.
+    #[must_use]
+    pub fn new(chain: &[Vec<ScannedRecord<'_>>]) -> Self {
+        let last_valid = chain
+            .iter()
+            .enumerate()
+            .flat_map(|(seg, records)| {
+                records
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.entry.is_some())
+                    .map(move |(i, _)| (seg, i))
+            })
+            .next_back();
+        Self { last_valid }
+    }
+
+    /// The verdict on `record`, record `index` of segment `segment`.
+    #[must_use]
+    pub fn verdict(&self, segment: usize, index: usize, record: &ScannedRecord<'_>) -> Verdict {
+        match record.entry {
+            Some(entry) => Verdict::Entry(entry),
+            None if self.last_valid.is_none_or(|pos| (segment, index) > pos) => Verdict::TornTail,
+            None => Verdict::Rot,
+        }
+    }
+}
+
+/// Replays every journal entry with `seq > after_seq`, in order, through
+/// `apply`, tolerating a torn tail and quarantining mid-file corruption
+/// (see [`ChainClassifier`]): torn-tail chunks are dropped and counted,
+/// rotted records have their raw bytes written to `dir/quarantine/` and
+/// replay continues with the records after them.
+///
+/// # Errors
+/// Fails if the directory or a segment cannot be read, or refuses a
+/// segment a pre-v3 build wrote ([`read_segment`]).
 pub fn replay(
     dir: &Path,
     after_seq: u64,
@@ -717,43 +637,20 @@ pub fn replay(
     };
     report.segments = segments.len();
 
-    // Read everything first: torn/rotten bytes must classify by position
-    // (is any *valid* record after this line?), which needs the whole
-    // chain. Journal size is bounded by the checkpoint cadence.
-    let mut files = Vec::with_capacity(segments.len());
-    for (_, path) in &segments {
-        files.push(fs::read(path)?);
-    }
-
-    // A record is usable iff the scanner verified it (v1/v2 text or a
-    // binary envelope); everything else classifies by position.
-    let parsed: Vec<Vec<ScannedRecord>> = files.iter().map(|bytes| scan_segment(bytes)).collect();
-
-    // Position of the last valid record in the whole chain; every
-    // invalid record after it is the torn tail, every one before it is
-    // mid-file corruption.
-    let last_valid = parsed
+    // Read everything first: a record's verdict depends on whether any
+    // valid record follows it anywhere in the chain. Journal size is
+    // bounded by the checkpoint cadence.
+    let files = segments
         .iter()
-        .enumerate()
-        .flat_map(|(seg, records)| {
-            records
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.entry.is_some())
-                .map(move |(i, _)| (seg, i))
-        })
-        .next_back();
+        .map(|(_, path)| read_segment(path))
+        .collect::<io::Result<Vec<_>>>()?;
+    let chain: Vec<Vec<ScannedRecord>> = files.iter().map(|bytes| scan_segment(bytes)).collect();
 
-    for (seg_idx, records) in parsed.iter().enumerate() {
-        let seg_name = segments[seg_idx]
-            .1
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("wal.unknown.log")
-            .to_string();
+    let classifier = ChainClassifier::new(&chain);
+    for (seg_idx, (records, (_, path))) in chain.iter().zip(&segments).enumerate() {
         for (rec_idx, record) in records.iter().enumerate() {
-            match record.entry {
-                Some(entry) => {
+            match classifier.verdict(seg_idx, rec_idx, record) {
+                Verdict::Entry(entry) => {
                     report.last_seq = Some(report.last_seq.map_or(entry.seq, |s| s.max(entry.seq)));
                     if entry.seq > after_seq {
                         apply(entry);
@@ -762,16 +659,12 @@ pub fn replay(
                         report.skipped += 1;
                     }
                 }
-                None if record.raw.is_empty() && Some((seg_idx, rec_idx)) > last_valid => {
-                    // Blank padding at the very end of the chain (e.g. a
-                    // freshly rotated empty segment) is not corruption.
-                }
-                None if last_valid.is_none_or(|pos| (seg_idx, rec_idx) > pos) => {
+                Verdict::TornTail => {
                     report.torn_tail = true;
                     report.tail_dropped += 1;
                 }
-                None => {
-                    quarantine_bytes(dir, &format!("{seg_name}.line{rec_idx}.rec"), record.raw);
+                Verdict::Rot => {
+                    quarantine_bytes(dir, &quarantine_name(path, rec_idx), record.raw);
                     report.quarantined += 1;
                 }
             }
@@ -783,14 +676,25 @@ pub fn replay(
     Ok(report)
 }
 
+/// The name under `quarantine/` of record `index` of the segment at
+/// `path`.
+#[must_use]
+pub fn quarantine_name(path: &Path, index: usize) -> String {
+    let segment = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or("wal.unknown.log");
+    format!("{segment}.line{index}.rec")
+}
+
 /// Reads up to `max` verified entries with `seq > after_seq` from the
 /// segment chain, oldest first — the replication PULL path for entries
 /// that have aged out of the primary's in-memory ship buffer but are
 /// still on disk.
 ///
 /// Read-only and side-effect free: unlike [`replay`] it never
-/// quarantines — corrupt or torn lines are simply not shipped (recovery
-/// owns forensics). Segments fully covered by `after_seq` are skipped
+/// quarantines — corrupt or torn records are simply not shipped
+/// (recovery owns forensics). Segments fully covered by `after_seq` are skipped
 /// without being read.
 ///
 /// # Errors
@@ -813,10 +717,10 @@ pub fn read_entries_after(dir: &Path, after_seq: u64, max: usize) -> io::Result<
                 continue;
             }
         }
-        let bytes = fs::read(path)?;
+        let bytes = read_segment(path)?;
         for record in scan_segment(&bytes) {
-            // Invalid chunks (torn, rotten, or unterminated) are simply
-            // not shipped; recovery owns forensics.
+            // Invalid chunks (torn or rotten) are simply not shipped;
+            // recovery owns forensics.
             let Some(entry) = record.entry else { continue };
             if entry.seq > after_seq {
                 out.push(entry);
@@ -853,16 +757,8 @@ mod tests {
         }
     }
 
-    /// Writes a v2 text segment holding `seqs`, as a pre-v3 server did.
-    fn write_v2_segment(dir: &Path, seqs: std::ops::RangeInclusive<u64>) -> PathBuf {
-        let entries: Vec<JournalEntry> = seqs.clone().map(entry).collect();
-        let path = segment_path(dir, *seqs.start());
-        fs::write(&path, codec::v2::wal_segment(&entries)).unwrap();
-        path
-    }
-
     #[test]
-    fn entry_line_roundtrip_v2() {
+    fn entry_line_roundtrip() {
         let e = JournalEntry {
             seq: 7,
             u: VertexId(3),
@@ -872,57 +768,39 @@ mod tests {
         assert!(line.starts_with("F 7 3 9 "), "{line}");
         assert_eq!(line.len(), "F 7 3 9".len() + 9, "8 hex chars + space");
         assert_eq!(JournalEntry::parse(&line), Some(e));
-        assert!(matches!(
-            JournalEntry::check_line(&line),
-            LineCheck::Verified(got) if got == e
-        ));
-    }
-
-    #[test]
-    fn legacy_v1_lines_still_parse() {
-        let e = JournalEntry {
-            seq: 7,
-            u: VertexId(3),
-            v: VertexId(9),
-        };
-        assert_eq!(JournalEntry::parse("E 7 3 9"), Some(e));
-        assert!(matches!(
-            JournalEntry::check_line("E 7 3 9"),
-            LineCheck::Legacy(got) if got == e
-        ));
     }
 
     #[test]
     fn malformed_lines_are_rejected() {
         for bad in [
             "",
-            "E 7 3",
-            "E 7 3 9 1", // v1 tag with five fields
-            "F 7 3 9",   // v2 tag with four fields
+            "E 7 3 9",   // the retired v1 line
+            "E 7 3 9 1", // the v1 tag with five fields
+            "F 7 3 9",   // four fields
             "X 7 3 9",
             "E 7 3 banana",
             "F 7 3 9 zzzzzzzz",  // non-hex CRC
             "F 7 3 9 abc",       // short CRC
             "F 7 3 9 ABCDEF12",  // uppercase CRC (non-canonical)
             "F 7 3 9 abcdef123", // long CRC
-            "E +7 3 9",          // sign is not canonical
-            "E 7 3 9 ",          // trailing separator
+            "F +7 3 9 abcdef12", // sign is not canonical
+            "F 7 3 9 abcdef12 ", // trailing separator
         ] {
             assert_eq!(JournalEntry::parse(bad), None, "{bad:?}");
         }
     }
 
     #[test]
-    fn crc_mismatch_is_detected_not_malformed() {
-        let mut line = entry(5).to_string();
+    fn crc_mismatch_is_detected() {
+        let line = entry(5).to_string();
         // Corrupt one payload digit without breaking the structure.
-        line = line.replacen("F 5", "F 6", 1);
-        assert_eq!(JournalEntry::check_line(&line), LineCheck::BadCrc);
-        assert_eq!(JournalEntry::parse(&line), None);
+        let rotted = line.replacen("F 5", "F 6", 1);
+        assert_eq!(JournalEntry::parse(&line), Some(entry(5)));
+        assert_eq!(JournalEntry::parse(&rotted), None);
     }
 
     #[test]
-    fn every_single_bit_flip_in_a_v2_record_is_detected() {
+    fn every_single_bit_flip_in_an_f_line_is_detected() {
         // The framing guarantee the proptest satellite pins at scale;
         // here the deterministic spot-check on one record.
         let line = entry(123_456_789).to_string();
@@ -952,7 +830,11 @@ mod tests {
         assert_eq!(j.next_seq(), 6);
         drop(j);
         let (_, path) = &list_segments(&dir).unwrap()[0];
-        assert!(codec::is_binary(&fs::read(path).unwrap()), "v3 segment");
+        let bytes = fs::read(path).unwrap();
+        assert_eq!(
+            codec::decode_envelope(&bytes).unwrap().mode,
+            codec::MODE_WAL_ENTRY
+        );
 
         let mut seen = Vec::new();
         let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
@@ -969,92 +851,25 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_dropped_not_fatal() {
-        let dir = temp_dir("torn");
-        let path = write_v2_segment(&dir, 1..=3);
-        // Simulate a crash mid-append: a partial line with no newline.
-        let mut f = OpenOptions::new().append(true).open(path).unwrap();
-        write!(f, "F 4 8").unwrap();
-        drop(f);
-
-        let mut seen = Vec::new();
-        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![1, 2, 3]);
-        assert!(report.torn_tail);
-        assert_eq!(report.tail_dropped, 1);
-        assert_eq!(report.quarantined, 0, "a torn tail is not quarantined");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn complete_final_line_without_newline_is_treated_as_torn() {
-        // A well-formed line missing its terminator means the write was
-        // cut exactly at the line end — it was never flushed-and-acked as
-        // a whole, so it must not be replayed. (v1 framing, which also
-        // pins the legacy read path.)
-        let dir = temp_dir("noterm");
-        fs::write(segment_path(&dir, 1), "E 1 0 1\nE 2 2 3").unwrap();
-        let mut seen = Vec::new();
-        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![1]);
-        assert!(report.torn_tail);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mid_file_corruption_is_quarantined_and_replay_continues() {
-        let dir = temp_dir("midfile");
-        let path = write_v2_segment(&dir, 1..=5);
-        // Rot record 3 in place: flip a payload bit.
-        let content = fs::read_to_string(&path).unwrap();
-        let rotted = content.replacen("F 3", "F 7", 1);
-        assert_ne!(content, rotted);
-        fs::write(&path, rotted).unwrap();
-
-        let mut seen = Vec::new();
-        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![1, 2, 4, 5], "records after the rot still apply");
-        assert_eq!(report.quarantined, 1);
-        assert!(!report.torn_tail);
-        // The corrupt raw line is preserved for forensics.
-        let quarantined: Vec<_> = fs::read_dir(dir.join(QUARANTINE_DIR))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        assert_eq!(quarantined.len(), 1);
-        let saved = fs::read_to_string(&quarantined[0]).unwrap();
-        assert!(saved.starts_with("F 7"), "{saved}");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn corruption_in_a_sealed_segment_is_mid_file_not_torn() {
         // A bad record at the end of a *sealed* segment is followed by
         // the next segment's valid records — bit rot, not a torn write.
-        // Checked on a journal-written (v3) chain and a v2 text chain.
-        for v2 in [false, true] {
-            let dir = temp_dir("sealedrot");
-            if v2 {
-                write_v2_segment(&dir, 1..=3);
-                write_v2_segment(&dir, 4..=4);
-            } else {
-                let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-                for seq in 1..=3 {
-                    j.append(entry(seq)).unwrap();
-                }
-                j.rotate(4).unwrap();
-                j.append(entry(4)).unwrap();
-            }
-            let (_, sealed) = &list_segments(&dir).unwrap()[0];
-            crate::chaos::flip_bit(sealed, 2, 1).unwrap();
-
-            let mut seen = Vec::new();
-            let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-            assert_eq!(seen, vec![2, 3, 4], "v2={v2}");
-            assert_eq!(report.quarantined, 1, "v2={v2}");
-            assert!(!report.torn_tail, "v2={v2}");
-            fs::remove_dir_all(&dir).unwrap();
+        let dir = temp_dir("sealedrot");
+        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
+        for seq in 1..=3 {
+            j.append(entry(seq)).unwrap();
         }
+        j.rotate(4).unwrap();
+        j.append(entry(4)).unwrap();
+        let (_, sealed) = &list_segments(&dir).unwrap()[0];
+        crate::chaos::flip_bit(sealed, 2, 1).unwrap();
+
+        let mut seen = Vec::new();
+        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
+        assert_eq!(seen, vec![2, 3, 4]);
+        assert_eq!(report.quarantined, 1);
+        assert!(!report.torn_tail);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1066,27 +881,19 @@ mod tests {
         }
         drop(j);
         let (_, path) = &list_segments(&dir).unwrap()[0];
-        crate::chaos::append_garbage(path, b"\x00garbage\nmore garbage\nF 9 9").unwrap();
+        // Debris without a magic is one chunk, newlines and all; a
+        // partial envelope after it is a second.
+        let partial = codec::encode_wal_entry(&entry(3));
+        let mut garbage = b"\x00garbage\nmore garbage\nF 9 9".to_vec();
+        garbage.extend_from_slice(&partial[..partial.len() - 2]);
+        crate::chaos::append_garbage(path, &garbage).unwrap();
 
         let mut seen = Vec::new();
         let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
         assert_eq!(seen, vec![1, 2]);
         assert!(report.torn_tail);
-        assert_eq!(report.tail_dropped, 3);
+        assert_eq!(report.tail_dropped, 2);
         assert_eq!(report.quarantined, 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_segments_replay_unmodified() {
-        // A pre-CRC data dir: plain `E` lines, no checksums.
-        let dir = temp_dir("v1compat");
-        fs::write(segment_path(&dir, 1), "E 1 10 11\nE 2 12 13\nE 3 14 15\n").unwrap();
-        let mut seen = Vec::new();
-        let report = replay(&dir, 1, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![2, 3]);
-        assert_eq!(report.skipped, 1);
-        assert!(!report.corruption_seen());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1317,69 +1124,34 @@ mod tests {
     }
 
     #[test]
-    fn read_entries_after_never_ships_corrupt_or_torn_lines() {
-        let dir = temp_dir("readclean");
-        let path = write_v2_segment(&dir, 1..=3);
-        // Rot record 2, then leave a torn (unterminated) record 4.
-        let content = fs::read_to_string(&path).unwrap();
-        fs::write(&path, content.replacen("F 2", "F 9", 1)).unwrap();
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        write!(f, "F 4 8").unwrap();
-        drop(f);
-
-        let got = read_entries_after(&dir, 0, 100).unwrap();
-        assert_eq!(got.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 3]);
-        // No quarantine side effects from the read path.
-        assert!(!dir.join(QUARANTINE_DIR).exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mixed_format_directory_replays_in_order() {
-        // A v2 deployment restarted on a v3 binary: the old text segment
-        // and the new binary segment replay through one scanner.
-        let dir = temp_dir("bin-mixed");
-        write_v2_segment(&dir, 1..=3);
-        let mut j = Journal::create(&dir, 4, FsyncPolicy::Never).unwrap();
-        for seq in 4..=6 {
-            j.append(entry(seq)).unwrap();
-        }
-        drop(j);
-
-        let mut seen = Vec::new();
-        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![1, 2, 3, 4, 5, 6]);
-        assert!(!report.corruption_seen());
-        assert_eq!(
-            read_entries_after(&dir, 2, 3)
-                .unwrap()
-                .iter()
-                .map(|e| e.seq)
-                .collect::<Vec<_>>(),
-            vec![3, 4, 5]
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn binary_torn_tail_is_dropped_not_fatal() {
-        let dir = temp_dir("bin-torn");
-        let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
-        for seq in 1..=3 {
-            j.append(entry(seq)).unwrap();
-        }
-        drop(j);
-        // Crash mid-append: cut the final envelope short.
-        let (_, path) = &list_segments(&dir).unwrap()[0];
-        let bytes = fs::read(path).unwrap();
-        fs::write(path, &bytes[..bytes.len() - 3]).unwrap();
+        // Crash mid-append, two ways: the final envelope cut short, and
+        // the first bytes of a next one after a whole record.
+        for cut_final in [true, false] {
+            let dir = temp_dir("bin-torn");
+            let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
+            for seq in 1..=3 {
+                j.append(entry(seq)).unwrap();
+            }
+            drop(j);
+            let (_, path) = &list_segments(&dir).unwrap()[0];
+            let mut bytes = fs::read(path).unwrap();
+            if cut_final {
+                bytes.truncate(bytes.len() - 3);
+            } else {
+                bytes.extend_from_slice(&codec::encode_wal_entry(&entry(4))[..6]);
+            }
+            fs::write(path, &bytes).unwrap();
 
-        let mut seen = Vec::new();
-        let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
-        assert_eq!(seen, vec![1, 2]);
-        assert!(report.torn_tail);
-        assert_eq!(report.quarantined, 0, "a torn tail is not quarantined");
-        fs::remove_dir_all(&dir).unwrap();
+            let mut seen = Vec::new();
+            let report = replay(&dir, 0, |e| seen.push(e.seq)).unwrap();
+            let acked = if cut_final { vec![1, 2] } else { vec![1, 2, 3] };
+            assert_eq!(seen, acked, "cut_final={cut_final}");
+            assert!(report.torn_tail);
+            assert_eq!(report.tail_dropped, 1);
+            assert_eq!(report.quarantined, 0, "a torn tail is not quarantined");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1400,8 +1172,18 @@ mod tests {
         assert_eq!(seen, vec![1, 3, 4, 5], "records after the rot still apply");
         assert_eq!(report.quarantined, 1);
         assert!(!report.torn_tail);
-        // The corrupt raw chunk is preserved for forensics.
-        assert_eq!(fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap().count(), 1);
+        // The corrupt record's raw bytes are preserved for forensics.
+        let quarantined: Vec<_> = fs::read_dir(dir.join(QUARANTINE_DIR))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(quarantined.len(), 1);
+        let bytes = fs::read(path).unwrap();
+        let one_record = one_record as usize;
+        assert_eq!(
+            fs::read(&quarantined[0]).unwrap(),
+            &bytes[one_record..2 * one_record]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1416,35 +1198,13 @@ mod tests {
         let (_, path) = &list_segments(&dir).unwrap()[0];
         let one_record = codec::encode_wal_entry(&entry(1)).len() as u64;
         crate::chaos::flip_bit(path, one_record * 2 + 5, 2).unwrap();
+        // And a torn (partial) record 5 at the tail.
+        crate::chaos::append_garbage(path, &codec::encode_wal_entry(&entry(5))[..6]).unwrap();
 
         let got = read_entries_after(&dir, 0, 100).unwrap();
         assert_eq!(got.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2, 4]);
         assert!(!dir.join(QUARANTINE_DIR).exists(), "read path is pure");
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn scan_segment_reports_record_kinds() {
-        let v2 = entry(1).to_string();
-        let bin = codec::encode_wal_entry(&entry(2));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(v2.as_bytes());
-        bytes.push(b'\n');
-        bytes.extend_from_slice(b"E 7 3 9\n");
-        bytes.extend_from_slice(&bin);
-        bytes.extend_from_slice(b"not a record\n");
-        let records = scan_segment(&bytes);
-        assert_eq!(
-            records.iter().map(|r| r.kind).collect::<Vec<_>>(),
-            vec![
-                RecordKind::VerifiedLine,
-                RecordKind::LegacyLine,
-                RecordKind::Binary,
-                RecordKind::Invalid
-            ]
-        );
-        assert_eq!(records[2].entry, Some(entry(2)));
-        assert_eq!(records[3].raw, b"not a record");
     }
 
     #[test]
@@ -1454,10 +1214,9 @@ mod tests {
         bytes.extend_from_slice(&codec::encode_wal_entry(&entry(2)));
         let records = scan_segment(&bytes);
         assert_eq!(
-            records.iter().map(|r| r.kind).collect::<Vec<_>>(),
-            vec![RecordKind::Invalid, RecordKind::Binary]
+            records.iter().map(|r| r.entry).collect::<Vec<_>>(),
+            vec![None, Some(entry(2))]
         );
-        assert_eq!(records[1].entry, Some(entry(2)));
     }
 
     #[test]
@@ -1475,9 +1234,52 @@ mod tests {
         bytes.extend_from_slice(&codec::encode_wal_entry(&entry(2)));
         let records = scan_segment(&bytes);
         assert_eq!(
-            records.iter().map(|r| r.kind).collect::<Vec<_>>(),
-            vec![RecordKind::Invalid, RecordKind::Binary]
+            records.iter().map(|r| r.entry).collect::<Vec<_>>(),
+            vec![None, Some(entry(2))]
         );
+    }
+
+    #[test]
+    fn chain_classifier_splits_invalid_records_by_position() {
+        let record = |seq| codec::encode_wal_entry(&entry(seq));
+        let mut rotted = record(2);
+        rotted[8] ^= 0x10;
+        let first: Vec<u8> = [record(1), rotted, record(3)].concat();
+        let second: Vec<u8> = [record(4), b"debris".to_vec()].concat();
+        let chain = vec![
+            scan_segment(&first),
+            scan_segment(&second),
+            scan_segment(b""),
+        ];
+        let verdicts = |chain: &[Vec<ScannedRecord>]| {
+            let classifier = ChainClassifier::new(chain);
+            chain
+                .iter()
+                .enumerate()
+                .map(|(seg, records)| {
+                    records
+                        .iter()
+                        .enumerate()
+                        .map(|(i, r)| classifier.verdict(seg, i, r))
+                        .collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            verdicts(&chain),
+            vec![
+                vec![
+                    Verdict::Entry(entry(1)),
+                    Verdict::Rot,
+                    Verdict::Entry(entry(3))
+                ],
+                vec![Verdict::Entry(entry(4)), Verdict::TornTail],
+                vec![],
+            ]
+        );
+        // With no valid record at all, every invalid one is torn tail.
+        let junk = [scan_segment(b"junk")];
+        assert_eq!(verdicts(&junk), vec![vec![Verdict::TornTail]]);
     }
 
     #[test]

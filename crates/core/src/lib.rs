@@ -61,11 +61,10 @@
 //! * [`parallel`] — sharded multi-threaded ingestion.
 //! * [`codec`] — the storage/wire format: the checksummed binary v3
 //!   envelope (LEB128 varints, delta-encoded slot columns), the only
-//!   format written; every read path sniffs, so directories left by the
-//!   older text formats stay readable.
+//!   format written or read; a file in a pre-v3 text format is refused
+//!   by name.
 //! * [`snapshot`] — store snapshots for persistence: atomic
-//!   (temp-file–fsync–rename) writes of checksummed v3 files, with
-//!   transparent v1/v2 read-compat.
+//!   (temp-file–fsync–rename) writes of checksummed v3 files.
 //! * [`journal`] — append-only edge WAL with per-record CRC-32 framing:
 //!   acked edges survive crashes, and corruption is detected, not
 //!   replayed.
@@ -129,7 +128,7 @@ pub use codec::{CodecError, WireFormat};
 pub use config::{HasherBackend, SketchConfig};
 pub use durable::{checkpoint, recover, Recovery, DEFAULT_SNAPSHOT_KEEP};
 pub use events::{ClusterEvent, EventJournal, EventKind};
-pub use journal::{FsyncPolicy, Journal, JournalEntry, LineCheck, ReplayReport};
+pub use journal::{FsyncPolicy, Journal, JournalEntry, ReplayReport};
 pub use loadgen::{LoadReport, MixSpec, OpKind, OpStream, WorkloadSpec};
 pub use lsh::LshIndex;
 pub use memory::{MemoryComponent, MemoryReport};

@@ -52,9 +52,8 @@ impl Slot {
 /// Exactly `k` slots of 8 bytes, allocated once at first sight of the
 /// vertex — the "constant space per vertex" in the paper's claim.
 ///
-/// It has no serde form of its own: the v1/v2 JSON carries each slot's
-/// argmin, which only the config's hash functions can derive, so
-/// [`crate::snapshot::StoreSnapshot`] serializes sketches.
+/// It has no serde form: sketches persist through the v3 codec
+/// ([`crate::codec`]), as part of a [`crate::snapshot::StoreSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexSketch {
     slots: Box<[Slot]>,

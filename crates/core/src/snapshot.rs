@@ -29,108 +29,26 @@
 //! written as a checksummed binary v3 envelope ([`crate::codec`]), so
 //! truncation and bit rot are detected before anything is decoded.
 //!
-//! Reads also accept the two retired text formats, so old data
-//! directories load unmodified. v2 carries a versioned header with a
-//! whole-payload digest:
-//!
-//! ```text
-//! STREAMLINK-SNAP v2 len=<payload bytes> crc32=<lower-hex-8>\n
-//! <JSON payload>
-//! ```
-//!
-//! The CRC-32 ([`hashkit::crc32()`]) covers the payload and `len` pins
-//! its exact size. v1 is bare JSON with no header: it loads, but cannot
-//! be *verified* (see [`SnapshotIntegrity::Legacy`]).
+//! v3 is the only format read. A file that fails to decode and opens
+//! with a pre-v3 snapshot signature is refused by name
+//! ([`codec::refuse_pre_v3`]) rather than reported as damage.
 
 use std::fs::{self, File};
 use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
-use hashkit::crc32;
-use serde::{Deserialize, Error, Serialize, Value};
-
 use graphstream::VertexId;
 
-use crate::codec::{self, SnapshotSink};
-use crate::config::{HasherBackend, HasherBank, SketchConfig};
-use crate::sketch::{Slot, VertexSketch};
+use crate::codec::{self, FileKind, SnapshotSink};
+use crate::config::{HasherBank, SketchConfig};
+use crate::sketch::VertexSketch;
 use crate::store::SketchStore;
-
-/// The magic prefix of a v2 snapshot header line.
-pub const SNAPSHOT_MAGIC: &str = "STREAMLINK-SNAP";
-
-/// What the framing check proved about a snapshot file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotIntegrity {
-    /// v3 envelope CRC, or v2 length and payload CRC, verified.
-    Verified,
-    /// Legacy v1 file — parseable bare JSON, but carrying no digest, so
-    /// integrity cannot be proven.
-    Legacy,
-}
-
-/// Verifies v2/v1 text framing, returning the JSON payload and what the
-/// check proved.
-///
-/// # Errors
-/// [`io::ErrorKind::InvalidData`] for a malformed header, a length
-/// mismatch (truncation or trailing garbage), or a CRC mismatch (bit
-/// rot). The message says which.
-fn verify_text(bytes: &[u8]) -> io::Result<(String, SnapshotIntegrity)> {
-    let invalid = |detail: &str| io::Error::new(io::ErrorKind::InvalidData, detail.to_string());
-    let content = std::str::from_utf8(bytes).map_err(|_| invalid("unreadable or not UTF-8"))?;
-    let Some(rest) = content.strip_prefix(SNAPSHOT_MAGIC) else {
-        // No magic: a legacy v1 bare-JSON snapshot.
-        return Ok((content.to_string(), SnapshotIntegrity::Legacy));
-    };
-    let (header, payload) = rest
-        .split_once('\n')
-        .ok_or_else(|| invalid("v2 header line is unterminated"))?;
-    let mut fields = header.split(' ').filter(|f| !f.is_empty());
-    if fields.next() != Some("v2") {
-        return Err(invalid("unsupported snapshot format version"));
-    }
-    let len: usize = fields
-        .next()
-        .and_then(|f| f.strip_prefix("len="))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| invalid("v2 header has no parseable len field"))?;
-    let expected: u32 = fields
-        .next()
-        .and_then(|f| f.strip_prefix("crc32="))
-        .filter(|v| v.len() == 8)
-        .and_then(|v| u32::from_str_radix(v, 16).ok())
-        .ok_or_else(|| invalid("v2 header has no parseable crc32 field"))?;
-    if payload.len() != len {
-        return Err(invalid(&format!(
-            "payload length mismatch: header says {len} bytes, file holds {}",
-            payload.len()
-        )));
-    }
-    let found = crc32(payload.as_bytes());
-    if found != expected {
-        return Err(invalid(&format!(
-            "payload CRC mismatch: header {expected:08x}, computed {found:08x}"
-        )));
-    }
-    Ok((payload.to_string(), SnapshotIntegrity::Verified))
-}
 
 fn corrupt(path: &Path, detail: &str) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("corrupt snapshot {}: {detail}", path.display()),
     )
-}
-
-/// Re-wraps an `InvalidData` error with the snapshot's path context;
-/// other kinds (e.g. `NotFound`) pass through untouched.
-fn rewrap(e: io::Error, path: &Path) -> io::Error {
-    if e.kind() == io::ErrorKind::InvalidData {
-        corrupt(path, &e.to_string())
-    } else {
-        e
-    }
 }
 
 /// Writes `parts`, one after another, to `path` atomically: temp file in
@@ -184,82 +102,9 @@ impl VertexEntry {
                 .and_then(|column| column.get(i).copied()),
         }
     }
-
-    /// The v1/v2 JSON object: `{"vertex", "sketch": {"slots": [{"hash",
-    /// "argmin"}, ..]}, "degree"}`, each argmin derived from its slot.
-    fn to_json(&self, bank: &HasherBank) -> Value {
-        let slots = self
-            .sketch
-            .slots()
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let argmin = if slot.is_empty() {
-                    Some(VertexId(u64::MAX))
-                } else {
-                    self.argmin(bank, i, slot.hash)
-                };
-                Value::Object(vec![
-                    ("hash".into(), slot.hash.to_value()),
-                    ("argmin".into(), argmin.to_value()),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("vertex".into(), self.vertex.to_value()),
-            (
-                "sketch".into(),
-                Value::Object(vec![("slots".into(), Value::Array(slots))]),
-            ),
-            ("degree".into(), self.degree.to_value()),
-        ])
-    }
-
-    /// Reads a v1/v2 JSON vertex object, refusing a sketch whose width is
-    /// not the config's or a filled slot whose argmin does not hash to
-    /// it; the argmins are then dropped, except for Tabulation's column.
-    fn from_json(value: &Value, config: &SketchConfig, bank: &HasherBank) -> Result<Self, Error> {
-        let slots = field(field(value, "sketch")?, "slots")?
-            .as_array()
-            .ok_or_else(|| Error::custom("sketch slots are not an array"))?;
-        if slots.len() != config.slots() {
-            return Err(Error::custom("sketch width differs from the config's"));
-        }
-        let mut hashes = Vec::with_capacity(slots.len());
-        let mut column = Vec::with_capacity(slots.len());
-        for (i, slot) in slots.iter().enumerate() {
-            let hash = u64::from_value(field(slot, "hash")?)?;
-            let argmin = u64::from_value(field(slot, "argmin")?)?;
-            let filled = !(Slot { hash }).is_empty();
-            if filled && bank.hash(i, argmin) != hash {
-                return Err(Error::custom("slot argmin does not hash to its slot"));
-            }
-            hashes.push(Slot { hash });
-            column.push(VertexId(argmin));
-        }
-        let any_filled = hashes.iter().any(|s| !s.is_empty());
-        let tabulation = config.hasher_backend() == HasherBackend::Tabulation;
-        Ok(Self {
-            vertex: VertexId::from_value(field(value, "vertex")?)?,
-            sketch: VertexSketch::from_slots(hashes.into_boxed_slice()),
-            degree: u64::from_value(field(value, "degree")?)?,
-            argmins: (tabulation && any_filled).then(|| column.into_boxed_slice()),
-        })
-    }
 }
 
-/// The member `name` of a JSON object.
-fn field<'a>(value: &'a Value, name: &str) -> Result<&'a Value, Error> {
-    value
-        .get(name)
-        .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-}
-
-/// A serializable image of a whole store.
-///
-/// Its v1/v2 JSON form is serialized here rather than derived: the JSON
-/// carries each slot's argmin, which only the config's hash functions
-/// can derive (when writing) or check (when reading).
+/// A plain-data image of a whole store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreSnapshot {
     /// The configuration (slots, seed, backend).
@@ -268,38 +113,6 @@ pub struct StoreSnapshot {
     pub edges_processed: u64,
     /// Per-vertex state, sorted by vertex id for deterministic output.
     pub vertices: Vec<VertexEntry>,
-}
-
-impl Serialize for StoreSnapshot {
-    fn to_value(&self) -> Value {
-        let bank = self.config.build_bank();
-        Value::Object(vec![
-            ("config".into(), self.config.to_value()),
-            ("edges_processed".into(), self.edges_processed.to_value()),
-            (
-                "vertices".into(),
-                Value::Array(self.vertices.iter().map(|e| e.to_json(&bank)).collect()),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for StoreSnapshot {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let config = SketchConfig::from_value(field(value, "config")?)?;
-        let bank = config.build_bank();
-        let vertices = field(value, "vertices")?
-            .as_array()
-            .ok_or_else(|| Error::custom("vertices are not an array"))?
-            .iter()
-            .map(|entry| VertexEntry::from_json(entry, &config, &bank))
-            .collect::<Result<_, _>>()?;
-        Ok(Self {
-            config,
-            edges_processed: u64::from_value(field(value, "edges_processed")?)?,
-            vertices,
-        })
-    }
 }
 
 impl StoreSnapshot {
@@ -363,35 +176,15 @@ impl StoreSnapshot {
         self.write_atomic(path)
     }
 
-    /// Loads a snapshot file in any format this crate ever wrote (v3
-    /// binary, v2 framed text, v1 bare JSON), sniffing it from the bytes.
+    /// Loads a v3 snapshot file.
     ///
     /// # Errors
-    /// Fails if the file is missing ([`io::ErrorKind::NotFound`]) or does
-    /// not verify ([`io::ErrorKind::InvalidData`]).
+    /// Fails if the file is missing ([`io::ErrorKind::NotFound`]), does
+    /// not verify ([`io::ErrorKind::InvalidData`]), or was written by a
+    /// pre-v3 build ([`io::ErrorKind::Unsupported`], see
+    /// [`codec::refuse_pre_v3`]).
     pub fn read_from(path: &Path) -> io::Result<Self> {
-        Ok(Self::read_with_integrity(path)?.0)
-    }
-
-    /// Like [`Self::read_from`], also reporting what the framing check
-    /// proved. Binary v3 snapshots always verify (the envelope CRC is
-    /// mandatory); text snapshots report v2 verified or v1 legacy.
-    ///
-    /// # Errors
-    /// Fails if the file is missing or does not verify.
-    pub fn read_with_integrity(path: &Path) -> io::Result<(Self, SnapshotIntegrity)> {
-        read_file(path, |snap| snap)
-    }
-
-    /// Decodes the contents of a v2 or v1 text snapshot file.
-    ///
-    /// # Errors
-    /// [`io::ErrorKind::InvalidData`] when the bytes do not verify.
-    pub(crate) fn decode_text(bytes: &[u8]) -> io::Result<(Self, SnapshotIntegrity)> {
-        let (payload, integrity) = verify_text(bytes)?;
-        let snap = serde_json::from_str(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok((snap, integrity))
+        read_file(path)
     }
 }
 
@@ -399,54 +192,48 @@ impl StoreSnapshot {
 /// such buffer as the decoder finishes with it.
 const READ_BUFFER: usize = 256 * 1024;
 
-/// Reads the snapshot file at `path`, sniffing its format from the first
-/// bytes. A v3 file streams through the codec's body decoder into `S`;
-/// a v1 or v2 text file is read whole, decoded as JSON, and handed to
-/// `from_text`.
-fn read_file<S: SnapshotSink>(
-    path: &Path,
-    from_text: impl FnOnce(StoreSnapshot) -> S,
-) -> io::Result<(S, SnapshotIntegrity)> {
-    let mut file = File::open(path)?;
+/// Reads the v3 snapshot file at `path`, streaming its body through
+/// the codec's decoder into `S`. Only a file that fails to decode is
+/// checked for a pre-v3 signature, which turns the failure into a
+/// refusal by name instead of damage.
+fn read_file<S: SnapshotSink>(path: &Path) -> io::Result<S> {
+    let file = File::open(path)?;
     let len = file.metadata()?.len();
-    let mut head = Vec::with_capacity(codec::BINARY_MAGIC.len());
-    (&mut file)
-        .take(codec::BINARY_MAGIC.len() as u64)
-        .read_to_end(&mut head)?;
-    let binary = codec::is_binary(&head);
-    let mut source = io::Cursor::new(head).chain(file);
-    if binary {
-        let sink = codec::read_store_snapshot(BufReader::with_capacity(READ_BUFFER, source), len)
-            .map_err(|e| rewrap(e, path))?;
-        return Ok((sink, SnapshotIntegrity::Verified));
-    }
-    let mut bytes = Vec::new();
-    source.read_to_end(&mut bytes)?;
-    let (snap, integrity) = StoreSnapshot::decode_text(&bytes).map_err(|e| rewrap(e, path))?;
-    Ok((from_text(snap), integrity))
+    codec::read_store_snapshot(BufReader::with_capacity(READ_BUFFER, file), len).map_err(|e| {
+        if e.kind() != io::ErrorKind::InvalidData {
+            return e;
+        }
+        let mut head = Vec::with_capacity(codec::PRE_V3_HEAD_LEN);
+        let refused = File::open(path)
+            .and_then(|f| f.take(codec::PRE_V3_HEAD_LEN as u64).read_to_end(&mut head))
+            .and_then(|_| codec::refuse_pre_v3(FileKind::Snapshot, path, &head));
+        match refused {
+            Err(refusal) if refusal.kind() == io::ErrorKind::Unsupported => refusal,
+            _ => corrupt(path, &e.to_string()),
+        }
+    })
 }
 
-/// Loads the store a snapshot file holds, in any format this crate ever
-/// wrote, without building a [`StoreSnapshot`] for a v3 file: the body
-/// streams into the store's vertex map (see the module docs).
+/// Loads the store a v3 snapshot file holds without building a
+/// [`StoreSnapshot`]: the body streams into the store's vertex map (see
+/// the module docs).
 ///
 /// # Errors
 /// As [`StoreSnapshot::read_from`].
 pub fn load_store(path: &Path) -> io::Result<SketchStore> {
-    Ok(read_file(path, StoreSnapshot::into_store)?.0)
+    read_file(path)
 }
 
-/// Verifies the snapshot file at `path` exactly as a load would, in any
-/// format this crate ever wrote, without keeping its vertices: returns
-/// what the framing check proved and the edge count the snapshot
-/// carries. A v3 file streams through the body decoder, so this holds
-/// one read buffer, not the file.
+/// Verifies the snapshot file at `path` exactly as a load would,
+/// without keeping its vertices, and returns the edge count it carries.
+/// The body streams through the decoder, so this holds one read buffer,
+/// not the file.
 ///
 /// # Errors
 /// As [`StoreSnapshot::read_from`].
-pub fn verify_file(path: &Path) -> io::Result<(SnapshotIntegrity, u64)> {
-    let (EdgeCount(edges), integrity) = read_file(path, |snap| EdgeCount(snap.edges_processed))?;
-    Ok((integrity, edges))
+pub fn verify_file(path: &Path) -> io::Result<u64> {
+    let EdgeCount(edges) = read_file(path)?;
+    Ok(edges)
 }
 
 /// A [`SnapshotSink`] that keeps only the edge count.
@@ -529,14 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let snap = StoreSnapshot::capture(&populated());
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: StoreSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(snap, back);
-    }
-
-    #[test]
     fn empty_store_roundtrips() {
         let s = SketchStore::new(SketchConfig::with_slots(4));
         let restored = StoreSnapshot::capture(&s).restore();
@@ -593,25 +372,17 @@ mod tests {
         fs::remove_file(&corrupt).unwrap();
     }
 
-    /// Writes the v2 text fixture of the populated store at `path`.
-    fn write_v2(path: &Path) {
-        let snap = StoreSnapshot::capture(&populated());
-        fs::write(path, codec::v2::store_snapshot(&snap)).unwrap();
-    }
-
     #[test]
     fn writes_are_binary_v3() {
         let path = temp_path("v3");
         let snap = StoreSnapshot::capture(&populated());
         snap.write_atomic(&path).unwrap();
-        assert!(codec::is_binary(&fs::read(&path).unwrap()));
+        assert!(fs::read(&path).unwrap().starts_with(&codec::BINARY_MAGIC));
         assert!(
             !path.with_extension("json.tmp").exists(),
             "no temp file left"
         );
-        let (back, integrity) = StoreSnapshot::read_with_integrity(&path).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(integrity, SnapshotIntegrity::Verified);
+        assert_eq!(StoreSnapshot::read_from(&path).unwrap(), snap);
         // A flipped payload bit fails the envelope CRC.
         crate::chaos::flip_bit(&path, 40, 0).unwrap();
         let err = StoreSnapshot::read_from(&path).unwrap_err();
@@ -621,80 +392,15 @@ mod tests {
     }
 
     #[test]
-    fn v2_file_carries_verifiable_header() {
-        let path = temp_path("v2header");
-        write_v2(&path);
-        let content = fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("STREAMLINK-SNAP v2 len="), "{content}");
-        let (payload, integrity) = verify_text(content.as_bytes()).unwrap();
-        assert_eq!(integrity, SnapshotIntegrity::Verified);
-        assert!(payload.starts_with('{'), "payload is the bare JSON");
-        let (snap, integrity) = StoreSnapshot::read_with_integrity(&path).unwrap();
-        assert_eq!(integrity, SnapshotIntegrity::Verified);
-        assert_eq!(snap, StoreSnapshot::capture(&populated()));
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v1_bare_json_still_reads_as_legacy() {
-        // A pre-framing data dir: bare JSON, no header.
-        let path = temp_path("v1compat");
-        let snap = StoreSnapshot::capture(&populated());
-        fs::write(&path, codec::v2::legacy_store_snapshot(&snap)).unwrap();
-        let (back, integrity) = StoreSnapshot::read_with_integrity(&path).unwrap();
-        assert_eq!(integrity, SnapshotIntegrity::Legacy);
-        assert_eq!(back, snap);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn payload_bit_flip_is_detected_before_parsing() {
-        let path = temp_path("bitflip");
-        write_v2(&path);
-        let header_len = fs::read_to_string(&path).unwrap().find('\n').unwrap() as u64 + 1;
-        // Flip a low bit of a payload digit: likely still valid JSON —
-        // only the CRC can catch it.
-        crate::chaos::flip_bit(&path, header_len + 40, 0).unwrap();
-        let err = StoreSnapshot::read_from(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("CRC mismatch"), "{err}");
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn truncation_is_detected_by_length_check() {
-        let path = temp_path("truncate");
-        write_v2(&path);
-        crate::chaos::tear_file(&path, 17).unwrap();
-        let err = StoreSnapshot::read_from(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("length mismatch"), "{err}");
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn garbage_appended_after_payload_is_detected() {
         let path = temp_path("trailing");
-        write_v2(&path);
+        StoreSnapshot::capture(&populated())
+            .write_atomic(&path)
+            .unwrap();
         crate::chaos::append_garbage(&path, b"   {}").unwrap();
         let err = StoreSnapshot::read_from(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_header_is_rejected_not_misparsed() {
-        let path = temp_path("badheader");
-        for bad in [
-            "STREAMLINK-SNAP v9 len=2 crc32=00000000\n{}",
-            "STREAMLINK-SNAP v2 len=x crc32=00000000\n{}",
-            "STREAMLINK-SNAP v2 len=2 crc32=nothex00\n{}",
-            "STREAMLINK-SNAP v2 len=2 crc32=00000000", // no payload line
-        ] {
-            fs::write(&path, bad).unwrap();
-            let err = StoreSnapshot::read_from(&path).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
-        }
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
         fs::remove_file(&path).unwrap();
     }
 
@@ -718,5 +424,64 @@ mod tests {
             assert!(err.to_string().contains(&bad_mode.to_string()), "{err}");
         }
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn pre_v3_files_fail_closed_on_every_read_path() {
+        // The bytes pre-v3 builds wrote, committed as golden files: a v2
+        // generation, a v1 `snapshot.json`, a v1 `E` and a v2 `F` segment.
+        const V2_GENERATION: &[u8] =
+            include_bytes!("../../cli/tests/fixtures/pre_v3/snapshot.6.json");
+        const V1_SNAPSHOT: &[u8] = include_bytes!("../../cli/tests/fixtures/pre_v3/snapshot.json");
+        const V1_SEGMENT: &[u8] = include_bytes!("../../cli/tests/fixtures/pre_v3/wal.1.log");
+        const V2_SEGMENT: &[u8] = include_bytes!("../../cli/tests/fixtures/pre_v3/wal.7.log");
+        let refused = |err: io::Error, file: &Path| {
+            assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+            let msg = err.to_string();
+            assert!(msg.starts_with(&format!("{}: ", file.display())), "{msg}");
+            assert!(msg.contains(codec::LAST_PRE_V3_READER), "{msg}");
+        };
+        let config = SketchConfig::with_slots(8).seed(42);
+
+        // `load_store` (`serve --snapshot`, `query`, `top`, `recommend`)
+        // and `verify_file` (`scrub`) refuse either snapshot format.
+        for bytes in [V2_GENERATION, V1_SNAPSHOT] {
+            let path = temp_path("pre-v3");
+            fs::write(&path, bytes).unwrap();
+            refused(load_store(&path).map(drop).unwrap_err(), &path);
+            refused(verify_file(&path).map(drop).unwrap_err(), &path);
+            refused(
+                StoreSnapshot::read_from(&path).map(drop).unwrap_err(),
+                &path,
+            );
+            fs::remove_file(&path).unwrap();
+        }
+
+        // `recover` refuses a pre-v3 generation, a bare `snapshot.json`
+        // and a pre-v3 segment, and `replay` the segments; none of them
+        // quarantines, truncates or writes anything.
+        for (name, bytes) in [
+            ("snapshot.6.json", V2_GENERATION),
+            ("snapshot.json", V1_SNAPSHOT),
+            ("wal.1.log", V1_SEGMENT),
+            ("wal.7.log", V2_SEGMENT),
+        ] {
+            let dir = temp_path("pre-v3-dir");
+            fs::create_dir_all(&dir).unwrap();
+            let file = dir.join(name);
+            fs::write(&file, bytes).unwrap();
+            refused(crate::durable::recover(&dir, config).unwrap_err(), &file);
+            if name.starts_with("wal.") {
+                let err = crate::journal::replay(&dir, 0, |_| panic!("nothing applies"));
+                refused(err.unwrap_err(), &file);
+            }
+            let left: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            assert_eq!(left, vec![file.clone()], "{name}: nothing added or moved");
+            assert_eq!(fs::read(&file).unwrap(), bytes, "{name}: bytes unchanged");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

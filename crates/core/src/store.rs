@@ -497,7 +497,7 @@ mod tests {
     /// endpoint hashed into a buffer and folded from it, the argmin
     /// written beside every new minimum, degrees in a map of their own.
     /// The hash-only store must match it bit for bit: estimates, the
-    /// inputs `EXPLAIN` prints, v3 bytes, v1/v2 JSON and merges.
+    /// inputs `EXPLAIN` prints, v3 bytes and merges.
     #[derive(Clone)]
     struct Reference {
         config: SketchConfig,
@@ -659,33 +659,6 @@ mod tests {
             }
             crate::codec::encode_envelope(crate::codec::MODE_STORE_SNAPSHOT, &body)
         }
-
-        /// The v1 JSON document the derived serde of the 16-byte store
-        /// wrote.
-        fn v1_json(&self) -> String {
-            let vertices: Vec<String> = self
-                .sorted_vertices()
-                .iter()
-                .map(|v| {
-                    let slots: Vec<String> = self.sketches[v]
-                        .iter()
-                        .map(|(h, a)| format!("{{\"hash\":{h},\"argmin\":{}}}", a.0))
-                        .collect();
-                    format!(
-                        "{{\"vertex\":{},\"sketch\":{{\"slots\":[{}]}},\"degree\":{}}}",
-                        v.0,
-                        slots.join(","),
-                        self.degree(*v)
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"config\":{},\"edges_processed\":{},\"vertices\":[{}]}}",
-                serde_json::to_string(&self.config).unwrap(),
-                self.edges_processed,
-                vertices.join(",")
-            )
-        }
     }
 
     fn empty(k: usize) -> Vec<(u64, VertexId)> {
@@ -744,7 +717,6 @@ mod tests {
         let file = reference.v3_file();
         prop_assert_eq!(&crate::codec::encode_store_snapshot(&snap).unwrap(), &file);
         prop_assert_eq!(&crate::codec::decode_store_snapshot(&file).unwrap(), &snap);
-        prop_assert_eq!(serde_json::to_string(&snap).unwrap(), reference.v1_json());
         prop_assert_eq!(store.memory_breakdown().total(), store.memory_bytes());
         Ok(())
     }

@@ -1,11 +1,11 @@
-//! Property-based tests for the journal's record framing: the v2
-//! CRC-32 line format round-trips any entry, legacy v1 stays readable,
-//! and — the load-bearing guarantee — no single-bit flip, whitespace
+//! Property-based tests for the `F <seq> <u> <v> <crc32>` line that
+//! `REPL HANDOFF` carries between peers: it round-trips any entry, and
+//! — the load-bearing guarantee — no single-bit flip, whitespace
 //! injection, or truncation ever passes verification.
 
 use graphstream::VertexId;
 use proptest::prelude::*;
-use streamlink_core::journal::{JournalEntry, LineCheck};
+use streamlink_core::journal::JournalEntry;
 
 fn arb_entry() -> impl Strategy<Value = JournalEntry> {
     // Full-range ids: the framing must survive u64::MAX-width fields.
@@ -17,26 +17,16 @@ fn arb_entry() -> impl Strategy<Value = JournalEntry> {
 }
 
 proptest! {
-    /// Display → check_line round-trips every entry as a verified v2
-    /// record, including max-width u64 ids.
+    /// Display → parse round-trips every entry, including max-width u64
+    /// ids.
     #[test]
-    fn v2_roundtrip(entry in arb_entry()) {
+    fn f_line_roundtrip(entry in arb_entry()) {
         let line = entry.to_string();
-        prop_assert_eq!(LineCheck::Verified(entry), JournalEntry::check_line(&line));
         prop_assert_eq!(Some(entry), JournalEntry::parse(&line));
     }
 
-    /// Legacy v1 lines (no CRC) parse for every id width, flagged as
-    /// legacy rather than verified.
-    #[test]
-    fn v1_roundtrip(entry in arb_entry()) {
-        let line = format!("E {} {} {}", entry.seq, entry.u.0, entry.v.0);
-        prop_assert_eq!(LineCheck::Legacy(entry), JournalEntry::check_line(&line));
-        prop_assert_eq!(Some(entry), JournalEntry::parse(&line));
-    }
-
-    /// Every single-bit flip anywhere in a v2 record is detected: the
-    /// damaged line is never accepted, as v2 *or* as a legacy record.
+    /// Every single-bit flip anywhere in an `F` line is detected: the
+    /// damaged line never parses.
     #[test]
     fn every_single_bit_flip_is_detected(entry in arb_entry()) {
         let line = entry.to_string();
@@ -47,11 +37,11 @@ proptest! {
                 damaged[byte_idx] ^= 1 << bit;
                 // A flip may leave invalid UTF-8; that is detection too.
                 let Ok(s) = std::str::from_utf8(&damaged) else { continue };
-                let check = JournalEntry::check_line(s);
+                let parsed = JournalEntry::parse(s);
                 prop_assert!(
-                    matches!(check, LineCheck::Malformed | LineCheck::BadCrc),
+                    parsed.is_none(),
                     "flip byte {} bit {} of {:?} passed as {:?}",
-                    byte_idx, bit, line, check,
+                    byte_idx, bit, line, parsed,
                 );
             }
         }
@@ -68,24 +58,24 @@ proptest! {
         let c = [' ', '\t', '\r'][ws];
         let mut mangled = line.clone();
         mangled.insert(pos, c);
-        let check = JournalEntry::check_line(&mangled);
+        let parsed = JournalEntry::parse(&mangled);
         prop_assert!(
-            matches!(check, LineCheck::Malformed | LineCheck::BadCrc),
-            "inserting {c:?} at {pos} in {line:?} passed as {check:?}",
+            parsed.is_none(),
+            "inserting {c:?} at {pos} in {line:?} passed as {parsed:?}",
         );
     }
 
-    /// No strict prefix of a v2 line verifies: a record cut anywhere by
-    /// a torn write is detected, whatever boundary the cut lands on.
+    /// No strict prefix of an `F` line verifies: a line cut anywhere is
+    /// detected, whatever boundary the cut lands on.
     #[test]
     fn truncation_is_always_detected(entry in arb_entry()) {
         let line = entry.to_string();
         for cut in 0..line.len() {
-            let check = JournalEntry::check_line(&line[..cut]);
+            let parsed = JournalEntry::parse(&line[..cut]);
             prop_assert!(
-                matches!(check, LineCheck::Malformed | LineCheck::BadCrc),
+                parsed.is_none(),
                 "prefix of {cut} bytes of {:?} passed as {:?}",
-                line, check,
+                line, parsed,
             );
         }
     }

@@ -1,7 +1,7 @@
 //! The streaming snapshot loader: `snapshot::load_store` and
 //! `durable::recover` decode a v3 file in one pass straight into a
-//! store. These tests pin that it loads exactly what was written (v3 and
-//! the legacy text formats alike), that it fails closed on every
+//! store. These tests pin that it loads exactly what was written, that
+//! it fails closed on every
 //! truncation and on bit flips anywhere, including the last sketch and
 //! the trailer, that a corrupt count cannot make it reserve memory, and
 //! that recovery discards a half-decoded generation whole.
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use graphstream::{Edge, VertexId};
 use proptest::prelude::*;
-use streamlink_core::codec::{self, v2};
+use streamlink_core::codec;
 use streamlink_core::durable::{self, generation_path};
 use streamlink_core::journal::QUARANTINE_DIR;
 use streamlink_core::sketch::VertexSketch;
@@ -74,8 +74,8 @@ fn assert_invalid(result: io::Result<SketchStore>, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `capture(load(write(s))) == capture(s)` for v3, v2 and v1 files,
-    /// and the atomic writer's bytes are exactly the codec's encoding.
+    /// `capture(load(write(s))) == capture(s)`, and the atomic writer's
+    /// bytes are exactly the codec's encoding.
     #[test]
     fn load_roundtrips_every_format(
         edges in proptest::collection::vec(
@@ -97,11 +97,6 @@ proptest! {
         let loaded = snapshot::load_store(&path).unwrap();
         prop_assert_eq!(StoreSnapshot::capture(&loaded), snap.clone());
         prop_assert_eq!(StoreSnapshot::read_from(&path).unwrap(), snap.clone());
-
-        for legacy in [v2::store_snapshot(&snap), v2::legacy_store_snapshot(&snap)] {
-            let loaded = load_bytes(&path, &legacy).unwrap();
-            prop_assert_eq!(StoreSnapshot::capture(&loaded), snap.clone());
-        }
         fs::remove_file(&path).unwrap();
     }
 
@@ -156,44 +151,6 @@ fn an_argmin_that_does_not_hash_to_its_slot_fails_closed() {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{backend:?}");
             assert!(err.to_string().contains(why), "{backend:?}: {err}");
         }
-        fs::remove_file(&path).unwrap();
-    }
-}
-
-#[test]
-fn a_v2_json_argmin_that_does_not_hash_to_its_slot_fails_closed() {
-    let edges: Vec<Edge> = (0..60u64)
-        .map(|i| Edge::new(i % 11, i % 13 + 20, 0))
-        .collect();
-    for backend in [HasherBackend::Mixer, HasherBackend::Tabulation] {
-        let snap = StoreSnapshot::capture(&store(&edges, 6, 9, backend));
-        let text = String::from_utf8(v2::store_snapshot(&snap)).unwrap();
-        let json = text.split_once('\n').unwrap().1;
-        // The first slot of the first vertex is filled; point its argmin
-        // at a vertex whose hash is not the slot's.
-        let at = json.find("\"argmin\":").unwrap() + "\"argmin\":".len();
-        let end = at + json[at..].find('}').unwrap();
-        let argmin: u64 = json[at..end].parse().unwrap();
-        let altered = format!("{}{}{}", &json[..at], argmin ^ 1, &json[end..]);
-        let framed = format!(
-            "STREAMLINK-SNAP v2 len={} crc32={:08x}\n{altered}",
-            altered.len(),
-            hashkit::crc32(altered.as_bytes())
-        );
-        let path = temp_path("argmin-v2");
-        fs::write(&path, &text).unwrap();
-        assert_eq!(
-            StoreSnapshot::read_from(&path).unwrap(),
-            snap,
-            "{backend:?}: fixture"
-        );
-        fs::write(&path, &framed).unwrap();
-        let err = StoreSnapshot::read_from(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{backend:?}");
-        assert!(
-            err.to_string().contains("does not hash to its slot"),
-            "{backend:?}: {err}"
-        );
         fs::remove_file(&path).unwrap();
     }
 }

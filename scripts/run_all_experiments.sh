@@ -6,7 +6,7 @@ SCALE="${1:-standard}"
 cd "$(dirname "$0")/.."
 cargo build --release -p streamlink-bench --bins
 for exp in exp_datasets exp_accuracy exp_quality exp_throughput exp_memory \
-           exp_progress exp_latency exp_baseline exp_ablation exp_scale exp_backends exp_lsh exp_bbit exp_robust exp_window exp_faultmatrix exp_replication exp_codec exp_failover exp_overhead exp_loadgen; do
+           exp_progress exp_latency exp_baseline exp_ablation exp_scale exp_backends exp_lsh exp_bbit exp_robust exp_window exp_faultmatrix exp_replication exp_failover exp_overhead exp_loadgen; do
     echo "=== $exp ($SCALE) ==="
     "./target/release/$exp" --scale "$SCALE"
     echo

@@ -6,6 +6,7 @@ use streamlink::data::{Scale, SimulatedDataset};
 use streamlink::predict::evaluate::{estimation_report, sample_overlap_pairs};
 use streamlink::predict::{Evaluator, ExactScorer, Measure, ReservoirScorer, Scorer, SketchScorer};
 use streamlink::prelude::*;
+use streamlink::sketch::codec;
 use streamlink::sketch::parallel::ingest_parallel;
 use streamlink::sketch::snapshot::StoreSnapshot;
 use streamlink::stream::{EdgeStream, WattsStrogatz};
@@ -73,9 +74,9 @@ fn snapshot_recovery_mid_stream() {
     let mut first_half = SketchStore::new(SketchConfig::with_slots(64).seed(9));
     first_half.insert_stream(edges[..cut].iter().copied());
 
-    // Serialize through actual JSON bytes, as the CLI does.
-    let json = serde_json::to_vec(&StoreSnapshot::capture(&first_half)).unwrap();
-    let snap: StoreSnapshot = serde_json::from_slice(&json).unwrap();
+    // Serialize through the v3 bytes a checkpoint writes, as the CLI does.
+    let bytes = codec::encode_store_snapshot(&StoreSnapshot::capture(&first_half)).unwrap();
+    let snap: StoreSnapshot = codec::decode_store_snapshot(&bytes).unwrap();
     let mut recovered = snap.restore();
     recovered.insert_stream(edges[cut..].iter().copied());
 
