@@ -1,11 +1,10 @@
 //! Criterion micro-bench: the hashing substrate.
 //!
-//! Justifies the default backend choice: the two-multiply mixer family vs
-//! 3-independent tabulation, and the cost of evaluating a whole family
-//! per edge endpoint.
+//! The two-multiply seeded mixer, and the cost of evaluating a whole
+//! family per edge endpoint.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hashkit::{HashFamily, SeededHash, TabulationHash};
+use hashkit::{HashFamily, SeededHash};
 
 fn bench_hash(c: &mut Criterion) {
     let mut group = c.benchmark_group("hashing");
@@ -18,15 +17,6 @@ fn bench_hash(c: &mut Criterion) {
         b.iter(|| {
             keys.iter()
                 .map(|&k| mixer.hash(k))
-                .fold(0u64, u64::wrapping_add)
-        });
-    });
-
-    let tab = TabulationHash::new(1);
-    group.bench_function("tabulation_single", |b| {
-        b.iter(|| {
-            keys.iter()
-                .map(|&k| tab.hash(k))
                 .fold(0u64, u64::wrapping_add)
         });
     });

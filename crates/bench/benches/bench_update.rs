@@ -1,12 +1,12 @@
 //! Criterion micro-bench: per-edge sketch update cost.
 //!
 //! Backs experiment E6 with statistically sound per-edge numbers: update
-//! cost as a function of `k`, for both hasher backends, against the
-//! exact-adjacency insert and the bottom-k variant.
+//! cost as a function of `k`, against the exact-adjacency insert and the
+//! bottom-k variant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphstream::{AdjacencyGraph, BarabasiAlbert, Edge, EdgeStream};
-use streamlink_core::{HasherBackend, SketchConfig, SketchStore};
+use streamlink_core::{SketchConfig, SketchStore};
 use streamlink_variants::BottomKStore;
 
 fn edges() -> Vec<Edge> {
@@ -35,21 +35,6 @@ fn bench_update(c: &mut Criterion) {
             });
         });
     }
-    group.bench_with_input(
-        BenchmarkId::new("minhash_tabulation", 64usize),
-        &64usize,
-        |b, &k| {
-            b.iter(|| {
-                let mut store = SketchStore::new(
-                    SketchConfig::with_slots(k)
-                        .seed(1)
-                        .backend(HasherBackend::Tabulation),
-                );
-                store.insert_stream(edges.iter().copied());
-                store
-            });
-        },
-    );
     group.bench_function("exact_adjacency", |b| {
         b.iter(|| AdjacencyGraph::from_edges(edges.iter().copied()));
     });

@@ -1604,22 +1604,9 @@ impl NodeView {
     }
 }
 
-/// Minimal JSON string quoting (addresses and roles hold no exotic
-/// characters today, but quoting stays correct if one ever does).
+/// `s` as a quoted JSON string.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", events::escape_json(s))
 }
 
 /// Dials one member and asks for its `CLUSTER INFO` line. The

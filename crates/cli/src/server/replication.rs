@@ -76,8 +76,8 @@ use streamlink_core::journal::{self, JournalEntry};
 use streamlink_core::merge::merge_join;
 use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{
-    codec, metrics, trace, ApplyOutcome, HasherBackend, PullOutcome, ReplLog, ReplicaApplier,
-    SketchConfig, SketchStore,
+    codec, metrics, trace, ApplyOutcome, PullOutcome, ReplLog, ReplicaApplier, SketchConfig,
+    SketchStore,
 };
 
 use super::protocol::parse_bounded;
@@ -450,10 +450,9 @@ pub fn repl_command(state: &ServerState, args: &[&str]) -> String {
                     };
                     format!(
                         "OK repl hello primary_seq={last_seq} slots={} seed={} \
-                         backend={}{cluster_part}",
+                         backend={HELLO_BACKEND}{cluster_part}",
                         cfg.slots(),
                         cfg.base_seed(),
-                        backend_name(cfg.hasher_backend()),
                     )
                 }
                 _ => "ERR REPL HELLO takes exactly one replica id".into(),
@@ -641,20 +640,11 @@ fn status_line(state: &ServerState) -> String {
     }
 }
 
-fn backend_name(backend: HasherBackend) -> &'static str {
-    match backend {
-        HasherBackend::Mixer => "mixer",
-        HasherBackend::Tabulation => "tabulation",
-    }
-}
-
-fn parse_backend(name: &str) -> Option<HasherBackend> {
-    match name {
-        "mixer" => Some(HasherBackend::Mixer),
-        "tabulation" => Some(HasherBackend::Tabulation),
-        _ => None,
-    }
-}
+/// The `backend=` value of `REPL HELLO`. Every sketch uses the one hash
+/// family, but peers of older builds require the field, so it is still
+/// sent; any other value names a family this build cannot hash with, and
+/// fails the handshake.
+const HELLO_BACKEND: &str = "mixer";
 
 // ---------------------------------------------------------------------
 // Replica side: one session's pulls, applies and snapshot rounds.
@@ -686,9 +676,7 @@ pub(super) fn adopt_config(
     runtime: &ReplicaRuntime,
     hello: &Hello,
 ) -> io::Result<()> {
-    let primary_cfg = SketchConfig::with_slots(hello.slots)
-        .seed(hello.seed)
-        .backend(hello.backend);
+    let primary_cfg = SketchConfig::with_slots(hello.slots).seed(hello.seed);
     let mut store = state.write_store();
     let mut applier = runtime.applier();
     if *store.config() != primary_cfg {
@@ -716,7 +704,6 @@ pub(super) struct Hello {
     pub(super) primary_seq: u64,
     slots: usize,
     seed: u64,
-    backend: HasherBackend,
     /// The remote's fencing epoch (cluster primaries only).
     pub(super) epoch: Option<u64>,
     /// The remote's rendered timeline (cluster primaries only).
@@ -732,11 +719,13 @@ fn parse_hello(line: &str) -> Option<Hello> {
             .find_map(|kv| kv.strip_prefix(key))
             .map(str::to_string)
     };
+    if field("backend=")? != HELLO_BACKEND {
+        return None;
+    }
     Some(Hello {
         primary_seq: field("primary_seq=")?.parse().ok()?,
         slots: field("slots=")?.parse().ok()?,
         seed: field("seed=")?.parse().ok()?,
-        backend: parse_backend(&field("backend=")?)?,
         epoch: field("epoch=").and_then(|v| v.parse().ok()),
         timeline: field("tl="),
     })
@@ -1092,7 +1081,6 @@ mod tests {
         assert_eq!(parsed.primary_seq, 1);
         assert_eq!(parsed.slots, 32);
         assert_eq!(parsed.seed, 5);
-        assert_eq!(parsed.backend, HasherBackend::Mixer);
     }
 
     #[test]
@@ -1394,6 +1382,12 @@ mod tests {
             parse_hello("OK repl hello primary_seq=9 slots=32 seed=5 backend=mixer").unwrap();
         assert_eq!(plain.epoch, None);
         assert_eq!(plain.timeline, None);
+        // The retired Tabulation backend, and a HELLO without the field,
+        // fail the handshake.
+        assert!(
+            parse_hello("OK repl hello primary_seq=9 slots=32 seed=5 backend=tabulation").is_none()
+        );
+        assert!(parse_hello("OK repl hello primary_seq=9 slots=32 seed=5").is_none());
     }
 
     #[test]

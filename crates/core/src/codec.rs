@@ -40,7 +40,7 @@
 //! that returns each hash to its slot, and the argmin vertex ids. A slot
 //! in memory holds only its hash: the writer derives each argmin from it
 //! and the reader checks that every argmin hashes back to its slot before
-//! dropping it (Tabulation sketches, which cannot be inverted, keep it).
+//! dropping it.
 //! Vertex ids are likewise sorted and delta-encoded across the store.
 //!
 //! ## Varints
@@ -54,8 +54,9 @@ use std::path::Path;
 
 use graphstream::VertexId;
 use hashkit::crc32::{crc32, Crc32};
+use hashkit::HashFamily;
 
-use crate::config::{HasherBackend, HasherBank, SketchConfig};
+use crate::config::SketchConfig;
 use crate::journal::JournalEntry;
 use crate::sketch::{Slot, VertexSketch};
 use crate::snapshot::{StoreSnapshot, VertexEntry};
@@ -631,7 +632,7 @@ impl<R: BufRead> Input<R> {
     /// Decodes one sketch: in one go from the current buffer when it
     /// holds the whole sketch, which skips the per-field buffer checks,
     /// and field by field across a refill when it does not.
-    fn sketch(&mut self, sketches: &mut SketchDecoder) -> Result<DecodedSketch, CodecError> {
+    fn sketch(&mut self, sketches: &mut SketchDecoder) -> Result<VertexSketch, CodecError> {
         let mut window = Window {
             bytes: self.rest(),
             pos: 0,
@@ -726,16 +727,11 @@ fn leb128(mut next: impl FnMut() -> Result<u8, CodecError>) -> Result<u64, Codec
 // Columnar sketch encoding
 // ---------------------------------------------------------------------
 
-/// Appends one entry's three sketch columns. A slot stores no argmin, so
-/// the argmin column is derived: inverted from each hash under Mixer,
-/// read from the entry's column under Tabulation.
-fn encode_sketch(
-    out: &mut Vec<u8>,
-    entry: &VertexEntry,
-    bank: &HasherBank,
-) -> Result<(), CodecError> {
-    let mut filled: Vec<(u64, usize)> = entry
-        .sketch
+/// Appends one sketch's three columns. A slot stores no argmin, so the
+/// argmin column is derived: each hash inverted through its slot's
+/// function.
+fn encode_sketch(out: &mut Vec<u8>, sketch: &VertexSketch, family: &HashFamily) {
+    let mut filled: Vec<(u64, usize)> = sketch
         .slots()
         .iter()
         .enumerate()
@@ -756,24 +752,16 @@ fn encode_sketch(
     }
     // Column 3: the argmin vertices.
     for &(hash, idx) in &filled {
-        let argmin = entry.argmin(bank, idx, hash).ok_or(CodecError::Malformed(
-            "Tabulation sketch has no argmin column",
-        ))?;
-        write_varint(out, argmin.0);
+        write_varint(out, family.member(idx).invert(hash));
     }
-    Ok(())
 }
-
-/// A decoded sketch and, under Tabulation, its argmin column.
-type DecodedSketch = (VertexSketch, Option<Box<[VertexId]>>);
 
 /// Decodes sketches of one config's width, keeping its working buffers
 /// across vertices so that each sketch costs one allocation: its slot
-/// array (plus, under Tabulation, its argmin column).
+/// array.
 struct SketchDecoder {
     k: usize,
-    bank: HasherBank,
-    tabulation: bool,
+    family: HashFamily,
     hashes: Vec<u64>,
     indices: Vec<usize>,
     taken: Vec<bool>,
@@ -784,19 +772,17 @@ impl SketchDecoder {
         let k = config.slots();
         SketchDecoder {
             k,
-            bank: config.build_bank(),
-            tabulation: config.hasher_backend() == HasherBackend::Tabulation,
+            family: config.build_bank(),
             hashes: Vec::with_capacity(k),
             indices: Vec::with_capacity(k),
             taken: vec![false; k],
         }
     }
 
-    /// One sketch and, under Tabulation, its argmin column. Every stored
-    /// argmin must hash to its slot's minimum: one forward hash per filled
-    /// slot, so a corrupt argmin fails closed here instead of surfacing
-    /// as a wrong sample later.
-    fn decode(&mut self, input: &mut impl Varints) -> Result<DecodedSketch, CodecError> {
+    /// One sketch. Every stored argmin must hash to its slot's minimum:
+    /// one forward hash per filled slot, so a corrupt argmin fails closed
+    /// here instead of surfacing as a wrong sample later.
+    fn decode(&mut self, input: &mut impl Varints) -> Result<VertexSketch, CodecError> {
         let k = self.k;
         let filled = input.varint()?;
         if filled > k as u64 {
@@ -831,21 +817,16 @@ impl SketchDecoder {
             self.indices.push(idx);
         }
         let mut slots = vec![Slot::EMPTY; k].into_boxed_slice();
-        let mut column =
-            (self.tabulation && filled > 0).then(|| vec![VertexId(u64::MAX); k].into_boxed_slice());
         for (&idx, &hash) in self.indices.iter().zip(&self.hashes) {
             let argmin = input.varint()?;
-            if self.bank.hash(idx, argmin) != hash {
+            if self.family.member(idx).hash(argmin) != hash {
                 return Err(CodecError::Malformed(
                     "slot argmin does not hash to its slot",
                 ));
             }
             slots[idx] = Slot { hash };
-            if let Some(column) = column.as_mut() {
-                column[idx] = VertexId(argmin);
-            }
         }
-        Ok((VertexSketch::from_slots(slots), column))
+        Ok(VertexSketch::from_slots(slots))
     }
 }
 
@@ -853,20 +834,14 @@ impl SketchDecoder {
 // Snapshot bodies
 // ---------------------------------------------------------------------
 
-fn backend_byte(backend: HasherBackend) -> u8 {
-    match backend {
-        HasherBackend::Mixer => 0,
-        HasherBackend::Tabulation => 1,
-    }
-}
+/// The v3 config byte of the hasher backend: the one hash family is
+/// `0`.
+const BACKEND_MIXER: u8 = 0;
 
-fn backend_from(byte: u64) -> Result<HasherBackend, CodecError> {
-    match byte {
-        0 => Ok(HasherBackend::Mixer),
-        1 => Ok(HasherBackend::Tabulation),
-        _ => Err(CodecError::Malformed("unknown hasher backend")),
-    }
-}
+/// The v3 config byte of the retired Tabulation backend, which no build
+/// since its removal writes or reads. Reserved: never reused for another
+/// family.
+pub(crate) const BACKEND_RETIRED_TABULATION: u8 = 1;
 
 fn encode_config(out: &mut Vec<u8>, config: &SketchConfig) -> Result<(), CodecError> {
     if config.slots() as u64 > MAX_SLOT_COUNT {
@@ -874,7 +849,7 @@ fn encode_config(out: &mut Vec<u8>, config: &SketchConfig) -> Result<(), CodecEr
     }
     write_varint(out, config.slots() as u64);
     write_varint(out, config.base_seed());
-    out.push(backend_byte(config.hasher_backend()));
+    out.push(BACKEND_MIXER);
     Ok(())
 }
 
@@ -885,10 +860,13 @@ fn decode_config<R: BufRead>(input: &mut Input<R>) -> Result<SketchConfig, Codec
     }
     let slots = usize::try_from(slots).map_err(|_| CodecError::TooLarge("slot count"))?;
     let seed = input.varint()?;
-    let backend = input.byte()?;
-    Ok(SketchConfig::with_slots(slots)
-        .seed(seed)
-        .backend(backend_from(u64::from(backend))?))
+    match input.byte()? {
+        BACKEND_MIXER => Ok(SketchConfig::with_slots(slots).seed(seed)),
+        BACKEND_RETIRED_TABULATION => Err(CodecError::Malformed(
+            "hasher backend 1 is the retired Tabulation backend, which this build does not read",
+        )),
+        _ => Err(CodecError::Malformed("unknown hasher backend")),
+    }
 }
 
 /// Decodes the sorted, delta-encoded vertex-id column.
@@ -969,9 +947,9 @@ fn encode_store_snapshot_body(body: &mut Vec<u8>, snap: &StoreSnapshot) -> Resul
     for entry in &snap.vertices {
         write_varint(body, entry.degree);
     }
-    let bank = snap.config.build_bank();
+    let family = snap.config.build_bank();
     for entry in &snap.vertices {
-        encode_sketch(body, entry, &bank)?;
+        encode_sketch(body, &entry.sketch, &family);
     }
     Ok(())
 }
@@ -993,12 +971,11 @@ fn decode_store_snapshot_body<R: BufRead, S: SnapshotSink>(
     let mut sink = S::with_capacity(config, edges_processed, count);
     let mut sketches = SketchDecoder::new(&config);
     for (vertex, degree) in ids.into_iter().zip(degrees) {
-        let (sketch, argmins) = input.sketch(&mut sketches)?;
+        let sketch = input.sketch(&mut sketches)?;
         sink.push(VertexEntry {
             vertex,
             sketch,
             degree,
-            argmins,
         });
     }
     if input.position() != input.limit {
@@ -1027,9 +1004,7 @@ pub(crate) fn store_snapshot_body(snap: &StoreSnapshot) -> Result<Vec<u8>, Codec
 ///
 /// # Errors
 /// [`CodecError::TooLarge`] for a body past [`MAX_BODY_LEN`] (the reader
-/// would refuse it) or an oversized sketch width;
-/// [`CodecError::Malformed`] for a filled Tabulation sketch whose entry
-/// carries no argmin column.
+/// would refuse it) or an oversized sketch width.
 pub fn encode_store_snapshot(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
     Ok(encode_envelope(
         MODE_STORE_SNAPSHOT,

@@ -52,7 +52,7 @@ pub fn aa_weight(degree: u64) -> f64 {
 }
 
 /// Adamic–Adar estimate from a CN estimate and the degrees of the sampled
-/// common neighbors (the matched-slot argmins, with repetition).
+/// common neighbors (each matched slot's argmin, with repetition).
 ///
 /// `AA = CN · E[1/ln d(W)]` for `W` uniform on the intersection; the
 /// sample mean of `aa_weight` over the matched samples estimates the

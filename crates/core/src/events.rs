@@ -200,7 +200,14 @@ impl ClusterEvent {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal; the caller adds
+/// the quotes. `"` and `\` take a backslash, and every control
+/// character is written `\u00XX`, the one escape form
+/// [`ClusterEvent::parse_line`] decodes besides those two. This is the
+/// crate's one JSON string escaper: events, load reports and the cluster
+/// pane all render strings through it.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -465,14 +472,23 @@ mod tests {
     #[test]
     fn render_and_parse_round_trip() {
         let mut e = ev("127.0.0.1:7001", 3, 250, EventKind::Promotion);
-        e.detail = "weird \"quoted\" \\ detail\nline".to_string();
+        e.detail = "weird \"quoted\" \\ detail\nline\tend".to_string();
         let line = e.render_line();
+        // Control characters take the `\u00XX` form, the one the parser
+        // decodes.
+        assert!(line.contains(r"detail\u000aline\u0009end"), "{line}");
         let parsed: serde_json::Value = serde_json::from_str(&line).expect("valid JSON");
         assert_eq!(
             parsed.get("schema").and_then(serde_json::Value::as_str),
             Some(SCHEMA)
         );
-        assert_eq!(ClusterEvent::parse_line(&line), Some(e));
+        assert_eq!(
+            parsed.get("detail").and_then(serde_json::Value::as_str),
+            Some(e.detail.as_str())
+        );
+        assert_eq!(ClusterEvent::parse_line(&line), Some(e.clone()));
+        e.detail = (0u8..0x20).map(char::from).collect();
+        assert_eq!(ClusterEvent::parse_line(&e.render_line()), Some(e));
 
         let bare = ClusterEvent {
             node_id: "n0".to_string(),

@@ -30,7 +30,7 @@
 //!
 //! ## Modules
 //!
-//! * [`config`] — [`SketchConfig`] builder (slots, seed, hasher backend).
+//! * [`config`] — [`SketchConfig`] builder (slots, seed).
 //! * [`store`] — [`SketchStore`], the main API.
 //! * [`sketch`] — the per-vertex [`sketch::VertexSketch`].
 //! * [`estimators`] — the pure estimation formulas, testable in isolation.
@@ -125,7 +125,7 @@ pub use accuracy::AccuracyPlan;
 pub use audit::{AccuracyAuditor, AuditConfig, AuditSnapshot};
 pub use chaos::{DeliveryFault, DeliveryPlan, FaultKind, FaultPlan};
 pub use codec::{CodecError, WireFormat};
-pub use config::{HasherBackend, SketchConfig};
+pub use config::SketchConfig;
 pub use durable::{checkpoint, recover, Recovery, DEFAULT_SNAPSHOT_KEEP};
 pub use events::{ClusterEvent, EventJournal, EventKind};
 pub use journal::{FsyncPolicy, Journal, JournalEntry, ReplayReport};

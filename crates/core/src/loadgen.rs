@@ -346,22 +346,6 @@ pub fn intended_start_ns(index: u64, rate_per_sec: u64) -> u64 {
     u64::try_from(u128::from(index) * 1_000_000_000u128 / u128::from(rate)).unwrap_or(u64::MAX)
 }
 
-fn escape_json(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The machine-readable verdict of one load-generation run — schema
 /// `streamlink.loadreport.v1`, the artifact CI uploads and dashboards
 /// ingest. Rendering is hand-rolled with a stable field order so the
@@ -435,7 +419,7 @@ impl LoadReport {
              \"latency_ns\":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p95\":{},\
              \"p99\":{},\"p999\":{}}},\
              \"slo\":{{\"p99_ms\":{},\"pass\":{}}}}}",
-            escape_json(&self.version),
+            crate::events::escape_json(&self.version),
             self.seed,
             self.conns,
             self.duration_ms,

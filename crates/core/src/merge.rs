@@ -23,8 +23,6 @@ pub enum MergeError {
     /// Base seeds differ — the hash families are incompatible and slot
     /// values are not comparable.
     SeedMismatch,
-    /// Hasher backends differ.
-    BackendMismatch,
 }
 
 impl std::fmt::Display for MergeError {
@@ -34,9 +32,6 @@ impl std::fmt::Display for MergeError {
                 write!(f, "cannot merge sketches of {left} and {right} slots")
             }
             MergeError::SeedMismatch => write!(f, "cannot merge stores with different seeds"),
-            MergeError::BackendMismatch => {
-                write!(f, "cannot merge stores with different hasher backends")
-            }
         }
     }
 }
@@ -53,9 +48,6 @@ fn check_compat(dst: &SketchStore, src: &SketchStore) -> Result<(), MergeError> 
     }
     if dc.base_seed() != sc.base_seed() {
         return Err(MergeError::SeedMismatch);
-    }
-    if dc.hasher_backend() != sc.hasher_backend() {
-        return Err(MergeError::BackendMismatch);
     }
     Ok(())
 }
@@ -111,7 +103,7 @@ pub fn merge_join(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HasherBackend, SketchConfig};
+    use crate::config::SketchConfig;
     use graphstream::{BarabasiAlbert, EdgeStream};
 
     fn cfg() -> SketchConfig {
@@ -190,13 +182,6 @@ mod tests {
         let mut a = SketchStore::new(SketchConfig::with_slots(32).seed(1));
         let b = SketchStore::new(SketchConfig::with_slots(32).seed(2));
         assert_eq!(merge_into(&mut a, &b), Err(MergeError::SeedMismatch));
-    }
-
-    #[test]
-    fn backend_mismatch_rejected() {
-        let mut a = SketchStore::new(SketchConfig::with_slots(32));
-        let b = SketchStore::new(SketchConfig::with_slots(32).backend(HasherBackend::Tabulation));
-        assert_eq!(merge_into(&mut a, &b), Err(MergeError::BackendMismatch));
     }
 
     #[test]

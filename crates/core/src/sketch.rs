@@ -2,17 +2,15 @@
 
 use graphstream::VertexId;
 
-use crate::config::HasherBank;
+use hashkit::HashFamily;
 
 /// One sketch slot: the minimum hash seen under this slot's function.
 ///
-/// A slot stores no argmin. Under the default Mixer backend each slot
-/// function is a bijection, so the neighbor that achieved the minimum is
-/// `h_i⁻¹(hash)` ([`HasherBank::invert`]); that recovered argmin is what
+/// A slot stores no argmin. Each slot function is a bijection, so the
+/// neighbor that achieved the minimum is `h_i⁻¹(hash)`
+/// ([`hashkit::SeededHash::invert`]); that recovered argmin is what
 /// turns the sketch from a similarity estimator into a *sampler* (see
-/// [`VertexSketch::matched_samples`]). The Tabulation backend is not
-/// invertible, so a Tabulation [`crate::SketchStore`] keeps an argmin
-/// column beside its sketches.
+/// [`VertexSketch::matched_samples`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     /// Minimum hash value over neighbors, `u64::MAX` while empty.
@@ -23,17 +21,14 @@ impl Slot {
     /// The empty slot.
     pub const EMPTY: Slot = Slot { hash: u64::MAX };
 
-    /// Folds one neighbor's hash into the slot; `true` when it became the
-    /// new minimum. Writes only on a change, which is rare once a slot
-    /// has seen a few neighbors, so untouched sketches stay clean in
-    /// cache.
+    /// Folds one neighbor's hash into the slot. Writes only on a new
+    /// minimum, which is rare once a slot has seen a few neighbors, so
+    /// untouched sketches stay clean in cache.
     #[inline]
-    pub(crate) fn fold(&mut self, hash: u64) -> bool {
-        let lower = hash < self.hash;
-        if lower {
+    pub(crate) fn fold(&mut self, hash: u64) {
+        if hash < self.hash {
             self.hash = hash;
         }
-        lower
     }
 
     /// Whether any neighbor has been folded in.
@@ -94,13 +89,6 @@ impl VertexSketch {
     #[must_use]
     pub fn slots(&self) -> &[Slot] {
         &self.slots
-    }
-
-    /// The slots, mutably: the Tabulation store's fold, which writes an
-    /// argmin column beside them.
-    #[inline]
-    pub(crate) fn slots_mut(&mut self) -> &mut [Slot] {
-        &mut self.slots
     }
 
     /// Folds a neighbor into every slot. `hashes[i]` must be
@@ -177,39 +165,21 @@ impl VertexSketch {
             .count()
     }
 
-    /// The `(index, hash)` of every slot where both sketches agree and
-    /// are non-empty, in slot order.
-    pub(crate) fn matched_slots<'a>(
+    /// Iterates, in slot order, the argmin vertices of slots where both
+    /// sketches agree and are non-empty — min-wise samples of the
+    /// neighborhood intersection (with repetition across slots). Each
+    /// argmin is recovered from its slot's hash through `family`.
+    pub fn matched_samples<'a>(
         &'a self,
         other: &'a VertexSketch,
-    ) -> impl Iterator<Item = (usize, u64)> + 'a {
+        family: &'a HashFamily,
+    ) -> impl Iterator<Item = VertexId> + 'a {
         self.slots
             .iter()
             .zip(other.slots.iter())
             .enumerate()
             .filter(|(_, (a, b))| !a.is_empty() && a.hash == b.hash)
-            .map(|(i, (a, _))| (i, a.hash))
-    }
-
-    /// Iterates, in slot order, the argmin vertices of slots where both
-    /// sketches agree and are non-empty — min-wise samples of the
-    /// neighborhood intersection (with repetition across slots). Each
-    /// argmin is recovered from its slot's hash through `bank`.
-    ///
-    /// # Panics
-    /// Panics under the Tabulation backend, which cannot be inverted: a
-    /// Tabulation [`crate::SketchStore`] samples from the argmin column it
-    /// keeps instead.
-    pub fn matched_samples<'a>(
-        &'a self,
-        other: &'a VertexSketch,
-        bank: &'a HasherBank,
-    ) -> impl Iterator<Item = VertexId> + 'a {
-        let HasherBank::Mixer(family) = bank else {
-            panic!("Tabulation slots cannot be inverted to their argmins");
-        };
-        self.matched_slots(other)
-            .map(|(i, hash)| VertexId(family.member(i).invert(hash)))
+            .map(|(i, (a, _))| VertexId(family.member(i).invert(a.hash)))
     }
 
     /// Component-wise minimum with another sketch (neighborhood union).
@@ -254,13 +224,13 @@ impl VertexSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HasherBackend, SketchConfig};
+    use crate::config::SketchConfig;
 
-    fn bank(k: usize, seed: u64) -> HasherBank {
+    fn bank(k: usize, seed: u64) -> HashFamily {
         SketchConfig::with_slots(k).seed(seed).build_bank()
     }
 
-    fn hashes(bank: &HasherBank, key: u64) -> Vec<u64> {
+    fn hashes(bank: &HashFamily, key: u64) -> Vec<u64> {
         let mut out = vec![0u64; bank.len()];
         bank.hash_all_into(key, &mut out);
         out
@@ -353,19 +323,8 @@ mod tests {
         let samples: Vec<_> = x.matched_samples(&x, &b).collect();
         assert_eq!(samples.len(), 16);
         for (i, w) in samples.into_iter().enumerate() {
-            assert_eq!(b.hash(i, w.0), x.slots()[i].hash, "slot {i}");
+            assert_eq!(b.member(i).hash(w.0), x.slots()[i].hash, "slot {i}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be inverted")]
-    fn tabulation_samples_need_a_column() {
-        let b = SketchConfig::with_slots(4)
-            .backend(HasherBackend::Tabulation)
-            .build_bank();
-        let mut x = VertexSketch::new(4);
-        x.fold_neighbor(&hashes(&b, 1));
-        let _ = x.matched_samples(&x, &b).count();
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::path::Path;
 use graphstream::VertexId;
 
 use crate::codec::{self, FileKind, SnapshotSink};
-use crate::config::{HasherBank, SketchConfig};
+use crate::config::SketchConfig;
 use crate::sketch::VertexSketch;
 use crate::store::SketchStore;
 
@@ -84,30 +84,12 @@ pub struct VertexEntry {
     pub sketch: VertexSketch,
     /// Its degree counter.
     pub degree: u64,
-    /// Under the Tabulation backend only, each slot's argmin: `Some` once
-    /// any slot is filled. `None` under Mixer, whose argmins are
-    /// recovered from the slot hashes.
-    pub argmins: Option<Box<[VertexId]>>,
-}
-
-impl VertexEntry {
-    /// The argmin of slot `i`, which holds `hash`: recovered through the
-    /// bank under Mixer, read from the column under Tabulation.
-    pub(crate) fn argmin(&self, bank: &HasherBank, i: usize, hash: u64) -> Option<VertexId> {
-        match bank.invert(i, hash) {
-            Some(key) => Some(VertexId(key)),
-            None => self
-                .argmins
-                .as_ref()
-                .and_then(|column| column.get(i).copied()),
-        }
-    }
 }
 
 /// A plain-data image of a whole store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreSnapshot {
-    /// The configuration (slots, seed, backend).
+    /// The configuration (slots, seed).
     pub config: SketchConfig,
     /// Edges processed when the snapshot was taken.
     pub edges_processed: u64,
@@ -424,6 +406,50 @@ mod tests {
             assert!(err.to_string().contains(&bad_mode.to_string()), "{err}");
         }
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn retired_tabulation_backend_fails_closed_on_every_read_path() {
+        // A well-formed store body whose config byte names the retired
+        // Tabulation backend, framed with a valid CRC, is refused by name
+        // on every read path; any other non-zero byte stays unknown.
+        let mut body = codec::store_snapshot_body(&StoreSnapshot::capture(&populated())).unwrap();
+        // Slots (32) and seed (5) are one-byte varints: the config byte
+        // follows them.
+        assert_eq!(body[..3], [32, 5, 0]);
+        for (byte, why) in [
+            (
+                codec::BACKEND_RETIRED_TABULATION,
+                "hasher backend 1 is the retired Tabulation backend, which this build does not read",
+            ),
+            (2, "unknown hasher backend"),
+        ] {
+            body[2] = byte;
+            let malformed = codec::CodecError::Malformed(why);
+            let bytes = codec::encode_envelope(codec::MODE_STORE_SNAPSHOT, &body);
+            assert_eq!(codec::decode_store_snapshot(&bytes), Err(malformed.clone()));
+            // The replica install path: a snapshot frame's body is its
+            // seq, then the same store body.
+            let mut frame = Vec::new();
+            codec::write_varint(&mut frame, 181);
+            frame.extend_from_slice(&body);
+            assert_eq!(
+                codec::load_snapshot_frame(&frame).map(drop),
+                Err(malformed.clone())
+            );
+
+            let path = temp_path("retired-backend");
+            fs::write(&path, &bytes).unwrap();
+            let errors = [
+                load_store(&path).map(drop).unwrap_err(),
+                verify_file(&path).map(drop).unwrap_err(),
+            ];
+            for err in errors {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains(why), "{err}");
+            }
+            fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use std::collections::HashMap;
 
 use graphstream::{Edge, VertexId};
+use hashkit::HashFamily;
 
 use crate::codec::SnapshotSink;
-use crate::config::{HasherBank, SketchConfig};
+use crate::config::SketchConfig;
 use crate::estimators;
 use crate::sketch::VertexSketch;
 use crate::snapshot::VertexEntry;
@@ -30,23 +31,16 @@ impl Vertex {
     }
 }
 
-/// An argmin column for `k` empty slots.
-fn empty_column(k: usize) -> Box<[VertexId]> {
-    vec![VertexId(u64::MAX); k].into_boxed_slice()
-}
-
 /// Component-wise resident-byte model of a [`SketchStore`].
 ///
 /// Produced by [`SketchStore::memory_breakdown`]; the sum of the fields
 /// is exactly [`SketchStore::memory_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreMemory {
-    /// Slot arrays of every resident sketch (`vertices × k × 8`), plus,
-    /// under Tabulation only, the argmin columns (`× 2`).
+    /// Slot arrays of every resident sketch (`vertices × k × 8`).
     pub sketch_slot_bytes: usize,
     /// Vertex hash-map overhead (capacity × entry + control bytes),
-    /// less the degree words counted in `degree_map_bytes`, plus the
-    /// Tabulation argmin map's overhead.
+    /// less the degree words counted in `degree_map_bytes`.
     pub sketch_map_bytes: usize,
     /// The degree words inside the vertex map (capacity × 8).
     pub degree_map_bytes: usize,
@@ -71,10 +65,8 @@ impl StoreMemory {
 ///   two touched vertices exist.
 /// * **Constant space per vertex** — `k` 8-byte slots plus one degree
 ///   word, independent of the vertex's degree or the stream length. A
-///   slot holds only its minimum hash: under the default Mixer backend
-///   the argmin is recovered by inverting the slot's hash function. The
-///   Tabulation backend is not invertible, so a Tabulation store also
-///   keeps a `k`-entry argmin column per vertex.
+///   slot holds only its minimum hash: the argmin is recovered by
+///   inverting the slot's hash function.
 ///
 /// ## Stream contract
 ///
@@ -91,12 +83,8 @@ impl StoreMemory {
 #[derive(Debug, Clone)]
 pub struct SketchStore {
     config: SketchConfig,
-    bank: HasherBank,
+    family: HashFamily,
     vertices: HashMap<VertexId, Vertex>,
-    /// Tabulation only: each vertex's slot argmins, present once a slot
-    /// of the vertex is filled. Always empty under Mixer, whose argmins
-    /// are recovered from the slot hashes.
-    argmins: HashMap<VertexId, Box<[VertexId]>>,
     edges_processed: u64,
 }
 
@@ -105,10 +93,9 @@ impl SketchStore {
     #[must_use]
     pub fn new(config: SketchConfig) -> Self {
         Self {
-            bank: config.build_bank(),
+            family: config.build_bank(),
             config,
             vertices: HashMap::new(),
-            argmins: HashMap::new(),
             edges_processed: 0,
         }
     }
@@ -156,38 +143,9 @@ impl SketchStore {
         };
         a.degree += 1;
         b.degree += 1;
-        // One match outside the loop: each backend gets its own
-        // monomorphic fold loop.
-        let (su, sv) = (&mut a.sketch, &mut b.sketch);
-        match &self.bank {
-            HasherBank::Mixer(f) => {
-                su.fold_edge(sv, f.iter().map(|h| (h.hash(u.0), h.hash(v.0))));
-            }
-            HasherBank::Tabulation(t) => {
-                // Not invertible: every slot write also records its
-                // argmin in the column.
-                let [au, av] = match self.argmins.get_disjoint_mut([&u, &v]) {
-                    [Some(a), Some(b)] => [a, b],
-                    _ => {
-                        self.argmins.entry(u).or_insert_with(|| empty_column(k));
-                        self.argmins.entry(v).or_insert_with(|| empty_column(k));
-                        self.argmins
-                            .get_disjoint_mut([&u, &v])
-                            .map(|x| x.expect("both columns were just inserted"))
-                    }
-                };
-                let slots = su.slots_mut().iter_mut().zip(sv.slots_mut());
-                for (((xu, xv), (cu, cv)), h) in slots.zip(au.iter_mut().zip(av.iter_mut())).zip(t)
-                {
-                    if xu.fold(h.hash(v.0)) {
-                        *cu = v;
-                    }
-                    if xv.fold(h.hash(u.0)) {
-                        *cv = u;
-                    }
-                }
-            }
-        }
+        let family = self.family.iter();
+        a.sketch
+            .fold_edge(&mut b.sketch, family.map(|h| (h.hash(u.0), h.hash(v.0))));
     }
 
     /// Processes a whole stream (or stream prefix).
@@ -222,8 +180,8 @@ impl SketchStore {
     }
 
     /// Estimated Adamic–Adar index of `(u, v)` via match-sampling: the
-    /// agreeing slots sample the neighborhood intersection; their argmins'
-    /// *current* degrees estimate the mean AA weight.
+    /// agreeing slots sample the neighborhood intersection; the *current*
+    /// degrees of their argmin vertices estimate the mean AA weight.
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let _t = crate::trace::child("estimate.adamic_adar");
@@ -251,17 +209,10 @@ impl SketchStore {
         let j = estimators::jaccard_from_matches(su.match_count(sv), self.config.slots());
         let cn = estimators::cn_from_jaccard(j, self.degree(u), self.degree(v));
         let (mut sum, mut samples) = (0.0, 0usize);
-        let mut add = |w: VertexId| {
+        su.matched_samples(sv, &self.family).for_each(|w| {
             sum += weight(self.degree(w));
             samples += 1;
-        };
-        match &self.bank {
-            HasherBank::Mixer(_) => su.matched_samples(sv, &self.bank).for_each(&mut add),
-            HasherBank::Tabulation(_) => {
-                let column = &self.argmins[&u];
-                su.matched_slots(sv).for_each(|(i, _)| add(column[i]));
-            }
-        }
+        });
         Some(if samples == 0 {
             0.0
         } else {
@@ -370,12 +321,9 @@ impl SketchStore {
         // control word.
         let map_bytes = buckets * (size_of::<(VertexId, Vertex)>() + size_of::<u64>());
         let degree_map_bytes = buckets * size_of::<u64>();
-        let column_bytes = self.argmins.len() * self.config.slots() * size_of::<VertexId>();
-        let column_map_bytes =
-            self.argmins.capacity() * (size_of::<(VertexId, Box<[VertexId]>)>() + size_of::<u64>());
         StoreMemory {
-            sketch_slot_bytes: self.vertices.len() * slot_bytes_per_sketch + column_bytes,
-            sketch_map_bytes: map_bytes - degree_map_bytes + column_map_bytes,
+            sketch_slot_bytes: self.vertices.len() * slot_bytes_per_sketch,
+            sketch_map_bytes: map_bytes - degree_map_bytes,
             degree_map_bytes,
             fixed_bytes: size_of::<Self>(),
         }
@@ -388,37 +336,18 @@ impl SketchStore {
             vertex,
             sketch: x.sketch.clone(),
             degree: x.degree,
-            argmins: self.argmins.get(&vertex).cloned(),
         })
     }
 
-    /// Joins every vertex of `src` into this store: slots by `min` (and,
-    /// under Tabulation, the argmin of each slot `src` wins), with
+    /// Joins every vertex of `src` into this store: slots by `min`, with
     /// `combine` joining the degree counters and the edge counts. The
     /// caller has checked that the two configurations agree.
     pub(crate) fn join_from(&mut self, src: &SketchStore, combine: fn(u64, u64) -> u64) {
         let k = self.config.slots();
-        let tabulation = matches!(self.bank, HasherBank::Tabulation(_));
         for (&v, s) in &src.vertices {
             let d = self.vertices.entry(v).or_insert_with(|| Vertex::new(k));
             d.degree = combine(d.degree, s.degree);
-            let src_column = if tabulation {
-                src.argmins.get(&v)
-            } else {
-                None
-            };
-            match src_column {
-                None => d.sketch.merge(&s.sketch),
-                Some(src_column) => {
-                    let column = self.argmins.entry(v).or_insert_with(|| empty_column(k));
-                    let slots = d.sketch.slots_mut().iter_mut().zip(s.sketch.slots());
-                    for ((a, b), (ca, cb)) in slots.zip(column.iter_mut().zip(src_column.iter())) {
-                        if a.fold(b.hash) {
-                            *ca = *cb;
-                        }
-                    }
-                }
-            }
+            d.sketch.merge(&s.sketch);
         }
         self.edges_processed = combine(self.edges_processed, src.edges_processed);
     }
@@ -438,19 +367,14 @@ impl SnapshotSink for SketchStore {
             vertex,
             sketch,
             degree,
-            argmins,
         } = entry;
         self.vertices.insert(vertex, Vertex { degree, sketch });
-        if let Some(column) = argmins {
-            self.argmins.insert(vertex, column);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HasherBackend;
     use graphstream::{AdjacencyGraph, BarabasiAlbert, EdgeStream};
     use proptest::prelude::*;
 
@@ -501,7 +425,7 @@ mod tests {
     #[derive(Clone)]
     struct Reference {
         config: SketchConfig,
-        bank: HasherBank,
+        bank: HashFamily,
         sketches: HashMap<VertexId, Vec<(u64, VertexId)>>,
         degrees: HashMap<VertexId, u64>,
         edges_processed: u64,
@@ -622,9 +546,7 @@ mod tests {
             let mut body = Vec::new();
             write_varint(&mut body, self.config.slots() as u64);
             write_varint(&mut body, self.config.base_seed());
-            body.push(u8::from(
-                self.config.hasher_backend() == HasherBackend::Tabulation,
-            ));
+            body.push(0); // hasher backend: the one family
             write_varint(&mut body, self.edges_processed);
             let ids = self.sorted_vertices();
             write_varint(&mut body, ids.len() as u64);
@@ -726,17 +648,11 @@ mod tests {
         fn prop_hash_only_store_matches_16_byte_reference(
             k in 1usize..70,
             seed in any::<u64>(),
-            tabulation in any::<bool>(),
             // 24 ids: duplicate edges and self-loops are frequent.
             edges in proptest::collection::vec((0u64..24, 0u64..24), 0..300),
             split in 0usize..301,
         ) {
-            let backend = if tabulation {
-                HasherBackend::Tabulation
-            } else {
-                HasherBackend::Mixer
-            };
-            let config = SketchConfig::with_slots(k).seed(seed).backend(backend);
+            let config = SketchConfig::with_slots(k).seed(seed);
             let build = |edges: &[(u64, u64)]| {
                 let (mut store, mut reference) = (SketchStore::new(config), Reference::new(config));
                 for &(u, v) in edges {
@@ -997,17 +913,5 @@ mod tests {
         fn s_j(s: &SketchStore, u: u64, v: u64) -> Option<f64> {
             s.jaccard(VertexId(u), VertexId(v))
         }
-    }
-
-    #[test]
-    fn tabulation_backend_also_estimates() {
-        let mut s = SketchStore::new(
-            SketchConfig::with_slots(256).backend(crate::HasherBackend::Tabulation),
-        );
-        for w in 100..120u64 {
-            s.insert_edge(VertexId(0), VertexId(w));
-            s.insert_edge(VertexId(1), VertexId(w));
-        }
-        assert_eq!(s.jaccard(VertexId(0), VertexId(1)), Some(1.0));
     }
 }

@@ -18,7 +18,7 @@ use streamlink_core::durable::{self, generation_path};
 use streamlink_core::journal::QUARANTINE_DIR;
 use streamlink_core::sketch::VertexSketch;
 use streamlink_core::snapshot::{self, StoreSnapshot, VertexEntry};
-use streamlink_core::{HasherBackend, SketchConfig, SketchStore};
+use streamlink_core::{SketchConfig, SketchStore};
 
 fn temp_path(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -26,8 +26,8 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("streamlink-load-{}-{tag}-{n}", std::process::id()))
 }
 
-fn store(edges: &[Edge], k: usize, seed: u64, backend: HasherBackend) -> SketchStore {
-    let config = SketchConfig::with_slots(k).seed(seed).backend(backend);
+fn store(edges: &[Edge], k: usize, seed: u64) -> SketchStore {
+    let config = SketchConfig::with_slots(k).seed(seed);
     let mut s = SketchStore::new(config);
     s.insert_stream(edges.iter().copied());
     s
@@ -44,7 +44,6 @@ fn with_empty_vertices(s: &SketchStore, empty: &[u64]) -> StoreSnapshot {
                 vertex,
                 sketch: VertexSketch::new(s.config().slots()),
                 degree: 0,
-                argmins: None,
             });
         }
     }
@@ -61,7 +60,7 @@ fn populated() -> SketchStore {
     let edges: Vec<Edge> = (0..300u64)
         .map(|i| Edge::new(i % 37, (i * 7 + 3) % 53 + 40, 0))
         .collect();
-    store(&edges, 12, 4, HasherBackend::Mixer)
+    store(&edges, 12, 4)
 }
 
 fn assert_invalid(result: io::Result<SketchStore>, what: &str) {
@@ -84,11 +83,9 @@ proptest! {
         ),
         k in 1usize..70,
         seed in any::<u64>(),
-        tabulation in any::<bool>(),
         empty in proptest::collection::vec(0u64..8, 0..4),
     ) {
-        let backend = if tabulation { HasherBackend::Tabulation } else { HasherBackend::Mixer };
-        let snap = with_empty_vertices(&store(&edges, k, seed, backend), &empty);
+        let snap = with_empty_vertices(&store(&edges, k, seed), &empty);
         let path = temp_path("roundtrip");
 
         snap.write_atomic(&path).unwrap();
@@ -132,43 +129,38 @@ fn an_argmin_that_does_not_hash_to_its_slot_fails_closed() {
     let edges: Vec<Edge> = (0..120u64)
         .map(|i| Edge::new(i % 23, (i * 5 + 1) % 31 + 24, 0))
         .collect();
-    for backend in [HasherBackend::Mixer, HasherBackend::Tabulation] {
-        let damaged = with_altered_last_argmin(&store(&edges, 8, 2, backend));
-        let why = "slot argmin does not hash to its slot";
-        assert_eq!(
-            codec::decode_store_snapshot(&damaged),
-            Err(codec::CodecError::Malformed(why)),
-            "{backend:?}"
-        );
-        let path = temp_path("argmin");
-        fs::write(&path, &damaged).unwrap();
-        // `scrub` verifies a generation through `verify_file`.
-        let errors = [
-            snapshot::load_store(&path).map(drop).unwrap_err(),
-            snapshot::verify_file(&path).map(drop).unwrap_err(),
-        ];
-        for err in errors {
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{backend:?}");
-            assert!(err.to_string().contains(why), "{backend:?}: {err}");
-        }
-        fs::remove_file(&path).unwrap();
+    let damaged = with_altered_last_argmin(&store(&edges, 8, 2));
+    let why = "slot argmin does not hash to its slot";
+    assert_eq!(
+        codec::decode_store_snapshot(&damaged),
+        Err(codec::CodecError::Malformed(why))
+    );
+    let path = temp_path("argmin");
+    fs::write(&path, &damaged).unwrap();
+    // `scrub` verifies a generation through `verify_file`.
+    let errors = [
+        snapshot::load_store(&path).map(drop).unwrap_err(),
+        snapshot::verify_file(&path).map(drop).unwrap_err(),
+    ];
+    for err in errors {
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(why), "{err}");
     }
+    fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn empty_store_roundtrips() {
-    for backend in [HasherBackend::Mixer, HasherBackend::Tabulation] {
-        let empty = store(&[], 5, 9, backend);
-        let path = temp_path("empty");
-        StoreSnapshot::capture(&empty).write_atomic(&path).unwrap();
-        let loaded = snapshot::load_store(&path).unwrap();
-        assert_eq!(loaded.vertex_count(), 0);
-        assert_eq!(
-            StoreSnapshot::capture(&loaded),
-            StoreSnapshot::capture(&empty)
-        );
-        fs::remove_file(&path).unwrap();
-    }
+    let empty = store(&[], 5, 9);
+    let path = temp_path("empty");
+    StoreSnapshot::capture(&empty).write_atomic(&path).unwrap();
+    let loaded = snapshot::load_store(&path).unwrap();
+    assert_eq!(loaded.vertex_count(), 0);
+    assert_eq!(
+        StoreSnapshot::capture(&loaded),
+        StoreSnapshot::capture(&empty)
+    );
+    fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -281,4 +273,100 @@ fn recovery_discards_a_generation_damaged_in_its_last_vertex() {
     assert!(!newest.exists());
     assert!(dir.join(QUARANTINE_DIR).join("snapshot.10.json").exists());
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The golden generation's stream: vertex 9 has degree 1, and the
+/// self-loop counts as processed but adds nothing.
+const GOLDEN_EDGES: [(u64, u64); 20] = [
+    (1, 2),
+    (1, 3),
+    (1, 4),
+    (2, 3),
+    (2, 5),
+    (3, 4),
+    (3, 6),
+    (4, 5),
+    (4, 7),
+    (5, 6),
+    (5, 8),
+    (6, 7),
+    (6, 10),
+    (7, 8),
+    (7, 300),
+    (8, 10),
+    (10, 300),
+    (2, 300),
+    (9, 1),
+    (4, 4),
+];
+
+/// A vertex the golden file holds with degree 0 and all eight slots
+/// empty, the state no edge can leave.
+const GOLDEN_EMPTY: VertexId = VertexId(1_000);
+
+fn golden_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3/store.k8.seed57005.snap")
+}
+
+fn golden_rebuilt() -> SketchStore {
+    let edges: Vec<Edge> = GOLDEN_EDGES
+        .iter()
+        .map(|&(u, v)| Edge::new(u, v, 0))
+        .collect();
+    let config = SketchConfig::with_slots(8).seed(0xDEAD);
+    let mut s = SketchStore::new(config);
+    s.insert_stream(edges);
+    s
+}
+
+fn golden_snapshot(s: &SketchStore) -> StoreSnapshot {
+    let mut snap = StoreSnapshot::capture(s);
+    snap.vertices.push(VertexEntry {
+        vertex: GOLDEN_EMPTY,
+        sketch: VertexSketch::new(8),
+        degree: 0,
+    });
+    snap.vertices.sort_by_key(|e| e.vertex);
+    snap
+}
+
+/// A committed v3 generation pins the file format across builds: a
+/// refactor that changes one byte of what the writer emits, or of how
+/// the reader reads it, fails here. Regenerate (`UPDATE_GOLDEN=1`) only
+/// for a deliberate format change, which also needs a new version byte.
+#[test]
+fn golden_v3_generation_loads_and_reencodes_byte_for_byte() {
+    let rebuilt = golden_rebuilt();
+    let encoded = codec::encode_store_snapshot(&golden_snapshot(&rebuilt)).unwrap();
+    let path = golden_path();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, &encoded).unwrap();
+        return;
+    }
+    let golden = fs::read(&path).unwrap();
+    assert_eq!(encoded, golden, "the v3 writer's bytes moved");
+
+    let loaded = snapshot::load_store(&path).unwrap();
+    assert_eq!(loaded.edges_processed(), GOLDEN_EDGES.len() as u64);
+    assert_eq!(loaded.vertex_count(), rebuilt.vertex_count() + 1);
+    assert_eq!(loaded.degree(VertexId(9)), 1);
+    assert_eq!(loaded.degree(GOLDEN_EMPTY), 0);
+    assert_eq!(loaded.sketch(GOLDEN_EMPTY).unwrap().filled_slots(), 0);
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    let ids: Vec<VertexId> = rebuilt.vertices().collect();
+    for &u in &ids {
+        assert_eq!(loaded.degree(u), rebuilt.degree(u), "degree of {u:?}");
+        for &v in &ids {
+            assert_eq!(bits(loaded.jaccard(u, v)), bits(rebuilt.jaccard(u, v)));
+            assert_eq!(
+                bits(loaded.common_neighbors(u, v)),
+                bits(rebuilt.common_neighbors(u, v))
+            );
+            assert_eq!(
+                bits(loaded.adamic_adar(u, v)),
+                bits(rebuilt.adamic_adar(u, v))
+            );
+        }
+    }
 }

@@ -55,20 +55,6 @@ impl SeededHash {
         unmix64(hash) ^ self.seed
     }
 
-    /// Hashes an arbitrary byte string (FNV-style fold, then finalize).
-    ///
-    /// Off the hot path; used when streams carry string vertex labels.
-    #[must_use]
-    pub fn hash_bytes(&self, bytes: &[u8]) -> u64 {
-        let mut acc = self.seed ^ 0xCBF2_9CE4_8422_2325;
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            acc = mix64(acc ^ u64::from_le_bytes(word)).wrapping_add(0x100_0000_01B3);
-        }
-        mix64(acc ^ (bytes.len() as u64))
-    }
-
     /// The seed word backing this function (post pre-mix).
     #[must_use]
     pub fn seed(&self) -> u64 {
@@ -189,14 +175,6 @@ mod tests {
         for k in 0..100_000u64 {
             assert!(seen.insert(h.hash(k)), "collision at key {k}");
         }
-    }
-
-    #[test]
-    fn hash_bytes_distinguishes_length_extension() {
-        let h = SeededHash::new(5);
-        assert_ne!(h.hash_bytes(b"ab"), h.hash_bytes(b"ab\0"));
-        assert_ne!(h.hash_bytes(b""), h.hash_bytes(b"\0"));
-        assert_eq!(h.hash_bytes(b"vertex-17"), h.hash_bytes(b"vertex-17"));
     }
 
     #[test]

@@ -7,18 +7,16 @@
 //!
 //! 1. **Seeded families** — `k` independent hash functions `h_1 … h_k`
 //!    over vertex identifiers, cheap enough to evaluate all `k` on every
-//!    stream edge ([`HashFamily`], [`SeededHash`]).
+//!    stream edge ([`HashFamily`], [`SeededHash`]). Every member is a
+//!    bijection with a closed-form inverse ([`SeededHash::invert`]), so a
+//!    sketch slot that keeps only its minimum hash still names the
+//!    neighbor that achieved it. This is the crate's one hash family.
 //! 2. **Strong single-word mixing** — vertex ids are small integers with
 //!    almost no entropy spread; a finalizer-quality mixer turns them into
 //!    uniform 64-bit words ([`mix`]).
 //! 3. **Uniform and exponential draws** — weighted (vertex-biased) MinHash
 //!    needs `Exp(λ)` ranks derived deterministically from `(seed, key)`
 //!    pairs ([`uniform`]).
-//!
-//! [`tabulation`] provides 3-independent tabulation hashing as an
-//! alternative family with stronger independence guarantees; the sketch
-//! layer exposes it as an opt-in backend and the benchmark suite compares
-//! both.
 //!
 //! [`crc32()`] is a different animal: not a sketch hash but an error
 //! -detecting code, used by the storage layer to frame WAL records and
@@ -36,11 +34,9 @@
 pub mod crc32;
 pub mod family;
 pub mod mix;
-pub mod tabulation;
 pub mod uniform;
 
 pub use crc32::crc32;
 pub use family::{HashFamily, SeededHash};
 pub use mix::{mix64, mix64_v3, unmix64};
-pub use tabulation::TabulationHash;
 pub use uniform::{exp_rank, unit_exponential, unit_uniform};

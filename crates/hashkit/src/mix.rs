@@ -54,23 +54,20 @@ const INV_MUL2: u64 = inverse_odd(0x94D0_49BB_1331_11EB);
 #[inline]
 #[must_use]
 pub fn unmix64(mut z: u64) -> u64 {
-    z = unxorshift(z, 31);
+    z = unxorshift::<31>(z);
     z = z.wrapping_mul(INV_MUL2);
-    z = unxorshift(z, 27);
+    z = unxorshift::<27>(z);
     z = z.wrapping_mul(INV_MUL1);
-    unxorshift(z, 30)
+    unxorshift::<30>(z)
 }
 
-/// Inverts `x -> x ^ (x >> shift)` for `1 <= shift < 64`.
+/// Inverts `x -> x ^ (x >> S)` in closed form for `22 <= S <= 31`.
 #[inline]
-fn unxorshift(y: u64, shift: u32) -> u64 {
-    // y = x ^ (x >> k)  =>  x = y ^ (x >> k). Iterating from x0 = y fixes
-    // the top k bits first and converges in <= ceil(64/k) steps.
-    let mut x = y;
-    for _ in 0..(64 / shift + 1) {
-        x = y ^ (x >> shift);
-    }
-    x
+fn unxorshift<const S: u32>(y: u64) -> u64 {
+    // y = x ^ (x >> S) gives x = y ^ (y >> S) ^ (x >> 3S), and x >> 3S
+    // is 0 once 3S >= 64. 2S < 64 keeps the last shift in range.
+    const { assert!(22 <= S && S <= 31, "closed form needs 22 <= S <= 31") };
+    y ^ (y >> S) ^ (y >> (2 * S))
 }
 
 /// Multiplicative inverse of an odd 64-bit constant (Newton iteration).
@@ -130,14 +127,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unxorshift_inverts_all_shifts() {
-        for shift in 1..64u32 {
-            for k in [0u64, 1, 0xFFFF_FFFF, u64::MAX, 0xA5A5_5A5A_0F0F_F0F0] {
-                let y = k ^ (k >> shift);
-                assert_eq!(unxorshift(y, shift), k, "shift {shift} key {k}");
-            }
+    fn assert_unxorshift_inverts<const S: u32>() {
+        for k in [0u64, 1, 0xFFFF_FFFF, u64::MAX, 0xA5A5_5A5A_0F0F_F0F0] {
+            assert_eq!(unxorshift::<S>(k ^ (k >> S)), k, "shift {S} key {k}");
         }
+    }
+
+    #[test]
+    fn unxorshift_inverts_every_supported_shift() {
+        assert_unxorshift_inverts::<22>();
+        assert_unxorshift_inverts::<23>();
+        assert_unxorshift_inverts::<24>();
+        assert_unxorshift_inverts::<25>();
+        assert_unxorshift_inverts::<26>();
+        assert_unxorshift_inverts::<27>();
+        assert_unxorshift_inverts::<28>();
+        assert_unxorshift_inverts::<29>();
+        assert_unxorshift_inverts::<30>();
+        assert_unxorshift_inverts::<31>();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for hashkit invariants.
 
-use hashkit::{exp_rank, mix64, unit_uniform, unmix64, HashFamily, SeededHash, TabulationHash};
+use hashkit::{exp_rank, mix64, unit_uniform, unmix64, HashFamily, SeededHash};
 use proptest::prelude::*;
 
 proptest! {
@@ -63,21 +63,5 @@ proptest! {
         for (i, &word) in out.iter().enumerate() {
             prop_assert_eq!(word, SeededHash::member(seed, i as u64).hash(key));
         }
-    }
-
-    /// Tabulation hashing is deterministic and seed-sensitive.
-    #[test]
-    fn tabulation_deterministic(seed in any::<u64>(), key in any::<u64>()) {
-        let h = TabulationHash::new(seed);
-        prop_assert_eq!(h.hash(key), TabulationHash::new(seed).hash(key));
-    }
-
-    /// Byte hashing distinguishes a string from any strict prefix.
-    #[test]
-    fn bytes_prefix_sensitive(seed in any::<u64>(), mut v in proptest::collection::vec(any::<u8>(), 1..64)) {
-        let h = SeededHash::new(seed);
-        let full = h.hash_bytes(&v);
-        v.pop();
-        prop_assert_ne!(full, h.hash_bytes(&v));
     }
 }

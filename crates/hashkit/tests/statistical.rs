@@ -3,7 +3,7 @@
 //! pairwise independence proxies. These are the empirical counterparts
 //! of the independence assumptions the sketch accuracy theorems make.
 
-use hashkit::{HashFamily, SeededHash, TabulationHash};
+use hashkit::{HashFamily, SeededHash};
 
 /// Chi-square statistic of hashing `n` sequential keys into `buckets`
 /// equal ranges. Under uniformity the statistic is ≈ buckets − 1 with
@@ -43,12 +43,6 @@ fn mixer_uniform_on_sequential_keys() {
     // mixer: they differ only in low bits.
     let h = SeededHash::new(42);
     assert_uniform(chi_square(|k| h.hash(k), 200_000, 256), 256, "mixer");
-}
-
-#[test]
-fn tabulation_uniform_on_sequential_keys() {
-    let t = TabulationHash::new(42);
-    assert_uniform(chi_square(|k| t.hash(k), 200_000, 256), 256, "tabulation");
 }
 
 #[test]

@@ -19,8 +19,8 @@
 //! once truncated (a new neighbor's full hash can't be compared against
 //! a truncated minimum), and a truncated minimum can no longer be
 //! inverted to its argmin, so only Jaccard /
-//! CN / cosine / overlap are answerable — not AA/RA (which need the
-//! matched argmins). The builder keeps the full [`SketchStore`]; call
+//! CN / cosine / overlap are answerable — not AA/RA (which need each
+//! matched slot's argmin). The builder keeps the full [`SketchStore`]; call
 //! [`CompressedStore::from_store`] at replication points.
 
 use serde::{Deserialize, Serialize};

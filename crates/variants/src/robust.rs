@@ -17,7 +17,8 @@ use std::collections::HashMap;
 use graphstream::{Edge, VertexId};
 
 use crate::hll::HyperLogLog;
-use streamlink_core::config::{HasherBank, SketchConfig};
+use hashkit::HashFamily;
+use streamlink_core::config::SketchConfig;
 use streamlink_core::estimators;
 use streamlink_core::sketch::VertexSketch;
 
@@ -26,7 +27,7 @@ use streamlink_core::sketch::VertexSketch;
 pub struct RobustStore {
     config: SketchConfig,
     hll_precision: u8,
-    bank: HasherBank,
+    bank: HashFamily,
     sketches: HashMap<VertexId, VertexSketch>,
     degrees: HashMap<VertexId, HyperLogLog>,
     edges_processed: u64,
@@ -127,10 +128,6 @@ impl RobustStore {
 
     /// Estimated Adamic–Adar using HLL degrees for both the CN factor
     /// and the sampled common neighbors' weights.
-    ///
-    /// # Panics
-    /// Panics under the Tabulation backend, whose argmins cannot be
-    /// recovered from the slots ([`VertexSketch::matched_samples`]).
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);

@@ -24,7 +24,7 @@ use std::collections::{HashSet, VecDeque};
 
 use graphstream::{Edge, VertexId};
 
-use streamlink_core::config::HasherBank;
+use hashkit::HashFamily;
 use streamlink_core::estimators;
 use streamlink_core::sketch::VertexSketch;
 use streamlink_core::SketchConfig;
@@ -51,8 +51,9 @@ use streamlink_core::SketchStore;
 #[derive(Debug, Clone)]
 pub struct WindowedStore {
     config: SketchConfig,
-    /// The config's hash functions, which recover matched argmins.
-    bank: HasherBank,
+    /// The config's hash functions, which recover each matched slot's
+    /// argmin.
+    bank: HashFamily,
     epoch_edges: u64,
     max_epochs: usize,
     /// Oldest epoch first, newest last; never empty.
@@ -215,11 +216,6 @@ impl WindowedStore {
 
     /// Estimated Adamic–Adar over the window (match-sampling, window
     /// degrees).
-    ///
-    /// # Panics
-    /// Panics under the Tabulation backend, whose argmins cannot be
-    /// recovered from merged window sketches
-    /// ([`VertexSketch::matched_samples`]).
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let (su, sv) = (self.window_sketch(u)?, self.window_sketch(v)?);

@@ -5,7 +5,7 @@
 //! This facade crate re-exports the whole workspace so applications can
 //! depend on a single crate:
 //!
-//! * [`hash`] — seeded hash families and tabulation hashing ([`hashkit`]).
+//! * [`hash`] — the seeded, invertible hash family ([`hashkit`]).
 //! * [`stream`] — graph-stream substrate: edge streams, generators, exact
 //!   adjacency ([`graphstream`]).
 //! * [`sketch`] — the paper's contribution: per-vertex MinHash sketches with
