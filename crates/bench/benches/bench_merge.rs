@@ -1,9 +1,7 @@
 //! Criterion micro-bench: merging one sketch store into another.
 //!
-//! Covers both merge flavors on the replication hot path: `merge_into`
-//! (degree-additive union of two independently-built stores) and
-//! `merge_join` (idempotent slot-min/degree-max join — the anti-entropy
-//! round every replica runs against a primary snapshot).
+//! Covers `merge_into`, the degree-additive union of two independently
+//! built stores (the sharded-ingestion join).
 //!
 //! Allocation note: `merge_into` used to clone every source sketch into
 //! a scratch `Vec` before applying it — one `Vec<u64>` allocation of `k`
@@ -14,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphstream::{BarabasiAlbert, Edge, EdgeStream};
-use streamlink_core::merge::{merge_into, merge_join};
+use streamlink_core::merge::merge_into;
 use streamlink_core::{SketchConfig, SketchStore};
 
 /// Two overlapping halves of one scale-free stream: the merge has to
@@ -44,13 +42,6 @@ fn bench_merge(c: &mut Criterion) {
             b.iter(|| {
                 let mut dst = dst.clone();
                 merge_into(&mut dst, &src).expect("compatible stores");
-                dst
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("merge_join", k), &k, |b, _| {
-            b.iter(|| {
-                let mut dst = dst.clone();
-                merge_join(&mut dst, &src).expect("compatible stores");
                 dst
             });
         });

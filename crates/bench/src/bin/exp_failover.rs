@@ -200,7 +200,7 @@ fn handoff(pri: &mut Node, now: u64, old_epoch: u64, entry: &JournalEntry, c: &m
         u: entry.u,
         v: entry.v,
     });
-    pri.applier.advance_to(pri.seq);
+    pri.applier.reset_to(pri.seq);
     pri.tl.accept_handoff(old_epoch, entry.seq, pri.seq);
     c.handoffs += 1;
     let epoch = pri.fo.epoch();
@@ -254,8 +254,7 @@ fn rejoin(nodes: &mut [Node], now: u64, r: usize, p: usize, c: &mut Counters) {
     };
     let old_data_epoch = rep.data_epoch;
     rep.store = snapshot.restore();
-    rep.applier.reset_to(0);
-    rep.applier.advance_to(pri_seq);
+    rep.applier.reset_to(pri_seq);
     rep.seq = pri_seq; // a stale primaryship seq must not outlive its timeline
     rep.log = pri_log;
     rep.tl = pri_tl;
@@ -437,7 +436,7 @@ fn run_seed(seed: u64) -> (Row, Vec<ClusterEvent>) {
                         let seq = nodes[p].seq;
                         nodes[p].store.insert_edge(u, v);
                         nodes[p].log.push(JournalEntry { seq, u, v });
-                        nodes[p].applier.advance_to(seq);
+                        nodes[p].applier.reset_to(seq);
                         truth.insert_edge(u, v);
                         acked += 1;
                     } else {

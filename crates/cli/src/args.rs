@@ -29,6 +29,21 @@ impl Flags {
         Ok(Flags { values })
     }
 
+    /// Refuses any flag not among the whitespace-separated `known`
+    /// names, naming the first one found.
+    pub fn only(&self, known: &str) -> Result<(), String> {
+        let mut unknown: Vec<&String> = self
+            .values
+            .keys()
+            .filter(|key| !known.split_whitespace().any(|k| k == key.as_str()))
+            .collect();
+        unknown.sort();
+        match unknown.first() {
+            None => Ok(()),
+            Some(key) => Err(format!("unknown flag --{key}")),
+        }
+    }
+
     /// The last value of `key`, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.values
@@ -93,6 +108,13 @@ mod tests {
     #[test]
     fn non_flag_is_error() {
         assert!(Flags::parse(&argv(&["a", "1"])).is_err());
+    }
+
+    #[test]
+    fn only_refuses_unknown_flags_by_name() {
+        let f = Flags::parse(&argv(&["--a", "1", "--zz", "2", "--b", "3"])).unwrap();
+        assert_eq!(f.only("a b zz"), Ok(()));
+        assert_eq!(f.only("a b"), Err("unknown flag --zz".into()));
     }
 
     #[test]

@@ -73,10 +73,11 @@
 //! --repl-pull-batch N         entries per REPL PULL, at most
 //!                             65536                         (4096)
 //! --repl-poll-ms MS           idle poll between pulls        (100)
-//! --repl-anti-entropy-secs S  snapshot-join period; 0 off     (30)
 //! --repl-lag-slo N            lag (edges) past which a replica's
 //!                             /healthz flips 503          (100000)
 //! ```
+//!
+//! Any other flag is refused by name.
 //!
 //! On SIGINT/SIGTERM the server stops accepting, drains, writes a final
 //! snapshot (durable mode), and exits 0. The first stdout line is
@@ -99,8 +100,17 @@ use streamlink_core::{SketchConfig, SketchStore};
 use crate::args::Flags;
 use crate::server::{self, persistence, signals, ServerConfig, ServerState};
 
+/// Every flag of the table above.
+const FLAGS: &str = "addr http-addr data-dir snapshot slots seed fsync max-conns \
+     idle-timeout-ms drain-secs snapshot-every-secs snapshot-every-edges \
+     snapshot-keep metrics-log-secs slow-op-ms slow-op-log \
+     slow-op-log-bytes events-log events-log-bytes audit-secs audit-pairs \
+     replicate-from repl-id peers advertise lease-ms primary repl-buffer \
+     repl-pull-batch repl-poll-ms repl-lag-slo";
+
 pub fn run(argv: &[String]) -> Result<(), String> {
     let flags = Flags::parse(argv)?;
+    flags.only(FLAGS)?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let config = ServerConfig {
         max_conns: flags.get_parsed_or("max-conns", 1024usize)?,
@@ -196,9 +206,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let repl_tuning = server::replication::ReplicaTuning {
         pull_batch: flags.get_parsed_or("repl-pull-batch", 4096usize)?,
         poll_interval: Duration::from_millis(flags.get_parsed_or("repl-poll-ms", 100u64)?),
-        anti_entropy_every: Duration::from_secs(
-            flags.get_parsed_or("repl-anti-entropy-secs", 30u64)?,
-        ),
         ..server::replication::ReplicaTuning::default()
     };
     if repl_tuning.pull_batch == 0 {
@@ -257,20 +264,29 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         };
         let data_dir = flags.get("data-dir").map(Path::new);
         // A durable replica journals what it applies and resumes from
-        // its own disk seq after a restart. A fresh store's shape is
-        // provisional: the handshake adopts the primary's
-        // slots/seed/backend while the store is empty.
+        // its own disk seq after a restart, unless recovery left a hole
+        // below that seq. A fresh store's shape is provisional: the
+        // handshake adopts the primary's slots/seed/backend while the
+        // store is empty.
         let (store, persist, snapshot_seq, local_seq) = match data_dir {
             Some(dir) => {
                 let (persist, recovery) =
                     persistence::open_with_faults(dir, sketch_config, fsync, None)
                         .map_err(|e| format!("cannot open data dir {}: {e}", dir.display()))?;
-                let local_seq = recovery.next_seq().saturating_sub(1);
+                let (local_seq, install_due) = persistence::replica_resume(dir, &recovery)
+                    .map_err(|e| format!("cannot write to data dir {}: {e}", dir.display()))?;
                 eprintln!(
                     "replica recovered {} edges from {} (local WAL seq {local_seq})",
                     recovery.store.edges_processed(),
                     dir.display(),
                 );
+                if install_due {
+                    eprintln!(
+                        "replica store may lack seqs below {local_seq} (recovery healed \
+                         around damage); installing the primary's snapshot before pulling"
+                    );
+                    runtime.require_install();
+                }
                 (
                     recovery.store,
                     Some(persist),
@@ -467,15 +483,6 @@ fn voter(
     Ok((advertise, membership))
 }
 
-/// Back-compat accept loop over an in-memory store with default limits.
-/// Runs until the process exits or shutdown is requested.
-pub fn serve_forever(listener: TcpListener, store: SketchStore) {
-    let state = Arc::new(ServerState::in_memory(store, ServerConfig::default()));
-    if let Err(e) = server::serve(listener, &state) {
-        eprintln!("server error: {e}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,6 +490,13 @@ mod tests {
     use graphstream::VertexId;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+
+    /// Serves `store` in memory with default limits on a background
+    /// thread, until the test process exits.
+    fn spawn_in_memory(listener: TcpListener, store: SketchStore) {
+        let state = Arc::new(ServerState::in_memory(store, ServerConfig::default()));
+        std::thread::spawn(move || server::serve(listener, &state));
+    }
 
     #[test]
     fn end_to_end_over_tcp() {
@@ -493,7 +507,7 @@ mod tests {
             s.insert_edge(VertexId(7), VertexId(w));
             s.insert_edge(VertexId(8), VertexId(w));
         }
-        std::thread::spawn(move || serve_forever(listener, s));
+        spawn_in_memory(listener, s);
 
         let mut conn = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
@@ -516,7 +530,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut s = SketchStore::new(SketchConfig::with_slots(16).seed(3));
         s.insert_edge(VertexId(1), VertexId(2));
-        std::thread::spawn(move || serve_forever(listener, s));
+        spawn_in_memory(listener, s);
 
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -744,5 +758,36 @@ mod tests {
         // A malformed --http-addr fails at bind time, before the
         // protocol port is ever taken.
         assert!(run(&argv(&["--http-addr", "not-an-addr"])).is_err());
+    }
+
+    #[test]
+    fn refuses_flags_outside_the_table_by_name() {
+        let argv =
+            |flags: &[&str]| -> Vec<String> { flags.iter().map(|s| s.to_string()).collect() };
+        // The deleted snapshot-join period, and a typo of a real flag.
+        for flag in ["repl-anti-entropy-secs", "snapshot-evry-edges"] {
+            let err = run(&argv(&[&format!("--{flag}"), "30"])).unwrap_err();
+            assert!(err.contains(&format!("--{flag}")), "{err}");
+        }
+        // Every flag the benchmark harness starts the server with
+        // (`perfbench/src/serve.rs`, `server_args`) stays accepted.
+        let harness = "--addr 127.0.0.1:0 --metrics-log-secs 0 --audit-secs 3600 --snapshot f \
+             --data-dir d --slots 64 --seed 1 --snapshot-every-edges 1000000000 \
+             --snapshot-every-secs 3600";
+        let harness: Vec<String> = harness.split_whitespace().map(String::from).collect();
+        assert_eq!(Flags::parse(&harness).unwrap().only(FLAGS), Ok(()));
+    }
+
+    #[test]
+    fn flag_list_matches_the_documented_table() {
+        let rows = include_str!("serve.rs")
+            .lines()
+            .filter(|l| l.starts_with("//! --"));
+        let words = rows.flat_map(str::split_whitespace);
+        let mut documented: Vec<&str> = words.filter_map(|w| w.strip_prefix("--")).collect();
+        let mut listed: Vec<&str> = FLAGS.split_whitespace().collect();
+        documented.sort_unstable();
+        listed.sort_unstable();
+        assert_eq!(documented, listed);
     }
 }

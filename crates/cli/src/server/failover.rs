@@ -1029,8 +1029,9 @@ pub fn cluster_loop(state: &Arc<ServerState>, cluster: &Arc<ClusterRuntime>) {
 }
 
 /// One session against a presumed primary: handshake, leave a dead
-/// timeline if our data sits on one, then pull (and, on a voter, renew
-/// the lease) until the link dies or the remote stops being primary.
+/// timeline if our data sits on one, install the primary's snapshot if
+/// one is owed, then pull (and, on a voter, renew the lease) until the
+/// link dies or the remote stops being primary.
 pub(super) fn replica_session(
     state: &ServerState,
     cluster: &ClusterRuntime,
@@ -1065,6 +1066,9 @@ pub(super) fn replica_session(
         // below then fails.
         rejoin_timeline(state, cluster, runtime, &mut link, &remote_tl, corr)?;
     }
+    if runtime.install_due.load(Ordering::Relaxed) {
+        snapshot_round_with(state, runtime, &mut link)?;
+    }
     runtime.note_primary_seq(hello.primary_seq);
     runtime.set_connected(true);
     runtime.update_gauges();
@@ -1076,7 +1080,6 @@ pub(super) fn replica_session(
         let lease_tick = Duration::from_millis((cluster.lease_ms / 4).max(10));
         runtime.tuning.poll_interval.min(lease_tick)
     };
-    let mut last_anti_entropy = Instant::now();
     loop {
         if state.shutdown_requested() {
             return Ok(SessionEnd::Shutdown);
@@ -1089,13 +1092,6 @@ pub(super) fn replica_session(
             return Ok(SessionEnd::NotPrimary);
         }
         let advanced = pull_once(state, runtime, &mut link)?;
-        if !runtime.tuning.anti_entropy_every.is_zero()
-            && last_anti_entropy.elapsed() >= runtime.tuning.anti_entropy_every
-        {
-            last_anti_entropy = Instant::now();
-            snapshot_round_with(state, runtime, &mut link, false)?;
-            metrics::global().repl_anti_entropy_rounds.incr();
-        }
         runtime.update_gauges();
         cluster.update_gauges();
         if !advanced {
@@ -1171,7 +1167,7 @@ fn learner_rejoin(
             .fork_after(cluster.data_epoch())
             .is_some_and(|base| applied > base);
     if dead {
-        snapshot_round_with(state, runtime, link, true)?;
+        snapshot_round_with(state, runtime, link)?;
         let detail = format!("learner left a dead timeline at seq {applied}");
         cluster.record_event(
             EventKind::Resync,
@@ -1212,7 +1208,7 @@ fn rejoin_timeline(
     }
     // Whatever remains local of the dead timeline is superseded:
     // replace wholesale with the new primary's state.
-    snapshot_round_with(state, runtime, link, true)?;
+    snapshot_round_with(state, runtime, link)?;
     cluster.adopt_timeline(remote_tl);
     cluster.set_data_epoch(remote_tl.latest_epoch());
     if let Err(e) = cluster.persist_state() {
@@ -2069,7 +2065,7 @@ mod tests {
         cluster.follow_primary(1, &Timeline::parse("1:0").unwrap());
         for seq in 1..=5u64 {
             let (u, v) = (VertexId(seq), VertexId(seq + 10));
-            apply_entry(&state, &runtime, JournalEntry { seq, u, v });
+            apply_entry(&state, &runtime, JournalEntry { seq, u, v }).unwrap();
         }
         // ...then epoch 2 forked at seq 3, so seqs 4..=5 are a dead tail.
         // A voter would hand them off; a learner installs a snapshot.

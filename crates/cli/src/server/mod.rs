@@ -15,7 +15,7 @@
 //!   timeboxed std-only HTTP/1.1 listener.
 //! * [`replication`] — WAL shipping: the primary's bounded ship ring
 //!   and `REPL` command family, and the replica's pulls, applies and
-//!   anti-entropy rounds (see `docs/OPERATIONS.md` §11).
+//!   snapshot installs (see `docs/OPERATIONS.md` §11).
 //! * [`failover`] — cluster membership: the lease/vote/handoff wire
 //!   handlers around [`streamlink_core::failover`], the epoch fence in
 //!   front of every write, and the one replication loop every replica

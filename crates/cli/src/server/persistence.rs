@@ -154,13 +154,14 @@ pub fn checkpoint_now(state: &ServerState) -> io::Result<CheckpointReport> {
 }
 
 /// Makes the live store the data directory's whole history: writes it
-/// as the generation at `seq`, deletes every other generation, and
-/// restarts the journal empty at `seq + 1`.
+/// as the generation at `seq`, deletes every other generation, restarts
+/// the journal empty at `seq + 1`, and settles an install that
+/// [`replica_resume`] recorded as owed.
 ///
-/// For a node that installed a snapshot from another timeline: a plain
-/// checkpoint is not enough, since a dead generation at a higher seq
-/// would win recovery and dead journal records above `seq` would replay
-/// on top of the installed store.
+/// For a node that installed a primary snapshot: a plain checkpoint is
+/// not enough, since a dead generation at a higher seq would win
+/// recovery and dead journal records above `seq` would replay on top of
+/// the installed store.
 ///
 /// # Errors
 /// Fails on IO errors. A failure before the generation write leaves the
@@ -180,6 +181,10 @@ pub(super) fn reset_to_store(state: &ServerState, seq: u64) -> io::Result<()> {
         }
     }
     persist.journal.discard_history(seq + 1)?;
+    match fs::remove_file(persist.dir.join(INSTALL_DUE)) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
     // Persist the deletions (best effort, as for the generation's own
     // rename): a crash must not bring dead files back.
     if let Ok(dir) = fs::File::open(&persist.dir) {
@@ -187,6 +192,32 @@ pub(super) fn reset_to_store(state: &ServerState, seq: u64) -> io::Result<()> {
     }
     state.set_last_snapshot_seq(seq);
     Ok(())
+}
+
+/// The marker a durable replica keeps in its data directory while it owes
+/// a wholesale install of the primary's snapshot.
+const INSTALL_DUE: &str = "install.due";
+
+/// Where a durable replica resumes after `recovery` rebuilt its store
+/// from `dir`: the local WAL high-water mark, and whether it must first
+/// install the primary's snapshot wholesale.
+///
+/// It must when recovery healed around damage: a skipped generation or
+/// a quarantined record leaves the store without a seq below that mark,
+/// and pulling on from the mark would never bring it back. The debt is
+/// recorded in `dir` until [`reset_to_store`] settles it, since a
+/// checkpoint before the install bakes the hole into a generation that
+/// recovers cleanly.
+///
+/// # Errors
+/// Fails if the marker cannot be written.
+pub(crate) fn replica_resume(dir: &Path, recovery: &Recovery) -> io::Result<(u64, bool)> {
+    let marker = dir.join(INSTALL_DUE);
+    if recovery.fallbacks > 0 || recovery.journal.quarantined > 0 {
+        fs::File::create(&marker)?.sync_all()?;
+        fs::File::open(dir)?.sync_all()?;
+    }
+    Ok((recovery.next_seq().saturating_sub(1), marker.exists()))
 }
 
 /// The checkpointer thread body: poll until shutdown, checkpointing

@@ -45,13 +45,16 @@
 //!
 //! ## Why replicas converge
 //!
-//! Replicas apply entries through the monotone-seq gate
-//! ([`streamlink_core::ReplicaApplier`]), so duplicated or reordered
-//! frames never double-count degrees; dropped frames leave gaps that the
-//! periodic anti-entropy round repairs by pulling a snapshot and joining
-//! it with [`streamlink_core::merge::merge_join`] (slot min / degree max
-//! / edge-count max). Experiment E23 asserts byte-exact convergence
-//! under randomized drop/duplicate/reorder/crash schedules.
+//! A replica catches up one way. It asks for the entries after its
+//! applied seq and applies them in seq order through the monotone gate
+//! ([`streamlink_core::ReplicaApplier`]); the primary answers with a
+//! contiguous run (the ring is contiguous, and a disk read stops at the
+//! first unreadable record) or with `ERR resync`. When it falls off the
+//! stream, its timeline died, or its own recovery healed around damage,
+//! it installs `REPL SNAPSHOT` wholesale (`snapshot_round_with`). Two
+//! states are never merged. Experiment E23 drives this loop in-process
+//! (crash-resets, a small ring, disk-served pulls, a rotted WAL record)
+//! and asserts byte-exact convergence with no repair round.
 //!
 //! ## Failure behavior
 //!
@@ -62,7 +65,7 @@
 //! loses nothing it already applied. A primary that restarted into a
 //! lower seq space is detected at the handshake and answered by
 //! installing its snapshot wholesale (`snapshot_round_with`); a
-//! durable replica then checkpoints it and discards its old history.
+//! durable replica then makes it the data directory's whole history.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -73,7 +76,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use streamlink_core::journal::{self, JournalEntry};
-use streamlink_core::merge::merge_join;
 use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{
     codec, metrics, trace, ApplyOutcome, PullOutcome, ReplLog, ReplicaApplier, SketchConfig,
@@ -131,9 +133,6 @@ pub struct ReplicaTuning {
     pub pull_batch: usize,
     /// Sleep between pulls once caught up.
     pub poll_interval: Duration,
-    /// Period between anti-entropy snapshot joins (zero disables the
-    /// periodic rounds; resync-on-demand still works).
-    pub anti_entropy_every: Duration,
     /// First reconnect backoff after a link failure.
     pub backoff_base: Duration,
     /// Backoff ceiling.
@@ -145,7 +144,6 @@ impl Default for ReplicaTuning {
         ReplicaTuning {
             pull_batch: 4096,
             poll_interval: Duration::from_millis(100),
-            anti_entropy_every: Duration::from_secs(30),
             backoff_base: Duration::from_millis(100),
             backoff_max: Duration::from_secs(5),
         }
@@ -285,6 +283,9 @@ pub struct ReplicaRuntime {
     persisted_seq: AtomicU64,
     primary_seq: AtomicU64,
     connected: AtomicBool,
+    /// Set while this node owes a wholesale install of the primary's
+    /// snapshot before its next pull (see [`Self::require_install`]).
+    pub(super) install_due: AtomicBool,
     /// Correlation id threaded through this runtime's `REPL PULL`s
     /// (0 = unset; set per session by the cluster loop).
     corr_id: AtomicU64,
@@ -303,6 +304,7 @@ impl ReplicaRuntime {
             persisted_seq: AtomicU64::new(0),
             primary_seq: AtomicU64::new(0),
             connected: AtomicBool::new(false),
+            install_due: AtomicBool::new(false),
             corr_id: AtomicU64::new(0),
         }
     }
@@ -334,6 +336,14 @@ impl ReplicaRuntime {
         self.applier().reset_to(seq);
         self.applied_seq.store(seq, Ordering::Relaxed);
         self.persisted_seq.store(seq, Ordering::Relaxed);
+    }
+
+    /// Makes the next session install the primary's snapshot wholesale
+    /// before it pulls: the local store may lack a seq below its applied
+    /// mark (recovery healed around damage), or a wholesale install did
+    /// not become durable.
+    pub fn require_install(&self) {
+        self.install_due.store(true, Ordering::Relaxed);
     }
 
     /// Highest primary seq reflected in the local store.
@@ -757,7 +767,7 @@ pub(super) fn pull_once(
                 codec::decode_wal_batch_body(&body).map_err(io::Error::from)?;
             let applied_any = !entries.is_empty();
             for entry in entries {
-                apply_entry(state, runtime, entry);
+                apply_entry(state, runtime, entry)?;
             }
             runtime.note_primary_seq(primary_seq);
             Ok(applied_any)
@@ -765,7 +775,7 @@ pub(super) fn pull_once(
         (codec::MODE_TEXT_FRAME, body) => {
             let line = text_frame(body)?;
             if line.starts_with("ERR resync") {
-                snapshot_round_with(state, runtime, link, false)?;
+                snapshot_round_with(state, runtime, link)?;
                 Ok(true)
             } else {
                 Err(bad_data(format!("primary rejected pull: {line}")))
@@ -780,28 +790,31 @@ pub(super) fn pull_once(
 /// extension of the insert path's store → persist order).
 ///
 /// Durable replicas journal the primary's entry (with the primary's seq
-/// — the journal tolerates gaps) before applying it, so a restart
-/// resumes from the local disk seq instead of seq 0, and a promoted
-/// replica's journal becomes the new timeline's WAL.
-pub(super) fn apply_entry(state: &ServerState, runtime: &ReplicaRuntime, entry: JournalEntry) {
+/// — the journal tolerates gaps) before applying it, as the primary's
+/// own insert path does, so a restart resumes from the local disk seq
+/// instead of seq 0, and a promoted replica's journal becomes the new
+/// timeline's WAL.
+///
+/// # Errors
+/// A failed append applies nothing and ends the session; the next one
+/// pulls again from the applied seq.
+pub(super) fn apply_entry(
+    state: &ServerState,
+    runtime: &ReplicaRuntime,
+    entry: JournalEntry,
+) -> io::Result<()> {
     let mut store = state.write_store();
     let mut applier = runtime.applier();
     if entry.seq > applier.applied_seq() {
-        match state.persist_guard() {
-            Some(mut persist) => match persist.journal.append(entry) {
-                Ok(()) => runtime.note_persisted(entry.seq),
-                Err(e) => {
-                    // Keep applying in memory: availability over local
-                    // durability. persisted_seq stops advancing, so the
-                    // durable-lag SLO (and /healthz) surface the stall.
-                    eprintln!(
-                        "replication: journal append failed at seq {}: {e}",
-                        entry.seq
-                    );
-                }
-            },
-            None => runtime.note_persisted(entry.seq),
+        if let Some(mut persist) = state.persist_guard() {
+            persist.journal.append(entry).map_err(|e| {
+                io::Error::new(
+                    e.kind(),
+                    format!("journal append failed at seq {}: {e}", entry.seq),
+                )
+            })?;
         }
+        runtime.note_persisted(entry.seq);
     }
     match applier.offer(&mut store, entry) {
         ApplyOutcome::Applied => {
@@ -814,19 +827,25 @@ pub(super) fn apply_entry(state: &ServerState, runtime: &ReplicaRuntime, entry: 
     runtime
         .applied_seq
         .store(applier.applied_seq(), Ordering::Relaxed);
+    Ok(())
 }
 
-/// One snapshot round: pull a primary snapshot and union it into the
-/// local store with the idempotent join (anti-entropy), then advance the
-/// dedup gate to the snapshot's seq. A snapshot behind our applied mark
-/// is from another timeline and replaces the store wholesale, as does
-/// any snapshot with `force_replace` — the dead-timeline path, where the
-/// local seq numbers no longer mean anything.
+/// One snapshot round: pull a primary snapshot and install it wholesale,
+/// re-seating the dedup gate at the snapshot's seq. A durable node then
+/// makes the installed store its data directory's whole history
+/// ([`persistence::reset_to_store`]), so a restart brings back nothing
+/// the store no longer holds. On a replica whose store is a prefix of
+/// the primary's this is the primary's store; on a dead timeline or a
+/// store with a hole it is the only repair.
+///
+/// # Errors
+/// Fails on link errors, a refused or malformed frame, a sketch config
+/// that differs from a non-empty local store, and when a durable node
+/// cannot persist the install (the next session then installs again).
 pub(super) fn snapshot_round_with(
     state: &ServerState,
     runtime: &ReplicaRuntime,
     link: &mut PrimaryLink,
-    force_replace: bool,
 ) -> io::Result<()> {
     link.send("REPL SNAPSHOT")?;
     let (seq, incoming) = match link.recv_frame()? {
@@ -844,71 +863,32 @@ pub(super) fn snapshot_round_with(
         }
         (mode, _) => return Err(bad_data(format!("unexpected frame mode {mode:#04x}"))),
     };
-    let replaced = {
+    {
         let mut store = state.write_store();
         let mut applier = runtime.applier();
         let fresh = store.vertex_count() == 0 && store.edges_processed() == 0;
         if *store.config() != *incoming.config() && !fresh {
             return Err(bad_data("snapshot config mismatch with local store"));
         }
-        let replace = fresh || force_replace || seq < applier.applied_seq();
-        if replace {
-            // An empty store adopts the snapshot (and its sketch shape);
-            // otherwise the snapshot is from a different timeline than
-            // our applied mark (a primary reset, or a post-failover
-            // rejoin) and our seqs no longer mean anything.
-            if !fresh {
-                metrics::global().repl_resyncs.incr();
-            }
-            *store = incoming;
-            applier.reset_to(seq);
-        } else {
-            merge_join(&mut store, &incoming)
-                .map_err(|e| bad_data(format!("anti-entropy join failed: {e}")))?;
-            applier.advance_to(seq);
+        if !fresh {
+            metrics::global().repl_resyncs.incr();
         }
-        runtime
-            .applied_seq
-            .store(applier.applied_seq(), Ordering::Relaxed);
-        replace
-    };
-    if replaced {
-        // The old timeline's primary seq means nothing here either.
-        runtime.primary_seq.store(seq, Ordering::Relaxed);
-    } else {
-        runtime.note_primary_seq(seq);
+        *store = incoming;
+        applier.reset_to(seq);
+        runtime.applied_seq.store(seq, Ordering::Relaxed);
     }
-    realign_durable(state, runtime, seq, replaced);
+    // A seq observed on a dead timeline means nothing here.
+    runtime.primary_seq.store(seq, Ordering::Relaxed);
+    if let Err(e) = persistence::reset_to_store(state, seq) {
+        runtime.require_install();
+        return Err(io::Error::new(
+            e.kind(),
+            format!("cannot make the snapshot at seq {seq} durable: {e}"),
+        ));
+    }
+    runtime.set_persisted(seq);
+    runtime.install_due.store(false, Ordering::Relaxed);
     Ok(())
-}
-
-/// Makes a snapshot round durable on a node with a data directory. A
-/// wholesale replace makes the installed store the directory's whole
-/// history ([`persistence::reset_to_store`]), so a restart can bring
-/// back nothing of the dead timeline. A join that moved the applied mark
-/// past the journal realigns the journal and checkpoints, so a restart
-/// does not replay a journal with a hole.
-fn realign_durable(state: &ServerState, runtime: &ReplicaRuntime, seq: u64, replaced: bool) {
-    let Some(next_seq) = state.persist_guard().map(|p| p.journal.next_seq()) else {
-        // In-memory node: RAM is the only durability there is.
-        runtime.set_persisted(runtime.applied_seq());
-        return;
-    };
-    let realigned = if replaced {
-        persistence::reset_to_store(state, seq)
-    } else if next_seq != seq + 1 {
-        state
-            .persist_guard()
-            .map_or(Ok(()), |mut p| p.journal.rotate(seq + 1))
-            .and_then(|()| persistence::checkpoint_now(state).map(drop))
-    } else {
-        runtime.note_persisted(seq);
-        return;
-    };
-    match realigned {
-        Ok(()) => runtime.set_persisted(seq),
-        Err(e) => eprintln!("replication: cannot make the snapshot at seq {seq} durable: {e}"),
-    }
 }
 
 /// The replica's client connection to the primary. Requests are text
@@ -1027,12 +1007,14 @@ pub(super) fn jittered(rng: &mut Lcg, base: Duration) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::failover::{replica_session, Membership};
+    use crate::server::failover::replica_session;
     use crate::server::testkit::{self, scripted};
     use crate::server::{ServerConfig, ServerState};
     use graphstream::VertexId;
     use std::sync::Arc;
+    use streamlink_core::chaos::{FaultKind, FaultPlan};
     use streamlink_core::journal::FsyncPolicy;
+    use streamlink_core::repl::divergence;
 
     fn primary_state() -> ServerState {
         let store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
@@ -1204,7 +1186,7 @@ mod tests {
         let (replica, runtime) = replica_state();
         let (addr, primary) = scripted(b"OK fmt=v3\n", vec![frame]);
         let mut link = PrimaryLink::connect(&addr).unwrap();
-        snapshot_round_with(&replica, &runtime, &mut link, false).unwrap();
+        snapshot_round_with(&replica, &runtime, &mut link).unwrap();
         primary.join().unwrap();
         assert_eq!(runtime.applied_seq(), 7);
         let (got, want) = (replica.read_store(), state.read_store());
@@ -1223,7 +1205,7 @@ mod tests {
         let frame = codec::encode_envelope(codec::MODE_LZ_SNAPSHOT_FRAME, b"{\"config\":");
         let (addr, primary) = scripted(b"OK fmt=v3\n", vec![frame]);
         let mut link = PrimaryLink::connect(&addr).unwrap();
-        let err = snapshot_round_with(&replica, &runtime, &mut link, false).unwrap_err();
+        let err = snapshot_round_with(&replica, &runtime, &mut link).unwrap_err();
         primary.join().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("pre-v3 snapshot frame"), "{err}");
@@ -1364,8 +1346,8 @@ mod tests {
             u: VertexId(1),
             v: VertexId(2),
         };
-        apply_entry(&state, &runtime, e);
-        apply_entry(&state, &runtime, e);
+        apply_entry(&state, &runtime, e).unwrap();
+        apply_entry(&state, &runtime, e).unwrap();
         assert_eq!(state.read_store().edges_processed(), 1);
         assert_eq!(runtime.applied_seq(), 1);
     }
@@ -1439,7 +1421,7 @@ mod tests {
     fn apply_dead_timeline(state: &ServerState, runtime: &ReplicaRuntime, n: u64) {
         for seq in 1..=n {
             let (u, v) = (VertexId(seq), VertexId(seq + 10));
-            apply_entry(state, runtime, JournalEntry { seq, u, v });
+            apply_entry(state, runtime, JournalEntry { seq, u, v }).unwrap();
         }
     }
 
@@ -1486,31 +1468,22 @@ mod tests {
 
     #[test]
     fn wholesale_install_survives_restart() {
-        let dir = std::env::temp_dir().join(format!("streamlink-install-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let open = || {
-            let cfg = SketchConfig::with_slots(32).seed(5);
-            let (persist, recovery) =
-                persistence::open_with_faults(&dir, cfg, FsyncPolicy::Never, None).unwrap();
-            let learner = Membership::Learner {
-                primary: "127.0.0.1:1".into(),
-            };
-            let node = testkit::node("r1", learner, 100_000, recovery.store, Some(persist));
-            (node, recovery.snapshot_seq)
-        };
+        let dir = temp_dir("install");
+        let open = || testkit::durable_learner(&dir, "127.0.0.1:1", cfg(), None);
 
         // Case 1: dead seqs 1..=5 are journaled, then a different
-        // timeline's snapshot is force-installed at the journal's own
+        // timeline's snapshot is installed at the journal's own
         // high-water mark.
-        let ((state, runtime, _), _) = open();
+        let (state, runtime, _) = open();
         apply_dead_timeline(&state, &runtime, 5);
         let (addr, primary) = scripted(b"OK fmt=v3\n", vec![snapshot_frame(5, &[(100, 200)])]);
         let mut link = PrimaryLink::connect(&addr).unwrap();
-        snapshot_round_with(&state, &runtime, &mut link, true).unwrap();
+        snapshot_round_with(&state, &runtime, &mut link).unwrap();
         primary.join().unwrap();
         drop(state);
-        let ((state, runtime, cluster), snapshot_seq) = open();
-        assert_eq!(snapshot_seq, 5);
+        let (state, runtime, cluster) = open();
+        let generations = streamlink_core::durable::list_generations(&dir).unwrap();
+        assert_eq!(generations.iter().map(|g| g.0).collect::<Vec<_>>(), [5]);
         assert_eq!(runtime.applied_seq(), 5);
         {
             let store = state.read_store();
@@ -1531,13 +1504,151 @@ mod tests {
         assert!(replica_session(&state, &cluster, &runtime, &addr).is_err());
         primary.join().unwrap();
         drop(state);
-        let ((state, runtime, _), _) = open();
+        let (state, runtime, _) = open();
         assert_eq!(state.read_store().edges_processed(), 1);
         assert_eq!(state.read_store().degree(VertexId(300)), 1);
         assert_eq!(runtime.applied_seq(), 1, "pulls resume after the new seq 1");
         assert_eq!(state.persist_guard().unwrap().journal.next_seq(), 2);
         drop(state);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh data directory for one test.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("streamlink-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn edge(seq: u64) -> JournalEntry {
+        JournalEntry {
+            seq,
+            u: VertexId(seq % 7),
+            v: VertexId(100 + seq),
+        }
+    }
+
+    /// An in-memory primary holding seqs `1..=n`, served on loopback.
+    fn serving_primary(n: u64) -> (Arc<ServerState>, String) {
+        let primary = Arc::new(primary_state());
+        for seq in 1..=n {
+            let e = edge(seq);
+            primary.insert_edge(e.u, e.v).unwrap();
+        }
+        let addr = testkit::serve(&primary);
+        (primary, addr)
+    }
+
+    /// Flips a bit inside record `seq` of the WAL segment of `dir` that
+    /// starts at seq 1 and holds the records `edge(1..)`.
+    fn rot(dir: &std::path::Path, seq: u64) {
+        let offset: usize = (1..seq)
+            .map(|s| codec::encode_wal_entry(&edge(s)).len())
+            .sum();
+        let segment = journal::segment_path(dir, 1);
+        streamlink_core::chaos::flip_bit(&segment, offset as u64 + 3, 5).unwrap();
+    }
+
+    fn cfg() -> SketchConfig {
+        SketchConfig::with_slots(32).seed(5)
+    }
+
+    fn assert_converged(primary: &ServerState, learner: &ServerState) {
+        let store = learner.read_store();
+        assert_eq!(divergence(&primary.read_store(), &store), None);
+    }
+
+    #[test]
+    fn learner_installs_instead_of_skipping_a_rotted_primary_record() {
+        let dir = temp_dir("rotted-primary");
+        let open = || {
+            let (persist, recovery) =
+                persistence::open_with_faults(&dir, cfg(), FsyncPolicy::Never, None).unwrap();
+            let config = ServerConfig {
+                repl_buffer: 8,
+                ..ServerConfig::default()
+            };
+            ServerState::with_persistence(recovery.store, persist, recovery.snapshot_seq, config)
+        };
+        // Seqs 1..=20 land in a segment a restart seals; 21..=40 follow.
+        let earlier = open();
+        for seq in 1..=20 {
+            earlier.insert_edge(edge(seq).u, edge(seq).v).unwrap();
+        }
+        drop(earlier);
+        let primary = Arc::new(open());
+        for seq in 21..=40 {
+            primary.insert_edge(edge(seq).u, edge(seq).v).unwrap();
+        }
+        // Record 5 rots after the primary applied it. Its 8-entry ring
+        // holds 33..=40, so a fresh learner starts from disk.
+        rot(&dir, 5);
+        let addr = testkit::serve(&primary);
+        let (learner, runtime, cluster) =
+            testkit::learner(&addr, "r1", 100_000, SketchStore::new(cfg()));
+        let learner = Arc::new(learner);
+        testkit::follow(&learner, &cluster, &runtime, 40);
+        assert_converged(&primary, &learner);
+        primary.request_shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_journal_append_applies_nothing_and_is_pulled_again() {
+        let dir = temp_dir("refused-append");
+        let (primary, addr) = serving_primary(40);
+        // The learner's 10th append (seq 10) fails.
+        let faults = Arc::new(FaultPlan::new());
+        faults.fail_append(9, FaultKind::Enospc);
+        let (learner, runtime, cluster) =
+            testkit::durable_learner(&dir, &addr, cfg(), Some(faults));
+        testkit::follow(&learner, &cluster, &runtime, 40);
+        drop(learner);
+        // A crash and restart recover what the journal holds; then the
+        // learner catches up on five more writes.
+        for seq in 41..=45 {
+            primary.insert_edge(edge(seq).u, edge(seq).v).unwrap();
+        }
+        let (learner, runtime, cluster) = testkit::durable_learner(&dir, &addr, cfg(), None);
+        testkit::follow(&learner, &cluster, &runtime, 45);
+        assert_converged(&primary, &learner);
+        primary.request_shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_learner_whose_recovery_healed_around_rot_installs_even_after_a_restart() {
+        let (primary, addr) = serving_primary(40);
+        // `checkpoint` = whether the first boot after the rot checkpoints
+        // (baking the hole into a generation) and restarts before it
+        // ever reaches the primary.
+        for checkpoint in [false, true] {
+            let dir = temp_dir(&format!("healed-{checkpoint}"));
+            // Seqs 1..=40 in a segment the restart seals.
+            let (learner, runtime, cluster) = testkit::durable_learner(&dir, &addr, cfg(), None);
+            testkit::follow(&learner, &cluster, &runtime, 40);
+            drop(learner);
+            rot(&dir, 5);
+            let (mut learner, mut runtime, mut cluster) =
+                testkit::durable_learner(&dir, &addr, cfg(), None);
+            assert_eq!(learner.read_store().edges_processed(), 39);
+            if checkpoint {
+                persistence::checkpoint_now(&learner).unwrap();
+                drop(learner);
+                (learner, runtime, cluster) = testkit::durable_learner(&dir, &addr, cfg(), None);
+                assert_eq!(learner.read_store().edges_processed(), 39);
+            }
+            testkit::follow(&learner, &cluster, &runtime, 40);
+            assert_converged(&primary, &learner);
+            drop(learner);
+            // The install settled the debt: the next boot pulls on.
+            let (learner, runtime, _) = testkit::durable_learner(&dir, &addr, cfg(), None);
+            assert!(!runtime.install_due.load(Ordering::Relaxed));
+            assert_eq!(learner.read_store().edges_processed(), 40);
+            drop(learner);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        primary.request_shutdown();
     }
 
     #[test]

@@ -3,13 +3,17 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
+use std::path::Path;
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
-use streamlink_core::SketchStore;
+use streamlink_core::chaos::FaultPlan;
+use streamlink_core::journal::FsyncPolicy;
+use streamlink_core::{SketchConfig, SketchStore};
 
-use super::failover::{ClusterConfig, ClusterRuntime, Membership};
-use super::persistence::Persist;
+use super::failover::{cluster_loop, ClusterConfig, ClusterRuntime, Membership};
+use super::persistence::{self, Persist};
 use super::replication::{ReplicaRuntime, ReplicaTuning};
 use super::{ServerConfig, ServerState};
 
@@ -59,6 +63,62 @@ pub(crate) fn learner(
         primary: primary.into(),
     };
     node(id, membership, lag_slo, store, None)
+}
+
+/// A `--replicate-from primary --data-dir dir` learner, opened the way
+/// `serve` opens one (an install owed by `dir` is scheduled), with an
+/// optional fault plan on its journal.
+pub(crate) fn durable_learner(
+    dir: &Path,
+    primary: &str,
+    config: SketchConfig,
+    faults: Option<Arc<FaultPlan>>,
+) -> (Arc<ServerState>, Arc<ReplicaRuntime>, Arc<ClusterRuntime>) {
+    let (persist, recovery) =
+        persistence::open_with_faults(dir, config, FsyncPolicy::Never, faults).unwrap();
+    let (_, install_due) = persistence::replica_resume(dir, &recovery).unwrap();
+    let membership = Membership::Learner {
+        primary: primary.into(),
+    };
+    let (state, runtime, cluster) = node("r1", membership, 100_000, recovery.store, Some(persist));
+    if install_due {
+        runtime.require_install();
+    }
+    (Arc::new(state), runtime, cluster)
+}
+
+/// Serves `state` on a loopback port from a background thread; returns
+/// the address.
+pub(crate) fn serve(state: &Arc<ServerState>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let state = Arc::clone(state);
+    thread::spawn(move || super::serve(listener, &state));
+    addr
+}
+
+/// Runs `state`'s replication loop until a session is up and has applied
+/// `seq`, then stops it without the checkpoint `serve` takes at
+/// shutdown: dropping the state afterwards is a crash.
+pub(crate) fn follow(
+    state: &Arc<ServerState>,
+    cluster: &Arc<ClusterRuntime>,
+    runtime: &ReplicaRuntime,
+    seq: u64,
+) {
+    let (st, cl) = (Arc::clone(state), Arc::clone(cluster));
+    let handle = thread::spawn(move || cluster_loop(&st, &cl));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !runtime.connected() || runtime.applied_seq() != seq {
+        assert!(
+            Instant::now() < deadline,
+            "stuck at applied seq {} (want {seq})",
+            runtime.applied_seq()
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    state.request_shutdown();
+    handle.join().unwrap();
 }
 
 /// A one-shot scripted primary: it answers the link's `HELLO v3` line

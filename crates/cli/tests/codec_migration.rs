@@ -291,8 +291,8 @@ fn hello_v3_upgrades_responses_to_envelopes() {
     assert_eq!(c.reader.read_to_end(&mut rest).unwrap(), 0, "clean close");
 }
 
-/// A replica negotiates binary WAL shipping with the primary (and
-/// anti-entropy snapshot frames) and converges to its exact state.
+/// A replica negotiates binary WAL shipping with the primary and
+/// converges to its exact state.
 #[test]
 fn v3_replica_converges_over_binary_shipping() {
     let primary = Server::start(&[], false);
@@ -309,8 +309,6 @@ fn v3_replica_converges_over_binary_shipping() {
             "r-v3",
             "--repl-poll-ms",
             "20",
-            "--repl-anti-entropy-secs",
-            "1",
         ],
         true,
     );

@@ -5,9 +5,10 @@
 //! replicas converge to the primary's exact state and serve every read,
 //! writes on a replica are refused with `ERR readonly`, a SIGKILLed
 //! replica rejoins and reconverges without the primary ever stalling,
-//! both roles expose their lag through `REPL STATUS`, and a durable
-//! replica that outlived its primary's timeline restarts onto the new
-//! one.
+//! a replica that starts behind a small ship ring installs the
+//! primary's snapshot, both roles expose their lag through `REPL STATUS`,
+//! and a durable replica that outlived its primary's timeline restarts
+//! onto the new one.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -73,6 +74,11 @@ impl Server {
         Server::start(&[], false)
     }
 
+    /// [`Server::primary`] with a ship ring of `entries`.
+    fn primary_with_ring(entries: &str) -> Server {
+        Server::start(&["--repl-buffer", entries], false)
+    }
+
     /// A replica of `primary` polling fast enough for test deadlines.
     fn replica(primary: &str, id: &str) -> Server {
         Server::start(&Server::replica_flags(primary, id), true)
@@ -93,8 +99,6 @@ impl Server {
             id,
             "--repl-poll-ms",
             "20",
-            "--repl-anti-entropy-secs",
-            "1",
         ]
     }
 
@@ -278,6 +282,27 @@ fn sigkilled_replica_rejoins_and_reconverges() {
         let status = feed.ask("REPL STATUS");
         field(&status, "replicas_connected") == 2 && field(&status, "max_lag_edges") == 0
     });
+}
+
+#[test]
+fn replica_behind_a_small_ring_installs_the_primarys_snapshot() {
+    let primary = Server::primary_with_ring("8");
+    let stream = edges(34);
+    let mut feed = primary.connect();
+    for &(u, v) in &stream[..100] {
+        assert_eq!(feed.ask(&format!("INSERT {u} {v}")), "OK inserted");
+    }
+    // The ring holds seqs 93..=100 only, and an in-memory primary has
+    // no WAL to read: the replica's first pull is answered `ERR resync`,
+    // and a SNAPSHOT_FRAME install is its only way to seq 100.
+    let replica = Server::replica(&primary.addr, "r1");
+    wait_applied(&replica, 100, "replica to install the snapshot");
+    assert_eq!(answers(&mut replica.connect()), answers(&mut feed));
+    for &(u, v) in &stream[100..] {
+        assert_eq!(feed.ask(&format!("INSERT {u} {v}")), "OK inserted");
+    }
+    wait_applied(&replica, stream.len() as u64, "replica to pull on");
+    assert_eq!(answers(&mut replica.connect()), answers(&mut feed));
 }
 
 #[test]

@@ -8,11 +8,6 @@
 //!   short writes, failed fsyncs) the journal and checkpoint paths
 //!   consult when one is installed, so tests can make the *live* write
 //!   path fail at exact operation counts;
-//! * [`DeliveryPlan`] — a scripted schedule of *network delivery* faults
-//!   (drop/duplicate/delay-reorder by message index) that perturbs a
-//!   message sequence deterministically, so replication chaos schedules
-//!   (E23) are reproducible the same way `FaultPlan` storage schedules
-//!   are;
 //! * [`ChaosWriter`] — a writer that fails with an injected error after a
 //!   byte budget, leaving a genuine partial write behind;
 //! * [`tear_file`] — chops bytes off a file's end, reproducing a write
@@ -177,116 +172,6 @@ fn take_at(faults: &mut Vec<u64>, op: u64) -> bool {
 
 fn injected(detail: &str) -> io::Error {
     io::Error::other(format!("injected fault: {detail}"))
-}
-
-/// One kind of injected delivery fault, keyed by 0-based message index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryFault {
-    /// The message is lost in transit.
-    Drop,
-    /// The message arrives twice, back to back (the common
-    /// retransmission duplicate).
-    Duplicate,
-    /// The message is held back and delivered strictly after the
-    /// message `delay` positions later in the original sequence — a
-    /// scripted reorder.
-    Delay(usize),
-}
-
-/// A scripted, deterministic schedule of delivery faults.
-///
-/// Where [`FaultPlan`] perturbs the *storage* path of a live journal,
-/// `DeliveryPlan` perturbs a *message sequence* — the WAL entries a
-/// primary ships to a replica. [`DeliveryPlan::apply`] is a pure
-/// transformation of the input sequence: the same plan applied to the
-/// same messages always yields the same delivery order, so an E23 chaos
-/// schedule is exactly reproducible from its seed.
-///
-/// At most one fault is honored per message index (the first one
-/// scheduled wins); indices past the end of the sequence are ignored.
-#[derive(Debug, Default, Clone)]
-pub struct DeliveryPlan {
-    /// `(message_index, fault)`, first scheduled per index wins.
-    faults: Vec<(u64, DeliveryFault)>,
-}
-
-impl DeliveryPlan {
-    /// An empty plan: every message is delivered once, in order.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules the message with 0-based index `at` to be dropped.
-    pub fn drop_at(&mut self, at: u64) {
-        self.faults.push((at, DeliveryFault::Drop));
-    }
-
-    /// Schedules the message with 0-based index `at` to be delivered
-    /// twice, back to back.
-    pub fn duplicate_at(&mut self, at: u64) {
-        self.faults.push((at, DeliveryFault::Duplicate));
-    }
-
-    /// Schedules the message with 0-based index `at` to be delayed past
-    /// the message `by` positions later (a reorder). `by == 0` keeps the
-    /// message in place.
-    pub fn delay_at(&mut self, at: u64, by: usize) {
-        self.faults.push((at, DeliveryFault::Delay(by)));
-    }
-
-    /// The fault scheduled for message index `at`, if any (first
-    /// scheduled wins).
-    #[must_use]
-    pub fn fault_at(&self, at: u64) -> Option<DeliveryFault> {
-        self.faults
-            .iter()
-            .find(|&&(idx, _)| idx == at)
-            .map(|&(_, f)| f)
-    }
-
-    /// Number of scheduled faults.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the plan schedules no faults at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Applies the plan to a message sequence, returning the sequence a
-    /// receiver would observe.
-    ///
-    /// Dropped messages are omitted; duplicated messages appear twice,
-    /// adjacent; a message delayed by `by` is delivered strictly after
-    /// the (undelayed) message at index `at + by`. The transformation is
-    /// pure and deterministic.
-    pub fn apply<T: Clone>(&self, messages: impl IntoIterator<Item = T>) -> Vec<T> {
-        // Emission key: normal/duplicate copies sort at 2*index, a copy
-        // delayed to target index t sorts at 2*t + 1 — strictly after
-        // the undelayed message at t. The sort is stable, so equal keys
-        // keep arrival order and the whole transform is deterministic.
-        let mut keyed: Vec<(u64, T)> = Vec::new();
-        for (i, msg) in messages.into_iter().enumerate() {
-            let idx = i as u64;
-            match self.fault_at(idx) {
-                None => keyed.push((idx * 2, msg)),
-                Some(DeliveryFault::Drop) => {}
-                Some(DeliveryFault::Duplicate) => {
-                    keyed.push((idx * 2, msg.clone()));
-                    keyed.push((idx * 2, msg));
-                }
-                Some(DeliveryFault::Delay(by)) => {
-                    keyed.push(((idx + by as u64) * 2 + 1, msg));
-                }
-            }
-        }
-        keyed.sort_by_key(|&(key, _)| key);
-        keyed.into_iter().map(|(_, msg)| msg).collect()
-    }
 }
 
 /// A writer that emits an injected error once `budget` bytes have been
@@ -522,68 +407,6 @@ mod tests {
         assert_eq!(plan.next_append(), AppendDecision::ShortWrite(4));
         // Consumed: the same indices never fire twice.
         assert_eq!(plan.next_append(), AppendDecision::Proceed);
-    }
-
-    #[test]
-    fn delivery_plan_empty_is_identity() {
-        let plan = DeliveryPlan::new();
-        assert!(plan.is_empty());
-        assert_eq!(plan.apply(0..6), (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn delivery_plan_drop_removes_exactly_that_index() {
-        let mut plan = DeliveryPlan::new();
-        plan.drop_at(2);
-        assert_eq!(plan.apply(0..5), vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn delivery_plan_duplicate_delivers_adjacent_copies() {
-        let mut plan = DeliveryPlan::new();
-        plan.duplicate_at(1);
-        assert_eq!(plan.apply(0..4), vec![0, 1, 1, 2, 3]);
-    }
-
-    #[test]
-    fn delivery_plan_delay_reorders_past_later_messages() {
-        let mut plan = DeliveryPlan::new();
-        plan.delay_at(0, 2);
-        // Message 0 lands strictly after message 2.
-        assert_eq!(plan.apply(0..5), vec![1, 2, 0, 3, 4]);
-        // Delay past the end of the stream lands at the end.
-        let mut tail = DeliveryPlan::new();
-        tail.delay_at(1, 100);
-        assert_eq!(tail.apply(0..4), vec![0, 2, 3, 1]);
-        // A zero delay keeps the message in place (after index ties,
-        // arrival order is preserved).
-        let mut zero = DeliveryPlan::new();
-        zero.delay_at(2, 0);
-        assert_eq!(zero.apply(0..4), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn delivery_plan_combined_faults_are_deterministic() {
-        let mut plan = DeliveryPlan::new();
-        plan.drop_at(0);
-        plan.duplicate_at(3);
-        plan.delay_at(1, 3);
-        assert_eq!(plan.len(), 3);
-        let once = plan.apply(0..7);
-        let twice = plan.apply(0..7);
-        assert_eq!(once, twice, "apply must be pure");
-        assert_eq!(once, vec![2, 3, 3, 4, 1, 5, 6]);
-    }
-
-    #[test]
-    fn delivery_plan_first_fault_per_index_wins_and_oob_ignored() {
-        let mut plan = DeliveryPlan::new();
-        plan.drop_at(1);
-        plan.duplicate_at(1); // shadowed by the drop scheduled first
-        plan.drop_at(99); // past the end: ignored
-        assert_eq!(plan.fault_at(1), Some(DeliveryFault::Drop));
-        assert_eq!(plan.fault_at(2), None);
-        assert_eq!(plan.apply(0..3), vec![0, 2]);
     }
 
     #[test]

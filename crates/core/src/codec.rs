@@ -1,7 +1,7 @@
 //! Storage & wire codec: the checksummed binary v3 format.
 //!
 //! Everything durable or shipped — snapshot generations, WAL records,
-//! replication batches, anti-entropy snapshots, protocol frames — is
+//! replication batches, resync snapshots, protocol frames — is
 //! written as a v3 envelope: LEB128 varints and delta-encoded sorted
 //! columns behind one CRC. Snapshots are several-fold smaller than the
 //! retired text formats and decode without a JSON parser; recovery
@@ -98,7 +98,7 @@ pub const MODE_WAL_BATCH: u8 = 0x05;
 /// length, LZ-compressed JSON). Never reused, so a peer on that version
 /// fails on the mode byte instead of mis-decoding the body.
 pub const MODE_LZ_SNAPSHOT_FRAME: u8 = 0x06;
-/// Envelope mode byte: an anti-entropy or resync snapshot transfer whose
+/// Envelope mode byte: a resync snapshot transfer whose
 /// body is `varint seq` followed by the same v3 store-snapshot body a
 /// checkpoint writes.
 pub const MODE_SNAPSHOT_FRAME: u8 = 0x07;
@@ -1095,7 +1095,7 @@ pub(crate) fn read_store_snapshot<S: SnapshotSink>(
     }
 }
 
-/// Encodes an anti-entropy or resync snapshot transfer as one
+/// Encodes a resync snapshot transfer as one
 /// [`MODE_SNAPSHOT_FRAME`] envelope: the WAL seq the snapshot covers,
 /// then the store-snapshot body exactly as [`encode_store_snapshot`]
 /// frames it on disk.

@@ -692,10 +692,14 @@ pub fn quarantine_name(path: &Path, index: usize) -> String {
 /// that have aged out of the primary's in-memory ship buffer but are
 /// still on disk.
 ///
-/// Read-only and side-effect free: unlike [`replay`] it never
-/// quarantines — corrupt or torn records are simply not shipped
-/// (recovery owns forensics). Segments fully covered by `after_seq` are skipped
-/// without being read.
+/// The read stops at the first invalid chunk (torn or rotten) that can
+/// hold a seq past `after_seq`: whatever it held is not shipped, and no
+/// entry after it is either, so a replica never applies past a record
+/// it lacks. The batch then ends early, and the next pull, starting at
+/// the chunk, gets nothing from disk and is told to resync. Read-only
+/// and side-effect free: unlike [`replay`] it never quarantines
+/// (recovery owns forensics). Segments fully covered by `after_seq` are
+/// skipped without being read.
 ///
 /// # Errors
 /// Fails if the directory or a needed segment cannot be read.
@@ -709,6 +713,8 @@ pub fn read_entries_after(dir: &Path, after_seq: u64, max: usize) -> io::Result<
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
         Err(e) => return Err(e),
     };
+    // Whether an invalid chunk came after the last valid entry read.
+    let mut hole = false;
     for (i, (_, path)) in segments.iter().enumerate() {
         // Segment i holds seqs in [first_i, first_{i+1}); skip it when
         // that whole range is already covered.
@@ -719,15 +725,22 @@ pub fn read_entries_after(dir: &Path, after_seq: u64, max: usize) -> io::Result<
         }
         let bytes = read_segment(path)?;
         for record in scan_segment(&bytes) {
-            // Invalid chunks (torn or rotten) are simply not shipped;
-            // recovery owns forensics.
-            let Some(entry) = record.entry else { continue };
+            let Some(entry) = record.entry else {
+                hole = true;
+                continue;
+            };
             if entry.seq > after_seq {
+                // A chunk before `after_seq + 1` holds a seq the caller
+                // already has; any later one may hold a seq it lacks.
+                if hole && entry.seq > after_seq + 1 {
+                    return Ok(out);
+                }
                 out.push(entry);
                 if out.len() == max {
                     return Ok(out);
                 }
             }
+            hole = false;
         }
     }
     Ok(out)
@@ -1188,7 +1201,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_read_entries_after_never_ships_corrupt_records() {
+    fn binary_read_entries_after_stops_at_the_first_corrupt_record() {
         let dir = temp_dir("bin-readclean");
         let mut j = Journal::create(&dir, 1, FsyncPolicy::Never).unwrap();
         for seq in 1..=4 {
@@ -1201,8 +1214,15 @@ mod tests {
         // And a torn (partial) record 5 at the tail.
         crate::chaos::append_garbage(path, &codec::encode_wal_entry(&entry(5))[..6]).unwrap();
 
+        // Record 3 rotted: nothing at or after it ships, so a replica
+        // cannot apply seq 4 without seq 3.
         let got = read_entries_after(&dir, 0, 100).unwrap();
-        assert_eq!(got.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2, 4]);
+        assert_eq!(got.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(read_entries_after(&dir, 2, 100).unwrap().is_empty());
+        // Past the rot the read is clean again, and the torn tail after
+        // the last entry cuts nothing.
+        let got = read_entries_after(&dir, 3, 100).unwrap();
+        assert_eq!(got.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![4]);
         assert!(!dir.join(QUARANTINE_DIR).exists(), "read path is pure");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -73,8 +73,7 @@
 //!   retention-aware checkpointing.
 //! * [`chaos`] — fault injection (torn/partial writes, scripted
 //!   [`chaos::FaultPlan`] ENOSPC/short-write/failed-fsync schedules,
-//!   scripted [`chaos::DeliveryPlan`] drop/duplicate/reorder delivery
-//!   schedules, bit flips) for durability and replication tests.
+//!   bit flips) for durability and replication tests.
 //! * [`repl`] — replication primitives: seq-deduplicated apply
 //!   ([`repl::ReplicaApplier`]), the primary's bounded ship buffer
 //!   ([`repl::ReplLog`]), and the byte-exact convergence check
@@ -123,7 +122,7 @@ pub mod trace;
 
 pub use accuracy::AccuracyPlan;
 pub use audit::{AccuracyAuditor, AuditConfig, AuditSnapshot};
-pub use chaos::{DeliveryFault, DeliveryPlan, FaultKind, FaultPlan};
+pub use chaos::{FaultKind, FaultPlan};
 pub use codec::{CodecError, WireFormat};
 pub use config::SketchConfig;
 pub use durable::{checkpoint, recover, Recovery, DEFAULT_SNAPSHOT_KEEP};

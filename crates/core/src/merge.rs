@@ -7,6 +7,9 @@
 //! split the stream arbitrarily — by range, by hash, round-robin — as long
 //! as no edge is delivered to two shards (that would double-count
 //! degrees; slots themselves would still be correct).
+//!
+//! Replicas never merge: two states of one stream overlap, and a replica
+//! that fell behind installs a primary snapshot wholesale instead.
 
 use crate::store::SketchStore;
 
@@ -56,8 +59,7 @@ fn check_compat(dst: &SketchStore, src: &SketchStore) -> Result<(), MergeError> 
 ///
 /// This is the **shard union**: degrees and edge counts are *added*, so
 /// it is exact only when the two stores were built from edge-disjoint
-/// sub-streams. For joining two replicas of the *same* stream, use
-/// [`merge_join`].
+/// sub-streams.
 ///
 /// # Errors
 /// Fails without modifying `dst` if the configurations are incompatible.
@@ -68,34 +70,7 @@ pub fn merge_into(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeE
     let _t = crate::trace::timed_op("merge", &m.merge_latency);
     // `dst` and `src` are distinct objects (`&mut` + `&`): merge straight
     // out of `src` with zero transient allocation.
-    dst.join_from(src, |a, b| a + b);
-    m.merge_ops.incr();
-    Ok(())
-}
-
-/// Joins `src` into `dst` as two states of the **same** stream — the
-/// state-based-CRDT join replication anti-entropy uses.
-///
-/// Slots are min-registers, so the component-wise `min` is a true
-/// idempotent join. Degree counters and the edge count are *not*
-/// idempotent, and must never be blindly re-added when the two states
-/// observed overlapping prefixes of one stream; here they are joined by
-/// `max`. That is exact under the replication invariant: a replica
-/// applies each primary seq at most once (seq-deduplicated), so its
-/// per-vertex degrees and edge count are each ≤ the primary's, and
-/// `max` recovers exactly the more-advanced state's counters.
-///
-/// `merge_join` is idempotent (`join(a, a) == a`), commutative, and
-/// monotone; self-join and repeated join never double-count.
-///
-/// # Errors
-/// Fails without modifying `dst` if the configurations are incompatible.
-pub fn merge_join(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeError> {
-    check_compat(dst, src)?;
-
-    let m = crate::metrics::global();
-    let _t = crate::trace::timed_op("merge_join", &m.merge_latency);
-    dst.join_from(src, u64::max);
+    dst.join_from(src);
     m.merge_ops.incr();
     Ok(())
 }
@@ -182,83 +157,6 @@ mod tests {
         let mut a = SketchStore::new(SketchConfig::with_slots(32).seed(1));
         let b = SketchStore::new(SketchConfig::with_slots(32).seed(2));
         assert_eq!(merge_into(&mut a, &b), Err(MergeError::SeedMismatch));
-    }
-
-    #[test]
-    fn join_with_self_is_identity() {
-        let mut a = SketchStore::new(cfg());
-        a.insert_stream(BarabasiAlbert::new(200, 3, 5).edges());
-        let b = {
-            let mut b = SketchStore::new(cfg());
-            b.insert_stream(BarabasiAlbert::new(200, 3, 5).edges());
-            b
-        };
-        merge_join(&mut a, &b).unwrap();
-        assert_eq!(a.edges_processed(), b.edges_processed());
-        for v in b.vertices() {
-            assert_eq!(a.degree(v), b.degree(v), "self-join changed degree of {v}");
-            assert_eq!(a.sketch(v), b.sketch(v), "self-join changed sketch of {v}");
-        }
-    }
-
-    #[test]
-    fn join_of_prefix_state_recovers_full_state() {
-        // A replica that saw only a prefix of the stream, joined with
-        // the primary's full state, must equal the primary exactly —
-        // degrees via max, not sum.
-        let stream: Vec<_> = BarabasiAlbert::new(250, 3, 9).edges().collect();
-        let mut replica = SketchStore::new(cfg());
-        replica.insert_stream(stream.iter().take(stream.len() / 3).copied());
-        let mut primary = SketchStore::new(cfg());
-        primary.insert_stream(stream.iter().copied());
-
-        merge_join(&mut replica, &primary).unwrap();
-        assert_eq!(replica.edges_processed(), primary.edges_processed());
-        assert_eq!(replica.vertex_count(), primary.vertex_count());
-        for v in primary.vertices() {
-            assert_eq!(replica.degree(v), primary.degree(v), "degree at {v}");
-            assert_eq!(replica.sketch(v), primary.sketch(v), "sketch at {v}");
-        }
-    }
-
-    #[test]
-    fn join_is_commutative_for_same_stream_states() {
-        let stream: Vec<_> = BarabasiAlbert::new(150, 2, 4).edges().collect();
-        let prefix = |n: usize| {
-            let mut s = SketchStore::new(cfg());
-            s.insert_stream(stream.iter().take(n).copied());
-            s
-        };
-        let (short, long) = (prefix(stream.len() / 2), prefix(stream.len()));
-        let mut a = prefix(stream.len() / 2);
-        merge_join(&mut a, &long).unwrap();
-        let mut b = prefix(stream.len());
-        merge_join(&mut b, &short).unwrap();
-        assert_eq!(a.edges_processed(), b.edges_processed());
-        for v in a.vertices() {
-            assert_eq!(a.degree(v), b.degree(v));
-            assert_eq!(a.sketch(v), b.sketch(v));
-        }
-    }
-
-    #[test]
-    fn join_rejects_incompatible_configs_untouched() {
-        let mut a = SketchStore::new(cfg());
-        a.insert_stream(BarabasiAlbert::new(50, 2, 1).edges());
-        let edges_before = a.edges_processed();
-        let b = SketchStore::new(SketchConfig::with_slots(128).seed(7));
-        assert!(matches!(
-            merge_join(&mut a, &b),
-            Err(MergeError::SlotMismatch { .. })
-        ));
-        assert_eq!(a.edges_processed(), edges_before);
-        assert_eq!(
-            merge_join(
-                &mut a,
-                &SketchStore::new(SketchConfig::with_slots(64).seed(8))
-            ),
-            Err(MergeError::SeedMismatch)
-        );
     }
 
     #[test]

@@ -410,10 +410,8 @@ pub struct Metrics {
     pub repl_snapshots_shipped: Counter,
     /// Entries applied through the seq-dedup gate (replica).
     pub repl_entries_applied: Counter,
-    /// Entries dropped as duplicates / late reorders (replica).
+    /// Entries dropped by the seq gate as repeated or stale (replica).
     pub repl_entries_deduped: Counter,
-    /// Anti-entropy snapshot joins completed (replica).
-    pub repl_anti_entropy_rounds: Counter,
     /// Snapshot resyncs forced by buffer shed, discontinuity, or
     /// primary restart (replica).
     pub repl_resyncs: Counter,
@@ -519,7 +517,6 @@ impl Metrics {
             repl_snapshots_shipped: Counter::new(),
             repl_entries_applied: Counter::new(),
             repl_entries_deduped: Counter::new(),
-            repl_anti_entropy_rounds: Counter::new(),
             repl_resyncs: Counter::new(),
             repl_reconnects: Counter::new(),
             repl_replicas_connected: Gauge::new(),
@@ -611,10 +608,6 @@ impl Metrics {
                 ("repl.snapshots_shipped", self.repl_snapshots_shipped.get()),
                 ("repl.entries_applied", self.repl_entries_applied.get()),
                 ("repl.entries_deduped", self.repl_entries_deduped.get()),
-                (
-                    "repl.anti_entropy_rounds",
-                    self.repl_anti_entropy_rounds.get(),
-                ),
                 ("repl.resyncs", self.repl_resyncs.get()),
                 ("repl.reconnects", self.repl_reconnects.get()),
                 ("repl.promotions", self.repl_promotions.get()),

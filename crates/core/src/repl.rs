@@ -8,17 +8,18 @@
 //!   is free (min-register); re-applying an edge double-counts the
 //!   degree counters and the edge count. So a replica must apply each
 //!   primary seq **at most once**.
-//! * **Delivery is unreliable.** Entries can be dropped, duplicated, or
-//!   reordered in transit (see [`crate::chaos::DeliveryPlan`]).
+//! * **A replica catches up one way.** It asks for the entries after its
+//!   applied seq, and the primary answers with a contiguous run of them
+//!   or with "resync". A replica that falls off the stream installs a
+//!   primary snapshot wholesale; two states of one stream are never
+//!   merged.
 //!
 //! [`ReplicaApplier`] enforces at-most-once by monotone-seq gating: an
 //! entry is applied iff its seq is strictly greater than the high-water
-//! mark, so duplicates and late reorders are deduplicated, and drops
-//! leave *gaps* — the replica's state is then a sub-multiset of the
-//! primary's applied stream (every applied seq is a real primary edge,
-//! applied once). That invariant is exactly what makes anti-entropy via
-//! [`crate::merge::merge_join`] (slot min / degree max / edge-count max)
-//! converge the replica to the primary byte-for-byte.
+//! mark, so a repeated or stale entry can never double-count. A seq the
+//! stream skips is a *burned* seq (an append that failed on the primary
+//! and was never acked or applied there), so the replica's state after
+//! seq `n` is exactly the primary's after seq `n`.
 //!
 //! [`ReplLog`] is the primary side: a bounded in-memory ring of recent
 //! entries served to pulling replicas. A replica that falls behind the
@@ -35,7 +36,7 @@ use crate::store::SketchStore;
 pub enum ApplyOutcome {
     /// The entry advanced the high-water mark and was applied.
     Applied,
-    /// The entry's seq was already covered (duplicate or late reorder):
+    /// The entry's seq was already covered (a repeated or stale seq):
     /// dropped without touching the store.
     Deduped,
 }
@@ -44,15 +45,12 @@ pub enum ApplyOutcome {
 ///
 /// Tracks the highest primary seq applied; [`offer`](Self::offer)
 /// applies an entry iff it advances that mark, so no seq is ever
-/// applied twice regardless of duplication or reordering in delivery.
-/// Gaps (dropped entries) are tolerated and counted — anti-entropy
-/// repairs them.
+/// applied twice, whatever the link delivers. A skipped seq is a burned
+/// one (see the module docs). What it applies and drops is counted by
+/// the caller, in the `repl.entries_*` metrics.
 #[derive(Debug, Clone)]
 pub struct ReplicaApplier {
     applied_seq: u64,
-    applied: u64,
-    deduped: u64,
-    gap_skips: u64,
 }
 
 impl ReplicaApplier {
@@ -60,40 +58,23 @@ impl ReplicaApplier {
     /// replica: every real WAL seq is ≥ 1).
     #[must_use]
     pub fn new(applied_seq: u64) -> Self {
-        ReplicaApplier {
-            applied_seq,
-            applied: 0,
-            deduped: 0,
-            gap_skips: 0,
-        }
+        ReplicaApplier { applied_seq }
     }
 
     /// Applies `entry` to `store` iff its seq advances the high-water
-    /// mark; duplicates and late reorders are dropped.
+    /// mark; a repeated or stale seq is dropped.
     pub fn offer(&mut self, store: &mut SketchStore, entry: JournalEntry) -> ApplyOutcome {
         if entry.seq <= self.applied_seq {
-            self.deduped += 1;
             return ApplyOutcome::Deduped;
         }
-        self.gap_skips += entry.seq - self.applied_seq - 1;
         self.applied_seq = entry.seq;
-        self.applied += 1;
         store.insert_edge(entry.u, entry.v);
         ApplyOutcome::Applied
     }
 
-    /// Raises the high-water mark to `seq` (no-op if already past it).
-    ///
-    /// Called after anti-entropy joins a primary snapshot taken at
-    /// `seq`: every entry ≤ `seq` is now reflected in the store, so the
-    /// stream tail up to `seq` must dedupe rather than re-apply.
-    pub fn advance_to(&mut self, seq: u64) {
-        self.applied_seq = self.applied_seq.max(seq);
-    }
-
     /// Resets the high-water mark to `seq` unconditionally — used when
-    /// the replica discards its store (full resync, or a primary that
-    /// restarted with a lower seq space).
+    /// the replica replaces its store with a snapshot taken at `seq`
+    /// (a resync, or a primary that restarted with a lower seq space).
     pub fn reset_to(&mut self, seq: u64) {
         self.applied_seq = seq;
     }
@@ -102,24 +83,6 @@ impl ReplicaApplier {
     #[must_use]
     pub fn applied_seq(&self) -> u64 {
         self.applied_seq
-    }
-
-    /// Entries applied through this applier.
-    #[must_use]
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Entries dropped as duplicates / late reorders.
-    #[must_use]
-    pub fn deduped(&self) -> u64 {
-        self.deduped
-    }
-
-    /// Seqs skipped over as delivery gaps (awaiting anti-entropy).
-    #[must_use]
-    pub fn gap_skips(&self) -> u64 {
-        self.gap_skips
     }
 }
 
@@ -285,10 +248,7 @@ pub fn divergence(primary: &SketchStore, replica: &SketchStore) -> Option<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::DeliveryPlan;
     use crate::config::SketchConfig;
-    use crate::merge::merge_join;
-    use crate::snapshot::StoreSnapshot;
     use graphstream::VertexId;
 
     fn cfg() -> SketchConfig {
@@ -309,41 +269,28 @@ mod tests {
         let mut applier = ReplicaApplier::new(0);
         assert_eq!(applier.offer(&mut store, entry(1)), ApplyOutcome::Applied);
         assert_eq!(applier.offer(&mut store, entry(2)), ApplyOutcome::Applied);
-        // Duplicate and late reorder both dedupe.
+        // A repeated and a stale seq both dedupe.
         assert_eq!(applier.offer(&mut store, entry(2)), ApplyOutcome::Deduped);
         assert_eq!(applier.offer(&mut store, entry(1)), ApplyOutcome::Deduped);
         assert_eq!(store.edges_processed(), 2);
-        assert_eq!(applier.applied(), 2);
-        assert_eq!(applier.deduped(), 2);
         assert_eq!(applier.applied_seq(), 2);
-    }
-
-    #[test]
-    fn applier_counts_gaps_and_skips_reorder_laggards() {
-        let mut store = SketchStore::new(cfg());
-        let mut applier = ReplicaApplier::new(0);
-        applier.offer(&mut store, entry(1));
-        applier.offer(&mut store, entry(5)); // 2,3,4 lost
-        assert_eq!(applier.gap_skips(), 3);
-        // 3 arrives late (reordered): under the monotone gate it is
-        // deduped — anti-entropy, not replay, repairs the gap.
-        assert_eq!(applier.offer(&mut store, entry(3)), ApplyOutcome::Deduped);
-        assert_eq!(store.edges_processed(), 2);
-    }
-
-    #[test]
-    fn advance_to_dedupes_the_tail_after_anti_entropy() {
-        let mut store = SketchStore::new(cfg());
-        let mut applier = ReplicaApplier::new(0);
-        applier.offer(&mut store, entry(1));
-        applier.advance_to(10);
-        assert_eq!(applier.offer(&mut store, entry(7)), ApplyOutcome::Deduped);
-        assert_eq!(applier.offer(&mut store, entry(11)), ApplyOutcome::Applied);
-        // advance_to never lowers the mark.
-        applier.advance_to(4);
-        assert_eq!(applier.applied_seq(), 11);
+        // reset_to moves the mark both ways.
+        applier.reset_to(10);
+        assert_eq!(applier.applied_seq(), 10);
         applier.reset_to(4);
         assert_eq!(applier.applied_seq(), 4);
+    }
+
+    #[test]
+    fn applier_skips_burned_seqs_and_dedupes_stale_ones() {
+        let mut store = SketchStore::new(cfg());
+        let mut applier = ReplicaApplier::new(0);
+        applier.offer(&mut store, entry(1));
+        applier.offer(&mut store, entry(5)); // 2,3,4 burned
+        assert_eq!(applier.applied_seq(), 5);
+        // A stale seq below the mark is deduped, never applied.
+        assert_eq!(applier.offer(&mut store, entry(3)), ApplyOutcome::Deduped);
+        assert_eq!(store.edges_processed(), 2);
     }
 
     #[test]
@@ -399,53 +346,5 @@ mod tests {
         assert_eq!(log.last_seq(), 2);
         assert_eq!(log.buffered(), 2);
         assert!(log.memory_bytes() > 0);
-    }
-
-    /// End-to-end convergence at the core layer: a chaos-perturbed
-    /// delivery followed by one anti-entropy join equals the primary.
-    #[test]
-    fn perturbed_stream_plus_anti_entropy_converges_exactly() {
-        let mut primary = SketchStore::new(cfg());
-        let entries: Vec<JournalEntry> = (1..=200)
-            .map(|seq| JournalEntry {
-                seq,
-                u: VertexId(seq * 7 % 23),
-                v: VertexId(seq * 13 % 19 + 23),
-            })
-            .collect();
-        for e in &entries {
-            primary.insert_edge(e.u, e.v);
-        }
-
-        let mut plan = DeliveryPlan::new();
-        plan.drop_at(10);
-        plan.drop_at(11);
-        plan.duplicate_at(40);
-        plan.duplicate_at(41);
-        plan.delay_at(100, 30);
-        plan.delay_at(150, 5);
-
-        let mut replica = SketchStore::new(cfg());
-        let mut applier = ReplicaApplier::new(0);
-        for e in plan.apply(entries.clone()) {
-            applier.offer(&mut replica, e);
-        }
-        assert!(applier.deduped() > 0, "schedule must exercise dedup");
-        assert!(
-            divergence(&primary, &replica).is_some(),
-            "drops must leave the replica behind before anti-entropy"
-        );
-
-        // One anti-entropy round: join a primary snapshot, advance the
-        // gate to the snapshot seq.
-        let snap = StoreSnapshot::capture(&primary);
-        let restored = snap.restore();
-        merge_join(&mut replica, &restored).unwrap();
-        applier.advance_to(200);
-        assert_eq!(divergence(&primary, &replica), None);
-
-        // A second round is a no-op (idempotent join).
-        merge_join(&mut replica, &restored).unwrap();
-        assert_eq!(divergence(&primary, &replica), None);
     }
 }

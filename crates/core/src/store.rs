@@ -339,17 +339,17 @@ impl SketchStore {
         })
     }
 
-    /// Joins every vertex of `src` into this store: slots by `min`, with
-    /// `combine` joining the degree counters and the edge counts. The
-    /// caller has checked that the two configurations agree.
-    pub(crate) fn join_from(&mut self, src: &SketchStore, combine: fn(u64, u64) -> u64) {
+    /// Joins every vertex of `src` into this store: slots by `min`,
+    /// degree counters and edge counts added. The caller has checked
+    /// that the two configurations agree.
+    pub(crate) fn join_from(&mut self, src: &SketchStore) {
         let k = self.config.slots();
         for (&v, s) in &src.vertices {
             let d = self.vertices.entry(v).or_insert_with(|| Vertex::new(k));
-            d.degree = combine(d.degree, s.degree);
+            d.degree += s.degree;
             d.sketch.merge(&s.sketch);
         }
-        self.edges_processed = combine(self.edges_processed, src.edges_processed);
+        self.edges_processed += src.edges_processed;
     }
 }
 
@@ -517,9 +517,9 @@ mod tests {
             Some(cn * mean_inv_degree)
         }
 
-        /// `merge_into` (`combine` = add) or `merge_join` (`combine` =
-        /// max) over 16-byte slots: a winning slot carries its argmin.
-        fn join(&mut self, src: &Reference, combine: fn(u64, u64) -> u64) {
+        /// `merge_into` over 16-byte slots: a winning slot carries its
+        /// argmin.
+        fn join(&mut self, src: &Reference) {
             let k = self.config.slots();
             for (v, s) in &src.sketches {
                 let d = self.sketches.entry(*v).or_insert_with(|| empty(k));
@@ -528,10 +528,9 @@ mod tests {
                         *a = *b;
                     }
                 }
-                let degree = self.degrees.entry(*v).or_insert(0);
-                *degree = combine(*degree, src.degree(*v));
+                *self.degrees.entry(*v).or_insert(0) += src.degree(*v);
             }
-            self.edges_processed = combine(self.edges_processed, src.edges_processed);
+            self.edges_processed += src.edges_processed;
         }
 
         fn sorted_vertices(&self) -> Vec<VertexId> {
@@ -664,19 +663,13 @@ mod tests {
             let (whole, whole_ref) = build(&edges);
             assert_matches_reference(&whole, &whole_ref, 24)?;
 
-            // Shard union of the two halves, and the join of a prefix
-            // state with the whole stream's.
+            // Shard union of the two halves.
             let (head, tail) = edges.split_at(split.min(edges.len()));
             let (mut union, mut union_ref) = build(head);
             let (shard, shard_ref) = build(tail);
             crate::merge::merge_into(&mut union, &shard).unwrap();
-            union_ref.join(&shard_ref, |a, b| a + b);
+            union_ref.join(&shard_ref);
             assert_matches_reference(&union, &union_ref, 24)?;
-
-            let (mut joined, mut joined_ref) = build(head);
-            crate::merge::merge_join(&mut joined, &whole).unwrap();
-            joined_ref.join(&whole_ref, u64::max);
-            assert_matches_reference(&joined, &joined_ref, 24)?;
         }
     }
 
